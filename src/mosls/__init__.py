@@ -57,6 +57,7 @@ from .graph import (
 from .spectra import (
     ClosedFormRangeError,
     ClosedSpectrum,
+    ConvergenceError,
     IntPolynomial,
     SpectrumReport,
     SrgParameterError,

@@ -15,8 +15,6 @@ import sys
 
 from . import construct, designs, graph, spectra, switching
 
-EXACT_VERTEX_CAP = spectra.EXACT_SIZE_CAP
-
 
 def _emit(text: str, out_path) -> None:
     if out_path:
@@ -141,27 +139,28 @@ def cmd_check(args) -> int:
 
 
 def _build_graph(args):
+    """The family, the parsed --subset (None for all squares) and its graph."""
     fam = designs.load_family(args.input)
     subset = _parse_subset(args.subset)
     if args.mols_only:
-        return fam, graph.build_mols_graph(fam, subset)
-    return fam, graph.build_mosls_graph(fam, subset)
+        return fam, subset, graph.build_mols_graph(fam, subset)
+    return fam, subset, graph.build_mosls_graph(fam, subset)
 
 
 def cmd_spectrum(args) -> int:
-    fam, g = _build_graph(args)
+    fam, subset, g = _build_graph(args)
     nv = g.num_vertices
     want_exact = not args.numeric
     want_numeric = not args.exact
-    if want_exact and nv > EXACT_VERTEX_CAP:
+    if want_exact and nv > spectra.EXACT_SIZE_CAP:
         if args.exact:
             print(
-                f"error: {nv} vertices exceed the exact cap {EXACT_VERTEX_CAP}",
+                f"error: {nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}",
                 file=sys.stderr,
             )
             return 2
         print(
-            f"warning: {nv} vertices exceed the exact cap {EXACT_VERTEX_CAP}; "
+            f"warning: {nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}; "
             "falling back to numeric-only",
             file=sys.stderr,
         )
@@ -170,14 +169,14 @@ def cmd_spectrum(args) -> int:
 
     if want_numeric:
         report = spectra.numeric_spectrum(
-            g.adjacency, tol=args.tol, group_tol=args.group_tol, with_charpoly=want_exact
+            g.adjacency, group_tol=args.group_tol, with_charpoly=want_exact
         )
     else:
         report = spectra.SpectrumReport(spectra.charpoly_exact(g.adjacency), [], 0.0)
 
     verdict = None
     if args.verify_closed_form:
-        verdict = _closed_form_verdict(fam, g, report)
+        verdict = _closed_form_verdict(fam, subset, g, report)
 
     payload = report.to_json_dict()
     payload["flavor"] = g.flavor
@@ -209,7 +208,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _closed_form_verdict(fam, g, report) -> str:
+def _closed_form_verdict(fam, subset, g, report) -> str:
     if report.charpoly is None:
         return "INAPPLICABLE (no exact charpoly)"
     n, f = g.order, g.family_size
@@ -221,7 +220,6 @@ def _closed_form_verdict(fam, g, report) -> str:
         except spectra.SrgParameterError as exc:
             return f"INAPPLICABLE ({exc})"
     else:
-        subset = range(1, f + 1) if len(fam) != f else None
         if not graph.commute_check(fam, subset):
             return "INAPPLICABLE (adjacency layers do not commute)"
         closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
@@ -230,7 +228,7 @@ def _closed_form_verdict(fam, g, report) -> str:
 
 
 def cmd_graph_export(args) -> int:
-    _, g = _build_graph(args)
+    _, _, g = _build_graph(args)
     if args.format == "edges":
         _emit(graph.edge_lines(g), args.out)
     else:
@@ -408,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mols-only", action="store_true", help="omit block edges")
     p.add_argument("--exact", action="store_true", help="exact charpoly only")
     p.add_argument("--numeric", action="store_true", help="numeric eigenvalues only")
-    p.add_argument("--tol", type=float, default=1e-12, help="Jacobi stop tolerance")
     p.add_argument("--group-tol", type=float, default=1e-6, help="eigenvalue grouping")
     p.add_argument(
         "--verify-closed-form",

@@ -27,6 +27,10 @@ class ClosedFormRangeError(ValueError):
     """A closed-form multiplicity is negative for these parameters."""
 
 
+class ConvergenceError(ArithmeticError):
+    """An iterative eigensolver ran out of sweeps above its tolerance."""
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials
 
@@ -206,31 +210,48 @@ def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# numeric spectrum (cyclic Jacobi)
+# numeric spectrum
+
+
+def _symmetric_float(M) -> np.ndarray:
+    """M as a float64 array; raises ValueError unless square and symmetric."""
+    A = np.array(M, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix must be symmetric")
+    return A
 
 
 def jacobi_eigenvalues(M, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Frobenius norm falls below
-    tol * ||M||_F.  Returns eigenvalues in descending order.
+    tol * ||M||_F; ConvergenceError is raised if max_sweeps sweeps do not
+    get there.  Returns eigenvalues in descending order.  This pure-Python
+    solver is the independent reference that tests check the LAPACK path
+    of numeric_spectrum against.
     """
-    A = np.array(M, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if not np.array_equal(A, A.T):
-        raise ValueError("matrix must be symmetric")
+    A = _symmetric_float(M)
     n = A.shape[0]
     if n == 1:
         return A.diagonal().copy()
     target = tol * max(np.linalg.norm(A), 1e-300)
 
     def offnorm():
-        return math.sqrt(max(np.sum(A * A) - np.sum(A.diagonal() ** 2), 0.0))
+        # taken directly: sqrt(||A||^2 - ||diag A||^2) loses every digit
+        # below about sqrt(eps) * ||A||, so it reads 0 too early or never
+        # reaches the default target
+        return float(np.linalg.norm(A - np.diag(A.diagonal())))
 
-    for _ in range(max_sweeps):
-        if offnorm() <= target:
-            break
+    sweeps = 0
+    while offnorm() > target:
+        if sweeps == max_sweeps:
+            raise ConvergenceError(
+                f"Jacobi stopped after {sweeps} sweeps with off-diagonal norm "
+                f"{offnorm():.3e} above the target {target:.3e}"
+            )
+        sweeps += 1
         for i in range(n - 1):
             for j in range(i + 1, n):
                 aij = A[i, j]
@@ -268,7 +289,9 @@ class SpectrumReport:
 def _group_values(values: np.ndarray, group_tol: float) -> list[tuple[float, int]]:
     groups: list[list[float]] = []
     for v in values:  # descending
-        if groups and abs(groups[-1][-1] - v) <= group_tol:
+        # compare with the group's first member so that close values
+        # cannot chain a long run into one group
+        if groups and abs(groups[-1][0] - v) <= group_tol:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
@@ -297,13 +320,12 @@ def _relative_residual(poly: IntPolynomial, points) -> float:
 
 def numeric_spectrum(
     M,
-    tol: float = 1e-12,
     group_tol: float = 1e-6,
     with_charpoly: bool = True,
 ) -> SpectrumReport:
-    """Jacobi eigenvalues grouped into multiplicities, with the exact
-    charpoly and a relative evaluation residual when requested."""
-    values = jacobi_eigenvalues(M, tol=tol)
+    """LAPACK eigenvalues (eigvalsh) grouped into multiplicities, with the
+    exact charpoly and a relative evaluation residual when requested."""
+    values = np.linalg.eigvalsh(_symmetric_float(M))[::-1]
     numeric = _group_values(values, group_tol)
     if not with_charpoly:
         return SpectrumReport(None, numeric, 0.0)
@@ -365,13 +387,6 @@ class ClosedSpectrum:
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def as_pairs(self) -> list[tuple[float, int]]:
-        out = [
-            (e.value() if isinstance(e, Surd) else float(e), m)
-            for e, m in self.entries
-        ]
-        return sorted(out, key=lambda t: -t[0])
 
 
 def _merge_entries(pairs) -> ClosedSpectrum:

@@ -217,6 +217,17 @@ def test_spectrum_inapplicable_when_layers_do_not_commute(tmp_path, capsys):
     assert "closed form: INAPPLICABLE (adjacency layers do not commute)" in stdout
 
 
+def test_spectrum_subset_checks_the_selected_squares(tmp_path, capsys):
+    path = tmp_path / "mixed.txt"
+    designs.save_family(designs.MoslsFamily(NINE.shape, (NINE, NINE_SWITCHED)), path)
+    code, stdout, _ = run(
+        capsys,
+        "spectrum", "--in", str(path), "--subset", "2", "--verify-closed-form",
+    )
+    assert code == 0
+    assert "closed form: INAPPLICABLE (adjacency layers do not commute)" in stdout
+
+
 def test_spectrum_rejects_invalid_family(tmp_path, capsys):
     path = tmp_path / "remark.txt"
     designs.save_family(single(REMARK4), path)
@@ -233,9 +244,7 @@ def test_spectrum_cap_fallback(tmp_path, capsys):
         "--order-cap", "16", "--out", str(path),
     )
     assert code == 0
-    code, stdout, err = run(
-        capsys, "spectrum", "--in", str(path), "--tol", "1e-9"
-    )
+    code, stdout, err = run(capsys, "spectrum", "--in", str(path))
     assert code == 0
     assert "falling back to numeric-only" in err
     assert "charpoly:" not in stdout

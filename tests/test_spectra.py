@@ -4,6 +4,8 @@ import pytest
 from mosls import (
     ClosedFormRangeError,
     ClosedSpectrum,
+    ConvergenceError,
+    FieldConstructionSpec,
     IntPolynomial,
     SrgParameterError,
     Surd,
@@ -11,6 +13,7 @@ from mosls import (
     charpoly_exact,
     closed_to_poly,
     cospectral,
+    field_mosls,
     jacobi_eigenvalues,
     mosls_graph_spectrum,
     numeric_spectrum,
@@ -149,6 +152,21 @@ def test_jacobi_requires_symmetry():
         jacobi_eigenvalues([[0, 1], [0, 0]])
 
 
+def test_jacobi_raises_when_sweeps_run_out():
+    g = build_mosls_graph(field_mosls(FieldConstructionSpec(3, 1, 1)))
+    assert g.num_vertices == 81
+    with pytest.raises(ConvergenceError, match=r"1 sweeps with off-diagonal norm \d"):
+        jacobi_eigenvalues(g.adjacency, max_sweeps=1)
+
+
+@pytest.mark.parametrize("solver", [jacobi_eigenvalues, numeric_spectrum])
+def test_both_solvers_reject_the_same_input(solver):
+    with pytest.raises(ValueError, match="square"):
+        solver([[0, 1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError, match="symmetric"):
+        solver([[0, 1], [0, 0]])
+
+
 def test_jacobi_matches_numpy():
     rng = np.random.default_rng(7)
     for n in (4, 9, 16):
@@ -168,6 +186,11 @@ def test_numeric_spectrum_grouping_and_residual():
     d = rep.to_json_dict()
     assert d["charpoly"] == ["0", "0", "-4", "0", "1"]
     assert d["numeric"][0]["mult"] == 1
+
+
+def test_grouping_compares_with_the_first_member():
+    rep = numeric_spectrum(np.diag([3.0, 2.6, 2.2, 1.8, 1.4]), group_tol=0.5, with_charpoly=False)
+    assert [m for _, m in rep.numeric] == [2, 2, 1]
 
 
 def test_numeric_spectrum_without_charpoly():
