@@ -320,11 +320,16 @@ def _relative_residual(poly: IntPolynomial, points) -> float:
 
 def numeric_spectrum(
     M,
+    *,
     group_tol: float = 1e-6,
     with_charpoly: bool = True,
 ) -> SpectrumReport:
     """LAPACK eigenvalues (eigvalsh) grouped into multiplicities, with the
-    exact charpoly and a relative evaluation residual when requested."""
+    exact charpoly and a relative evaluation residual when requested.
+
+    The options are keyword-only: a positional call written for the old
+    (M, tol, group_tol, with_charpoly) signature raises TypeError instead
+    of silently shifting its arguments."""
     values = np.linalg.eigvalsh(_symmetric_float(M))[::-1]
     numeric = _group_values(values, group_tol)
     if not with_charpoly:

@@ -201,6 +201,11 @@ def test_numeric_spectrum_without_charpoly():
     assert "charpoly" not in d and "residual" not in d
 
 
+def test_numeric_spectrum_options_are_keyword_only():
+    with pytest.raises(TypeError):
+        numeric_spectrum([[2, 1], [1, 2]], 1e-10, 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
