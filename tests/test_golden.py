@@ -1,0 +1,124 @@
+"""Golden CLI output: sha256 digests of the exit code, stdout and stderr of
+`construct`, `check` and `table`.
+
+The construct cases are every constructible `table` row (default order cap)
+and ten families of order 25-81 built with `--order-cap 81`.  A changed
+digest means some byte of the command's output or its exit code changed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from mosls import cli
+
+# name: (factors p:m:n, order cap or None for the default)
+CONSTRUCT_CASES = {
+    "t2-1x2": (["2:0:1"], None),
+    "t3-1x3": (["3:0:1"], None),
+    "t4-1x4": (["2:0:2"], None),
+    "t4-2x2": (["2:1:1"], None),
+    "t5-1x5": (["5:0:1"], None),
+    "t6-1x6": (["2:0:1", "3:0:1"], None),
+    "t6-2x3": (["2:1:0", "3:0:1"], None),
+    "t7-1x7": (["7:0:1"], None),
+    "t8-1x8": (["2:0:3"], None),
+    "t8-2x4": (["2:1:2"], None),
+    "t9-1x9": (["3:0:2"], None),
+    "t9-3x3": (["3:1:1"], None),
+    "t10-2x5": (["2:1:0", "5:0:1"], None),
+    "t11-1x11": (["11:0:1"], None),
+    "t12-2x6": (["2:1:1", "3:0:1"], None),
+    "t12-3x4": (["3:1:0", "2:0:2"], None),
+    "f25": (["5:1:1"], 81),
+    "f27-3x9": (["3:1:2"], 81),
+    "f27-9x3": (["3:2:1"], 81),
+    "f32": (["2:3:2"], 81),
+    "f49": (["7:1:1"], 81),
+    "f64": (["2:3:3"], 81),
+    "f81": (["3:2:2"], 81),
+    "c36": (["2:1:1", "3:1:1"], 81),
+    "c48": (["2:2:2", "3:0:1"], 81),
+    "c50": (["2:1:0", "5:1:1"], 81),
+}
+
+CONSTRUCT_DIGESTS = {
+    "c36": "1e9dca13f8574c3489fb54e466417a41e2360d10ee82c67aedd3737bf133bfde",
+    "c48": "ec1d0f18e5788ef11114a83853cdf5828129b8b3566dbad7a1418fc65931e2b3",
+    "c50": "555c36cc1625828e240dbeb6d288d5c53831728502264704585a97ecdf464fbe",
+    "f25": "40775fd1b68028f1b055e79ccd9366f07ee2f0fe1f8784fec5932be958a3f3a8",
+    "f27-3x9": "dbcc0a7fc33f79e884839c2d6d85a2efbe2aeea03c789058b91221e179f49559",
+    "f27-9x3": "2ae31d5d2e6993884e8d705fcebf807062ec44f6e1110a82eca90f8842f7818c",
+    "f32": "414ae68fb00260f98c214182fe31632ab3f93afa9076308128d701fae80e8a9b",
+    "f49": "e85917294ac1d9ddc46efdcb4a4afd524d90dacf550b7f66c16da91dcfc556c2",
+    "f64": "2add0260429b8b2a231c23670d6b358aac9a341a26a72480c97b937b2b11a96d",
+    "f81": "66d896ab83f5be94da84079be4ad1c738cb99f5d26182e5420c4322bac76aa26",
+    "t10-2x5": "8b506ef7a7a1eb0f739a93e911e26b302cabc2b702e8a0083933ee5de76cf5e7",
+    "t11-1x11": "d49125a2578432bdb7d294fcb08f025b2b98519ea3a1c68e6dfb22478835f872",
+    "t12-2x6": "27c3a61b1f8dbb656c2262fad16bec29514a9e25e2d6f21fb2af399def7ba22f",
+    "t12-3x4": "5b3da659c42ec48d6e1d67d7f3be3d3b1d28ff0066017a28c49c0c10fe63e7c4",
+    "t2-1x2": "ae030b32035c90bce1c5a4c7fefb436c29e358b796dd81a4518c0c4d119e08fb",
+    "t3-1x3": "d43efd33c4e3a3e75924c8adefe3e390d7184b60638fe4a1a1c946f5ba8d98ad",
+    "t4-1x4": "56d6d89b774bbbfddf25192295ed009b4f2e0d2fb22f9f11f602b8ec7363c548",
+    "t4-2x2": "7268a35e55f213bd4b4ef8e521f4f8ae41ef2e23b590854301916328603e0372",
+    "t5-1x5": "f8167281f5feff30667093af8ec40734eaac9ff3e5be073780ea57429fd64a86",
+    "t6-1x6": "3cc424c96c247acbe1dff3680bb315249d50ec7e52a7effa5bf0be5281689049",
+    "t6-2x3": "846b14e6d77851367ed966954035b7bc8893ab2fd529ba84c304bb86efa16790",
+    "t7-1x7": "3f21dcf3e2ec26fc0a7f901c523c2b068b3bd1c271387a9f70bd3420f478ebc9",
+    "t8-1x8": "cb5ff76d70dc5f2f833bbc2ad2d8eb557af4425c55753dd0be3efe8da2492171",
+    "t8-2x4": "932aadff0b93f2dde03b89e8c789a9f9d5150312db559127195f64ef1573c4da",
+    "t9-1x9": "21eb7e3c78716ccc5fb8f8f5e085628c0aede774af554d30f88f3ada7b5b693c",
+    "t9-3x3": "091ce503c14f80a3eb3328e2c882a621c7edc1c90fc3394b2fb45ec978681076",
+}
+
+# (family, extra check flags)
+CHECK_CASES = [("f27-3x9", []), ("f49", []), ("f49", ["--json"]), ("c50", [])]
+
+CHECK_DIGESTS = {
+    "f27-3x9": "66231d4995f86969d3bfb31800f46561f916d0c69b1e8d8af7493bea7766f908",
+    "f49": "d6314212f00ec16afaca07968aec971c983d852093ebeafb163ae44cbd69993f",
+    "f49 --json": "4e0bf525179bb0cf0715cee84e8acccfbcaa3bdf9eb1a0936fc95072df7c9fa9",
+    "c50": "c9de1765ce4e17c6e7b6556095f87b7190ba79f3b1aaaa03d49c8c5899195088",
+}
+
+TABLE_DIGESTS = {
+    "table": "6873f5ba1dbe8be29fa15c36b83b42624f438acf256140853c5f792b2738a93b",
+    "table --json": "a80caa4751f06fb15766ebf6a83cc81cb2d6976088c1022bf978c36dbcf3bf0d",
+}
+
+
+def _construct_argv(name: str) -> list[str]:
+    factors, cap = CONSTRUCT_CASES[name]
+    if len(factors) == 1:
+        p, m, n = factors[0].split(":")
+        argv = ["construct", "--p", p, "--m", m, "--n", n]
+    else:
+        argv = ["construct"] + [tok for f in factors for tok in ("--factor", f)]
+    return argv + (["--order-cap", str(cap)] if cap else [])
+
+
+def _digest(argv, capsys) -> str:
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_construct_output(name, capsys):
+    assert _digest(_construct_argv(name), capsys) == CONSTRUCT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,flags", CHECK_CASES)
+def test_check_output(name, flags, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    assert cli.main(_construct_argv(name) + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    key = " ".join([name] + flags)
+    assert _digest(["check", "--in", str(path)] + flags, capsys) == CHECK_DIGESTS[key]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_table_output(flags, capsys):
+    key = " ".join(["table"] + flags)
+    assert _digest(["table"] + flags, capsys) == TABLE_DIGESTS[key]
