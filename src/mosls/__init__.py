@@ -9,12 +9,10 @@ graphs), spectra (exact/numeric spectra and closed forms), switching
 
 from .construct import (
     DEFAULT_ORDER_CAP,
-    CosetPartition,
     FieldConstructionSpec,
     OrderCapError,
     composite_count,
     composite_mosls,
-    coset_partition,
     field_mosls,
     field_square,
     mosls_count,

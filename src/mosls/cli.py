@@ -38,9 +38,12 @@ def _parse_subset(text: str):
     if text is None:
         return None
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        picked = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise designs.FormatError(f"--subset expects integers, got {text!r}") from None
+    if not picked:
+        raise designs.FormatError(f"--subset selects no square: {text!r}")
+    return picked
 
 
 def _parse_factor(text: str) -> tuple[int, int, int]:
@@ -404,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--subset", help="comma-separated 1-based square indices")
     p.add_argument("--mols-only", action="store_true", help="omit block edges")
-    p.add_argument("--exact", action="store_true", help="exact charpoly only")
-    p.add_argument("--numeric", action="store_true", help="numeric eigenvalues only")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--exact", action="store_true", help="exact charpoly only")
+    only.add_argument("--numeric", action="store_true", help="numeric eigenvalues only")
     p.add_argument("--group-tol", type=float, default=1e-6, help="eigenvalue grouping")
     p.add_argument(
         "--verify-closed-form",

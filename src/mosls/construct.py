@@ -2,11 +2,12 @@
 
 Field families: for a prime power q*r = p**(m+n) with q = p**m, r = p**n
 (m, n >= 1), index rows and columns of a square by the elements of
-GF(p**(m+n)) grouped into additive cosets, and fill cell (x, y) of the
-square attached to a field element a with the symbol x - a*y.  Choosing a
-with degree exactly m makes every square Sudoku of type (q, r), and the
-max(q, r)*(p-1) squares obtained this way (transposing when r > q) are
-mutually orthogonal and block-permutational.
+GF(p**(m+n)) in canonical order, which groups them into additive cosets
+(see field_square), and fill cell (x, y) of the square attached to a
+field element a with the symbol x - a*y.  Choosing a with degree exactly
+m makes every square Sudoku of type (q, r), and the max(q, r)*(p-1)
+squares obtained this way (transposing when r > q) are mutually
+orthogonal and block-permutational.
 
 Composite orders: a product construction combines one family per prime
 factor into a family of type (prod q_i, prod r_i) whose size is the
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iproduct
+
+import numpy as np
 
 from . import gf
 from .designs import LatinSquare, MoslsFamily, SudokuShape, transpose
@@ -56,82 +58,18 @@ class FieldConstructionSpec:
         return self.q * self.r
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """Additive cosets splitting GF(p**(m+n)) two ways.
-
-    row_cosets: r lists of q elements each; concatenated they give the row
-    order of a field square.  col_cosets: q lists of r elements giving the
-    column order.  Each coset maps to one block-row (resp. block-column).
-    """
-
-    row_cosets: tuple[tuple[gf.FieldElement, ...], ...]
-    col_cosets: tuple[tuple[gf.FieldElement, ...], ...]
-
-
-def _span(ctx: gf.FieldCtx, degrees: range) -> list[gf.FieldElement]:
-    """Elements supported on the given degree range, in canonical order."""
-    out = []
-    for digits in iproduct(*[range(ctx.p)] * len(degrees)):
-        coeffs = [0] * ctx.d
-        for pos, c in zip(degrees, digits):
-            coeffs[pos] = c
-        out.append(gf.FieldElement(tuple(coeffs), ctx))
-    out.sort(key=gf.to_int)
-    return out
-
-
-def coset_partition(spec: FieldConstructionSpec, ctx: gf.FieldCtx) -> CosetPartition:
-    """Canonical coset split of GF(p**(m+n)) for a type (p**m, p**n) family.
-
-    Row cosets are offsets supported on degrees m..m+n-1 plus the span of
-    degrees below m; column cosets swap the two roles.  Cosets and their
-    members are ordered by canonical element index.
-    """
-    if spec.m < 1 or spec.n < 1:
-        raise ValueError("coset partition needs m >= 1 and n >= 1")
-    if ctx.p != spec.p or ctx.d != spec.m + spec.n:
-        raise ValueError(f"context GF({ctx.p}**{ctx.d}) does not match spec {spec}")
-    m, n = spec.m, spec.n
-    row_base = _span(ctx, range(0, m))
-    row_offs = _span(ctx, range(m, m + n))
-    col_base = _span(ctx, range(0, n))
-    col_offs = _span(ctx, range(n, m + n))
-    rows = tuple(tuple(gf.add(o, b, ctx) for b in row_base) for o in row_offs)
-    cols = tuple(tuple(gf.add(o, b, ctx) for b in col_base) for o in col_offs)
-    return CosetPartition(rows, cols)
-
-
-def field_square(
-    a: gf.FieldElement,
-    spec: FieldConstructionSpec,
-    ctx: gf.FieldCtx,
-    partition: CosetPartition,
-) -> LatinSquare:
-    """Square with entries x - a*y over the coset-ordered rows and columns.
+def field_square(ctx: gf.FieldCtx, a: int, shape: SudokuShape) -> LatinSquare:
+    """Square with entries x - a*y, rows and columns in canonical order.
 
     The symbol written at (x, y) is the 1-based canonical index of x - a*y.
+    In canonical order the q-row bands of a type (p**m, p**n) square are
+    the additive cosets of the elements of degree < m, and the r-column
+    bands those of degree < n.
     """
-    if a.is_zero():
-        raise ValueError("multiplier a must be nonzero")
-    rows = [x for coset in partition.row_cosets for x in coset]
-    cols = [y for coset in partition.col_cosets for y in coset]
-    ent = [
-        [1 + gf.to_int(gf.sub(x, gf.mul(a, y, ctx), ctx)) for y in cols]
-        for x in rows
-    ]
-    return LatinSquare(ent, SudokuShape(spec.q, spec.r))
-
-
-def _field_family_direct(spec: FieldConstructionSpec) -> MoslsFamily:
-    ctx = gf.make_field(spec.p, spec.m + spec.n)
-    part = coset_partition(spec, ctx)
-    squares = [
-        field_square(a, spec, ctx, part)
-        for a in gf.enumerate_elements(ctx)
-        if a.degree() == spec.m
-    ]
-    return MoslsFamily(SudokuShape(spec.q, spec.r), tuple(squares))
+    if not 0 < a < ctx.size:
+        raise ValueError(f"multiplier a must be a nonzero element, 1..{ctx.size - 1}; got {a}")
+    x = np.arange(ctx.size)
+    return LatinSquare(1 + ctx.add[x[:, None], ctx.neg[ctx.mul[a, x]]], shape)
 
 
 def mosls_count(p: int, m: int, n: int) -> int:
@@ -152,13 +90,15 @@ def field_mosls(spec: FieldConstructionSpec, order_cap: int = DEFAULT_ORDER_CAP)
         raise ValueError("field_mosls needs m >= 1 and n >= 1; use plain_mols for flat types")
     if spec.order > order_cap:
         raise OrderCapError(f"order {spec.order} exceeds cap {order_cap}")
-    if spec.m >= spec.n:
-        return _field_family_direct(spec)
-    swapped = FieldConstructionSpec(spec.p, spec.n, spec.m)
-    fam = _field_family_direct(swapped)
-    return MoslsFamily(
-        SudokuShape(spec.q, spec.r), tuple(transpose(sq) for sq in fam.squares)
-    )
+    m, n = max(spec.m, spec.n), min(spec.m, spec.n)
+    ctx = gf.make_field(spec.p, m + n)
+    q = spec.p ** m
+    shape = SudokuShape(q, spec.p ** n)
+    # the multipliers of degree exactly m
+    squares = [field_square(ctx, a, shape) for a in range(q, q * spec.p)]
+    if spec.m < spec.n:
+        squares = [transpose(sq) for sq in squares]
+    return MoslsFamily(SudokuShape(spec.q, spec.r), tuple(squares))
 
 
 def plain_mols(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamily:
@@ -172,17 +112,8 @@ def plain_mols(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamil
     if p ** k > order_cap:
         raise OrderCapError(f"order {p ** k} exceeds cap {order_cap}")
     ctx = gf.make_field(p, k)
-    elems = gf.enumerate_elements(ctx)
     shape = SudokuShape(1, p ** k)
-    squares = []
-    for a in elems:
-        if a.is_zero():
-            continue
-        ent = [
-            [1 + gf.to_int(gf.sub(x, gf.mul(a, y, ctx), ctx)) for y in elems]
-            for x in elems
-        ]
-        squares.append(LatinSquare(ent, shape))
+    squares = [field_square(ctx, a, shape) for a in range(1, ctx.size)]
     return MoslsFamily(shape, tuple(squares))
 
 
@@ -202,6 +133,15 @@ def per_prime_family(
     )
 
 
+def _line_pairs(bands1: int, size1: int, bands2: int, size2: int):
+    """Line indices into the two factor squares, for the product's lines
+    ordered by band pair (i1, i2), then by offset pair within the bands."""
+    i1, i2, a1, a2 = np.meshgrid(
+        np.arange(bands1), np.arange(bands2), np.arange(size1), np.arange(size2), indexing="ij"
+    )
+    return (i1 * size1 + a1).ravel(), (i2 * size2 + a2).ravel()
+
+
 def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
     """Pairwise product family of type (q1*q2, r1*r2), size min(f1, f2).
 
@@ -213,35 +153,17 @@ def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
         raise ValueError("product requires non-empty families")
     q1, r1 = f1.shape.q, f1.shape.r
     q2, r2 = f2.shape.q, f2.shape.r
-    n1, n2 = f1.shape.order, f2.shape.order
+    n2 = f2.shape.order
     shape = SudokuShape(q1 * q2, r1 * r2)
-
-    row_pairs = [
-        (i1 * q1 + a1, i2 * q2 + a2)
-        for i1 in range(r1)
-        for i2 in range(r2)
-        for a1 in range(q1)
-        for a2 in range(q2)
+    rows1, rows2 = _line_pairs(r1, q1, r2, q2)
+    cols1, cols2 = _line_pairs(q1, r1, q2, r2)
+    squares = [
+        LatinSquare(
+            1 + (sq1.entries[np.ix_(rows1, cols1)] - 1) * n2 + (sq2.entries[np.ix_(rows2, cols2)] - 1),
+            shape,
+        )
+        for sq1, sq2 in zip(f1.squares, f2.squares)
     ]
-    col_pairs = [
-        (j1 * r1 + b1, j2 * r2 + b2)
-        for j1 in range(q1)
-        for j2 in range(q2)
-        for b1 in range(r1)
-        for b2 in range(r2)
-    ]
-
-    squares = []
-    for sq1, sq2 in zip(f1.squares, f2.squares):
-        e1, e2 = sq1.entries, sq2.entries
-        ent = [
-            [
-                1 + (int(e1[x1, y1]) - 1) * n2 + (int(e2[x2, y2]) - 1)
-                for (y1, y2) in col_pairs
-            ]
-            for (x1, x2) in row_pairs
-        ]
-        squares.append(LatinSquare(ent, shape))
     return MoslsFamily(shape, tuple(squares))
 
 

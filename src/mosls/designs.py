@@ -140,18 +140,20 @@ def is_latin(L: LatinSquare) -> bool:
     return rows_ok and cols_ok
 
 
+def _blocks(L: LatinSquare) -> np.ndarray:
+    """The r*q blocks as an (r*q, q, r) array, block-row-major: block-row i
+    and block-column j (1-based) at index (i-1)*q + (j-1)."""
+    q, r = L.shape.q, L.shape.r
+    return L.entries.reshape(r, q, q, r).transpose(0, 2, 1, 3).reshape(r * q, q, r)
+
+
 def is_sudoku(L: LatinSquare) -> bool:
     """True iff Latin and every q-by-r block contains each symbol once."""
     if not is_latin(L):
         raise ValueError("is_sudoku requires a Latin square")
-    q, r = L.shape.q, L.shape.r
-    want = np.arange(1, L.order + 1)
-    for i in range(1, r + 1):
-        for j in range(1, q + 1):
-            cells = block(L, i, j).cells
-            if not (np.sort(cells.ravel()) == want).all():
-                return False
-    return True
+    n = L.order
+    cells = np.sort(_blocks(L).reshape(n, n), axis=1)
+    return bool((cells == np.arange(1, n + 1)).all())
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
@@ -159,8 +161,8 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     n = a.order
     if b.order != n:
         raise ValueError(f"order mismatch: {n} vs {b.order}")
-    pairs = (a.entries.astype(np.int64) - 1) * n + (b.entries - 1)
-    return np.unique(pairs).size == n * n
+    codes = np.sort((a.entries - 1) * n + (b.entries - 1), axis=None)
+    return not (codes[1:] == codes[:-1]).any()
 
 
 def block(L: LatinSquare, i: int, j: int) -> Block:
@@ -212,15 +214,22 @@ def block_map_factorization(M: Block, M2: Block):
 
 
 def is_block_permutational(L: LatinSquare) -> bool:
-    """True iff every block is a row/column permutation of the first block."""
+    """True iff every block is a row/column permutation of the first block.
+
+    In a Sudoku square every block holds each symbol once, so block k is
+    the first block with rows and columns permuted exactly when the symbols
+    sharing a row of the first block share a row of block k, and likewise
+    for columns.
+    """
     if not is_sudoku(L):
         raise ValueError("is_block_permutational requires a Sudoku square")
-    base = block(L, 1, 1)
-    for i in range(1, L.shape.r + 1):
-        for j in range(1, L.shape.q + 1):
-            if block_map_factorization(base, block(L, i, j)) is None:
-                return False
-    return True
+    blocks = _blocks(L)
+    r = L.shape.r
+    # position of symbol s in block k, at [k, s - 1], flat within the block
+    where = np.argsort(blocks.reshape(len(blocks), -1), axis=1)
+    row_of = (where // r)[:, blocks[0] - 1]
+    col_of = (where % r)[:, blocks[0] - 1]
+    return bool((row_of == row_of[:, :, :1]).all() and (col_of == col_of[:, :1, :]).all())
 
 
 def transpose(L: LatinSquare) -> LatinSquare:

@@ -1,19 +1,28 @@
-"""Deterministic finite-field arithmetic for GF(p**d).
+"""Deterministic finite-field arithmetic for GF(p**d), as lookup tables.
 
-Elements are coefficient vectors over Z_p in ascending powers of t, reduced
-modulo a canonical irreducible polynomial.  The modulus is always the
-lexicographically smallest monic irreducible of the requested degree, so
-equal parameters produce identical fields and everything built on top of
-them is reproducible.
+An element is its canonical index 0..p**d - 1: the base-p value of its
+coefficients over Z_p in ascending powers of t, reduced modulo a canonical
+irreducible polynomial.  The modulus is always the lexicographically
+smallest monic irreducible of the requested degree, so equal parameters
+produce identical fields and everything built on top of them is
+reproducible.  Arithmetic is numpy fancy indexing into the add, neg and
+mul tables of the field context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class FieldError(ValueError):
-    """Bad field parameters or arithmetic across different contexts."""
+    """Bad field parameters."""
+
+
+# The add and mul tables and the work arrays of a multiplication table take
+# about 32*size**2 bytes, 32 MB for the 1024 elements of GF(2**10).
+MAX_FIELD_SIZE = 1024
 
 
 def is_prime(p: int) -> bool:
@@ -29,83 +38,76 @@ def is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """Context for GF(p**d) represented as Z_p[t]/(modulus).
+    """GF(p**d) represented as Z_p[t]/(modulus), with its operation tables.
 
     modulus holds ascending coefficients, length d + 1, leading coefficient 1.
+    add[a, b], neg[a] and mul[a, b] are canonical indices; the tables are
+    read-only and do not take part in equality.
     """
 
     p: int
     d: int
     modulus: tuple[int, ...]
+    add: np.ndarray = field(compare=False, repr=False)
+    neg: np.ndarray = field(compare=False, repr=False)
+    mul: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return self.p ** self.d
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Coefficients of 1, t, ..., t**(d-1), each reduced mod p."""
-
-    coeffs: tuple[int, ...]
-    ctx: FieldCtx
-
-    def degree(self) -> int:
-        """Largest power with a nonzero coefficient; -1 for the zero element."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
-    def is_zero(self) -> bool:
-        return self.degree() == -1
+def _digits(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors of every canonical index, and the base-p weights
+    that map a coefficient vector back to its index."""
+    if p ** d > MAX_FIELD_SIZE:
+        raise FieldError(f"GF({p}**{d}) has {p ** d} elements; tables stop at {MAX_FIELD_SIZE}")
+    weights = p ** np.arange(d)
+    return (np.arange(p ** d)[:, None] // weights) % p, weights
 
 
-def _poly_degree(poly) -> int:
-    for i in range(len(poly) - 1, -1, -1):
-        if poly[i]:
-            return i
-    return -1
+def _tables(p: int, modulus) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables of Z_p[t]/(modulus) on canonical
+    indices, for a monic modulus of degree d >= 1 given by ascending
+    coefficients mod p.  Addition is digitwise mod p; a*b is the sum over i
+    of b_i * (a*t**i)."""
+    d = len(modulus) - 1
+    size = p ** d
+    digits, weights = _digits(p, d)
+    add = np.zeros((size, size), dtype=np.int64)
+    for i in range(d):
+        add += (digits[:, None, i] + digits[None, :, i]) % p * weights[i]
+    # scale[c, x] is c*x for a constant c
+    scale = (np.arange(p)[:, None, None] * digits) % p @ weights
+    # x*t: coefficients move up one place and t**d is replaced by the rest
+    # of the modulus, negated
+    shifted = np.pad(digits[:, :-1], ((0, 0), (1, 0))) - digits[:, -1:] * np.asarray(modulus[:d])
+    times_t = shifted % p @ weights
+    mul = np.zeros_like(add)
+    a_times_ti = np.arange(size)
+    for i in range(d):
+        mul = add[mul, scale[digits[None, :, i], a_times_ti[:, None]]]
+        a_times_ti = times_t[a_times_ti]
+    return add, mul
 
 
-def _poly_rem(num, den, p: int):
-    """Remainder of num modulo the monic polynomial den, over Z_p."""
-    dd = _poly_degree(den)
-    work = [c % p for c in num]
-    if len(work) < dd:
-        work.extend([0] * (dd - len(work)))
-    for i in range(len(work) - 1, dd - 1, -1):
-        c = work[i]
-        if c:
-            for j in range(dd + 1):
-                work[i - dd + j] = (work[i - dd + j] - c * den[j]) % p
-    return work[:dd]
-
-
-def _monic_candidates(p: int, deg: int):
-    """All monic degree-deg polynomials over Z_p, lexicographically by the
-    base-p value of the lower coefficients."""
-    for val in range(p ** deg):
-        coeffs = [(val // p ** i) % p for i in range(deg)]
-        coeffs.append(1)
-        yield coeffs
+def _no_zero_divisors(mul: np.ndarray) -> bool:
+    return bool((mul[1:, 1:] != 0).all())
 
 
 def is_irreducible(p: int, poly) -> bool:
-    """Exhaustive trial division by every monic divisor of degree
-    1..deg(poly)//2 over Z_p."""
+    """True iff Z_p[t]/(poly) has no zero divisors, which for a monic poly
+    of degree >= 1 means poly is irreducible over Z_p."""
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    deg = _poly_degree(poly)
-    if deg < 1:
+    nonzero = [i for i, c in enumerate(poly) if c]
+    if not nonzero or nonzero[-1] < 1:
         raise FieldError("polynomial degree must be at least 1")
+    deg = nonzero[-1]
     if poly[deg] != 1:
         raise FieldError("polynomial must be monic")
-    for ddeg in range(1, deg // 2 + 1):
-        for den in _monic_candidates(p, ddeg):
-            if _poly_degree(_poly_rem(poly, den, p)) == -1:
-                return False
-    return True
+    _, mul = _tables(p, [c % p for c in poly[: deg + 1]])
+    return _no_zero_divisors(mul)
 
 
 def make_field(p: int, d: int) -> FieldCtx:
@@ -114,68 +116,13 @@ def make_field(p: int, d: int) -> FieldCtx:
         raise FieldError(f"{p} is not prime")
     if d < 1:
         raise FieldError("degree must be at least 1")
-    for cand in _monic_candidates(p, d):
-        if is_irreducible(p, cand):
-            return FieldCtx(p, d, tuple(cand))
+    digits, weights = _digits(p, d)
+    for low in digits:
+        modulus = (*(int(c) for c in low), 1)
+        add, mul = _tables(p, modulus)
+        if _no_zero_divisors(mul):
+            neg = (-digits) % p @ weights
+            for table in (add, neg, mul):
+                table.setflags(write=False)
+            return FieldCtx(p, d, modulus, add, neg, mul)
     raise FieldError(f"no irreducible polynomial of degree {d} over Z_{p}")  # unreachable
-
-
-def _check_ctx(x: FieldElement, ctx: FieldCtx) -> None:
-    if x.ctx != ctx:
-        raise FieldError("element does not belong to this field context")
-
-
-def zero(ctx: FieldCtx) -> FieldElement:
-    return FieldElement((0,) * ctx.d, ctx)
-
-
-def one(ctx: FieldCtx) -> FieldElement:
-    return FieldElement((1,) + (0,) * (ctx.d - 1), ctx)
-
-
-def from_int(ctx: FieldCtx, value: int) -> FieldElement:
-    """Element whose coefficient tuple has base-p value `value`."""
-    if not 0 <= value < ctx.size:
-        raise FieldError(f"value {value} outside [0, {ctx.size})")
-    return FieldElement(tuple((value // ctx.p ** i) % ctx.p for i in range(ctx.d)), ctx)
-
-
-def to_int(x: FieldElement) -> int:
-    """Base-p value of the coefficient tuple; the canonical element index."""
-    return sum(c * x.ctx.p ** i for i, c in enumerate(x.coeffs))
-
-
-def enumerate_elements(ctx: FieldCtx) -> list[FieldElement]:
-    """All p**d elements in canonical (base-p value) order."""
-    return [from_int(ctx, v) for v in range(ctx.size)]
-
-
-def add(a: FieldElement, b: FieldElement, ctx: FieldCtx) -> FieldElement:
-    _check_ctx(a, ctx)
-    _check_ctx(b, ctx)
-    return FieldElement(tuple((x + y) % ctx.p for x, y in zip(a.coeffs, b.coeffs)), ctx)
-
-
-def sub(a: FieldElement, b: FieldElement, ctx: FieldCtx) -> FieldElement:
-    _check_ctx(a, ctx)
-    _check_ctx(b, ctx)
-    return FieldElement(tuple((x - y) % ctx.p for x, y in zip(a.coeffs, b.coeffs)), ctx)
-
-
-def neg(a: FieldElement, ctx: FieldCtx) -> FieldElement:
-    _check_ctx(a, ctx)
-    return FieldElement(tuple((-x) % ctx.p for x in a.coeffs), ctx)
-
-
-def mul(a: FieldElement, b: FieldElement, ctx: FieldCtx) -> FieldElement:
-    _check_ctx(a, ctx)
-    _check_ctx(b, ctx)
-    d = ctx.d
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            for j, y in enumerate(b.coeffs):
-                prod[i + j] += x * y
-    rem = _poly_rem(prod, ctx.modulus, ctx.p)
-    rem.extend([0] * (d - len(rem)))
-    return FieldElement(tuple(rem), ctx)

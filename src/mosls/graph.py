@@ -102,11 +102,16 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     return CellGraph(fam.shape, len(picked), "mols", adj)
 
 
+def _block_ids(shape: SudokuShape) -> np.ndarray:
+    """0-based block index of every cell, numbered block-row-major."""
+    rows, cols = _coordinate_arrays(shape.order)
+    return (rows // shape.q) * shape.q + cols // shape.r
+
+
 def _block_adjacency(shape: SudokuShape) -> np.ndarray:
     """Same block, different row and different column."""
-    n = shape.order
-    rows, cols = _coordinate_arrays(n)
-    block_id = (rows // shape.q) * shape.q + cols // shape.r
+    rows, cols = _coordinate_arrays(shape.order)
+    block_id = _block_ids(shape)
     same_block = block_id[:, None] == block_id[None, :]
     diff_row = rows[:, None] != rows[None, :]
     diff_col = cols[:, None] != cols[None, :]
@@ -165,9 +170,7 @@ class QuotientMatrix:
 def block_partition(shape: SudokuShape) -> tuple[tuple[int, ...], ...]:
     """Vertices of each block, ordered block-row-major: (1,1)..(1,q),
     (2,1).. up to (r,q)."""
-    n = shape.order
-    rows, cols = _coordinate_arrays(n)
-    part_of = (rows // shape.q) * shape.q + cols // shape.r
+    part_of = _block_ids(shape)
     return tuple(
         tuple(int(v) for v in np.flatnonzero(part_of == pid))
         for pid in range(shape.q * shape.r)

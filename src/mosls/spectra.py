@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf import is_prime
+
 EXACT_SIZE_CAP = 150
 
 
@@ -116,14 +118,7 @@ def _more_primes(count: int) -> list[int]:
     row sums of up to 150 of them stay inside int64."""
     cand = _PRIME_POOL[-1] - 1 if _PRIME_POOL else (1 << 26) - 1
     while len(_PRIME_POOL) < count:
-        is_p = cand >= 2
-        d = 2
-        while d * d <= cand:
-            if cand % d == 0:
-                is_p = False
-                break
-            d += 1
-        if is_p:
+        if is_prime(cand):
             _PRIME_POOL.append(cand)
         cand -= 1
     return _PRIME_POOL[:count]

@@ -257,20 +257,17 @@ def test_acceptance_9_property_suites():
                      (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2),
                      (7, 1), (7, 2), (11, 1), (13, 1)]:
             ctx = gf.make_field(p, d)
+            add, neg, mul = ctx.add, ctx.neg, ctx.mul
             size = ctx.size
             assert size <= 81, (p, d)
             for _ in range(30):
-                a, b, c = (
-                    gf.from_int(ctx, int(rng.integers(size))) for _ in range(3)
-                )
-                assert gf.add(gf.add(a, b, ctx), c, ctx) == gf.add(a, gf.add(b, c, ctx), ctx)
-                assert gf.mul(gf.mul(a, b, ctx), c, ctx) == gf.mul(a, gf.mul(b, c, ctx), ctx)
-                assert gf.mul(a, gf.add(b, c, ctx), ctx) == gf.add(
-                    gf.mul(a, b, ctx), gf.mul(a, c, ctx), ctx
-                )
-                assert gf.mul(a, b, ctx) == gf.mul(b, a, ctx)
-                assert gf.add(a, gf.neg(a, ctx), ctx) == gf.zero(ctx)
-                assert gf.mul(a, gf.one(ctx), ctx) == a
+                a, b, c = (int(rng.integers(size)) for _ in range(3))
+                assert add[add[a, b], c] == add[a, add[b, c]]
+                assert mul[mul[a, b], c] == mul[a, mul[b, c]]
+                assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
+                assert mul[a, b] == mul[b, a]
+                assert add[a, neg[a]] == 0
+                assert mul[a, 1] == a
 
         # switching operations are involutions
         for cyc in row_cycle_decompose(SWITCH4_A, 2, 4):

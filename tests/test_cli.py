@@ -207,6 +207,14 @@ def test_spectrum_exact_only_and_numeric_only(four_file, capsys):
     assert "charpoly:" not in stdout and "numeric:" in stdout
 
 
+@pytest.mark.parametrize("text", ["", ","])
+@pytest.mark.parametrize("command", ["spectrum", "graph-export"])
+def test_subset_selecting_no_square_exits_2(command, text, four_file, capsys):
+    code, stdout, err = run(capsys, command, "--in", four_file, "--subset", text)
+    assert code == 2
+    assert "--subset selects no square" in err and stdout == ""
+
+
 def test_spectrum_inapplicable_when_layers_do_not_commute(tmp_path, capsys):
     path = tmp_path / "switched.txt"
     designs.save_family(single(NINE_SWITCHED), path)
@@ -477,3 +485,10 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_spectrum_exact_and_numeric_are_exclusive(four_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--in", four_file, "--exact", "--numeric"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from mosls import (
     SudokuShape,
     composite_count,
     composite_mosls,
-    coset_partition,
     family_pairwise_orthogonal,
     field_mosls,
     field_square,
@@ -24,8 +23,16 @@ from mosls import (
 from mosls.designs import LatinSquare
 
 
-def ints(coset):
-    return [gf.to_int(x) for x in coset]
+def assert_coset_bands(ctx, size):
+    """The canonical order, cut into consecutive bands of `size` elements,
+    lists the additive cosets of the subgroup {0, ..., size - 1}; returns
+    the bands."""
+    base = np.arange(size)
+    assert set(ctx.add[:size, :size].ravel().tolist()) == set(range(size))
+    bands = np.arange(ctx.size).reshape(-1, size)
+    for band in bands:
+        assert sorted(ctx.add[band[0], base].tolist()) == band.tolist()
+    return bands.tolist()
 
 
 def test_spec_validation():
@@ -40,40 +47,34 @@ def test_spec_validation():
 
 
 def test_coset_partition_gf4():
-    spec = FieldConstructionSpec(2, 1, 1)
+    # type (2, 2): q-row bands and r-column bands of GF(4)
     ctx = gf.make_field(2, 2)
-    part = coset_partition(spec, ctx)
-    assert [ints(c) for c in part.row_cosets] == [[0, 1], [2, 3]]
-    assert [ints(c) for c in part.col_cosets] == [[0, 1], [2, 3]]
+    assert assert_coset_bands(ctx, 2) == [[0, 1], [2, 3]]
 
 
 def test_coset_partition_gf9_base():
-    spec = FieldConstructionSpec(3, 1, 1)
     ctx = gf.make_field(3, 2)
-    part = coset_partition(spec, ctx)
-    assert ints(part.row_cosets[0]) == [0, 1, 2]
-    assert len(part.row_cosets) == 3 and len(part.row_cosets[0]) == 3
-    flat = sorted(x for c in part.row_cosets for x in ints(c))
-    assert flat == list(range(9))
+    bands = assert_coset_bands(ctx, 3)
+    assert bands[0] == [0, 1, 2]
+    assert len(bands) == 3 and len(bands[0]) == 3
+    assert sorted(x for band in bands for x in band) == list(range(9))
 
 
 def test_coset_partition_gf8_asymmetric():
-    # type (4, 2): row cosets have q = 4 elements, col cosets r = 2
-    spec = FieldConstructionSpec(2, 2, 1)
+    # type (4, 2): row bands have q = 4 elements, column bands r = 2
     ctx = gf.make_field(2, 3)
-    part = coset_partition(spec, ctx)
-    assert [len(c) for c in part.row_cosets] == [4, 4]
-    assert [len(c) for c in part.col_cosets] == [2, 2, 2, 2]
-    assert ints(part.row_cosets[0]) == [0, 1, 2, 3]  # span of degrees < 2
-    assert ints(part.col_cosets[0]) == [0, 1]
+    rows = assert_coset_bands(ctx, 4)
+    cols = assert_coset_bands(ctx, 2)
+    assert [len(c) for c in rows] == [4, 4]
+    assert [len(c) for c in cols] == [2, 2, 2, 2]
+    assert rows[0] == [0, 1, 2, 3]  # span of degrees < 2
+    assert cols[0] == [0, 1]
 
 
 def test_coset_partition_rejects_mismatched_context():
-    spec = FieldConstructionSpec(2, 1, 1)
+    # a field square has one row and one column per field element
     with pytest.raises(ValueError):
-        coset_partition(spec, gf.make_field(2, 3))
-    with pytest.raises(ValueError):
-        coset_partition(FieldConstructionSpec(2, 0, 2), gf.make_field(2, 2))
+        field_square(gf.make_field(2, 3), 2, SudokuShape(2, 2))
 
 
 # hand-computed squares x - a*y over GF(4) with rows/cols 0,1,t,t+1
@@ -83,26 +84,23 @@ GF4_SQUARE_ONE = [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]]
 
 
 def test_field_square_gf4_values():
-    spec = FieldConstructionSpec(2, 1, 1)
     ctx = gf.make_field(2, 2)
-    part = coset_partition(spec, ctx)
-    t = gf.from_int(ctx, 2)
-    sq = field_square(t, spec, ctx, part)
+    t = 2
+    sq = field_square(ctx, t, SudokuShape(2, 2))
     assert sq.entries.tolist() == GF4_SQUARE_T
     assert is_sudoku(sq)
 
 
 def test_field_square_degree_gate():
     # multiplier of degree 0 yields a Latin square that is not Sudoku
-    spec = FieldConstructionSpec(2, 1, 1)
     ctx = gf.make_field(2, 2)
-    part = coset_partition(spec, ctx)
-    one = gf.one(ctx)
-    sq = field_square(one, spec, ctx, part)
+    shape = SudokuShape(2, 2)
+    sq = field_square(ctx, 1, shape)
     assert sq.entries.tolist() == GF4_SQUARE_ONE
     assert is_latin(sq) and not is_sudoku(sq)
-    with pytest.raises(ValueError):
-        field_square(gf.zero(ctx), spec, ctx, part)
+    for a in (0, 4, -1):
+        with pytest.raises(ValueError):
+            field_square(ctx, a, shape)
 
 
 def test_field_mosls_order4():

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from mosls import (
     Block,
+    SwitchSpec,
+    SwitchValidityError,
     FormatError,
     LatinSquare,
     MoslsFamily,
@@ -10,13 +14,16 @@ from mosls import (
     are_orthogonal,
     block,
     block_map_factorization,
+    composite_mosls,
     format_family,
     is_block_permutational,
     is_latin,
     is_sudoku,
     parse_family,
+    sudoku_symbol_switch,
     transpose,
 )
+from mosls.cli import _TABLE_ROWS
 from fixtures import FOUR_A, FOUR_B, FOUR_FAMILY, NINE, REMARK4, cyclic_square
 
 
@@ -126,6 +133,61 @@ def test_is_block_permutational():
     assert is_block_permutational(cyclic_square(4))
     with pytest.raises(ValueError):
         is_block_permutational(REMARK4)  # not Sudoku
+
+
+def _block_permutational_reference(L):
+    base = block(L, 1, 1)
+    return all(
+        block_map_factorization(base, block(L, i, j)) is not None
+        for i in range(1, L.shape.r + 1)
+        for j in range(1, L.shape.q + 1)
+    )
+
+
+def test_is_block_permutational_matches_block_map_reference():
+    # the squares of every constructible table row of order <= 12 and all
+    # of their valid symbol switches
+    squares = []
+    for order, q, r, factors, _ in _TABLE_ROWS:
+        if not factors or order > 12:
+            continue
+        for sq in composite_mosls(factors):
+            squares.append(sq)
+            for kind, bands in (("row-block", r), ("col-block", q)):
+                for index in range(1, bands + 1):
+                    for pair in combinations(range(1, order + 1), 2):
+                        try:
+                            squares.append(sudoku_symbol_switch(sq, SwitchSpec(kind, index, pair)))
+                        except SwitchValidityError:
+                            pass
+    verdicts = [is_block_permutational(sq) for sq in squares]
+    assert verdicts == [_block_permutational_reference(sq) for sq in squares]
+    assert len(squares) == 2282 and verdicts.count(False) == 982
+
+
+def test_is_sudoku_and_are_orthogonal_match_references():
+    # row-shuffled squares of the constructible table rows of order <= 12:
+    # still Latin, mostly neither Sudoku nor orthogonal to the original
+    rng = np.random.default_rng(5)
+    sudoku, orthogonal = [], []
+    for order, q, r, factors, _ in _TABLE_ROWS:
+        if not factors or order > 12:
+            continue
+        fam = composite_mosls(factors)
+        for sq in fam:
+            for rows in [np.arange(order)] + [rng.permutation(order) for _ in range(3)]:
+                L = LatinSquare(sq.entries[rows], sq.shape)
+                blocks_full = all(
+                    np.unique(block(L, i, j).cells).size == order
+                    for i in range(1, r + 1)
+                    for j in range(1, q + 1)
+                )
+                sudoku.append(is_sudoku(L))
+                assert sudoku[-1] == blocks_full
+                codes = (fam.squares[0].entries - 1) * order + (L.entries - 1)
+                orthogonal.append(are_orthogonal(fam.squares[0], L))
+                assert orthogonal[-1] == (np.unique(codes).size == order * order)
+    assert set(sudoku) == {True, False} and set(orthogonal) == {True, False}
 
 
 def test_transpose():

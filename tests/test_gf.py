@@ -18,6 +18,15 @@ def test_make_field_rejects_bad_parameters():
         gf.make_field(2, 0)
 
 
+def test_field_size_is_bounded():
+    assert gf.make_field(1021, 1).size <= gf.MAX_FIELD_SIZE
+    for d in (11, 1000):
+        with pytest.raises(gf.FieldError):
+            gf.make_field(2, d)
+    with pytest.raises(gf.FieldError):
+        gf.is_irreducible(2, [1, 0, 1] + [0] * 17 + [1])  # degree 20
+
+
 def test_is_irreducible_known_cases():
     assert gf.is_irreducible(2, [1, 1, 1])  # t^2+t+1
     assert not gf.is_irreducible(2, [1, 0, 1])  # t^2+1 = (t+1)^2
@@ -33,82 +42,98 @@ def test_is_irreducible_requires_monic():
 
 
 def test_enumeration_order():
-    ctx2 = gf.make_field(2, 1)
-    assert [gf.to_int(x) for x in gf.enumerate_elements(ctx2)] == [0, 1]
+    # index v is the element whose coefficients of 1, t, ... are the base-p
+    # digits of v: 0, 1 are the constants of GF(2) and GF(4), 2 is t
+    assert gf.make_field(2, 1).size == 2
     ctx4 = gf.make_field(2, 2)
-    elems = gf.enumerate_elements(ctx4)
-    assert [e.coeffs for e in elems] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert ctx4.size == 4
+    assert ctx4.add[1, 2] == 3  # 1 + t
+    assert ctx4.mul[2, 2] == 3  # t^2 = t + 1
     ctx9 = gf.make_field(3, 2)
-    elems9 = gf.enumerate_elements(ctx9)
-    assert len(elems9) == 9
-    assert [e.coeffs for e in elems9[:3]] == [(0, 0), (1, 0), (2, 0)]
+    assert ctx9.size == 9
+    # the first p indices are the constants 0, 1, 2 with Z_3 arithmetic
+    assert ctx9.add[:3, :3].tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert ctx9.mul[:3, :3].tolist() == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
+    assert ctx9.mul[1, 3] == 3 and ctx9.add[1, 3] == 4  # t is 3, 1 + t is 4
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 3), (3, 2), (5, 2), (3, 4)])
+def test_mul_table_is_polynomial_product_mod_modulus(p, d):
+    ctx = gf.make_field(p, d)
+    rng = np.random.default_rng(7)
+
+    def coeffs(v):
+        return [(v // p**i) % p for i in range(d)]
+
+    for a, b in rng.integers(0, ctx.size, (50, 2)):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(coeffs(a)):
+            for j, y in enumerate(coeffs(b)):
+                prod[i + j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            lead = prod[k] % p
+            for j in range(d + 1):
+                prod[k - d + j] -= lead * ctx.modulus[j]
+        assert ctx.mul[a, b] == sum((c % p) * p**i for i, c in enumerate(prod[:d]))
+
+
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_is_irreducible_matches_root_test(p, deg):
+    # a monic polynomial of degree 2 or 3 is irreducible iff it has no root
+    for low in range(p**deg):
+        poly = [(low // p**i) % p for i in range(deg)] + [1]
+        has_root = any(sum(c * x**i for i, c in enumerate(poly)) % p == 0 for x in range(p))
+        assert gf.is_irreducible(p, poly) == (not has_root), poly
 
 
 def test_known_products_and_sums():
     ctx = gf.make_field(2, 2)
-    t = gf.from_int(ctx, 2)
-    t1 = gf.from_int(ctx, 3)
-    one = gf.one(ctx)
-    assert gf.add(t, t1, ctx) == one  # characteristic 2
-    assert gf.mul(t, t, ctx) == t1  # t^2 = t + 1
+    t, t1, one = 2, 3, 1
+    assert ctx.add[t, t1] == one  # characteristic 2
+    assert ctx.mul[t, t] == t1  # t^2 = t + 1
 
     ctx9 = gf.make_field(3, 2)
-    t9 = gf.from_int(ctx9, 3)
-    assert gf.mul(t9, t9, ctx9) == gf.from_int(ctx9, 2)  # t^2 = -1 = 2
-
-
-def test_context_mismatch_rejected():
-    a = gf.one(gf.make_field(2, 2))
-    ctx9 = gf.make_field(3, 2)
-    with pytest.raises(gf.FieldError):
-        gf.add(a, gf.one(ctx9), ctx9)
-    with pytest.raises(gf.FieldError):
-        gf.neg(a, ctx9)
+    t9 = 3
+    assert ctx9.mul[t9, t9] == 2  # t^2 = -1 = 2
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3)])
 def test_field_axioms_exhaustive(p, d):
     ctx = gf.make_field(p, d)
-    elems = gf.enumerate_elements(ctx)
-    zero, one = gf.zero(ctx), gf.one(ctx)
-    for a in elems:
-        assert gf.add(a, zero, ctx) == a
-        assert gf.mul(a, one, ctx) == a
-        assert gf.add(a, gf.neg(a, ctx), ctx) == zero
-        for b in elems:
-            assert gf.add(a, b, ctx) == gf.add(b, a, ctx)
-            assert gf.mul(a, b, ctx) == gf.mul(b, a, ctx)
-            assert gf.sub(a, b, ctx) == gf.add(a, gf.neg(b, ctx), ctx)
+    x = np.arange(ctx.size)
+    assert (ctx.add[x, 0] == x).all()
+    assert (ctx.mul[x, 1] == x).all()
+    assert (ctx.add[x, ctx.neg[x]] == 0).all()
+    assert (ctx.add == ctx.add.T).all()
+    assert (ctx.mul == ctx.mul.T).all()
+    # a - b, taken as a + neg(b), undoes adding b
+    sub = ctx.add[x[:, None], ctx.neg[x]]
+    assert (ctx.add[sub, x] == x[:, None]).all()
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3), (3, 4), (2, 6)])
 def test_field_axioms_randomized(p, d):
     # associativity and distributivity on random triples, fields up to 81
     ctx = gf.make_field(p, d)
+    add, mul = ctx.add, ctx.mul
     rng = np.random.default_rng(20240817)
     size = ctx.size
     for _ in range(200):
-        a, b, c = (gf.from_int(ctx, int(v)) for v in rng.integers(0, size, 3))
-        left = gf.mul(gf.mul(a, b, ctx), c, ctx)
-        right = gf.mul(a, gf.mul(b, c, ctx), ctx)
-        assert left == right
-        assert gf.add(gf.add(a, b, ctx), c, ctx) == gf.add(a, gf.add(b, c, ctx), ctx)
-        dist_l = gf.mul(a, gf.add(b, c, ctx), ctx)
-        dist_r = gf.add(gf.mul(a, b, ctx), gf.mul(a, c, ctx), ctx)
-        assert dist_l == dist_r
+        a, b, c = (int(v) for v in rng.integers(0, size, 3))
+        assert mul[mul[a, b], c] == mul[a, mul[b, c]]
+        assert add[add[a, b], c] == add[a, add[b, c]]
+        assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3), (3, 4)])
 def test_multiplicative_order_divides_group_order(p, d):
     ctx = gf.make_field(p, d)
     group = ctx.size - 1
-    for a in gf.enumerate_elements(ctx):
-        if a.is_zero():
-            continue
+    for a in range(1, ctx.size):
         acc = a
         order = 1
-        while acc != gf.one(ctx):
-            acc = gf.mul(acc, a, ctx)
+        while acc != 1:
+            acc = ctx.mul[acc, a]
             order += 1
             assert order <= group
         assert group % order == 0
@@ -116,15 +141,17 @@ def test_multiplicative_order_divides_group_order(p, d):
 
 def test_no_zero_divisors():
     ctx = gf.make_field(3, 2)
-    elems = gf.enumerate_elements(ctx)
-    for a in elems:
-        for b in elems:
-            if not a.is_zero() and not b.is_zero():
-                assert not gf.mul(a, b, ctx).is_zero()
+    assert (ctx.mul[1:, 1:] != 0).all()
 
 
 def test_determinism():
     assert gf.make_field(3, 3) == gf.make_field(3, 3)
-    ctx = gf.make_field(3, 3)
-    a, b = gf.from_int(ctx, 11), gf.from_int(ctx, 19)
-    assert gf.mul(a, b, ctx) == gf.mul(a, b, ctx)
+    first, second = gf.make_field(3, 3), gf.make_field(3, 3)
+    for name in ("add", "neg", "mul"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
+def test_tables_are_read_only():
+    ctx = gf.make_field(2, 2)
+    with pytest.raises(ValueError):
+        ctx.mul[1, 1] = 0
