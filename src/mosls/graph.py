@@ -16,6 +16,11 @@ import numpy as np
 
 from .designs import MoslsFamily, SudokuShape
 
+# Largest vertex count the dense builders accept: order 49.  One dense
+# int64 (n**2) x (n**2) array then takes 2401**2 * 8 bytes, about 46 MB,
+# and a build holds a few of them at once; order 64 would need 134 MB each.
+MAX_VERTICES = 49 ** 2
+
 
 class FamilyStructureError(ValueError):
     """The family violates Latin/orthogonality/Sudoku constraints."""
@@ -53,6 +58,29 @@ def _resolve_subset(fam: MoslsFamily, subset) -> list[int]:
     return picked
 
 
+def _check_vertex_cap(shape: SudokuShape) -> None:
+    """Refuse a dense graph over more than MAX_VERTICES cells."""
+    nv = shape.order ** 2
+    if nv > MAX_VERTICES:
+        raise ValueError(
+            f"order {shape.order} gives {nv} vertices, above the dense graph "
+            f"cap of {MAX_VERTICES}"
+        )
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer product a @ b, computed by float64 BLAS and returned as int64.
+
+    Every entry and partial sum is an integer of magnitude at most
+    a.shape[1] * max|a| * max|b|; below 2**53 float64 holds each of them
+    exactly, so the result equals the int64 product in any summation order.
+    """
+    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if bound >= 2**53:
+        raise ValueError(f"product entries may reach {bound}, not exact in float64 (2**53)")
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
 def _coordinate_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.repeat(np.arange(n), n)
     cols = np.tile(np.arange(n), n)
@@ -84,6 +112,7 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     agreeing twice names the violation (non-Latin square or non-orthogonal
     pair) in the raised error.
     """
+    _check_vertex_cap(fam.shape)
     picked = _resolve_subset(fam, subset)
     n = fam.shape.order
     rows, cols = _coordinate_arrays(n)
@@ -110,6 +139,7 @@ def _block_ids(shape: SudokuShape) -> np.ndarray:
 
 def _block_adjacency(shape: SudokuShape) -> np.ndarray:
     """Same block, different row and different column."""
+    _check_vertex_cap(shape)
     rows, cols = _coordinate_arrays(shape.order)
     block_id = _block_ids(shape)
     same_block = block_id[:, None] == block_id[None, :]
@@ -146,7 +176,7 @@ def srg_check(graph: CellGraph):
     if deg.min() != deg.max():
         return None
     k = int(deg[0])
-    common = A @ A
+    common = _exact_matmul(A, A)
     off = ~np.eye(A.shape[0], dtype=bool)
     lam_vals = common[(A == 1) & off]
     mu_vals = common[(A == 0) & off]
@@ -193,7 +223,7 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
         seen.extend(members)
     if sorted(seen) != list(range(nv)):
         raise ValueError("parts must partition the vertex set")
-    counts = graph.adjacency @ indicator
+    counts = _exact_matmul(graph.adjacency, indicator)
     entries = np.zeros((len(parts), len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
         rows = counts[list(members)]
@@ -207,17 +237,22 @@ def commute_check(fam: MoslsFamily, subset=None) -> bool:
     """True iff the MOLS adjacency commutes with the block adjacency."""
     mols = build_mols_graph(fam, subset).adjacency
     blocks = _block_adjacency(fam.shape)
-    return bool(np.array_equal(mols @ blocks, blocks @ mols))
+    return bool(np.array_equal(_exact_matmul(mols, blocks), _exact_matmul(blocks, mols)))
+
+
+def _edges(graph: CellGraph) -> np.ndarray:
+    """Sorted 1-based edge pairs (u, v) with u < v, one row per edge."""
+    return np.argwhere(np.triu(graph.adjacency, 1)) + 1
 
 
 def edge_list(graph: CellGraph) -> list[tuple[int, int]]:
     """Sorted 1-based edge pairs (u, v) with u < v."""
-    upper = np.triu(graph.adjacency, 1)
-    return [(int(u) + 1, int(v) + 1) for u, v in np.argwhere(upper)]
+    return [(u, v) for u, v in _edges(graph).tolist()]
 
 
 def edge_lines(graph: CellGraph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in edge_list(graph)) + "\n"
+    e = _edges(graph)
+    return "\n".join(map("{0} {1}".format, e[:, 0].tolist(), e[:, 1].tolist())) + "\n"
 
 
 def matrix_lines(graph: CellGraph) -> str:

@@ -161,6 +161,12 @@ def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
     return [int(c) for c in P[n]]
 
 
+def check_exact_size(n: int, size_cap: int = EXACT_SIZE_CAP) -> None:
+    """Refuse an exact charpoly of an n x n matrix above size_cap."""
+    if n > size_cap:
+        raise ValueError(f"matrix size {n} exceeds exact cap {size_cap}")
+
+
 def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     """det(tI - M) with exact integer coefficients.
 
@@ -171,8 +177,7 @@ def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     n = A.shape[0]
-    if n > size_cap:
-        raise ValueError(f"matrix size {n} exceeds exact cap {size_cap}")
+    check_exact_size(n, size_cap)
     if n == 0:
         return IntPolynomial((1,))
 

@@ -21,7 +21,14 @@ import numpy as np
 
 from .designs import LatinSquare, MoslsFamily, is_latin, is_sudoku
 from .graph import build_mosls_graph
-from .spectra import IntPolynomial, charpoly_exact, poly_divexact, poly_from_roots, poly_mul
+from .spectra import (
+    IntPolynomial,
+    charpoly_exact,
+    check_exact_size,
+    poly_divexact,
+    poly_from_roots,
+    poly_mul,
+)
 
 
 class SwitchError(ValueError):
@@ -248,6 +255,8 @@ def nonisomorphism_certificate(a: LatinSquare, b: LatinSquare) -> Certificate:
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    # refuse oversized squares before building their dense graphs
+    check_exact_size(a.order ** 2)
     pa = charpoly_exact(build_mosls_graph(MoslsFamily(a.shape, (a,))).adjacency)
     pb = charpoly_exact(build_mosls_graph(MoslsFamily(b.shape, (b,))).adjacency)
     diff = None

@@ -300,6 +300,20 @@ def test_graph_export_is_deterministic(four_file, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["graph-export", "spectrum"])
+def test_dense_graph_cap_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "f64.txt"
+    code, _, _ = run(
+        capsys,
+        "construct", "--p", "2", "--m", "3", "--n", "3", "--count", "1",
+        "--order-cap", "64", "--out", str(path),
+    )
+    assert code == 0
+    code, stdout, err = run(capsys, command, "--in", str(path))
+    assert code == 2 and stdout == ""
+    assert err == "error: order 64 gives 4096 vertices, above the dense graph cap of 2401\n"
+
+
 # ---------------------------------------------------------------------------
 # switch
 
@@ -442,6 +456,22 @@ def test_compare_rejects_multi_square_files(four_file, tmp_path, capsys):
     designs.save_family(single(SWITCH4_B), b)
     code, _, err = run(capsys, "compare", "--a", four_file, "--b", str(b))
     assert code == 2 and "single-square" in err
+
+
+def test_compare_above_exact_cap_fails_before_building_graphs(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "f16.txt"
+    code, _, _ = run(
+        capsys, "construct", "--p", "2", "--m", "2", "--n", "2", "--count", "1", "--out", str(a),
+    )
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a cell graph above the exact cap")
+
+    monkeypatch.setattr("mosls.switching.build_mosls_graph", refuse)
+    code, stdout, err = run(capsys, "compare", "--a", str(a), "--b", str(a))
+    assert code == 2 and stdout == ""
+    assert err == "error: matrix size 256 exceeds exact cap 150\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,20 @@ from mosls import (
     build_mols_graph,
     build_mosls_graph,
     commute_check,
+    composite_mosls,
+    per_prime_family,
     quotient_matrix,
     srg_check,
 )
-from mosls.graph import edge_lines, edge_list, matrix_lines
+from mosls.cli import _TABLE_ROWS
+from mosls.graph import (
+    MAX_VERTICES,
+    _block_adjacency,
+    _exact_matmul,
+    edge_lines,
+    edge_list,
+    matrix_lines,
+)
 from fixtures import (
     FOUR_FAMILY,
     FOUR_PRINTED_ADJACENCY,
@@ -163,3 +175,104 @@ def test_export_formats():
     lines = matrix_lines(g).splitlines()
     assert lines[0] == "0 1 1 1"
     assert len(lines) == 4
+
+
+# every constructible `table` row of order at most 12, plus a switched
+# square whose Latin and block adjacencies do not commute
+PRODUCT_CASES = [
+    (f"order{order}-type{q}x{r}", composite_mosls(factors))
+    for order, q, r, factors, _ in _TABLE_ROWS
+    if factors and order <= 12
+] + [("nine-switched", single(NINE_SWITCHED))]
+
+
+def _srg_reference(A):
+    """srg_check with a plain int64 product."""
+    deg = A.sum(axis=1)
+    if deg.min() != deg.max():
+        return None
+    common = A @ A
+    off = ~np.eye(A.shape[0], dtype=bool)
+    params = []
+    for mask in ((A == 1) & off, (A == 0) & off):
+        vals = np.unique(common[mask])
+        if vals.size > 1:
+            return None
+        params.append(int(vals[0]) if vals.size else 0)
+    return (A.shape[0], int(deg[0]), *params)
+
+
+def _quotient_reference(graph):
+    """Block quotient with a plain int64 product, or None if not equitable."""
+    parts = block_partition(graph.shape)
+    indicator = np.zeros((graph.num_vertices, len(parts)), dtype=np.int64)
+    for pid, members in enumerate(parts):
+        indicator[list(members), pid] = 1
+    counts = graph.adjacency @ indicator
+    rows = [counts[list(members)] for members in parts]
+    if any(not (part_rows == part_rows[0]).all() for part_rows in rows):
+        return None
+    return np.array([part_rows[0] for part_rows in rows])
+
+
+@pytest.mark.parametrize("fam", [f for _, f in PRODUCT_CASES], ids=[i for i, _ in PRODUCT_CASES])
+def test_blas_products_match_int64_reference(fam):
+    mols = build_mols_graph(fam).adjacency
+    blocks = _block_adjacency(fam.shape)
+    assert np.array_equal(_exact_matmul(mols, blocks), mols @ blocks)
+    assert np.array_equal(_exact_matmul(blocks, mols), blocks @ mols)
+    assert commute_check(fam) == np.array_equal(mols @ blocks, blocks @ mols)
+
+    mosls_graph = build_mosls_graph(fam)
+    for g in (build_mols_graph(fam, [1]), build_mols_graph(fam), mosls_graph):
+        assert srg_check(g) == _srg_reference(g.adjacency)
+
+    expected = _quotient_reference(mosls_graph)
+    if expected is None:
+        with pytest.raises(EquitabilityError):
+            quotient_matrix(mosls_graph)
+    else:
+        quo = quotient_matrix(mosls_graph)
+        assert quo.entries.dtype == np.int64
+        assert np.array_equal(quo.entries, expected)
+
+
+def test_exact_matmul_bound():
+    big = np.array([[2**26]], dtype=np.int64)
+    product = _exact_matmul(big, big)
+    assert product.dtype == np.int64 and product.tolist() == [[2**52]]
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _exact_matmul(np.array([[2**27]]), np.array([[2**27]]))
+    # two terms of 2**52 reach the bound exactly
+    row = np.array([[2**26, 2**26]], dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _exact_matmul(row, row.T)
+
+
+def test_vertex_cap_refuses_before_allocating():
+    fam = per_prime_family(2, 3, 3, order_cap=64)
+    assert fam.shape.order ** 2 > MAX_VERTICES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense graph cap"):
+            build_mols_graph(fam)
+        with pytest.raises(ValueError, match="dense graph cap"):
+            _block_adjacency(fam.shape)
+        with pytest.raises(ValueError, match="dense graph cap"):
+            build_mosls_graph(fam)
+        with pytest.raises(ValueError, match="dense graph cap"):
+            commute_check(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense 4096 x 4096 int64 array would take 134 MB
+    assert peak < 1 << 20
+
+
+def test_edge_list_and_lines_agree():
+    g = build_mosls_graph(FOUR_FAMILY)
+    edges = edge_list(g)
+    assert all(type(u) is int and type(v) is int for u, v in edges)
+    assert edges == sorted(edges) and all(u < v for u, v in edges)
+    assert len(edges) == g.adjacency.sum() // 2
+    assert edge_lines(g) == "".join(f"{u} {v}\n" for u, v in edges)
