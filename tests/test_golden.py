@@ -1,9 +1,12 @@
 """Golden CLI output: sha256 digests of the exit code, stdout and stderr of
-`construct`, `check` and `table`.
+`construct`, `check`, `table` and the exact-spectrum commands `switch`,
+`compare` and `spectrum`, plus the `--out` file where one is written.
 
 The construct cases are every constructible `table` row (default order cap)
-and ten families of order 25-81 built with `--order-cap 81`.  A changed
-digest means some byte of the command's output or its exit code changed.
+and ten families of order 25-81 built with `--order-cap 81`.  The exact
+spectrum cases run on the order-9 fixture pair and on the first square of
+each order-12 type.  A changed digest means some byte of the command's
+output or its exit code changed.
 """
 
 import hashlib
@@ -11,7 +14,8 @@ import json
 
 import pytest
 
-from mosls import cli
+from fixtures import NINE, NINE_SWITCHED, single
+from mosls import cli, designs, switching
 
 # name: (factors p:m:n, order cap or None for the default)
 CONSTRUCT_CASES = {
@@ -98,10 +102,13 @@ def _construct_argv(name: str) -> list[str]:
     return argv + (["--order-cap", str(cap)] if cap else [])
 
 
-def _digest(argv, capsys) -> str:
+def _digest(argv, capsys, out_path=None) -> str:
     code = cli.main(argv)
     out, err = capsys.readouterr()
-    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    record = [code, out, err]
+    if out_path is not None:
+        record.append(out_path.read_text())
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
@@ -122,3 +129,78 @@ def test_check_output(name, flags, tmp_path, capsys):
 def test_table_output(flags, capsys):
     key = " ".join(["table"] + flags)
     assert _digest(["table"] + flags, capsys) == TABLE_DIGESTS[key]
+
+
+# single-square inputs: name -> (construct factors, switch that is valid on it)
+ORDER12_INPUTS = {
+    "o12-2x6": (["2:1:1", "3:0:1"], switching.SwitchSpec("row-block", 1, (1, 4))),
+    "o12-3x4": (["3:1:0", "2:0:2"], switching.SwitchSpec("row-block", 1, (1, 2))),
+    "o12-4x3": (["2:2:0", "3:0:1"], switching.SwitchSpec("row-block", 1, (1, 4))),
+}
+
+# name: argv with {input} placeholders; "{out}" marks a written --out file
+EXACT_CASES = {
+    "switch nine": ["switch", "--in", "{nine}", "--col-block", "3", "--symbols", "1,2", "--out", "{out}"],
+    "switch nine --json": [
+        "switch", "--in", "{nine}", "--col-block", "3", "--symbols", "1,2", "--out", "{out}", "--json",
+    ],
+    "switch nine to stdout": ["switch", "--in", "{nine}", "--col-block", "3", "--symbols", "1,2"],
+    "switch o12-2x6 --json": [
+        "switch", "--in", "{o12-2x6}", "--row-block", "1", "--symbols", "1,4", "--out", "{out}", "--json",
+    ],
+    "switch o12-4x3": ["switch", "--in", "{o12-4x3}", "--row-block", "1", "--symbols", "1,4", "--out", "{out}"],
+    "compare nine": ["compare", "--a", "{nine}", "--b", "{nine-switched}"],
+    "compare nine --json": ["compare", "--a", "{nine}", "--b", "{nine-switched}", "--json"],
+    "compare nine itself": ["compare", "--a", "{nine}", "--b", "{nine}"],
+    "compare o12-3x4 --json": ["compare", "--a", "{o12-3x4}", "--b", "{o12-3x4-switched}", "--json"],
+    "spectrum nine --exact": ["spectrum", "--in", "{nine}", "--exact"],
+    "spectrum o12-4x3 --exact": ["spectrum", "--in", "{o12-4x3}", "--exact"],
+    "spectrum nine --verify-closed-form": ["spectrum", "--in", "{nine}", "--verify-closed-form"],
+    "spectrum nine --verify-closed-form --json": ["spectrum", "--in", "{nine}", "--verify-closed-form", "--json"],
+    "spectrum o12-3x4 --verify-closed-form": ["spectrum", "--in", "{o12-3x4}", "--verify-closed-form"],
+}
+
+EXACT_DIGESTS = {
+    "compare nine": "1c573e1715ac25fc19c0d6007e33b2e8fbdcf84063511fcd9efd06533dad3cfe",
+    "compare nine --json": "05e091490c9589be454dd8838614052be1214b1ff5f84b3784a62574cf8cbb99",
+    "compare nine itself": "2c9426df1aa3d555d866e42bf314c8deafe33523d839b457142cda4bbbc04b70",
+    "compare o12-3x4 --json": "9ba567cbb7a6bc08d26040650d1033cac4ad3cf164005911d789f2fdff86e1f9",
+    "spectrum nine --exact": "c8d88cf8369b29eaea10c7a5a2064c0cf6ab550a4d4a20f7d66953603c23a294",
+    "spectrum nine --verify-closed-form": "abfc045b7192be9ff152eeb5178cf416dd4cf3472a7550a13cf0264d187d954a",
+    "spectrum nine --verify-closed-form --json": "845517a2d42708ec88c8661290388e4619b6750bfb653bf3b3ac8dce02c4a362",
+    "spectrum o12-3x4 --verify-closed-form": "6a7814ad61da2187cbc389f647fe85b5eeb9df1a061714c76ab8c790a72c14df",
+    "spectrum o12-4x3 --exact": "3096dd12e7fb28030ebe42e5b4f9a2354c0e7fdf513242078fb17e5c8cd9a2bd",
+    "switch nine": "7b4e32e1d99194811b88e7c36cfbbfb13689ba4b8708e8a5ebcfd59da10ba84f",
+    "switch nine --json": "d466fea88eac8a3899e6334a1f68c4f67d119fdc886bc28c170ae0bba58013bc",
+    "switch nine to stdout": "7ee075bdf9abe7476859b230e78e50f144d700a3da451d657a16e8144c058d2a",
+    "switch o12-2x6 --json": "53ffd5a506eb5ca56a8dd3633c37d34a8625da4405f7d81cdf934c23c05bf0d2",
+    "switch o12-4x3": "2b798b3b3e6fc43fdc5fb15fa72b667b3f4e986838fdfd139b057a66142d0766",
+}
+
+
+@pytest.fixture(scope="module")
+def exact_inputs(tmp_path_factory):
+    """Input family files by placeholder name."""
+    work = tmp_path_factory.mktemp("exact")
+    paths = {}
+    for name, fam in [("nine", single(NINE)), ("nine-switched", single(NINE_SWITCHED))]:
+        paths[name] = work / f"{name}.txt"
+        designs.save_family(fam, paths[name])
+    for name, (factors, spec) in ORDER12_INPUTS.items():
+        paths[name] = work / f"{name}.txt"
+        argv = ["construct"] + [tok for f in factors for tok in ("--factor", f)]
+        assert cli.main(argv + ["--count", "1", "--out", str(paths[name])]) == 0
+        square = designs.load_family(paths[name]).squares[0]
+        paths[f"{name}-switched"] = work / f"{name}-switched.txt"
+        switched = switching.sudoku_symbol_switch(square, spec)
+        designs.save_family(designs.MoslsFamily(square.shape, (switched,)), paths[f"{name}-switched"])
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_exact_spectrum_output(name, exact_inputs, tmp_path, capsys):
+    capsys.readouterr()
+    out_path = tmp_path / "out.txt" if "{out}" in EXACT_CASES[name] else None
+    names = {"out": out_path, **exact_inputs}
+    argv = [tok.format_map({k: str(v) for k, v in names.items()}) for tok in EXACT_CASES[name]]
+    assert _digest(argv, capsys, out_path) == EXACT_DIGESTS[name]
