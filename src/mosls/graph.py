@@ -234,10 +234,13 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
 
 
 def commute_check(fam: MoslsFamily, subset=None) -> bool:
-    """True iff the MOLS adjacency commutes with the block adjacency."""
-    mols = build_mols_graph(fam, subset).adjacency
-    blocks = _block_adjacency(fam.shape)
-    return bool(np.array_equal(_exact_matmul(mols, blocks), _exact_matmul(blocks, mols)))
+    """True iff the MOLS adjacency commutes with the block adjacency.
+
+    Both adjacencies are symmetric, so blocks @ mols is the transpose of
+    mols @ blocks, and the two commute iff that one product is symmetric.
+    """
+    product = _exact_matmul(build_mols_graph(fam, subset).adjacency, _block_adjacency(fam.shape))
+    return bool(np.array_equal(product, product.T))
 
 
 def _edges(graph: CellGraph) -> np.ndarray:

@@ -6,7 +6,10 @@ matrix is reduced to Hessenberg form modulo a battery of word-sized primes,
 the charpoly recurrence is evaluated mod each prime, and the integer
 coefficients are recovered by Chinese remaindering against an a-priori
 coefficient bound.  Reduction mod p commutes with taking det(tI - M), so
-no prime is "unlucky" and the reconstruction is exact.
+no prime is "unlucky" and the reconstruction is exact.  The bound is
+B = max_k isqrt(C(n,k)**2 * F**k // n**k) + 1 with F = sum of a_ij**2
+(Schur's and Maclaurin's inequalities; proof at charpoly_exact), and
+primes are taken until their product exceeds 2B.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .gf import is_prime
 
 EXACT_SIZE_CAP = 150
 
@@ -111,23 +112,42 @@ def poly_from_roots(roots) -> IntPolynomial:
 # exact characteristic polynomial
 
 _PRIME_POOL: list[int] = []
+_SIEVE_WINDOW = 1 << 12  # about 230 primes per window just below 2**26
+
+
+def _primes_between(lo: int, hi: int) -> list[int]:
+    """Primes p with 2 <= lo <= p < hi, ascending, by a numpy segmented sieve."""
+    root = math.isqrt(hi - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for d in range(2, math.isqrt(root) + 1):
+        if small[d]:
+            small[d * d :: d] = False
+    keep = np.ones(hi - lo, dtype=bool)
+    for d in np.flatnonzero(small).tolist():
+        first = max(d * d, -(-lo // d) * d)
+        keep[first - lo :: d] = False
+    return (np.flatnonzero(keep) + lo).tolist()
 
 
 def _more_primes(count: int) -> list[int]:
     """Primes just below 2**26, largest first; products of two residues and
-    row sums of up to 150 of them stay inside int64."""
-    cand = _PRIME_POOL[-1] - 1 if _PRIME_POOL else (1 << 26) - 1
+    sums of up to 150 such products stay inside int64."""
+    hi = _PRIME_POOL[-1] if _PRIME_POOL else 1 << 26
     while len(_PRIME_POOL) < count:
-        if is_prime(cand):
-            _PRIME_POOL.append(cand)
-        cand -= 1
+        lo = max(hi - _SIEVE_WINDOW, 2)
+        _PRIME_POOL.extend(reversed(_primes_between(lo, hi)))
+        hi = lo
     return _PRIME_POOL[:count]
 
 
 def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
     """Charpoly of M over Z_p via Hessenberg reduction, ascending coeffs."""
+    n = M.shape[0]
+    # every dot product below sums at most n products of residues
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"{n} products of residues mod {p} may overflow int64")
     H = np.mod(M, p).astype(np.int64)
-    n = H.shape[0]
     for k in range(n - 2):
         col = H[k + 1 :, k]
         nz = np.nonzero(col)[0]
@@ -139,7 +159,9 @@ def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
             H[:, [k + 1, piv]] = H[:, [piv, k + 1]]
         inv = pow(int(H[k + 1, k]), p - 2, p)
         factors = (H[k + 2 :, k] * inv) % p
-        H[k + 2 :] = (H[k + 2 :] - factors[:, None] * H[k + 1]) % p
+        # rows k+1 and below are already zero left of column k, so the
+        # elimination only touches columns k onwards
+        H[k + 2 :, k:] = (H[k + 2 :, k:] - factors[:, None] * H[k + 1, k:]) % p
         H[:, k + 1] = (H[:, k + 1] + H[:, k + 2 :] @ factors) % p
 
     # P[k] holds coeffs of det(tI - H[:k,:k]); expand along last columns
@@ -155,7 +177,6 @@ def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
         P[k, :k] -= (int(H[k - 1, k - 1]) * P[k - 1, :k]) % p
         if k >= 2:
             w = (H[: k - 1, k - 1] * prods[: k - 1]) % p
-            # dot products stay below 150 * 2**52, inside int64
             P[k, :k] -= (w @ P[: k - 1, :k]) % p
         P[k] %= p
     return [int(c) for c in P[n]]
@@ -167,11 +188,31 @@ def check_exact_size(n: int, size_cap: int = EXACT_SIZE_CAP) -> None:
         raise ValueError(f"matrix size {n} exceeds exact cap {size_cap}")
 
 
+def _coefficient_bound(A: np.ndarray) -> int:
+    """B with |c_k| < B for every coefficient of det(tI - A); see
+    charpoly_exact for the proof."""
+    n = A.shape[0]
+    frob = sum(v * v for v in A.ravel().tolist())  # Python ints, exact
+    return max(math.isqrt(math.comb(n, k) ** 2 * frob**k // n**k) for k in range(n + 1)) + 1
+
+
 def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     """det(tI - M) with exact integer coefficients.
 
     M must be a square integer matrix with at most size_cap rows; the cap
     keeps the modular reconstruction comfortably fast.
+
+    Coefficient bound.  Let lambda_1..lambda_n be the complex eigenvalues
+    of M and F = sum a_ij**2.  Schur's inequality gives
+    sum |lambda_i|**2 <= F for any square matrix, symmetric or not, and
+    Cauchy-Schwarz then gives S = sum |lambda_i| <= sqrt(n F).  The
+    coefficient of t**(n-k) is (-1)**k e_k(lambda), so
+    |c_(n-k)| <= e_k(|lambda|) <= C(n,k) (S/n)**k <= sqrt(C(n,k)**2 F**k / n**k)
+    by Maclaurin's inequality for the non-negative |lambda_i|.  Since
+    isqrt(floor(x)) + 1 > sqrt(x), every |c| is below
+    B = max_k isqrt(C(n,k)**2 * F**k // n**k) + 1.  Primes are added until
+    their product exceeds 2B, so the symmetric CRT residue is the
+    coefficient itself.
     """
     A = np.array(M, dtype=np.int64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -181,9 +222,7 @@ def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     if n == 0:
         return IntPolynomial((1,))
 
-    # every |coefficient| is at most (1 + max row sum)**n
-    rho = int(np.abs(A).sum(axis=1).max())
-    bound = 2 * (1 + rho) ** n
+    bound = 2 * _coefficient_bound(A)
 
     primes: list[int] = []
     residues: list[list[int]] = []
@@ -299,22 +338,30 @@ def _group_values(values: np.ndarray, group_tol: float) -> list[tuple[float, int
 
 
 def _relative_residual(poly: IntPolynomial, points) -> float:
-    """max |p(x)| / sum |c_k x^k|, evaluated in exact rational arithmetic."""
+    """max |p(x)| / sum |c_k x^k| over the points, each taken as the exact
+    rational a/b nearest to it with b <= 10**15.
+
+    Both sums are scaled by b**n and evaluated by integer Horner; int / int
+    true division is correctly rounded, so the quotient is the float of the
+    exact rational ratio."""
+    # imported here: fractions pulls in decimal, which costs every process
+    # that never computes a residual start-up time and resident memory
     from fractions import Fraction
 
     worst = 0.0
+    coeffs = poly.coeffs[::-1]  # descending
     for x in points:
         fx = Fraction(x).limit_denominator(10**15)
-        num = Fraction(0)
-        den = Fraction(0)
-        power = Fraction(1)
-        for c in poly.coeffs:
-            num += c * power
-            den += abs(c) * abs(power)
-            power *= fx
+        a, b = fx.numerator, fx.denominator
+        num = den = 0
+        bpow = 1
+        for c in coeffs:
+            num = num * a + c * bpow
+            den = den * abs(a) + abs(c) * bpow
+            bpow *= b
         if den == 0:
             continue
-        worst = max(worst, abs(float(num / den)))
+        worst = max(worst, abs(num / den))
     return worst
 
 

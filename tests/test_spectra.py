@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from mosls import (
     IntPolynomial,
     SrgParameterError,
     Surd,
+    build_mols_graph,
     build_mosls_graph,
     charpoly_exact,
     closed_to_poly,
+    composite_mosls,
     cospectral,
     field_mosls,
     jacobi_eigenvalues,
@@ -21,7 +25,14 @@ from mosls import (
     quotient_spectrum,
     srg_spectrum,
 )
+from mosls import gf
+from mosls.cli import _TABLE_ROWS
 from mosls.spectra import (
+    _coefficient_bound,
+    _hessenberg_charpoly_mod,
+    _more_primes,
+    _primes_between,
+    _relative_residual,
     poly_divexact,
     poly_divmod,
     poly_from_roots,
@@ -33,6 +44,7 @@ from fixtures import (
     SPECTRUM_FOUR_F2,
     SPECTRUM_NINE_F1,
     SPECTRUM_SIX_F1,
+    NINE,
     single,
 )
 
@@ -135,6 +147,166 @@ def test_charpoly_input_validation():
         charpoly_exact(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="cap"):
         charpoly_exact(np.zeros((5, 5)), size_cap=4)
+
+
+def _bareiss_det(rows) -> int:
+    """Exact integer determinant by fraction-free Bareiss elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _reference_charpoly(m) -> tuple[int, ...]:
+    """det(tI - m), ascending, from Bareiss determinants at t = 0..n and
+    exact Lagrange interpolation."""
+    rows = [[int(x) for x in r] for r in np.asarray(m)]
+    n = len(rows)
+    xs = list(range(n + 1))
+    ys = [
+        _bareiss_det([[(x if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)])
+        for x in xs
+    ]
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]  # prod over j != i of (t - xj) / (xi - xj)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [
+                    (lo - xj * hi) / (xi - xj)
+                    for lo, hi in zip([Fraction(0)] + basis, basis + [Fraction(0)])
+                ]
+        coeffs = [c + yi * b for c, b in zip(coeffs, basis)]
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in coeffs)
+
+
+def _primes_needed(bound: int) -> int:
+    count, prod = 0, 1
+    while prod <= bound:
+        prod *= _more_primes(count + 1)[count]
+        count += 1
+    return count
+
+
+TABLE_ROWS = [(o, q, r, factors) for o, q, r, factors, _ in _TABLE_ROWS if factors and o <= 12]
+
+
+@pytest.mark.parametrize(
+    "order,q,r,factors", TABLE_ROWS, ids=[f"order{o}-type{q}x{r}" for o, q, r, _ in TABLE_ROWS]
+)
+def test_coefficient_bound_covers_table_graphs(order, q, r, factors):
+    fam = composite_mosls(factors)
+    n = order
+    single_square = build_mosls_graph(fam, [1])
+    graphs = [
+        (build_mosls_graph(fam), mosls_graph_spectrum(q, r, len(fam))),
+        (single_square, mosls_graph_spectrum(q, r, 1)),
+        (build_mols_graph(fam, [1]), srg_spectrum(n * n, 3 * (n - 1), n, 6)),
+    ]
+    for g, closed in graphs:
+        assert max(abs(c) for c in closed_to_poly(closed).coeffs) < _coefficient_bound(g.adjacency)
+    if order == 12:
+        # the 144-vertex graphs that switch and compare build
+        bound = _coefficient_bound(single_square.adjacency)
+        assert bound < 2**420
+        assert _primes_needed(2 * bound) <= 16
+
+
+@pytest.mark.parametrize("k", [0, 1, -3, 10**6])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_charpoly_of_scalar_matrix(k, n):
+    # all |eigenvalues| are equal, so Maclaurin's inequality is an equality
+    # and the bound exceeds the largest coefficient by exactly one
+    want = poly_from_roots([k] * n).coeffs
+    m = k * np.eye(n, dtype=np.int64)
+    assert charpoly_exact(m).coeffs == want
+    assert _coefficient_bound(m) == max(abs(c) for c in want) + 1
+
+
+def test_charpoly_matches_reference_on_random_nonsymmetric_matrices():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 8, 12):
+        for _ in range(3):
+            m = rng.integers(-(10**6), 10**6 + 1, size=(n, n))
+            assert charpoly_exact(m).coeffs == _reference_charpoly(m)
+    sparse = rng.integers(-(10**6), 10**6 + 1, size=(10, 10)) * (rng.random((10, 10)) < 0.3)
+    assert charpoly_exact(sparse).coeffs == _reference_charpoly(sparse)
+
+
+def test_charpoly_when_a_pivot_vanishes_mod_one_prime():
+    # the first subdiagonal entry is the largest pool prime: the Hessenberg
+    # step swaps rows mod that prime only, and picks it unchanged mod the rest
+    p = _more_primes(1)[0]
+    m = np.array([[3, -1, 4, 1], [p, 5, -9, 2], [6, 5, 3, -5], [8, 9, -7, 9]])
+    assert _primes_needed(2 * _coefficient_bound(m)) > 1
+    assert charpoly_exact(m).coeffs == _reference_charpoly(m)
+
+
+def test_hessenberg_refuses_int64_overflow():
+    # n * (p - 1)**2 reaches 2**63 at n = 2, p = 2**31 + 1
+    eye = np.eye(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow"):
+        _hessenberg_charpoly_mod(eye, 2**31 + 1)
+    p = 2**31 - 1
+    assert _hessenberg_charpoly_mod(eye, p) == [1, p - 2, 1]
+
+
+def test_prime_pool_matches_trial_division():
+    want, cand = [], (1 << 26) - 1
+    while len(want) < 300:  # more than one sieve window
+        if gf.is_prime(cand):
+            want.append(cand)
+        cand -= 1
+    assert _more_primes(300) == want
+    assert _primes_between(2, 3000) == [x for x in range(2, 3000) if gf.is_prime(x)]
+
+
+def _fraction_residual(poly: IntPolynomial, points) -> float:
+    """max |p(x)| / sum |c_k x^k| in Fraction arithmetic, the formula that
+    _relative_residual must reproduce bit for bit."""
+    worst = 0.0
+    for x in points:
+        fx = Fraction(x).limit_denominator(10**15)
+        num = Fraction(0)
+        den = Fraction(0)
+        power = Fraction(1)
+        for c in poly.coeffs:
+            num += c * power
+            den += abs(c) * abs(power)
+            power *= fx
+        if den == 0:
+            continue
+        worst = max(worst, abs(float(num / den)))
+    return worst
+
+
+def test_relative_residual_matches_fraction_formula():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        deg = int(rng.integers(0, 25))
+        scale = 10 ** int(rng.integers(0, 40))
+        coeffs = [int(c) * scale + int(rng.integers(-9, 10)) for c in rng.integers(-1000, 1001, deg + 1)]
+        coeffs[-1] = coeffs[-1] or 1
+        poly = IntPolynomial(tuple(coeffs))
+        points = [float(x) for x in rng.normal(0, 10, 3)] + [0.0, float(rng.integers(-5, 6))]
+        assert _relative_residual(poly, points) == _fraction_residual(poly, points)
+    assert _relative_residual(IntPolynomial((0, 0, 1)), [0.0]) == 0.0
+
+    rep = numeric_spectrum(build_mosls_graph(single(NINE)).adjacency)
+    points = [v for v, _ in rep.numeric]
+    assert rep.residual == _fraction_residual(rep.charpoly, points)
 
 
 # ---------------------------------------------------------------------------
