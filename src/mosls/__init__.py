@@ -60,7 +60,9 @@ from .spectra import (
     SpectrumReport,
     SrgParameterError,
     Surd,
+    certify_charpoly,
     charpoly_exact,
+    closed_factors,
     closed_to_poly,
     cospectral,
     jacobi_eigenvalues,

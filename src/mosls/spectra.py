@@ -1,12 +1,23 @@
 """Exact and numeric spectra of integer symmetric matrices, plus the
 closed-form spectra predicted for MOLS/MOSLS cell graphs.
 
-Characteristic polynomials are computed exactly over the integers: the
-matrix is reduced to Hessenberg form modulo a battery of word-sized primes,
-the charpoly recurrence is evaluated mod each prime, and the integer
-coefficients are recovered by Chinese remaindering against an a-priori
-coefficient bound.  Reduction mod p commutes with taking det(tI - M), so
-no prime is "unlucky" and the reconstruction is exact.  The bound is
+Characteristic polynomials are exact over the integers, by one of two
+paths.  A symmetric matrix is tried first with a certified guess: its
+LAPACK eigenvalues are grouped and rounded into a candidate
+P = prod F_j**m_j with monic integer factors F_j, and certify_charpoly
+proves det(tI - A) = P from R(A) = 0 for R = prod F_j and the power sums
+tr(A**k) for k < deg R, all checked modulo a few pairwise coprime moduli
+with float64 BLAS products (proof at charpoly_exact).  The same
+certificate checks a closed-form spectrum against a graph too large for a
+charpoly.
+
+Any other matrix, and a guess that cannot be rounded or fails its
+certificate, takes the general path: the matrix is reduced to Hessenberg
+form modulo a battery of word-sized primes, the charpoly recurrence is
+evaluated mod each prime, and the integer coefficients are recovered by
+Chinese remaindering against an a-priori coefficient bound.  Reduction
+mod p commutes with taking det(tI - M), so no prime is "unlucky" and the
+reconstruction is exact.  The bound is
 B = max_k isqrt(C(n,k)**2 * F**k // n**k) + 1 with F = sum of a_ij**2
 (Schur's and Maclaurin's inequalities; proof at charpoly_exact), and
 primes are taken until their product exceeds 2B.
@@ -102,10 +113,17 @@ def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
 
 
 def poly_from_roots(roots) -> IntPolynomial:
-    acc = IntPolynomial((1,))
-    for root in roots:
-        acc = poly_mul(acc, IntPolynomial((-root, 1)))
-    return acc
+    return poly_product((IntPolynomial((-root, 1)), 1) for root in roots)
+
+
+def poly_product(factors) -> IntPolynomial:
+    """prod F**m over the (F, m) pairs; object arrays keep Python ints."""
+    acc = np.ones(1, dtype=object)
+    for poly, mult in factors:
+        coeffs = np.array(poly.coeffs, dtype=object)
+        for _ in range(mult):
+            acc = np.convolve(acc, coeffs)
+    return IntPolynomial(tuple(acc.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +214,223 @@ def _coefficient_bound(A: np.ndarray) -> int:
     return max(math.isqrt(math.comb(n, k) ** 2 * frob**k // n**k) for k in range(n + 1)) + 1
 
 
+def _primes_above(bound: int) -> list[int]:
+    """Pool primes, largest first, until their product exceeds bound."""
+    primes: list[int] = []
+    prod = 1
+    while prod <= bound:
+        primes.append(_more_primes(len(primes) + 1)[-1])
+        prod *= primes[-1]
+    return primes
+
+
+def _hessenberg_crt(A: np.ndarray) -> IntPolynomial:
+    """det(tI - A) for any square int64 matrix: Hessenberg charpolys mod
+    primes whose product exceeds 2 * _coefficient_bound(A), recombined by
+    the Chinese remainder theorem into symmetric residues."""
+    primes = _primes_above(2 * _coefficient_bound(A))
+    residues = [_hessenberg_charpoly_mod(A, p) for p in primes]
+    coeffs = []
+    for k in range(A.shape[0] + 1):
+        x, mod = 0, 1
+        for p, res in zip(primes, residues):
+            delta = (res[k] - x) * pow(mod % p, p - 2, p) % p
+            x += mod * delta
+            mod *= p
+        if x > mod // 2:
+            x -= mod
+        coeffs.append(x)
+    return IntPolynomial(tuple(coeffs))
+
+
+# Eigenvalues of a guess closer than this form one group, and a group this
+# close to an integer gives a linear factor.  It is fixed, not the caller's
+# group_tol: a wrong guess costs a fallback, never a wrong result.
+_GUESS_TOL = 1e-6
+# np.poly coefficients of a guessed factor must lie this close to integers
+_ROUND_TOL = 1e-3
+
+
+def _guess_factors(A: np.ndarray) -> list[tuple[IntPolynomial, int]] | None:
+    """Candidate factors (F, m) of det(tI - A) for symmetric A, read off
+    grouped eigvalsh values, or None when a factor does not round.
+
+    Near-integer groups give linear factors; the other groups of each
+    multiplicity give one factor, the rounded np.poly of their values."""
+    groups = _group_values(np.linalg.eigvalsh(A.astype(np.float64))[::-1], _GUESS_TOL)
+    factors = []
+    irrational: dict[int, list[float]] = {}
+    for value, mult in groups:
+        root = round(value)
+        if abs(value - root) <= _GUESS_TOL:
+            factors.append((IntPolynomial((-root, 1)), mult))
+        else:
+            irrational.setdefault(mult, []).append(value)
+    for mult, roots in irrational.items():
+        coeffs = np.poly(roots)[::-1]  # ascending, monic
+        rounded = np.rint(coeffs)
+        if np.abs(coeffs).max() >= 2**52 or np.abs(coeffs - rounded).max() > _ROUND_TOL:
+            return None
+        factors.append((IntPolynomial(tuple(int(c) for c in rounded)), mult))
+    return factors
+
+
+def _power_sums(poly: IntPolynomial, count: int) -> list[int]:
+    """p_k, the sum of the k-th powers of the roots of the monic poly, for
+    k < count, by Newton's identities in Python ints."""
+    d = poly.degree
+    c = poly.coeffs
+    sums = [d]
+    for k in range(1, count):
+        acc = k * c[d - k] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            acc += c[d - i] * sums[k - i]
+        sums.append(-acc)
+    return sums
+
+
+def _max_abs(A: np.ndarray) -> int:
+    """max |a_ij| as a Python int; np.abs would wrap at -2**63."""
+    return max(int(A.max(initial=0)), -int(A.min(initial=0)))
+
+
+def _modulus_limit(n: int, amax: int) -> int:
+    """Largest modulus m for which every float64 value that
+    certify_charpoly computes mod m on an n x n matrix with |a_ij| <= amax
+    is an exact integer.
+
+    Residues y satisfy |y| <= m - 1.  With a = max(amax, 1): an entry of
+    A @ Y, and each of its partial sums, is at most n a (m - 1) in
+    magnitude; adding a residue to the diagonal gives at most
+    (n a + 1)(m - 1); reducing such a T subtracts m * rint(T / m), at most
+    |T| + m; a trace of residues is at most n (m - 1).  All of them are
+    below 2**53 iff (n a + 1)(m - 1) + m < 2**53.
+    """
+    na = n * max(amax, 1)
+    return (2**53 + na) // (na + 2)
+
+
+def _coprime_moduli(limit: int, bound: int) -> list[int]:
+    """Pairwise coprime moduli from limit down, largest first, until their
+    product exceeds bound; ValueError if they would fall below 5."""
+    moduli: list[int] = []
+    prod, m = 1, limit
+    while prod <= bound:
+        if m < 5:
+            raise ValueError(
+                f"no pairwise coprime moduli up to {limit} exceed a {bound.bit_length()}-bit bound"
+            )
+        if math.gcd(m, prod) == 1:
+            moduli.append(m)
+            prod *= m
+        m -= 1
+    return moduli
+
+
+def _certificate_bound(n: int, rho: int, R: IntPolynomial, sums: list[int]) -> int:
+    """Q such that, for an n x n integer matrix with largest absolute row
+    sum rho, R(A) = 0 and tr(A**k) = sums[k] follow from their residues
+    modulo any modulus above Q.
+
+    Entries of A**k are at most rho**k in magnitude, so
+    |R(A)_ij| <= sum |r_k| rho**k; every eigenvalue is at most rho, so
+    |tr(A**k) - sums[k]| <= n rho**k + |sums[k]|.
+    """
+    return max(
+        sum(abs(c) * rho**k for k, c in enumerate(R.coeffs)),
+        max((n * rho**k + abs(s) for k, s in enumerate(sums)), default=0),
+    )
+
+
+def certify_charpoly(M, factors) -> bool:
+    """Whether det(tI - M) = prod F**m over the (F, m) pairs, exactly.
+
+    M is a square integer matrix and each F a monic integer polynomial of
+    degree at least 1.  With R = prod F and D = deg R, the answer is True
+    iff R(M) = 0 and tr(M**k) equals the power sum p_k of the candidate for
+    every k < D; charpoly_exact proves that this decides the claim for
+    symmetric M (for any square M, True is still a proof).
+
+    Both are checked modulo pairwise coprime moduli whose product exceeds
+    _certificate_bound, one modulus m at a time, by the Horner chain
+    Y_0 = I, Y_j = M @ Y_(j-1) + r_(D-j) I mod m on float64 BLAS products.
+    Y_D = R(M), and tr(Y_j) = sum_(i<=j) r_(D-j+i) tr(M**i) with r_D = 1 is
+    unit triangular in the traces, so tr(Y_j) = sum_(i<=j) r_(D-j+i) p_i
+    for 0 < j < D holds mod m iff tr(M**k) = p_k does for k < D.  Each
+    modulus is at most _modulus_limit, which keeps every float64 value an
+    exact integer; residues are reduced as T - m * rint(T / m), whose
+    rounded quotient is within 1/2 + 2/m of T / m, so |residue| < m for
+    m >= 5.  ValueError is raised when the moduli would fall below 5.
+    """
+    A = np.asarray(M, dtype=np.int64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if any(poly.degree < 1 or poly.coeffs[-1] != 1 for poly, _ in factors):
+        raise ValueError("factors must be monic of degree at least 1")
+    n = A.shape[0]
+    if sum(m * poly.degree for poly, m in factors) != n:
+        return False  # tr(M**0) = n = p_0
+    R = poly_product((poly, 1) for poly, _ in factors)
+    r, D = R.coeffs, R.degree
+    sums = [0] * D
+    for poly, mult in factors:
+        for k, s in enumerate(_power_sums(poly, D)):
+            sums[k] += mult * s
+    expected = [sum(r[D - j + i] * sums[i] for i in range(j + 1)) for j in range(D)]
+    amax = _max_abs(A)
+
+    Af = A.astype(np.float64)
+    T = np.abs(Af)
+    # exact float row sums: below 2**51 whenever _modulus_limit allows a
+    # modulus of 5, and otherwise _coprime_moduli raises for any bound
+    rho = int(T.sum(axis=1).max(initial=0))
+    Y = np.empty_like(Af)
+    diagonal = T.reshape(-1)[:: n + 1]
+    for m in _coprime_moduli(_modulus_limit(n, amax), _certificate_bound(n, rho, R, sums)):
+        for j in range(1, D + 1):
+            if j == 1:
+                np.copyto(T, Af)  # M @ Y_0
+            else:
+                np.matmul(Af, Y, out=T)
+            diagonal += r[D - j] % m
+            np.multiply(T, 1.0 / m, out=Y)
+            np.rint(Y, out=Y)
+            Y *= -m
+            Y += T
+            if j < D and (int(Y.trace()) - expected[j]) % m:
+                return False
+        if Y.any():
+            return False
+    return True
+
+
 def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     """det(tI - M) with exact integer coefficients.
 
     M must be a square integer matrix with at most size_cap rows; the cap
     keeps the modular reconstruction comfortably fast.
 
-    Coefficient bound.  Let lambda_1..lambda_n be the complex eigenvalues
+    Certified guess.  A symmetric M with n * max|m_ij| <= 2**27 gets a
+    candidate P = prod F_j**m_j from its grouped eigvalsh values
+    (_guess_factors), and P is returned when certify_charpoly accepts it.  Let R = prod F_j and D = deg R.
+    Claim: if R(M) = 0 and tr(M**k) = p_k(P) for 0 <= k < D, then
+    det(tI - M) = P, for any square M.  Proof: R(M) = 0 means the minimal
+    polynomial of M divides R, so every eigenvalue of M is one of the
+    distinct roots s_1..s_E of R, with E <= D; so are the roots of P.
+    Let a_i and b_i be the multiplicities of s_i in det(tI - M) and in P.
+    Then tr(M**k) - p_k(P) = sum_i (a_i - b_i) s_i**k = 0 for k < E is a
+    Vandermonde system in the distinct s_i, which is nonsingular, so
+    a_i = b_i for every i.  Conversely, when P is the charpoly of a
+    symmetric M, M is diagonalizable, its minimal polynomial is the
+    squarefree product of t - s_i over its eigenvalues, which divides R,
+    so R(M) = 0 and the traces agree: a candidate the certificate rejects
+    is wrong.  The residues decide the integers because the product of
+    the pairwise coprime moduli exceeds every |R(M)_ij| and every
+    |tr(M**k) - p_k(P)| (_certificate_bound).
+
+    General path.  Non-symmetric M, and a guess that does not round or is
+    rejected, go to Hessenberg reduction mod primes (_hessenberg_crt).
+    Coefficient bound: let lambda_1..lambda_n be the complex eigenvalues
     of M and F = sum a_ij**2.  Schur's inequality gives
     sum |lambda_i|**2 <= F for any square matrix, symmetric or not, and
     Cauchy-Schwarz then gives S = sum |lambda_i| <= sqrt(n F).  The
@@ -221,31 +449,15 @@ def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     check_exact_size(n, size_cap)
     if n == 0:
         return IntPolynomial((1,))
-
-    bound = 2 * _coefficient_bound(A)
-
-    primes: list[int] = []
-    residues: list[list[int]] = []
-    prod = 1
-    idx = 0
-    while prod <= bound:
-        p = _more_primes(idx + 1)[idx]
-        primes.append(p)
-        residues.append(_hessenberg_charpoly_mod(A, p))
-        prod *= p
-        idx += 1
-
-    coeffs = []
-    for k in range(n + 1):
-        x, mod = 0, 1
-        for p, res in zip(primes, residues):
-            delta = (res[k] - x) * pow(mod % p, p - 2, p) % p
-            x += mod * delta
-            mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    return IntPolynomial(tuple(coeffs))
+    # n * max|m_ij| <= 2**27 gives a modulus limit L >= 2**26; every prime
+    # in (L/2, L], at least 1.8 million of them and each above 2**25, is
+    # taken before the moduli could run out, far more than the at most
+    # 2n (2 rho)**n of _certificate_bound needs below a million rows
+    if np.array_equal(A, A.T) and _modulus_limit(n, _max_abs(A)) >= 2**26:
+        factors = _guess_factors(A)
+        if factors is not None and certify_charpoly(A, factors):
+            return poly_product(factors)
+    return _hessenberg_crt(A)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +594,12 @@ def numeric_spectrum(
     if not with_charpoly:
         return SpectrumReport(None, numeric, 0.0)
     poly = charpoly_exact(M)
-    residual = _relative_residual(poly, [v for v, _ in numeric])
+    points = [v for v, _ in numeric]
+    if poly.coeffs[0] == 0:
+        # the group of the exact root 0: its float mean, about 1e-15, would
+        # read a relative residual of 1 against a zero constant term
+        points = [0.0 if abs(v) <= group_tol else v for v in points]
+    residual = _relative_residual(poly, points)
     return SpectrumReport(poly, numeric, residual)
 
 
@@ -524,22 +741,20 @@ def mosls_graph_spectrum(q: int, r: int, f: int) -> ClosedSpectrum:
     return spectrum
 
 
-def closed_to_poly(spectrum: ClosedSpectrum) -> IntPolynomial:
-    """Expand a closed spectrum into its monic integer polynomial.
+def closed_factors(spectrum: ClosedSpectrum) -> list[tuple[IntPolynomial, int]]:
+    """A closed spectrum as monic integer factors with multiplicities.
 
-    Integer eigenvalues contribute linear factors; surds must occur in
-    conjugate pairs with equal multiplicity and contribute the quadratic
+    Integer eigenvalues give linear factors; surds must occur in conjugate
+    pairs with equal multiplicity and give the quadratic
     t**2 - 2*(a/den)*t + (a**2 - b**2 d)/den**2, which must be integral.
     """
-    acc = IntPolynomial((1,))
+    factors = []
     surd_mults: dict[Surd, int] = {}
     for value, mult in spectrum.entries:
         if isinstance(value, Surd):
             surd_mults[value] = mult
-            continue
-        factor = IntPolynomial((-int(value), 1))
-        for _ in range(mult):
-            acc = poly_mul(acc, factor)
+        else:
+            factors.append((IntPolynomial((-int(value), 1)), mult))
     seen = set()
     for surd, mult in surd_mults.items():
         if surd in seen:
@@ -558,9 +773,14 @@ def closed_to_poly(spectrum: ClosedSpectrum) -> IntPolynomial:
                 1,
             )
         )
-        for _ in range(mult):
-            acc = poly_mul(acc, quad)
-    return acc
+        factors.append((quad, mult))
+    return factors
+
+
+def closed_to_poly(spectrum: ClosedSpectrum) -> IntPolynomial:
+    """Expand a closed spectrum into its monic integer polynomial, the
+    product of closed_factors."""
+    return poly_product(closed_factors(spectrum))
 
 
 def cospectral(a: IntPolynomial, b: IntPolynomial) -> bool:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mosls.cli import main
-from mosls import designs
+from mosls import designs, spectra
 from fixtures import (
     FOUR_FAMILY,
     NINE,
@@ -259,6 +259,65 @@ def test_spectrum_cap_fallback(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--in", str(path), "--exact")
     assert code == 2
     assert "exceed the exact cap" in err
+
+
+@pytest.fixture(scope="module")
+def field16_file(tmp_path_factory):
+    """The order-16 field family, type (4, 4): 256 vertices, above the cap."""
+    path = tmp_path_factory.mktemp("field16") / "f16.txt"
+    assert main(["construct", "--p", "2", "--m", "2", "--n", "2", "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_spectrum_certifies_the_closed_form_above_the_cap(field16_file, capsys):
+    code, stdout, err = run(capsys, "spectrum", "--in", field16_file, "--verify-closed-form")
+    assert code == 0
+    assert "vertices 256" in stdout
+    assert "exceed the exact cap 150; falling back to numeric-only" in err
+    assert "charpoly:" not in stdout and "residual:" not in stdout
+    assert stdout.endswith("closed form: MATCH\n")
+
+
+def test_spectrum_wrong_closed_form_above_the_cap(field16_file, capsys, monkeypatch):
+    right = spectra.mosls_graph_spectrum
+
+    def moved(q, r, f):
+        # one eigenvalue gives up a unit of multiplicity to the next
+        (v0, m0), (v1, m1), *rest = right(q, r, f).entries
+        return spectra.ClosedSpectrum(((v0, m0 - 1), (v1, m1 + 1), *rest))
+
+    monkeypatch.setattr(spectra, "mosls_graph_spectrum", moved)
+    code, stdout, err = run(capsys, "spectrum", "--in", field16_file, "--verify-closed-form")
+    assert code == 1
+    assert "falling back to numeric-only" in err
+    assert stdout.endswith("closed form: MISMATCH\n")
+
+
+def test_spectrum_numeric_certifies_the_closed_form(four_file, capsys):
+    code, stdout, _ = run(capsys, "spectrum", "--in", four_file, "--numeric", "--verify-closed-form")
+    assert code == 0
+    assert "charpoly:" not in stdout
+    assert "closed form: MATCH" in stdout
+
+
+@pytest.mark.parametrize(
+    "construct,extra",
+    [
+        (["--p", "2", "--m", "1", "--n", "2", "--count", "1"], []),  # eigenvalue 0 x3
+        (["--p", "3", "--m", "1", "--n", "1"], ["--subset", "1,2"]),  # eigenvalue 0 x4
+    ],
+    ids=["order8-one-square", "order9-two-squares"],
+)
+def test_residual_with_a_zero_eigenvalue(construct, extra, tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    assert main(["construct", *construct, "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), *extra, "--verify-closed-form")
+    assert code == 0
+    assert "closed form: MATCH" in stdout
+    assert "charpoly: 0 " in stdout  # constant term 0: the root 0
+    residual = float(stdout.split("residual: ")[1].split()[0])
+    assert residual < 1e-12
 
 
 def test_spectrum_is_deterministic(four_file, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mosls import (
     ClosedFormRangeError,
+    SwitchSpec,
     ClosedSpectrum,
     ConvergenceError,
     FieldConstructionSpec,
@@ -13,7 +15,9 @@ from mosls import (
     Surd,
     build_mols_graph,
     build_mosls_graph,
+    certify_charpoly,
     charpoly_exact,
+    closed_factors,
     closed_to_poly,
     composite_mosls,
     cospectral,
@@ -24,13 +28,20 @@ from mosls import (
     quotient_matrix,
     quotient_spectrum,
     srg_spectrum,
+    sudoku_symbol_switch,
 )
-from mosls import gf
+from mosls import gf, spectra
 from mosls.cli import _TABLE_ROWS
 from mosls.spectra import (
+    _certificate_bound,
     _coefficient_bound,
+    _coprime_moduli,
+    _guess_factors,
     _hessenberg_charpoly_mod,
+    _hessenberg_crt,
+    _modulus_limit,
     _more_primes,
+    _power_sums,
     _primes_between,
     _relative_residual,
     poly_divexact,
@@ -45,6 +56,9 @@ from fixtures import (
     SPECTRUM_NINE_F1,
     SPECTRUM_SIX_F1,
     NINE,
+    NINE_SWITCHED,
+    SIX_SWITCHED,
+    SWITCH4_B,
     single,
 )
 
@@ -271,6 +285,192 @@ def test_prime_pool_matches_trial_division():
         cand -= 1
     assert _more_primes(300) == want
     assert _primes_between(2, 3000) == [x for x in range(2, 3000) if gf.is_prime(x)]
+
+
+# ---------------------------------------------------------------------------
+# certified guess
+
+
+def _no_fallback(*args):
+    raise AssertionError("charpoly_exact fell back to the Hessenberg path")
+
+
+def _certificate_graphs():
+    """Both graph flavours of every constructible table row of order <= 12,
+    and switched single squares, as (id, adjacency)."""
+    graphs = []
+    for order, q, r, factors in TABLE_ROWS:
+        fam = composite_mosls(factors)
+        tag = f"order{order}-type{q}x{r}"
+        graphs.append((f"{tag}-mosls", build_mosls_graph(fam).adjacency))
+        graphs.append((f"{tag}-mosls-one", build_mosls_graph(fam, [1]).adjacency))
+        graphs.append((f"{tag}-mols-one", build_mols_graph(fam, [1]).adjacency))
+    twelve = composite_mosls([(3, 1, 0), (2, 0, 2)]).squares[0]
+    switched = [
+        ("switch4", SWITCH4_B),
+        ("switch6", SIX_SWITCHED),
+        ("switch9", NINE_SWITCHED),
+        ("switch12", sudoku_symbol_switch(twelve, SwitchSpec("row-block", 1, (1, 3)))),
+    ]
+    graphs += [(name, build_mosls_graph(single(sq)).adjacency) for name, sq in switched]
+    return graphs
+
+
+CERTIFICATE_GRAPHS = _certificate_graphs()
+
+
+@pytest.mark.parametrize("adjacency", [a for _, a in CERTIFICATE_GRAPHS], ids=[i for i, _ in CERTIFICATE_GRAPHS])
+def test_certified_guess_matches_hessenberg(adjacency, monkeypatch):
+    want = _hessenberg_crt(adjacency).coeffs
+    monkeypatch.setattr(spectra, "_hessenberg_charpoly_mod", _no_fallback)
+    assert charpoly_exact(adjacency).coeffs == want
+
+
+def _nine_switched():
+    adjacency = build_mosls_graph(single(NINE_SWITCHED)).adjacency
+    factors = _guess_factors(adjacency)
+    linear = sorted(-f.coeffs[0] for f, _ in factors if f.degree == 1)
+    return adjacency, dict(factors), linear
+
+
+def test_power_sums_newton_identities():
+    # t^2 - t - 1: the power sums of the golden ratio and its conjugate are
+    # the Lucas numbers
+    assert _power_sums(IntPolynomial((-1, -1, 1)), 8) == [2, 1, 3, 4, 7, 11, 18, 29]
+    assert _power_sums(IntPolynomial((-3, 1)), 4) == [1, 3, 9, 27]
+    assert _power_sums(poly_from_roots([2, -1, 5]), 5) == [3, 6, 30, 132, 642]
+
+
+def test_certificate_accepts_the_true_factors():
+    adjacency, factors, _ = _nine_switched()
+    quartic = [f for f in factors if f.degree == 4]
+    assert [f.coeffs for f in quartic] == [(424, 86, -39, -4, 1)]
+    assert certify_charpoly(adjacency, list(factors.items()))
+
+
+def _linear(root):
+    return IntPolynomial((-root, 1))
+
+
+def _moved_multiplicity(factors, linear):
+    bad = dict(factors)
+    bad[_linear(linear[0])] -= 1
+    bad[_linear(linear[1])] += 1
+    return bad
+
+
+def _shifted_root(factors, linear):
+    root = next(x for x in linear if x + 1 not in linear)
+    bad = dict(factors)
+    bad[_linear(root + 1)] = bad.pop(_linear(root))
+    return bad
+
+
+def _wrong_quartic(factors, linear):
+    bad = dict(factors)
+    quartic = next(f for f in bad if f.degree == 4)
+    bad[IntPolynomial((quartic.coeffs[0] + 1,) + quartic.coeffs[1:])] = bad.pop(quartic)
+    return bad
+
+
+def _dropped_factor(factors, linear):
+    # the multiplicity of one eigenvalue goes to another, so R loses a root
+    # and the degree still matches
+    bad = dict(factors)
+    bad[_linear(linear[1])] += bad.pop(_linear(linear[0]))
+    return bad
+
+
+@pytest.mark.parametrize("mutate", [_moved_multiplicity, _shifted_root, _wrong_quartic, _dropped_factor])
+def test_certificate_rejects_perturbed_candidates(mutate):
+    adjacency, factors, linear = _nine_switched()
+    bad = mutate(factors, linear)
+    assert sum(m * f.degree for f, m in bad.items()) == 81
+    assert not certify_charpoly(adjacency, list(bad.items()))
+
+
+def test_certificate_input_validation():
+    with pytest.raises(ValueError, match="square"):
+        certify_charpoly(np.zeros((2, 3)), [(IntPolynomial((0, 1)), 2)])
+    with pytest.raises(ValueError, match="monic"):
+        certify_charpoly(np.zeros((2, 2)), [(IntPolynomial((0, 2)), 2)])
+    assert not certify_charpoly(np.zeros((2, 2)), [(IntPolynomial((0, 1)), 1)])
+    assert certify_charpoly(np.zeros((0, 0)), [])
+
+
+@pytest.mark.parametrize("n,amax", [(1, 0), (1, 1), (144, 1), (729, 1), (150, 10**6), (2, 2**26)])
+def test_modulus_limit_at_its_edge(n, amax):
+    a = max(amax, 1)
+    m = _modulus_limit(n, amax)
+    assert (n * a + 1) * (m - 1) + m < 2**53 <= (n * a + 1) * m + m + 1
+
+
+def test_coprime_moduli_at_the_bound():
+    limit = _modulus_limit(144, 1)
+    assert _coprime_moduli(limit, limit - 1) == [limit]
+    assert _coprime_moduli(limit, limit) == [limit, limit - 1]
+    moduli = _coprime_moduli(limit, 2**500)
+    assert math.prod(moduli[:-1]) <= 2**500 < math.prod(moduli)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :])
+    assert _coprime_moduli(6, 29) == [6, 5]
+    with pytest.raises(ValueError, match="coprime"):
+        _coprime_moduli(6, 30)
+
+
+def test_certificate_bound_is_tight(monkeypatch):
+    # for [[5]] and the wrong candidate t + 5, R(A) = 10 is exactly the bound:
+    # one modulus of 10 cannot tell it from 0, a product above 10 can
+    wrong = [(IntPolynomial((5, 1)), 1)]
+    assert _certificate_bound(1, 5, IntPolynomial((5, 1)), [1]) == 10
+    assert not certify_charpoly([[5]], wrong)
+    assert certify_charpoly([[5]], [(IntPolynomial((-5, 1)), 1)])
+    monkeypatch.setattr(spectra, "_coprime_moduli", lambda limit, bound: [bound])
+    assert certify_charpoly([[5]], wrong)
+
+
+def test_certificate_at_the_float64_limit():
+    # 2 x 2 with entries 2**26: n * max|a| * (m - 1) comes within a few
+    # moduli of 2**53, and both verdicts stay exact
+    a = 2**26
+    m = [[0, a], [a, 0]]
+    assert _modulus_limit(2, a) > 2**25
+    assert certify_charpoly(m, [(IntPolynomial((-a, 1)), 1), (IntPolynomial((a, 1)), 1)])
+    assert not certify_charpoly(m, [(IntPolynomial((-a, 1)), 1), (IntPolynomial((a - 1, 1)), 1)])
+    # n * max|a| = 2**52 leaves no modulus of 5 or more
+    with pytest.raises(ValueError, match="coprime"):
+        certify_charpoly([[2**52]], [(IntPolynomial((-(2**52), 1)), 1)])
+
+
+@pytest.mark.parametrize("a,guessed", [(2**26, True), (2**26 + 1, False)])
+def test_guess_needs_moduli_of_pool_size(a, guessed, monkeypatch):
+    # the guess runs while n * max|a| <= 2**27, i.e. _modulus_limit >= 2**26
+    calls = []
+    monkeypatch.setattr(spectra, "_guess_factors", lambda A: calls.append(A) or None)
+    assert charpoly_exact([[0, a], [a, 0]]).coeffs == (-(a * a), 0, 1)
+    assert bool(calls) == guessed
+
+
+def test_unroundable_guess_falls_back_to_the_reference():
+    rng = np.random.default_rng(3)
+    m = rng.integers(-(10**6), 10**6 + 1, size=(12, 12))
+    m = m + m.T
+    assert _guess_factors(m) is None
+    assert charpoly_exact(m).coeffs == _reference_charpoly(m)
+
+
+def test_rejected_guess_falls_back(monkeypatch):
+    path3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    monkeypatch.setattr(spectra, "_guess_factors", lambda A: [(IntPolynomial((0, 1)), 3)])
+    assert charpoly_exact(path3).coeffs == (0, -2, 0, 1)
+
+
+def test_closed_factors_expand_to_closed_to_poly():
+    closed = mosls_graph_spectrum(3, 3, 6)
+    factors = closed_factors(closed)
+    assert all(m > 0 and f.coeffs[-1] == 1 for f, m in factors)
+    assert spectra.poly_product(factors).coeffs == closed_to_poly(closed).coeffs
+    g = build_mosls_graph(field_mosls(FieldConstructionSpec(3, 1, 1)))
+    assert certify_charpoly(g.adjacency, factors)
 
 
 def _fraction_residual(poly: IntPolynomial, points) -> float:

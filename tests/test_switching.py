@@ -22,6 +22,8 @@ from mosls import (
     switched_charpoly_expected,
     switched_quartic,
 )
+from mosls import composite_mosls, spectra
+from mosls.cli import _TABLE_ROWS
 from mosls.spectra import IntPolynomial, poly_divexact, poly_from_roots, poly_mul
 from fixtures import (
     NINE,
@@ -249,3 +251,54 @@ def test_certificate_inconclusive_under_relabel():
 def test_certificate_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         nonisomorphism_certificate(SWITCH4_A, SIX)
+
+
+# ---------------------------------------------------------------------------
+# switch sweep
+
+
+def _valid_switches():
+    """Every valid symbol switch of every square of the constructible table
+    rows of order <= 12 with q, r >= 2, as (square, spec)."""
+    found = []
+    for order, q, r, factors, _ in _TABLE_ROWS:
+        if not factors or order > 12 or min(q, r) < 2:
+            continue
+        for square in composite_mosls(factors).squares:
+            for kind, bands in (("row-block", r), ("col-block", q)):
+                for index in range(1, bands + 1):
+                    for k1 in range(1, order):
+                        for k2 in range(k1 + 1, order + 1):
+                            spec = SwitchSpec(kind, index, (k1, k2))
+                            try:
+                                sudoku_symbol_switch(square, spec)
+                            except SwitchValidityError:
+                                continue
+                            found.append((square, spec))
+    return found
+
+
+def test_switch_sweep(request, monkeypatch):
+    """The switching theorem predicts the switched charpoly, and the two
+    charpolys differ, on a seeded sample of the valid switches (all of them
+    with --full-sweep); every charpoly is a certified guess."""
+    switches = _valid_switches()
+    assert len(switches) == 982
+    if not request.config.getoption("--full-sweep"):
+        picks = np.random.default_rng(2021).choice(len(switches), size=40, replace=False)
+        switches = [switches[i] for i in sorted(picks)]
+
+    def no_fallback(*args):
+        raise AssertionError("charpoly_exact fell back to the Hessenberg path")
+
+    monkeypatch.setattr(spectra, "_hessenberg_charpoly_mod", no_fallback)
+    base = {}
+    for square, spec in switches:
+        q, r = square.shape.q, square.shape.r
+        eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
+        key = square.entries.tobytes()
+        if key not in base:
+            base[key] = graph_poly(square)
+        switched = graph_poly(sudoku_symbol_switch(square, spec))
+        assert switched_charpoly_expected(base[key], eff_q, eff_r).coeffs == switched.coeffs
+        assert base[key].coeffs != switched.coeffs
