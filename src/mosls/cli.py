@@ -141,17 +141,17 @@ def cmd_check(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _build_graph(args):
-    """The family, the parsed --subset (None for all squares) and its graph."""
+def _build_graph(args) -> graph.CellGraph:
+    """The cell graph of the --in family over the --subset squares."""
     fam = designs.load_family(args.input)
     subset = _parse_subset(args.subset)
     if args.mols_only:
-        return fam, subset, graph.build_mols_graph(fam, subset)
-    return fam, subset, graph.build_mosls_graph(fam, subset)
+        return graph.build_mols_graph(fam, subset)
+    return graph.build_mosls_graph(fam, subset)
 
 
 def cmd_spectrum(args) -> int:
-    fam, subset, g = _build_graph(args)
+    g = _build_graph(args)
     nv = g.num_vertices
     want_exact = not args.numeric
     want_numeric = not args.exact
@@ -179,7 +179,7 @@ def cmd_spectrum(args) -> int:
 
     verdict = None
     if args.verify_closed_form:
-        verdict = _closed_form_verdict(fam, subset, g, report)
+        verdict = _closed_form_verdict(g, report)
 
     payload = report.to_json_dict()
     payload["flavor"] = g.flavor
@@ -211,7 +211,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _closed_form_verdict(fam, subset, g, report) -> str:
+def _closed_form_verdict(g, report) -> str:
     """Compare the closed form with the exact charpoly, or, when none was
     computed (above the exact cap, or under --numeric), certify the closed
     form on the graph itself."""
@@ -224,7 +224,7 @@ def _closed_form_verdict(fam, subset, g, report) -> str:
         except spectra.SrgParameterError as exc:
             return f"INAPPLICABLE ({exc})"
     else:
-        if not graph.commute_check(fam, subset):
+        if not graph.commute_check(g):
             return "INAPPLICABLE (adjacency layers do not commute)"
         closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
     if report.charpoly is None:
@@ -235,7 +235,7 @@ def _closed_form_verdict(fam, subset, g, report) -> str:
 
 
 def cmd_graph_export(args) -> int:
-    _, _, g = _build_graph(args)
+    g = _build_graph(args)
     if args.format == "edges":
         _emit(graph.edge_lines(g), args.out)
     else:
@@ -280,11 +280,15 @@ def cmd_switch(args) -> int:
 def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
     if eff_q < 2 or eff_r < 2:
         return "INAPPLICABLE (needs q, r >= 2)"
-    fam = designs.MoslsFamily(square.shape, (square,))
+    # The Latin and block layers of a block-permutational Sudoku square
+    # always commute, so no commute_check is needed.  With S, R, C, K the
+    # same-symbol, same-row, same-column and same-block relations and o
+    # the entrywise product: S @ K = J, as each block holds each symbol
+    # once; S @ (R o K) and S @ (C o K) are symmetric exactly when every
+    # block splits the symbols into the same row sets and the same column
+    # sets; and R and C commute with every block term.
     if not designs.is_block_permutational(square):
         return "INAPPLICABLE (square is not block-permutational)"
-    if not graph.commute_check(fam):
-        return "INAPPLICABLE (adjacency layers do not commute)"
     try:
         expected = switching.switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r)
     except switching.TheoremPreconditionError as exc:

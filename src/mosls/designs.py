@@ -258,8 +258,7 @@ def format_family(fam: MoslsFamily) -> str:
     for k, sq in enumerate(fam.squares):
         if k:
             lines.append("")
-        for row in sq.entries:
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines.extend(" ".join(map(str, row)) for row in sq.entries.tolist())
     return "\n".join(lines) + "\n"
 
 

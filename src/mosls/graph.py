@@ -58,16 +58,6 @@ def _resolve_subset(fam: MoslsFamily, subset) -> list[int]:
     return picked
 
 
-def _check_vertex_cap(shape: SudokuShape) -> None:
-    """Refuse a dense graph over more than MAX_VERTICES cells."""
-    nv = shape.order ** 2
-    if nv > MAX_VERTICES:
-        raise ValueError(
-            f"order {shape.order} gives {nv} vertices, above the dense graph "
-            f"cap of {MAX_VERTICES}"
-        )
-
-
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integer product a @ b, computed by float64 BLAS and returned as int64.
 
@@ -81,28 +71,17 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
-def _coordinate_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based row, column and block of every cell, blocks numbered
+    block-row-major; refuses more than MAX_VERTICES cells first."""
+    n = shape.order
+    if n * n > MAX_VERTICES:
+        raise ValueError(
+            f"order {n} gives {n * n} vertices, above the dense graph cap of {MAX_VERTICES}"
+        )
     rows = np.repeat(np.arange(n), n)
     cols = np.tile(np.arange(n), n)
-    return rows, cols
-
-
-def _diagnose_conflict(picked, rows, cols, symbols, u: int, v: int):
-    """Name the two agreeing coordinates for a bad cell pair."""
-    coords = []
-    if rows[u] == rows[v]:
-        coords.append("row")
-    if cols[u] == cols[v]:
-        coords.append("column")
-    for pos, k in enumerate(picked):
-        if symbols[pos][u] == symbols[pos][v]:
-            coords.append(f"symbol in square {k}")
-    cell_u = (int(rows[u]) + 1, int(cols[u]) + 1)
-    cell_v = (int(rows[v]) + 1, int(cols[v]) + 1)
-    raise FamilyStructureError(
-        f"cells {cell_u} and {cell_v} agree in {coords[0]} and {coords[1]}; "
-        "the family is not a valid MOLS family"
-    )
+    return rows, cols, (rows // shape.q) * shape.q + cols // shape.r
 
 
 def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -112,37 +91,28 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     agreeing twice names the violation (non-Latin square or non-orthogonal
     pair) in the raised error.
     """
-    _check_vertex_cap(fam.shape)
+    rows, cols, _ = _cells(fam.shape)
     picked = _resolve_subset(fam, subset)
-    n = fam.shape.order
-    rows, cols = _coordinate_arrays(n)
-    symbols = [fam.squares[k - 1].entries.ravel() for k in picked]
-
-    agree = (rows[:, None] == rows[None, :]).astype(np.int64)
-    agree += cols[:, None] == cols[None, :]
-    for sym in symbols:
-        agree += sym[:, None] == sym[None, :]
+    labels = [rows, cols, *(fam.squares[k - 1].entries.ravel() for k in picked)]
+    names = ["row", "column", *(f"symbol in square {k}" for k in picked)]
+    agree = np.zeros((rows.size, rows.size), dtype=np.int64)
+    for label in labels:
+        agree += label[:, None] == label[None, :]
     np.fill_diagonal(agree, 0)
-
     if (agree > 1).any():
         u, v = np.argwhere(agree > 1)[0]
-        _diagnose_conflict(picked, rows, cols, symbols, int(u), int(v))
-    adj = (agree == 1).astype(np.int64)
-    return CellGraph(fam.shape, len(picked), "mols", adj)
-
-
-def _block_ids(shape: SudokuShape) -> np.ndarray:
-    """0-based block index of every cell, numbered block-row-major."""
-    rows, cols = _coordinate_arrays(shape.order)
-    return (rows // shape.q) * shape.q + cols // shape.r
+        both = [name for name, label in zip(names, labels) if label[u] == label[v]]
+        raise FamilyStructureError(
+            f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
+            f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
+        )
+    return CellGraph(fam.shape, len(picked), "mols", (agree == 1).astype(np.int64))
 
 
 def _block_adjacency(shape: SudokuShape) -> np.ndarray:
     """Same block, different row and different column."""
-    _check_vertex_cap(shape)
-    rows, cols = _coordinate_arrays(shape.order)
-    block_id = _block_ids(shape)
-    same_block = block_id[:, None] == block_id[None, :]
+    rows, cols, blocks = _cells(shape)
+    same_block = blocks[:, None] == blocks[None, :]
     diff_row = rows[:, None] != rows[None, :]
     diff_col = cols[:, None] != cols[None, :]
     return (same_block & diff_row & diff_col).astype(np.int64)
@@ -200,11 +170,10 @@ class QuotientMatrix:
 def block_partition(shape: SudokuShape) -> tuple[tuple[int, ...], ...]:
     """Vertices of each block, ordered block-row-major: (1,1)..(1,q),
     (2,1).. up to (r,q)."""
-    part_of = _block_ids(shape)
-    return tuple(
-        tuple(int(v) for v in np.flatnonzero(part_of == pid))
-        for pid in range(shape.q * shape.r)
-    )
+    q, r = shape.q, shape.r
+    # cell (band*q + i) * n + (stack*r + j) sits at [band, i, stack, j]
+    cells = np.arange(shape.order ** 2).reshape(r, q, q, r).transpose(0, 2, 1, 3)
+    return tuple(map(tuple, cells.reshape(q * r, q * r).tolist()))
 
 
 def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
@@ -216,13 +185,13 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     if parts is None:
         parts = block_partition(graph.shape)
     nv = graph.num_vertices
+    cells = np.array([v for members in parts for v in members])
+    valid = cells.dtype.kind in "iu" and all(map(len, parts))
+    if not (valid and np.array_equal(np.sort(cells), np.arange(nv))):
+        raise ValueError("parts must partition the vertex set")
     indicator = np.zeros((nv, len(parts)), dtype=np.int64)
-    seen = []
     for pid, members in enumerate(parts):
         indicator[list(members), pid] = 1
-        seen.extend(members)
-    if sorted(seen) != list(range(nv)):
-        raise ValueError("parts must partition the vertex set")
     counts = _exact_matmul(graph.adjacency, indicator)
     entries = np.zeros((len(parts), len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
@@ -233,13 +202,18 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     return QuotientMatrix(tuple(tuple(m) for m in parts), entries)
 
 
-def commute_check(fam: MoslsFamily, subset=None) -> bool:
-    """True iff the MOLS adjacency commutes with the block adjacency.
+def commute_check(graph: CellGraph | MoslsFamily) -> bool:
+    """True iff the graph's Latin adjacency L commutes with the block
+    adjacency B; a family is taken as its MOLS graph.
 
-    Both adjacencies are symmetric, so blocks @ mols is the transpose of
-    mols @ blocks, and the two commute iff that one product is symmetric.
+    L and B are symmetric, so B @ L is the transpose of L @ B, and the two
+    commute iff L @ B is symmetric.  A MOSLS adjacency is L + B, and B @ B
+    is symmetric, so for either flavour the test is whether
+    adjacency @ B is symmetric.
     """
-    product = _exact_matmul(build_mols_graph(fam, subset).adjacency, _block_adjacency(fam.shape))
+    if isinstance(graph, MoslsFamily):
+        graph = build_mols_graph(graph)
+    product = _exact_matmul(graph.adjacency, _block_adjacency(graph.shape))
     return bool(np.array_equal(product, product.T))
 
 
@@ -259,4 +233,4 @@ def edge_lines(graph: CellGraph) -> str:
 
 
 def matrix_lines(graph: CellGraph) -> str:
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in graph.adjacency) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in graph.adjacency.tolist()) + "\n"

@@ -76,12 +76,7 @@ class IntPolynomial:
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    out = [0] * (a.degree + b.degree + 1)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            for j, y in enumerate(b.coeffs):
-                out[i + j] += x * y
-    return IntPolynomial(tuple(out))
+    return poly_product(((a, 1), (b, 1)))
 
 
 def poly_divmod(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mosls.cli import main
-from mosls import designs, spectra
+from mosls import designs, graph, spectra
 from fixtures import (
     FOUR_FAMILY,
     NINE,
@@ -476,6 +476,28 @@ def test_switch_inapplicable_for_flat_type(tmp_path, capsys):
     )
     assert code == 0
     assert "INAPPLICABLE (needs q, r >= 2)" in err
+
+
+def test_commands_build_each_graph_once(nine_file, capsys, monkeypatch):
+    calls = []
+    build = graph.build_mols_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "build_mols_graph", counted)
+    code, stdout, _ = run(capsys, "spectrum", "--in", nine_file, "--verify-closed-form")
+    assert code == 0 and stdout.endswith("closed form: MATCH\n")
+    # the commute check reads the graph the command already holds
+    assert len(calls) == 1
+    calls.clear()
+    code, _, err = run(
+        capsys, "switch", "--in", nine_file, "--col-block", "3", "--symbols", "1,2"
+    )
+    assert code == 0 and "closed form: MATCH" in err
+    # one graph for the square and one for the switched square
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

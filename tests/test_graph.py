@@ -160,6 +160,10 @@ def test_quotient_matrix_custom_parts_and_errors():
     assert quo.entries.tolist() == [[0, 1], [1, 1]]
     with pytest.raises(ValueError, match="partition"):
         quotient_matrix(g, parts=[(0, 1), (1, 2, 3)])
+    # a vertex outside 0..3, a non-integer, an empty part
+    for parts in ([(0, 1), (2, 3, 4)], [(0, 1), (2, 3.0)], [(0, 1), (), (2, 3)]):
+        with pytest.raises(ValueError, match="parts must partition the vertex set"):
+            quotient_matrix(g, parts=parts)
 
 
 def test_commute_check():
@@ -221,9 +225,12 @@ def test_blas_products_match_int64_reference(fam):
     blocks = _block_adjacency(fam.shape)
     assert np.array_equal(_exact_matmul(mols, blocks), mols @ blocks)
     assert np.array_equal(_exact_matmul(blocks, mols), blocks @ mols)
-    assert commute_check(fam) == np.array_equal(mols @ blocks, blocks @ mols)
+    commutes = np.array_equal(mols @ blocks, blocks @ mols)
+    assert commute_check(fam) == commutes
 
     mosls_graph = build_mosls_graph(fam)
+    assert commute_check(build_mols_graph(fam)) == commutes
+    assert commute_check(mosls_graph) == commutes
     for g in (build_mols_graph(fam, [1]), build_mols_graph(fam), mosls_graph):
         assert srg_check(g) == _srg_reference(g.adjacency)
 
@@ -262,6 +269,10 @@ def test_vertex_cap_refuses_before_allocating():
             build_mosls_graph(fam)
         with pytest.raises(ValueError, match="dense graph cap"):
             commute_check(fam)
+        # a graph's block layer comes from its shape, refused the same way
+        tiny = CellGraph(fam.shape, 0, "mols", np.zeros((1, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="dense graph cap"):
+            commute_check(tiny)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

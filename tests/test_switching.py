@@ -12,6 +12,8 @@ from mosls import (
     TheoremPreconditionError,
     build_mosls_graph,
     charpoly_exact,
+    commute_check,
+    is_block_permutational,
     is_latin,
     is_sudoku,
     nonisomorphism_certificate,
@@ -281,7 +283,9 @@ def _valid_switches():
 def test_switch_sweep(request, monkeypatch):
     """The switching theorem predicts the switched charpoly, and the two
     charpolys differ, on a seeded sample of the valid switches (all of them
-    with --full-sweep); every charpoly is a certified guess."""
+    with --full-sweep); every charpoly is a certified guess.  On every base
+    and switched square the Latin and block layers commute exactly when the
+    square is block-permutational."""
     switches = _valid_switches()
     assert len(switches) == 982
     if not request.config.getoption("--full-sweep"):
@@ -292,13 +296,18 @@ def test_switch_sweep(request, monkeypatch):
         raise AssertionError("charpoly_exact fell back to the Hessenberg path")
 
     monkeypatch.setattr(spectra, "_hessenberg_charpoly_mod", no_fallback)
+    def poly_and_commute(square):
+        g = build_mosls_graph(single(square))
+        assert commute_check(g) == is_block_permutational(square)
+        return charpoly_exact(g.adjacency)
+
     base = {}
     for square, spec in switches:
         q, r = square.shape.q, square.shape.r
         eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
         key = square.entries.tobytes()
         if key not in base:
-            base[key] = graph_poly(square)
-        switched = graph_poly(sudoku_symbol_switch(square, spec))
+            base[key] = poly_and_commute(square)
+        switched = poly_and_commute(sudoku_symbol_switch(square, spec))
         assert switched_charpoly_expected(base[key], eff_q, eff_r).coeffs == switched.coeffs
         assert base[key].coeffs != switched.coeffs
