@@ -54,20 +54,17 @@ from .graph import (
 )
 from .spectra import (
     ClosedFormRangeError,
-    ClosedSpectrum,
     ConvergenceError,
     IntPolynomial,
     SpectrumReport,
     SrgParameterError,
-    Surd,
     certify_charpoly,
     charpoly_exact,
-    closed_factors,
-    closed_to_poly,
     cospectral,
     jacobi_eigenvalues,
     mosls_graph_spectrum,
     numeric_spectrum,
+    poly_product,
     quotient_spectrum,
     srg_spectrum,
 )

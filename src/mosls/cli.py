@@ -106,12 +106,12 @@ def cmd_construct(args) -> int:
             print("error: use either --p/--m/--n or --factor, not both", file=sys.stderr)
             return 2
         factors = [_parse_factor(tok) for tok in args.factor]
-        fam = construct.composite_mosls(factors, order_cap=args.order_cap)
     else:
         if args.p is None or args.m is None or args.n is None:
             print("error: --p, --m and --n are required without --factor", file=sys.stderr)
             return 2
-        fam = construct.per_prime_family(args.p, args.m, args.n, order_cap=args.order_cap)
+        factors = [(args.p, args.m, args.n)]
+    fam = construct.composite_mosls(factors, order_cap=args.order_cap)
     if args.count is not None:
         if not 1 <= args.count <= len(fam):
             print(
@@ -228,9 +228,9 @@ def _closed_form_verdict(g, report) -> str:
             return "INAPPLICABLE (adjacency layers do not commute)"
         closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
     if report.charpoly is None:
-        match = spectra.certify_charpoly(g.adjacency, spectra.closed_factors(closed))
+        match = spectra.certify_charpoly(g.adjacency, closed)
     else:
-        match = spectra.closed_to_poly(closed).coeffs == report.charpoly.coeffs
+        match = spectra.poly_product(closed).coeffs == report.charpoly.coeffs
     return "MATCH" if match else "MISMATCH"
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import MoslsFamily, SudokuShape
+from .spectra import _max_abs
 
 # Largest vertex count the dense builders accept: order 49.  One dense
 # int64 (n**2) x (n**2) array then takes 2401**2 * 8 bytes, about 46 MB,
@@ -65,7 +66,7 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a.shape[1] * max|a| * max|b|; below 2**53 float64 holds each of them
     exactly, so the result equals the int64 product in any summation order.
     """
-    bound = a.shape[1] * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     if bound >= 2**53:
         raise ValueError(f"product entries may reach {bound}, not exact in float64 (2**53)")
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)

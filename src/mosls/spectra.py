@@ -65,12 +65,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def decimal_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -195,10 +189,10 @@ def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
     return [int(c) for c in P[n]]
 
 
-def check_exact_size(n: int, size_cap: int = EXACT_SIZE_CAP) -> None:
-    """Refuse an exact charpoly of an n x n matrix above size_cap."""
-    if n > size_cap:
-        raise ValueError(f"matrix size {n} exceeds exact cap {size_cap}")
+def check_exact_size(n: int) -> None:
+    """Refuse an exact charpoly of an n x n matrix above EXACT_SIZE_CAP."""
+    if n > EXACT_SIZE_CAP:
+        raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_SIZE_CAP}")
 
 
 def _coefficient_bound(A: np.ndarray) -> int:
@@ -399,10 +393,10 @@ def certify_charpoly(M, factors) -> bool:
     return True
 
 
-def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
+def charpoly_exact(M) -> IntPolynomial:
     """det(tI - M) with exact integer coefficients.
 
-    M must be a square integer matrix with at most size_cap rows; the cap
+    M must be a square integer matrix with at most EXACT_SIZE_CAP rows; the cap
     keeps the modular reconstruction comfortably fast.
 
     Certified guess.  A symmetric M with n * max|m_ij| <= 2**27 gets a
@@ -441,7 +435,7 @@ def charpoly_exact(M, size_cap: int = EXACT_SIZE_CAP) -> IntPolynomial:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     n = A.shape[0]
-    check_exact_size(n, size_cap)
+    check_exact_size(n)
     if n == 0:
         return IntPolynomial((1,))
     # n * max|m_ij| <= 2**27 gives a modulus limit L >= 2**26; every prime
@@ -602,74 +596,23 @@ def numeric_spectrum(
 # closed-form spectra
 
 
-@dataclass(frozen=True)
-class Surd:
-    """The real number (a + b*sqrt(d)) / den with integers throughout."""
-
-    a: int
-    b: int
-    d: int
-    den: int = 1
-
-    def __post_init__(self):
-        if self.d <= 0 or self.den <= 0:
-            raise ValueError("need positive discriminant and denominator")
-
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.d, self.den)
-
-    def value(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / self.den
-
-
-def _normalize_surd(a: int, b: int, d: int, den: int):
-    """Pull square factors of d into b; collapse to an int when possible."""
-    if d < 0:
-        raise ValueError("discriminant must be non-negative")
-    root = math.isqrt(d)
-    if root * root == d:
-        num = a + b * root
-        if num % den == 0:
-            return num // den
-        raise ValueError(f"non-integer rational eigenvalue {num}/{den}")
-    f = 1
-    k = 2
-    rem = d
-    while k * k <= rem:
-        while rem % (k * k) == 0:
-            rem //= k * k
-            f *= k
-        k += 1
-    return Surd(a, b * f, rem, den)
-
-
-@dataclass(frozen=True)
-class ClosedSpectrum:
-    """Eigenvalues (ints or quadratic surds) with multiplicities."""
-
-    entries: tuple[tuple[object, int], ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
-
-def _merge_entries(pairs) -> ClosedSpectrum:
-    merged: dict[object, int] = {}
-    order: list[object] = []
-    for value, mult in pairs:
+def _linear_factors(pairs) -> list[tuple[IntPolynomial, int]]:
+    """(t - root, m) per distinct integer root in first-seen order, the
+    multiplicities of a repeated root summed and zero ones dropped."""
+    merged: dict[int, int] = {}
+    for root, mult in pairs:
         if mult < 0:
-            raise ClosedFormRangeError(f"negative multiplicity {mult} for eigenvalue {value}")
-        if mult == 0:
-            continue
-        if value not in merged:
-            merged[value] = 0
-            order.append(value)
-        merged[value] += mult
-    return ClosedSpectrum(tuple((v, merged[v]) for v in order))
+            raise ClosedFormRangeError(f"negative multiplicity {mult} for eigenvalue {root}")
+        if mult:
+            merged[root] = merged.get(root, 0) + mult
+    return [(IntPolynomial((-root, 1)), mult) for root, mult in merged.items()]
 
 
-def srg_spectrum(n: int, k: int, lam: int, mu: int) -> ClosedSpectrum:
-    """Spectrum of a strongly regular graph with parameters (n, k, lam, mu).
+def srg_spectrum(n: int, k: int, lam: int, mu: int) -> list[tuple[IntPolynomial, int]]:
+    """Spectrum of a strongly regular graph with parameters (n, k, lam, mu),
+    as monic integer factors with multiplicities: t - k once, and the roots
+    of t**2 - (lam - mu) t - (k - mu) either as two linear factors or, when
+    they are irrational, as that quadratic with multiplicity (n - 1) / 2.
 
     Raises SrgParameterError when the multiplicity formulas do not give
     non-negative integers.
@@ -689,22 +632,22 @@ def srg_spectrum(n: int, k: int, lam: int, mu: int) -> ClosedSpectrum:
         t = n - 1 - s
         if s < 0 or t < 0:
             raise SrgParameterError(f"negative multiplicities s={s}, t={t}")
-        theta = _normalize_surd(lam - mu, 1, root * root, 2)
-        tau = _normalize_surd(lam - mu, -1, root * root, 2)
-        return _merge_entries([(k, 1), (theta, s), (tau, t)])
-    if numer != 0 or (n - 1) % 2:
+        # disc is (lam - mu)**2 mod 4, so root has the parity of lam - mu
+        # and both halves are exact
+        theta, tau = (lam - mu + root) // 2, (lam - mu - root) // 2
+        return _linear_factors([(k, 1), (theta, s), (tau, t)])
+    if numer != 0 or n < 1 or (n - 1) % 2:
         raise SrgParameterError(
             f"irrational eigenvalues need 2k + (n-1)(lam-mu) = 0, got {numer}"
         )
-    s = t = (n - 1) // 2
-    return _merge_entries(
-        [(k, 1), (_normalize_surd(lam - mu, 1, disc, 2), s), (_normalize_surd(lam - mu, -1, disc, 2), t)]
-    )
+    factors = [(IntPolynomial((-k, 1)), 1), (IntPolynomial((mu - k, mu - lam, 1)), (n - 1) // 2)]
+    return [(poly, mult) for poly, mult in factors if mult]
 
 
-def quotient_spectrum(q: int, r: int, f: int) -> ClosedSpectrum:
-    """Spectrum of the block quotient of a MOSLS cell graph."""
-    return _merge_entries(
+def quotient_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]:
+    """Spectrum of the block quotient of a MOSLS cell graph, as linear
+    factors with multiplicities."""
+    return _linear_factors(
         [
             (3 * q * r - q - r - 1 + f * (q * r - 1), 1),
             (2 * q * r - q - r - 1 - f, q + r - 2),
@@ -713,10 +656,11 @@ def quotient_spectrum(q: int, r: int, f: int) -> ClosedSpectrum:
     )
 
 
-def mosls_graph_spectrum(q: int, r: int, f: int) -> ClosedSpectrum:
+def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]:
     """Closed-form spectrum of the MOSLS cell graph on f squares of type
-    (q, r), valid when the Latin adjacency commutes with the block
-    adjacency (true for block-permutational families)."""
+    (q, r), as linear factors with multiplicities, valid when the Latin
+    adjacency commutes with the block adjacency (true for
+    block-permutational families)."""
     if f < 1:
         raise ValueError("need at least one square")
     e = (q - 1) * (r - 1)
@@ -731,51 +675,9 @@ def mosls_graph_spectrum(q: int, r: int, f: int) -> ClosedSpectrum:
         (-q - 1 - f, (r - 1) * (q * r - q - f)),
         (-r - 1 - f, (q - 1) * (q * r - r - f)),
     ]
-    spectrum = _merge_entries(lines)
-    assert spectrum.total_multiplicity() == (q * r) ** 2
-    return spectrum
-
-
-def closed_factors(spectrum: ClosedSpectrum) -> list[tuple[IntPolynomial, int]]:
-    """A closed spectrum as monic integer factors with multiplicities.
-
-    Integer eigenvalues give linear factors; surds must occur in conjugate
-    pairs with equal multiplicity and give the quadratic
-    t**2 - 2*(a/den)*t + (a**2 - b**2 d)/den**2, which must be integral.
-    """
-    factors = []
-    surd_mults: dict[Surd, int] = {}
-    for value, mult in spectrum.entries:
-        if isinstance(value, Surd):
-            surd_mults[value] = mult
-        else:
-            factors.append((IntPolynomial((-int(value), 1)), mult))
-    seen = set()
-    for surd, mult in surd_mults.items():
-        if surd in seen:
-            continue
-        conj = surd.conjugate()
-        if conj not in surd_mults or surd_mults[conj] != mult:
-            raise ValueError(f"unpaired surd eigenvalue {surd}")
-        seen.add(surd)
-        seen.add(conj)
-        if (2 * surd.a) % surd.den or (surd.a**2 - surd.b**2 * surd.d) % surd.den**2:
-            raise ValueError(f"surd pair {surd} does not give an integer factor")
-        quad = IntPolynomial(
-            (
-                (surd.a**2 - surd.b**2 * surd.d) // surd.den**2,
-                -2 * surd.a // surd.den,
-                1,
-            )
-        )
-        factors.append((quad, mult))
+    factors = _linear_factors(lines)
+    assert sum(mult for _, mult in factors) == (q * r) ** 2
     return factors
-
-
-def closed_to_poly(spectrum: ClosedSpectrum) -> IntPolynomial:
-    """Expand a closed spectrum into its monic integer polynomial, the
-    product of closed_factors."""
-    return poly_product(closed_factors(spectrum))
 
 
 def cospectral(a: IntPolynomial, b: IntPolynomial) -> bool:

@@ -112,6 +112,25 @@ NINE_SWITCHED = LatinSquare(
     SudokuShape(3, 3),
 )
 
+# Sudoku square of order 10, type (2,5), not block-permutational; its MOSLS
+# cell graph has 23 simple irrational eigenvalues, whose np.poly has
+# coefficients above 2**52, so charpoly_exact takes the Hessenberg path
+TEN = LatinSquare(
+    [
+        [8, 7, 4, 1, 3, 5, 9, 2, 10, 6],
+        [9, 5, 2, 10, 6, 3, 4, 1, 7, 8],
+        [7, 10, 6, 2, 5, 1, 3, 9, 8, 4],
+        [1, 9, 3, 8, 4, 7, 10, 6, 5, 2],
+        [6, 2, 7, 4, 8, 10, 1, 5, 9, 3],
+        [5, 1, 10, 3, 9, 4, 2, 8, 6, 7],
+        [10, 4, 8, 5, 2, 9, 6, 7, 3, 1],
+        [3, 6, 1, 9, 7, 8, 5, 4, 2, 10],
+        [4, 8, 5, 6, 10, 2, 7, 3, 1, 9],
+        [2, 3, 9, 7, 1, 6, 8, 10, 4, 5],
+    ],
+    SudokuShape(2, 5),
+)
+
 # closed-form eigenvalue multisets of the MOSLS cell graphs
 SPECTRUM_FOUR_F2 = {13: 1, 1: 4, -1: 8, -3: 3}
 SPECTRUM_SIX_F1 = {17: 1, 5: 3, 4: 2, 2: 6, 1: 4, -1: 2, -2: 10, -4: 6, -5: 2}

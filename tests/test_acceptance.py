@@ -17,7 +17,6 @@ from mosls import (
     build_mols_graph,
     build_mosls_graph,
     charpoly_exact,
-    closed_to_poly,
     commute_check,
     composite_mosls,
     family_pairwise_orthogonal,
@@ -27,6 +26,7 @@ from mosls import (
     nonisomorphism_certificate,
     numeric_spectrum,
     plain_mols,
+    poly_product,
     quotient_matrix,
     quotient_spectrum,
     row_cycle_decompose,
@@ -40,7 +40,7 @@ from mosls import (
 from mosls import gf
 from mosls.cli import verified_table_rows
 from mosls.designs import LatinSquare
-from mosls.spectra import ClosedSpectrum, Surd, poly_divmod, poly_mul
+from mosls.spectra import IntPolynomial, poly_divmod, poly_mul
 from mosls.switching import SwitchSpec
 from fixtures import (
     NINE,
@@ -65,8 +65,8 @@ def criterion(k: int):
         print(f"ACCEPTANCE {k}: {'PASS' if ok else 'FAIL'}")
 
 
-def closed_from_ints(table: dict) -> ClosedSpectrum:
-    return ClosedSpectrum(tuple(table.items()))
+def closed_from_ints(table: dict) -> list[tuple[IntPolynomial, int]]:
+    return [(IntPolynomial((-v, 1)), m) for v, m in table.items()]
 
 
 def graph_poly(fam: MoslsFamily):
@@ -90,8 +90,8 @@ def test_acceptance_1_order4_spectrum():
         fam = field_mosls(FieldConstructionSpec(2, 1, 1))
         assert len(fam) == 2
         poly = graph_poly(fam)
-        assert poly.coeffs == closed_to_poly(closed_from_ints(SPECTRUM_FOUR_F2)).coeffs
-        assert poly.coeffs == closed_to_poly(mosls_graph_spectrum(2, 2, 2)).coeffs
+        assert poly.coeffs == poly_product(closed_from_ints(SPECTRUM_FOUR_F2)).coeffs
+        assert poly.coeffs == poly_product(mosls_graph_spectrum(2, 2, 2)).coeffs
 
 
 def test_acceptance_2_order6_spectrum():
@@ -99,8 +99,8 @@ def test_acceptance_2_order6_spectrum():
         fam = composite_mosls([(2, 1, 0), (3, 0, 1)])
         assert fam.shape == SudokuShape(2, 3) and len(fam) == 1
         poly = graph_poly(fam)
-        assert poly.coeffs == closed_to_poly(closed_from_ints(SPECTRUM_SIX_F1)).coeffs
-        assert poly.coeffs == closed_to_poly(mosls_graph_spectrum(2, 3, 1)).coeffs
+        assert poly.coeffs == poly_product(closed_from_ints(SPECTRUM_SIX_F1)).coeffs
+        assert poly.coeffs == poly_product(mosls_graph_spectrum(2, 3, 1)).coeffs
 
 
 def test_acceptance_3_closed_form_sweep():
@@ -110,7 +110,7 @@ def test_acceptance_3_closed_form_sweep():
             for f, sub in truncations(fam):
                 assert commute_check(sub)
                 closed = mosls_graph_spectrum(sub.shape.q, sub.shape.r, f)
-                assert graph_poly(sub).coeffs == closed_to_poly(closed).coeffs
+                assert graph_poly(sub).coeffs == poly_product(closed).coeffs
 
 
 def test_acceptance_4_srg_sweep():
@@ -128,7 +128,7 @@ def test_acceptance_4_srg_sweep():
                 )
                 assert srg_check(g) == params
                 closed = srg_spectrum(*params)
-                assert charpoly_exact(g.adjacency).coeffs == closed_to_poly(closed).coeffs
+                assert charpoly_exact(g.adjacency).coeffs == poly_product(closed).coeffs
 
 
 def test_acceptance_5_quotient_divisibility():
@@ -144,8 +144,8 @@ def test_acceptance_5_quotient_divisibility():
                 g = build_mosls_graph(sub)
                 quo = quotient_matrix(g)  # raises if not equitable
                 closed = quotient_spectrum(sub.shape.q, sub.shape.r, f)
-                assert charpoly_exact(quo.entries).coeffs == closed_to_poly(closed).coeffs
-                _, rem = poly_divmod(graph_poly(sub), closed_to_poly(closed))
+                assert charpoly_exact(quo.entries).coeffs == poly_product(closed).coeffs
+                _, rem = poly_divmod(graph_poly(sub), poly_product(closed))
                 assert rem.coeffs == (0,)
 
 
@@ -157,14 +157,14 @@ def test_acceptance_6_order4_switching():
         assert switched == SWITCH4_B
 
         poly_a = graph_poly(single(SWITCH4_A))
-        want_a = closed_to_poly(closed_from_ints(SPECTRUM_SWITCH4_A))
+        want_a = poly_product(closed_from_ints(SPECTRUM_SWITCH4_A))
         assert poly_a.coeffs == want_a.coeffs
 
         poly_b = graph_poly(single(SWITCH4_B))
-        surds = ClosedSpectrum(((Surd(-1, 1, 5), 2), (Surd(-1, -1, 5), 2)))
+        surds = [(IntPolynomial((-4, 2, 1)), 2)]  # -1 +- sqrt 5, twice each
         want_b = poly_mul(
-            closed_to_poly(closed_from_ints(SPECTRUM_SWITCH4_B_INT)),
-            closed_to_poly(surds),  # (t^2 + 2t - 4)^2
+            poly_product(closed_from_ints(SPECTRUM_SWITCH4_B_INT)),
+            poly_product(surds),  # (t^2 + 2t - 4)^2
         )
         assert poly_b.coeffs == want_b.coeffs
 

@@ -100,6 +100,17 @@ def test_construct_order_cap(capsys):
     assert designs.parse_family(stdout).shape == designs.SudokuShape(8, 4)
 
 
+@pytest.mark.parametrize(
+    "p,m,n",
+    [("3", "1", "1"), ("2", "2", "0"), ("3", "0", "2"), ("4", "1", "1"), ("2", "-1", "1"), ("5", "1", "1")],
+)
+def test_construct_flag_forms_agree(p, m, n, capsys):
+    # valid, flat, not prime, bad exponent, over the cap
+    by_prime = run(capsys, "construct", "--p", p, "--m", m, "--n", n)
+    by_factor = run(capsys, "construct", "--factor", f"{p}:{m}:{n}")
+    assert by_prime == by_factor
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -283,8 +294,8 @@ def test_spectrum_wrong_closed_form_above_the_cap(field16_file, capsys, monkeypa
 
     def moved(q, r, f):
         # one eigenvalue gives up a unit of multiplicity to the next
-        (v0, m0), (v1, m1), *rest = right(q, r, f).entries
-        return spectra.ClosedSpectrum(((v0, m0 - 1), (v1, m1 + 1), *rest))
+        (f0, m0), (f1, m1), *rest = right(q, r, f)
+        return [(f0, m0 - 1), (f1, m1 + 1), *rest]
 
     monkeypatch.setattr(spectra, "mosls_graph_spectrum", moved)
     code, stdout, err = run(capsys, "spectrum", "--in", field16_file, "--verify-closed-form")

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from mosls import (
-    Surd,
     build_mols_graph,
     build_mosls_graph,
     charpoly_exact,
-    closed_to_poly,
     composite_mosls,
     jacobi_eigenvalues,
     mosls_graph_spectrum,
     numeric_spectrum,
+    poly_product,
     srg_spectrum,
 )
 from mosls.cli import _TABLE_ROWS
@@ -43,14 +42,14 @@ def test_spectra_agree(order, q, r, factors, flavor):
     assert (g.order, g.shape.q, g.shape.r) == (order, q, r)
 
     expected = sorted(
-        ((v.value() if isinstance(v, Surd) else float(v), m) for v, m in closed.entries),
+        ((float(v.real), m) for f, m in closed for v in np.roots(f.coeffs[::-1])),
         reverse=True,
     )
     rep = numeric_spectrum(g.adjacency, with_charpoly=False)
     assert [m for _, m in rep.numeric] == [m for _, m in expected]
     assert np.allclose([v for v, _ in rep.numeric], [v for v, _ in expected], rtol=0, atol=1e-9)
 
-    assert charpoly_exact(g.adjacency).coeffs == closed_to_poly(closed).coeffs
+    assert charpoly_exact(g.adjacency).coeffs == poly_product(closed).coeffs
 
     if g.num_vertices <= JACOBI_MAX_VERTICES or (order, q, r, flavor) == (9, 3, 3, "mosls"):
         reference = jacobi_eigenvalues(g.adjacency)

@@ -254,6 +254,9 @@ def test_exact_matmul_bound():
     row = np.array([[2**26, 2**26]], dtype=np.int64)
     with pytest.raises(ValueError, match="2\\*\\*53"):
         _exact_matmul(row, row.T)
+    # np.abs wraps -2**63 to itself, which would read as a negative max
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _exact_matmul(np.array([[-(2**63)]], dtype=np.int64), np.array([[2]]))
 
 
 def test_vertex_cap_refuses_before_allocating():

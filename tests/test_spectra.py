@@ -7,24 +7,23 @@ import pytest
 from mosls import (
     ClosedFormRangeError,
     SwitchSpec,
-    ClosedSpectrum,
     ConvergenceError,
     FieldConstructionSpec,
     IntPolynomial,
     SrgParameterError,
-    Surd,
     build_mols_graph,
     build_mosls_graph,
     certify_charpoly,
     charpoly_exact,
-    closed_factors,
-    closed_to_poly,
     composite_mosls,
     cospectral,
     field_mosls,
+    is_block_permutational,
+    is_sudoku,
     jacobi_eigenvalues,
     mosls_graph_spectrum,
     numeric_spectrum,
+    poly_product,
     quotient_matrix,
     quotient_spectrum,
     srg_spectrum,
@@ -59,12 +58,15 @@ from fixtures import (
     NINE_SWITCHED,
     SIX_SWITCHED,
     SWITCH4_B,
+    TEN,
     single,
 )
 
 
-def spectrum_dict(closed) -> dict:
-    return {v: m for v, m in closed.entries}
+def spectrum_dict(factors) -> dict:
+    """Linear factors t - v with multiplicities as {v: m}."""
+    assert all(f.degree == 1 and f.coeffs[1] == 1 for f, _ in factors)
+    return {-f.coeffs[0]: m for f, m in factors}
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,9 @@ def spectrum_dict(closed) -> dict:
 def test_int_polynomial_basics():
     p = IntPolynomial((-1, 0, 1))  # t^2 - 1
     assert p.degree == 2
-    assert p(3) == 8 and p(-1) == 0
+    # remainder theorem: p mod (t - x) is the constant p(x)
+    assert poly_divmod(p, IntPolynomial((-3, 1)))[1].coeffs == (8,)
+    assert poly_divmod(p, IntPolynomial((1, 1)))[1].coeffs == (0,)
     assert p.decimal_strings() == ["-1", "0", "1"]
     with pytest.raises(ValueError):
         IntPolynomial((1, 0))
@@ -160,7 +164,7 @@ def test_charpoly_input_validation():
     with pytest.raises(ValueError, match="square"):
         charpoly_exact(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="cap"):
-        charpoly_exact(np.zeros((5, 5)), size_cap=4)
+        charpoly_exact(np.zeros((151, 151)))
 
 
 def _bareiss_det(rows) -> int:
@@ -230,7 +234,7 @@ def test_coefficient_bound_covers_table_graphs(order, q, r, factors):
         (build_mols_graph(fam, [1]), srg_spectrum(n * n, 3 * (n - 1), n, 6)),
     ]
     for g, closed in graphs:
-        assert max(abs(c) for c in closed_to_poly(closed).coeffs) < _coefficient_bound(g.adjacency)
+        assert max(abs(c) for c in poly_product(closed).coeffs) < _coefficient_bound(g.adjacency)
     if order == 12:
         # the 144-vertex graphs that switch and compare build
         bound = _coefficient_bound(single_square.adjacency)
@@ -458,18 +462,38 @@ def test_unroundable_guess_falls_back_to_the_reference():
     assert charpoly_exact(m).coeffs == _reference_charpoly(m)
 
 
+def test_sudoku_graph_of_order_10_falls_back_and_is_certified(monkeypatch):
+    # switch and compare build this graph; seeded random Sudoku squares of
+    # orders 10 and 12 fell back like this one, those of orders <= 9 did not
+    assert is_sudoku(TEN) and not is_block_permutational(TEN)
+    A = build_mosls_graph(single(TEN)).adjacency
+    assert _guess_factors(A) is None
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return _hessenberg_crt(M)
+
+    monkeypatch.setattr(spectra, "_hessenberg_crt", counted)
+    P = charpoly_exact(A)
+    assert calls == [(100, 100)]
+    # Cayley-Hamilton and the power sums prove P from the graph alone
+    assert certify_charpoly(A, [(P, 1)])
+    wrong = IntPolynomial((P.coeffs[0] + 1, *P.coeffs[1:]))
+    assert not certify_charpoly(A, [(wrong, 1)])
+
+
 def test_rejected_guess_falls_back(monkeypatch):
     path3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     monkeypatch.setattr(spectra, "_guess_factors", lambda A: [(IntPolynomial((0, 1)), 3)])
     assert charpoly_exact(path3).coeffs == (0, -2, 0, 1)
 
 
-def test_closed_factors_expand_to_closed_to_poly():
-    closed = mosls_graph_spectrum(3, 3, 6)
-    factors = closed_factors(closed)
+def test_closed_form_factors_expand_to_the_charpoly():
+    factors = mosls_graph_spectrum(3, 3, 6)
     assert all(m > 0 and f.coeffs[-1] == 1 for f, m in factors)
-    assert spectra.poly_product(factors).coeffs == closed_to_poly(closed).coeffs
     g = build_mosls_graph(field_mosls(FieldConstructionSpec(3, 1, 1)))
+    assert poly_product(factors).coeffs == charpoly_exact(g.adjacency).coeffs
     assert certify_charpoly(g.adjacency, factors)
 
 
@@ -598,10 +622,10 @@ def test_srg_spectrum_petersen():
 
 def test_srg_spectrum_conference():
     got = srg_spectrum(5, 2, 0, 1)
-    surds = {e for e, _ in got.entries if isinstance(e, Surd)}
-    assert surds == {Surd(-1, 1, 5, 2), Surd(-1, -1, 5, 2)}
-    assert all(m == 2 for e, m in got.entries if isinstance(e, Surd))
-    assert closed_to_poly(got).coeffs == poly_mul(
+    assert got == [(IntPolynomial((-2, 1)), 1), (IntPolynomial((-1, 1, 1)), 2)]
+    roots = sorted(np.roots(got[1][0].coeffs[::-1]).real)
+    assert np.allclose(roots, [(-1 - math.sqrt(5)) / 2, (-1 + math.sqrt(5)) / 2])
+    assert poly_product(got).coeffs == poly_mul(
         IntPolynomial((-2, 1)), poly_mul(IntPolynomial((-1, 1, 1)), IntPolynomial((-1, 1, 1)))
     ).coeffs
 
@@ -618,16 +642,16 @@ def test_quotient_spectrum_values():
     assert spectrum_dict(quotient_spectrum(2, 3, 1)) == {17: 1, 5: 3, -1: 2}
     assert spectrum_dict(quotient_spectrum(3, 3, 1)) == {28: 1, 10: 4, 1: 4}
     assert spectrum_dict(quotient_spectrum(1, 4, 2)) == {12: 1, 0: 3}
-    assert quotient_spectrum(2, 3, 1).total_multiplicity() == 6
+    assert sum(m for _, m in quotient_spectrum(2, 3, 1)) == 6
 
 
 def test_quotient_matrix_charpoly_matches_closed_form():
     quo4 = quotient_matrix(build_mosls_graph(FOUR_FAMILY))
-    assert charpoly_exact(quo4.entries).coeffs == closed_to_poly(
+    assert charpoly_exact(quo4.entries).coeffs == poly_product(
         quotient_spectrum(2, 2, 2)
     ).coeffs
     quo6 = quotient_matrix(build_mosls_graph(single(SIX)))
-    assert charpoly_exact(quo6.entries).coeffs == closed_to_poly(
+    assert charpoly_exact(quo6.entries).coeffs == poly_product(
         quotient_spectrum(2, 3, 1)
     ).coeffs
 
@@ -636,7 +660,7 @@ def test_mosls_graph_spectrum_instances():
     assert spectrum_dict(mosls_graph_spectrum(2, 2, 2)) == SPECTRUM_FOUR_F2
     assert spectrum_dict(mosls_graph_spectrum(2, 3, 1)) == SPECTRUM_SIX_F1
     assert spectrum_dict(mosls_graph_spectrum(3, 3, 1)) == SPECTRUM_NINE_F1
-    assert mosls_graph_spectrum(3, 3, 1).total_multiplicity() == 81
+    assert sum(m for _, m in mosls_graph_spectrum(3, 3, 1)) == 81
 
 
 def test_mosls_graph_spectrum_rejects_out_of_range():
@@ -646,46 +670,30 @@ def test_mosls_graph_spectrum_rejects_out_of_range():
         mosls_graph_spectrum(2, 2, 0)
 
 
-def test_closed_to_poly_integers():
-    spec = ClosedSpectrum(((1, 1), (-1, 1)))
-    assert closed_to_poly(spec).coeffs == (-1, 0, 1)
+def test_poly_product_of_linear_factors():
+    factors = [(IntPolynomial((-1, 1)), 1), (IntPolynomial((1, 1)), 1)]
+    assert poly_product(factors).coeffs == (-1, 0, 1)
 
 
-def test_closed_to_poly_surd_pairs():
-    pair = ClosedSpectrum(
-        ((Surd(-1, 1, 5), 2), (Surd(-1, -1, 5), 2))
-    )
-    # (t^2 + 2t - 4)^2
-    assert closed_to_poly(pair).coeffs == (16, -16, -4, 4, 1)
+def test_poly_product_of_a_squared_quadratic():
+    # the pair -1 +- sqrt 5, each twice: (t^2 + 2t - 4)^2
+    assert poly_product([(IntPolynomial((-4, 2, 1)), 2)]).coeffs == (16, -16, -4, 4, 1)
 
 
-def test_closed_to_poly_rejects_unpaired_surds():
-    with pytest.raises(ValueError, match="unpaired"):
-        closed_to_poly(ClosedSpectrum(((Surd(-1, 1, 5), 2),)))
-    with pytest.raises(ValueError, match="unpaired"):
-        closed_to_poly(
-            ClosedSpectrum(((Surd(-1, 1, 5), 2), (Surd(-1, -1, 5), 1)))
-        )
+def test_srg_spectrum_rejects_unequal_irrational_multiplicities():
+    # disc = 8 is not a square and 2k + (n-1)(lam-mu) = -12, so the two
+    # irrational eigenvalues would need different multiplicities
+    with pytest.raises(SrgParameterError, match="irrational"):
+        srg_spectrum(10, 3, 0, 2)
 
 
-def test_closed_to_poly_half_integer_surds():
-    # golden-ratio pair (1 +- sqrt 5)/2 gives the integer quadratic t^2-t-1
-    pair = ClosedSpectrum(((Surd(1, 1, 5, 2), 1), (Surd(1, -1, 5, 2), 1)))
-    assert closed_to_poly(pair).coeffs == (-1, -1, 1)
-
-
-def test_closed_to_poly_rejects_non_integral_quadratic():
-    bad = ClosedSpectrum(((Surd(1, 1, 5, 3), 1), (Surd(1, -1, 5, 3), 1)))
-    with pytest.raises(ValueError, match="integer factor"):
-        closed_to_poly(bad)
-
-
-def test_surd_helpers():
-    s = Surd(-1, 1, 5)
-    assert s.conjugate() == Surd(-1, -1, 5)
-    assert abs(s.value() - (np.sqrt(5) - 1)) < 1e-12
-    with pytest.raises(ValueError):
-        Surd(1, 1, -5)
+def test_srg_spectrum_half_integer_conjugates():
+    # Paley graph on 13 vertices: (-1 +- sqrt 13)/2, six times each, from
+    # the integer quadratic t^2 + t - 3
+    got = srg_spectrum(13, 6, 2, 3)
+    assert got == [(IntPolynomial((-6, 1)), 1), (IntPolynomial((-3, 1, 1)), 6)]
+    roots = sorted(np.roots(got[1][0].coeffs[::-1]).real)
+    assert np.allclose(roots, [(-1 - math.sqrt(13)) / 2, (-1 + math.sqrt(13)) / 2])
 
 
 def test_cospectral():
@@ -700,7 +708,7 @@ def test_cospectral():
 
 def test_graph_charpoly_matches_closed_form_order4():
     g = build_mosls_graph(FOUR_FAMILY)
-    assert charpoly_exact(g.adjacency).coeffs == closed_to_poly(
+    assert charpoly_exact(g.adjacency).coeffs == poly_product(
         mosls_graph_spectrum(2, 2, 2)
     ).coeffs
 
@@ -712,4 +720,4 @@ def test_graph_numeric_matches_closed_form_order6():
     assert [(round(v), m) for v, m in rep.numeric] == want
     assert rep.residual < 1e-4
     assert sum(m for _, m in rep.numeric) == 36
-    assert rep.charpoly.coeffs == closed_to_poly(mosls_graph_spectrum(2, 3, 1)).coeffs
+    assert rep.charpoly.coeffs == poly_product(mosls_graph_spectrum(2, 3, 1)).coeffs
