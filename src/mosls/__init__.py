@@ -9,15 +9,10 @@ graphs), spectra (exact/numeric spectra and closed forms), switching
 
 from .construct import (
     DEFAULT_ORDER_CAP,
-    FieldConstructionSpec,
     OrderCapError,
     composite_count,
     composite_mosls,
-    field_mosls,
     field_square,
-    mosls_count,
-    per_prime_family,
-    plain_mols,
     product,
 )
 from .designs import (

@@ -1,22 +1,24 @@
 """Construction of mutually orthogonal Sudoku Latin square families.
 
-Field families: for a prime power q*r = p**(m+n) with q = p**m, r = p**n
-(m, n >= 1), index rows and columns of a square by the elements of
-GF(p**(m+n)) in canonical order, which groups them into additive cosets
-(see field_square), and fill cell (x, y) of the square attached to a
-field element a with the symbol x - a*y.  Choosing a with degree exactly
-m makes every square Sudoku of type (q, r), and the max(q, r)*(p-1)
-squares obtained this way (transposing when r > q) are mutually
-orthogonal and block-permutational.
+Prime-power families: for q*r = p**(m+n) with q = p**m and r = p**n, index
+rows and columns of a square by the elements of GF(p**(m+n)) in canonical
+order, which groups them into additive cosets (see field_square), and fill
+cell (x, y) of the square attached to a nonzero field element a with the
+symbol x - a*y.  When m, n >= 1, choosing a with degree exactly max(m, n)
+makes every square Sudoku, and the max(q, r)*(p-1) squares obtained this
+way (transposed when r > q) are mutually orthogonal and
+block-permutational.  A flat type (1, p**n) or (p**m, 1) takes every
+nonzero a: p**(m+n) - 1 mutually orthogonal Latin squares.
 
 Composite orders: a product construction combines one family per prime
 factor into a family of type (prod q_i, prod r_i) whose size is the
-minimum of the factor family sizes.
+minimum of the factor family sizes.  composite_mosls builds every family,
+a prime-power one from the single factor [(p, m, n)], and composite_count
+gives its size without building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -29,33 +31,6 @@ DEFAULT_ORDER_CAP = 16
 
 class OrderCapError(ValueError):
     """Requested order exceeds the configured cap."""
-
-
-@dataclass(frozen=True)
-class FieldConstructionSpec:
-    """Parameters (p, m, n) of a field family: type (p**m, p**n)."""
-
-    p: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if not gf.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError(f"invalid exponents ({self.m}, {self.n})")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.m
-
-    @property
-    def r(self) -> int:
-        return self.p ** self.n
-
-    @property
-    def order(self) -> int:
-        return self.q * self.r
 
 
 def field_square(ctx: gf.FieldCtx, a: int, shape: SudokuShape) -> LatinSquare:
@@ -72,65 +47,24 @@ def field_square(ctx: gf.FieldCtx, a: int, shape: SudokuShape) -> LatinSquare:
     return LatinSquare(1 + ctx.add[x[:, None], ctx.neg[ctx.mul[a, x]]], shape)
 
 
-def mosls_count(p: int, m: int, n: int) -> int:
-    """Size of the family produced for (p, m, n)."""
-    spec = FieldConstructionSpec(p, m, n)
-    if m >= 1 and n >= 1:
-        return max(spec.q, spec.r) * (p - 1)
-    return p ** (m + n) - 1
+def _prime_power_family(p: int, m: int, n: int) -> MoslsFamily:
+    """The squares x - a*y over GF(p**(m+n)), of type (p**m, p**n).
 
-
-def field_mosls(spec: FieldConstructionSpec, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamily:
-    """Full field family of type (q, r), size max(q, r)*(p-1).
-
-    When r > q the family is built with the roles of m and n swapped and
-    every square transposed, which realises the larger count.
+    When m, n >= 1 the multipliers a are the elements of degree exactly
+    big = max(m, n), which makes every square Sudoku of type
+    (p**big, p**(m+n-big)); transposing when big != m realises the larger
+    count max(p**m, p**n)*(p-1).  A flat type (big = 0) takes every nonzero
+    multiplier, p**(m+n) - 1 Latin squares.  Squares follow the canonical
+    order of a.
     """
-    if spec.m < 1 or spec.n < 1:
-        raise ValueError("field_mosls needs m >= 1 and n >= 1; use plain_mols for flat types")
-    if spec.order > order_cap:
-        raise OrderCapError(f"order {spec.order} exceeds cap {order_cap}")
-    m, n = max(spec.m, spec.n), min(spec.m, spec.n)
-    ctx = gf.make_field(spec.p, m + n)
-    q = spec.p ** m
-    shape = SudokuShape(q, spec.p ** n)
-    # the multipliers of degree exactly m
-    squares = [field_square(ctx, a, shape) for a in range(q, q * spec.p)]
-    if spec.m < spec.n:
+    big = max(m, n) if m and n else 0
+    ctx = gf.make_field(p, m + n)
+    q = p ** big
+    shape = SudokuShape(q, ctx.size // q)
+    squares = [field_square(ctx, a, shape) for a in range(q, q * p if big else ctx.size)]
+    if big != m:
         squares = [transpose(sq) for sq in squares]
-    return MoslsFamily(SudokuShape(spec.q, spec.r), tuple(squares))
-
-
-def plain_mols(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamily:
-    """The p**k - 1 field squares x - a*y of type (1, p**k).
-
-    Rows and columns follow the canonical element order; squares follow the
-    canonical order of the nonzero multipliers a.
-    """
-    if k < 1:
-        raise ValueError("plain_mols needs k >= 1")
-    if p ** k > order_cap:
-        raise OrderCapError(f"order {p ** k} exceeds cap {order_cap}")
-    ctx = gf.make_field(p, k)
-    shape = SudokuShape(1, p ** k)
-    squares = [field_square(ctx, a, shape) for a in range(1, ctx.size)]
-    return MoslsFamily(shape, tuple(squares))
-
-
-def per_prime_family(
-    p: int, m: int, n: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> MoslsFamily:
-    """Family for one prime-power factor: field family when m, n >= 1,
-    otherwise the plain MOLS family oriented to type (p**m, p**n)."""
-    FieldConstructionSpec(p, m, n)  # validates
-    if m >= 1 and n >= 1:
-        return field_mosls(FieldConstructionSpec(p, m, n), order_cap)
-    if m == 0:
-        return plain_mols(p, n, order_cap)
-    fam = plain_mols(p, m, order_cap)
-    return MoslsFamily(
-        SudokuShape(p ** m, 1), tuple(transpose(sq) for sq in fam.squares)
-    )
+    return MoslsFamily(SudokuShape(p ** m, p ** n), tuple(squares))
 
 
 def _line_pairs(bands1: int, size1: int, bands2: int, size2: int):
@@ -167,12 +101,30 @@ def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
     return MoslsFamily(shape, tuple(squares))
 
 
-def composite_count(factors) -> int:
-    """Family size for a product over the given (p, m, n) factors."""
-    specs = [FieldConstructionSpec(p, m, n) for p, m, n in factors]
-    if len({s.p for s in specs}) != len(specs):
+def _checked_factors(factors) -> list:
+    """The (p, m, n) factors as a list, checked in input order, then for
+    emptiness and repeated primes."""
+    factors = list(factors)
+    for p, m, n in factors:
+        if not gf.is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if m < 0 or n < 0 or m + n < 1:
+            raise ValueError(f"invalid exponents ({m}, {n})")
+    if not factors:
+        raise ValueError("at least one factor is required")
+    if len({p for p, _, _ in factors}) != len(factors):
         raise ValueError("factor primes must be distinct")
-    return min(mosls_count(s.p, s.m, s.n) for s in specs)
+    return factors
+
+
+def composite_count(factors) -> int:
+    """Family size for a product over the given (p, m, n) factors: the
+    smallest factor family, max(p**m, p**n)*(p-1) squares when m, n >= 1
+    and p**(m+n) - 1 otherwise."""
+    return min(
+        p ** max(m, n) * (p - 1) if m and n else p ** (m + n) - 1
+        for p, m, n in _checked_factors(factors)
+    )
 
 
 def composite_mosls(factors, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamily:
@@ -181,17 +133,10 @@ def composite_mosls(factors, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamily:
     Factors are combined in ascending order of p; the result has type
     (prod p**m, prod p**n) and composite_count(factors) squares.
     """
-    specs = sorted(
-        (FieldConstructionSpec(p, m, n) for p, m, n in factors), key=lambda s: s.p
-    )
-    if not specs:
-        raise ValueError("at least one factor is required")
-    if len({s.p for s in specs}) != len(specs):
-        raise ValueError("factor primes must be distinct")
+    factors = sorted(_checked_factors(factors))
     total = 1
-    for s in specs:
-        total *= s.order
+    for p, m, n in factors:
+        total *= p ** (m + n)
     if total > order_cap:
         raise OrderCapError(f"order {total} exceeds cap {order_cap}")
-    families = [per_prime_family(s.p, s.m, s.n, order_cap) for s in specs]
-    return reduce(product, families)
+    return reduce(product, [_prime_power_family(*f) for f in factors])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import LatinSquare, MoslsFamily, is_latin, is_sudoku
+from .designs import LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
 from .graph import build_mosls_graph
 from .spectra import (
     IntPolynomial,
@@ -66,18 +66,24 @@ class SwitchSpec:
     symbols: tuple[int, int]
 
 
+def _check_lines(kind: str, indices, n: int) -> None:
+    for idx in indices:
+        if not 1 <= idx <= n:
+            raise SwitchError(f"{kind} {idx} outside 1..{n}")
+
+
 def row_cycle_decompose(L: LatinSquare, row_a: int, row_b: int) -> list[RowCycle]:
     """Cycles of the symbol permutation L[row_a, c] -> L[row_b, c]."""
     n = L.order
     if row_a == row_b:
         raise SwitchError("rows must differ")
-    for idx in (row_a, row_b):
-        if not 1 <= idx <= n:
-            raise SwitchError(f"row {idx} outside 1..{n}")
+    _check_lines("row", (row_a, row_b), n)
     top = L.entries[row_a - 1]
     bot = L.entries[row_b - 1]
     col_of = {int(s): c for c, s in enumerate(top)}
     succ = {int(top[c]): int(bot[c]) for c in range(n)}
+    if len(col_of) != n or set(succ.values()) != col_of.keys():
+        raise SwitchError(f"rows {row_a} and {row_b} do not hold the same {n} distinct symbols")
     cycles = []
     visited = set()
     for c in range(n):
@@ -100,6 +106,10 @@ def row_cycle_switch(L: LatinSquare, cycle: RowCycle) -> LatinSquare:
     The result must again be Latin; anything else means the input was not
     a full cycle of the row permutation.
     """
+    if cycle.row_a == cycle.row_b:
+        raise SwitchError("rows must differ")
+    _check_lines("row", (cycle.row_a, cycle.row_b), L.order)
+    _check_lines("column", cycle.columns, L.order)
     ent = L.entries.copy()
     a, b = cycle.row_a - 1, cycle.row_b - 1
     cols = [c - 1 for c in cycle.columns]
@@ -108,27 +118,6 @@ def row_cycle_switch(L: LatinSquare, cycle: RowCycle) -> LatinSquare:
     if not is_latin(out):
         raise SwitchError("switched square is not Latin; the columns do not form a cycle")
     return out
-
-
-def _band_columns(L: LatinSquare, spec: SwitchSpec) -> np.ndarray:
-    q, r = L.shape.q, L.shape.r
-    if spec.kind == "row-block":
-        if not 1 <= spec.index <= r:
-            raise SwitchError(f"block-row {spec.index} outside 1..{r}")
-    elif spec.kind == "col-block":
-        if not 1 <= spec.index <= q:
-            raise SwitchError(f"block-column {spec.index} outside 1..{q}")
-    else:
-        raise SwitchError(f"unknown band kind {spec.kind!r}")
-    k1, k2 = spec.symbols
-    n = L.order
-    if k1 == k2 or not (1 <= k1 <= n and 1 <= k2 <= n):
-        raise SwitchError(f"symbols must be distinct values in 1..{n}, got {spec.symbols}")
-    if spec.kind == "row-block":
-        lo = (spec.index - 1) * q
-        return np.arange(lo, lo + q)  # row indices of the band
-    lo = (spec.index - 1) * r
-    return np.arange(lo, lo + r)  # column indices of the band
 
 
 def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
@@ -140,38 +129,38 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
     """
     if not is_sudoku(L):
         raise SwitchError("symbol switching requires a Sudoku square")
-    band = _band_columns(L, spec)
+    # a column-band switch is a row-band switch of the transpose
+    if spec.kind == "row-block":
+        square, band_name, crossing = L, "block-row", "column"
+    elif spec.kind == "col-block":
+        square, band_name, crossing = transpose(L), "block-column", "row"
+    else:
+        raise SwitchError(f"unknown band kind {spec.kind!r}")
+    q, bands = square.shape.q, square.shape.r
+    if not 1 <= spec.index <= bands:
+        raise SwitchError(f"{band_name} {spec.index} outside 1..{bands}")
     k1, k2 = spec.symbols
-    if spec.kind == "row-block":
-        crossing = "column"
-        lines = L.entries.T  # positions within a column are row indices
-    else:
-        crossing = "row"
-        lines = L.entries  # positions within a row are column indices
+    n = L.order
+    if k1 == k2 or not (1 <= k1 <= n and 1 <= k2 <= n):
+        raise SwitchError(f"symbols must be distinct values in 1..{n}, got {spec.symbols}")
 
-    band_set = set(int(x) for x in band)
-    for idx in range(L.order):
-        line = lines[idx]
-        pos1 = int(np.flatnonzero(line == k1)[0])
-        pos2 = int(np.flatnonzero(line == k2)[0])
-        s1, s2 = pos1 in band_set, pos2 in band_set
-        if s1 != s2:
-            inside, outside = (k1, k2) if s1 else (k2, k1)
-            raise SwitchValidityError(
-                f"{crossing} {idx + 1}: symbol {inside} lies inside the band "
-                f"but {outside} lies outside"
-            )
-
-    ent = L.entries.copy()
-    sub = ent[band, :] if spec.kind == "row-block" else ent[:, band]
-    swapped = sub.copy()
-    swapped[sub == k1] = k2
-    swapped[sub == k2] = k1
-    if spec.kind == "row-block":
-        ent[band, :] = swapped
-    else:
-        ent[:, band] = swapped
-    out = LatinSquare(ent, L.shape)
+    ent = square.entries.copy()
+    band = ent[(spec.index - 1) * q : spec.index * q]  # a view of the band's rows
+    at1, at2 = band == k1, band == k2
+    # each crossing column holds each symbol once; find one that is split
+    inside1 = at1.any(axis=0)
+    split = np.flatnonzero(inside1 != at2.any(axis=0))
+    if split.size:
+        idx = split[0]
+        inside, outside = (k1, k2) if inside1[idx] else (k2, k1)
+        raise SwitchValidityError(
+            f"{crossing} {idx + 1}: symbol {inside} lies inside the band "
+            f"but {outside} lies outside"
+        )
+    band[at1], band[at2] = k2, k1
+    out = LatinSquare(ent, square.shape)
+    if spec.kind == "col-block":
+        out = transpose(out)
     if not (is_latin(out) and is_sudoku(out)):
         raise RuntimeError("internal error: valid switch produced a non-Sudoku square")
     return out

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from mosls import (
-    FieldConstructionSpec,
     MoslsFamily,
     RowCycle,
     SudokuShape,
@@ -20,12 +19,10 @@ from mosls import (
     commute_check,
     composite_mosls,
     family_pairwise_orthogonal,
-    field_mosls,
     is_sudoku,
     mosls_graph_spectrum,
     nonisomorphism_certificate,
     numeric_spectrum,
-    plain_mols,
     poly_product,
     quotient_matrix,
     quotient_spectrum,
@@ -73,11 +70,7 @@ def graph_poly(fam: MoslsFamily):
     return charpoly_exact(build_mosls_graph(fam).adjacency)
 
 
-SWEEP = [
-    FieldConstructionSpec(2, 1, 1),
-    FieldConstructionSpec(3, 1, 1),
-    FieldConstructionSpec(2, 1, 2),
-]
+SWEEP = [(2, 1, 1), (3, 1, 1), (2, 1, 2)]  # factors (p, m, n)
 
 
 def truncations(fam: MoslsFamily):
@@ -87,7 +80,7 @@ def truncations(fam: MoslsFamily):
 
 def test_acceptance_1_order4_spectrum():
     with criterion(1):
-        fam = field_mosls(FieldConstructionSpec(2, 1, 1))
+        fam = composite_mosls([(2, 1, 1)])
         assert len(fam) == 2
         poly = graph_poly(fam)
         assert poly.coeffs == poly_product(closed_from_ints(SPECTRUM_FOUR_F2)).coeffs
@@ -105,8 +98,8 @@ def test_acceptance_2_order6_spectrum():
 
 def test_acceptance_3_closed_form_sweep():
     with criterion(3):
-        for spec in SWEEP:
-            fam = field_mosls(spec)
+        for factor in SWEEP:
+            fam = composite_mosls([factor])
             for f, sub in truncations(fam):
                 assert commute_check(sub)
                 closed = mosls_graph_spectrum(sub.shape.q, sub.shape.r, f)
@@ -115,8 +108,8 @@ def test_acceptance_3_closed_form_sweep():
 
 def test_acceptance_4_srg_sweep():
     with criterion(4):
-        for spec in SWEEP:
-            fam = field_mosls(spec)
+        for factor in SWEEP:
+            fam = composite_mosls([factor])
             n = fam.shape.order
             for f, sub in truncations(fam):
                 g = build_mols_graph(sub)
@@ -133,10 +126,10 @@ def test_acceptance_4_srg_sweep():
 
 def test_acceptance_5_quotient_divisibility():
     with criterion(5):
-        families = [field_mosls(spec) for spec in SWEEP]
+        families = [composite_mosls([factor]) for factor in SWEEP]
         families.append(composite_mosls([(2, 1, 0), (3, 0, 1)]))
-        families.append(plain_mols(2, 2))
-        families.append(plain_mols(3, 2))
+        families.append(composite_mosls([(2, 0, 2)]))
+        families.append(composite_mosls([(3, 0, 2)]))
         for fam in families:
             if fam.shape.order > 9:
                 continue
@@ -278,7 +271,7 @@ def test_acceptance_9_property_suites():
         # spectrum invariance under relabelling, block-respecting row and
         # column permutations, and transposition, at orders 4 and 6
         base_families = [
-            field_mosls(FieldConstructionSpec(2, 1, 1)),
+            composite_mosls([(2, 1, 1)]),
             composite_mosls([(2, 1, 0), (3, 0, 1)]),
         ]
         for fam in base_families:
@@ -294,7 +287,7 @@ def test_acceptance_9_property_suites():
             assert graph_poly(transpose_family(fam)).coeffs == reference
 
         # numeric eigenvalues agree with the exact charpoly
-        for fam in base_families + [field_mosls(FieldConstructionSpec(3, 1, 1))]:
+        for fam in base_families + [composite_mosls([(3, 1, 1)])]:
             report = numeric_spectrum(build_mosls_graph(fam).adjacency)
             assert report.residual < 1e-4
             assert sum(m for _, m in report.numeric) == fam.shape.order ** 2

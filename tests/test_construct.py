@@ -3,21 +3,16 @@ import pytest
 
 from mosls import gf
 from mosls import (
-    FieldConstructionSpec,
     MoslsFamily,
     OrderCapError,
     SudokuShape,
     composite_count,
     composite_mosls,
     family_pairwise_orthogonal,
-    field_mosls,
     field_square,
     is_block_permutational,
     is_latin,
     is_sudoku,
-    mosls_count,
-    per_prime_family,
-    plain_mols,
     product,
 )
 from mosls.designs import LatinSquare
@@ -36,14 +31,14 @@ def assert_coset_bands(ctx, size):
 
 
 def test_spec_validation():
-    s = FieldConstructionSpec(2, 1, 2)
-    assert (s.q, s.r, s.order) == (2, 4, 8)
+    fam = composite_mosls([(2, 1, 2)])
+    assert (fam.shape.q, fam.shape.r, fam.shape.order) == (2, 4, 8)
     with pytest.raises(ValueError):
-        FieldConstructionSpec(4, 1, 1)
+        composite_mosls([(4, 1, 1)])
     with pytest.raises(ValueError):
-        FieldConstructionSpec(2, 0, 0)
+        composite_mosls([(2, 0, 0)])
     with pytest.raises(ValueError):
-        FieldConstructionSpec(2, -1, 2)
+        composite_mosls([(2, -1, 2)])
 
 
 def test_coset_partition_gf4():
@@ -104,7 +99,7 @@ def test_field_square_degree_gate():
 
 
 def test_field_mosls_order4():
-    fam = field_mosls(FieldConstructionSpec(2, 1, 1))
+    fam = composite_mosls([(2, 1, 1)])
     assert fam.shape == SudokuShape(2, 2) and len(fam) == 2
     assert fam.squares[0].entries.tolist() == GF4_SQUARE_T
     assert fam.squares[1].entries.tolist() == GF4_SQUARE_T1
@@ -113,7 +108,7 @@ def test_field_mosls_order4():
 
 
 def test_field_mosls_order9():
-    fam = field_mosls(FieldConstructionSpec(3, 1, 1))
+    fam = composite_mosls([(3, 1, 1)])
     assert fam.shape == SudokuShape(3, 3) and len(fam) == 6
     assert family_pairwise_orthogonal(fam)
     assert all(is_block_permutational(sq) for sq in fam)
@@ -121,39 +116,34 @@ def test_field_mosls_order9():
 
 def test_field_mosls_order8_transposed_orientation():
     # m < n realises the max(q, r)*(p-1) count by transposition
-    fam = field_mosls(FieldConstructionSpec(2, 1, 2))
+    fam = composite_mosls([(2, 1, 2)])
     assert fam.shape == SudokuShape(2, 4) and len(fam) == 4
     assert family_pairwise_orthogonal(fam)
     assert all(is_block_permutational(sq) for sq in fam)
-    tall = field_mosls(FieldConstructionSpec(2, 2, 1))
+    tall = composite_mosls([(2, 2, 1)])
     assert tall.shape == SudokuShape(4, 2) and len(tall) == 4
     assert [sq.entries.tolist() for sq in fam] == [
         sq.entries.T.tolist() for sq in tall
     ]
 
 
-def test_field_mosls_rejects_flat_types():
-    with pytest.raises(ValueError):
-        field_mosls(FieldConstructionSpec(2, 0, 2))
-
-
 def test_mosls_count_values():
-    assert mosls_count(2, 1, 1) == 2
-    assert mosls_count(3, 1, 1) == 6
-    assert mosls_count(2, 1, 2) == 4
-    assert mosls_count(2, 2, 2) == 4
-    assert mosls_count(2, 2, 0) == 3  # plain MOLS count p**k - 1
-    assert mosls_count(3, 0, 2) == 8
+    assert composite_count([(2, 1, 1)]) == 2
+    assert composite_count([(3, 1, 1)]) == 6
+    assert composite_count([(2, 1, 2)]) == 4
+    assert composite_count([(2, 2, 2)]) == 4
+    assert composite_count([(2, 2, 0)]) == 3  # plain MOLS count p**k - 1
+    assert composite_count([(3, 0, 2)]) == 8
 
 
 def test_plain_mols_order2():
-    fam = plain_mols(2, 1)
+    fam = composite_mosls([(2, 0, 1)])
     assert fam.shape == SudokuShape(1, 2) and len(fam) == 1
     assert fam.squares[0].entries.tolist() == [[1, 2], [2, 1]]
 
 
 def test_plain_mols_order3():
-    fam = plain_mols(3, 1)
+    fam = composite_mosls([(3, 0, 1)])
     assert len(fam) == 2
     assert fam.squares[0].entries.tolist() == [[1, 3, 2], [2, 1, 3], [3, 2, 1]]
     assert fam.squares[1].entries.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
@@ -161,20 +151,20 @@ def test_plain_mols_order3():
 
 
 def test_plain_mols_order4_and_7():
-    fam4 = plain_mols(2, 2)
+    fam4 = composite_mosls([(2, 0, 2)])
     assert fam4.shape == SudokuShape(1, 4) and len(fam4) == 3
     assert family_pairwise_orthogonal(fam4)
-    fam7 = plain_mols(7, 1)
+    fam7 = composite_mosls([(7, 0, 1)])
     assert len(fam7) == 6
     assert family_pairwise_orthogonal(fam7)
     assert all(is_latin(sq) for sq in fam7)
 
 
 def test_per_prime_family_orientations():
-    assert per_prime_family(2, 1, 1).shape == SudokuShape(2, 2)
-    flat = per_prime_family(3, 0, 1)
+    assert composite_mosls([(2, 1, 1)]).shape == SudokuShape(2, 2)
+    flat = composite_mosls([(3, 0, 1)])
     assert flat.shape == SudokuShape(1, 3) and len(flat) == 2
-    tall = per_prime_family(3, 1, 0)
+    tall = composite_mosls([(3, 1, 0)])
     assert tall.shape == SudokuShape(3, 1) and len(tall) == 2
     assert tall.squares[0].entries.tolist() == np.array(
         flat.squares[0].entries
@@ -182,7 +172,7 @@ def test_per_prime_family_orientations():
 
 
 def test_product_with_trivial_factor_is_identity():
-    fam = field_mosls(FieldConstructionSpec(2, 1, 1))
+    fam = composite_mosls([(2, 1, 1)])
     trivial = MoslsFamily(
         SudokuShape(1, 1), (LatinSquare([[1]], SudokuShape(1, 1)),)
     )
@@ -192,8 +182,8 @@ def test_product_with_trivial_factor_is_identity():
 
 
 def test_product_order6():
-    f2 = field_mosls(FieldConstructionSpec(2, 1, 1))  # type (2,2), 2 squares
-    f3 = plain_mols(3, 1)  # type (1,3), 2 squares
+    f2 = composite_mosls([(2, 1, 1)])  # type (2,2), 2 squares
+    f3 = composite_mosls([(3, 0, 1)])  # type (1,3), 2 squares
     prod = product(f2, f3)
     assert prod.shape == SudokuShape(2, 6) and len(prod) == 2
     assert family_pairwise_orthogonal(prod)
@@ -201,8 +191,8 @@ def test_product_order6():
 
 
 def test_product_size_is_min():
-    f2 = field_mosls(FieldConstructionSpec(2, 1, 1))  # 2 squares
-    f9 = field_mosls(FieldConstructionSpec(3, 1, 1))  # 6 squares
+    f2 = composite_mosls([(2, 1, 1)])  # 2 squares
+    f9 = composite_mosls([(3, 1, 1)])  # 6 squares
     with pytest.raises(OrderCapError):
         composite_mosls([(2, 1, 1), (3, 1, 1)])  # order 36
     prod = product(f2, f9)
@@ -216,6 +206,8 @@ def test_composite_count():
     assert composite_count([(3, 1, 0), (2, 0, 2)]) == 2
     with pytest.raises(ValueError):
         composite_count([(2, 1, 1), (2, 0, 1)])
+    with pytest.raises(ValueError):
+        composite_count([])
 
 
 def test_composite_mosls_order6():
@@ -243,10 +235,10 @@ def test_composite_mosls_order12():
 
 def test_order_cap():
     with pytest.raises(OrderCapError):
-        field_mosls(FieldConstructionSpec(2, 3, 2))  # order 32
+        composite_mosls([(2, 3, 2)])  # order 32
     with pytest.raises(OrderCapError):
-        plain_mols(17, 1)
-    assert len(plain_mols(17, 1, order_cap=17)) == 16
+        composite_mosls([(17, 0, 1)])
+    assert len(composite_mosls([(17, 0, 1)], order_cap=17)) == 16
     fam = composite_mosls([(2, 1, 0), (3, 1, 1)], order_cap=18)
     assert fam.shape == SudokuShape(6, 3)
 
@@ -263,8 +255,8 @@ def test_composite_mosls_rejects_bad_factors():
     [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (13, 0, 1)],
 )
 def test_families_valid_sweep(p, m, n):
-    fam = per_prime_family(p, m, n)
-    assert len(fam) == mosls_count(p, m, n)
+    fam = composite_mosls([(p, m, n)])
+    assert len(fam) == composite_count([(p, m, n)])
     assert family_pairwise_orthogonal(fam)
     for sq in fam:
         assert is_sudoku(sq)

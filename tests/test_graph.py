@@ -14,7 +14,6 @@ from mosls import (
     build_mosls_graph,
     commute_check,
     composite_mosls,
-    per_prime_family,
     quotient_matrix,
     srg_check,
 )
@@ -260,7 +259,7 @@ def test_exact_matmul_bound():
 
 
 def test_vertex_cap_refuses_before_allocating():
-    fam = per_prime_family(2, 3, 3, order_cap=64)
+    fam = composite_mosls([(2, 3, 3)], order_cap=64)
     assert fam.shape.order ** 2 > MAX_VERTICES
     tracemalloc.start()
     try:

@@ -8,7 +8,6 @@ from mosls import (
     ClosedFormRangeError,
     SwitchSpec,
     ConvergenceError,
-    FieldConstructionSpec,
     IntPolynomial,
     SrgParameterError,
     build_mols_graph,
@@ -17,7 +16,6 @@ from mosls import (
     charpoly_exact,
     composite_mosls,
     cospectral,
-    field_mosls,
     is_block_permutational,
     is_sudoku,
     jacobi_eigenvalues,
@@ -492,7 +490,7 @@ def test_rejected_guess_falls_back(monkeypatch):
 def test_closed_form_factors_expand_to_the_charpoly():
     factors = mosls_graph_spectrum(3, 3, 6)
     assert all(m > 0 and f.coeffs[-1] == 1 for f, m in factors)
-    g = build_mosls_graph(field_mosls(FieldConstructionSpec(3, 1, 1)))
+    g = build_mosls_graph(composite_mosls([(3, 1, 1)]))
     assert poly_product(factors).coeffs == charpoly_exact(g.adjacency).coeffs
     assert certify_charpoly(g.adjacency, factors)
 
@@ -549,7 +547,7 @@ def test_jacobi_requires_symmetry():
 
 
 def test_jacobi_raises_when_sweeps_run_out():
-    g = build_mosls_graph(field_mosls(FieldConstructionSpec(3, 1, 1)))
+    g = build_mosls_graph(composite_mosls([(3, 1, 1)]))
     assert g.num_vertices == 81
     with pytest.raises(ConvergenceError, match=r"1 sweeps with off-diagonal norm \d"):
         jacobi_eigenvalues(g.adjacency, max_sweeps=1)

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mosls import (
     Certificate,
+    LatinSquare,
     RowCycle,
+    SudokuShape,
     SwitchError,
     SwitchSpec,
     SwitchValidityError,
@@ -96,6 +99,33 @@ def test_row_cycle_switch_can_leave_sudoku():
 def test_row_cycle_switch_rejects_non_cycle():
     with pytest.raises(SwitchError, match="not Latin"):
         row_cycle_switch(SWITCH4_A, RowCycle(2, 4, (1, 3)))
+
+
+def test_row_cycle_decompose_rejects_rows_that_are_not_permutations():
+    # rows [1, 2, 3] and [1, 1, 1]: no permutation carries one to the other
+    square = LatinSquare([[1, 2, 3], [1, 1, 1], [3, 1, 2]], SudokuShape(1, 3))
+    for a, b in ((1, 2), (2, 1)):
+        with pytest.raises(SwitchError, match=f"rows {a} and {b} do not hold the same 3 distinct symbols"):
+            row_cycle_decompose(square, a, b)
+
+
+@pytest.mark.parametrize(
+    "cycle,message",
+    [
+        (RowCycle(1, 2, (1, 0)), "column 0 outside 1..4"),
+        (RowCycle(1, 2, (1, 5)), "column 5 outside 1..4"),
+        (RowCycle(0, 2, (1, 4)), "row 0 outside 1..4"),
+        (RowCycle(1, 5, (1, 4)), "row 5 outside 1..4"),
+        (RowCycle(2, 2, (1, 4)), "rows must differ"),
+    ],
+)
+def test_row_cycle_switch_checks_the_cycle(cycle, message):
+    # on the first order-4 field square (1, 4) is a cycle of rows 1 and 2,
+    # so reading column 0 as the last column would accept (1, 0) as it
+    square = composite_mosls([(2, 1, 1)]).squares[0]
+    assert RowCycle(1, 2, (1, 4)) in row_cycle_decompose(square, 1, 2)
+    with pytest.raises(SwitchError, match=re.escape(message)):
+        row_cycle_switch(square, cycle)
 
 
 # ---------------------------------------------------------------------------
