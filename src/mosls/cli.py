@@ -5,15 +5,18 @@ table.  Exit codes: 0 when all requested checks pass, 1 when a
 mathematical check or precondition fails (invalid square, verification
 mismatch, invalid switch), 2 for usage, flag, or input format errors.
 All outputs are deterministic for fixed inputs and flags.
+
+Each command imports the layers it calls when it runs, so `construct`,
+`check` and `table` never load graph, spectra or switching, and json is
+loaded only for --json output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import construct, designs, graph, spectra, switching
+from . import construct, designs
 
 
 def _emit(text: str, out_path) -> None:
@@ -22,6 +25,12 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _print_json(obj, file=None) -> None:
+    import json
+
+    print(json.dumps(obj, indent=2), file=file)
 
 
 def _parse_symbols(text: str) -> tuple[int, int]:
@@ -135,14 +144,16 @@ def cmd_check(args) -> int:
     fam = designs.load_family(args.input)
     report = _family_checks(fam)
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         _print_checks(report)
     return 0 if report["pass"] else 1
 
 
-def _build_graph(args) -> graph.CellGraph:
+def _build_graph(args):
     """The cell graph of the --in family over the --subset squares."""
+    from . import graph
+
     fam = designs.load_family(args.input)
     subset = _parse_subset(args.subset)
     if args.mols_only:
@@ -151,6 +162,8 @@ def _build_graph(args) -> graph.CellGraph:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectra
+
     g = _build_graph(args)
     nv = g.num_vertices
     want_exact = not args.numeric
@@ -190,7 +203,7 @@ def cmd_spectrum(args) -> int:
         payload["closed_form"] = verdict
 
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(
             f"graph: flavor {g.flavor} order {g.order} type {g.shape.q} {g.shape.r} "
@@ -215,6 +228,8 @@ def _closed_form_verdict(g, report) -> str:
     """Compare the closed form with the exact charpoly, or, when none was
     computed (above the exact cap, or under --numeric), certify the closed
     form on the graph itself."""
+    from . import graph, spectra
+
     n, f = g.order, g.family_size
     if g.flavor == "mols":
         try:
@@ -235,6 +250,8 @@ def _closed_form_verdict(g, report) -> str:
 
 
 def cmd_graph_export(args) -> int:
+    from . import graph
+
     g = _build_graph(args)
     if args.format == "edges":
         _emit(graph.edge_lines(g), args.out)
@@ -244,6 +261,8 @@ def cmd_graph_export(args) -> int:
 
 
 def cmd_switch(args) -> int:
+    from . import switching
+
     fam = designs.load_family(args.input)
     if len(fam) != 1:
         print("error: switch expects a single-square family file", file=sys.stderr)
@@ -273,11 +292,13 @@ def cmd_switch(args) -> int:
     if args.json:
         payload = cert.to_json_dict()
         payload["closed_form"] = theorem
-        print(json.dumps(payload, indent=2), file=dest)
+        _print_json(payload, file=dest)
     return 1 if theorem.startswith("MISMATCH") else 0
 
 
 def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
+    from . import switching
+
     if eff_q < 2 or eff_r < 2:
         return "INAPPLICABLE (needs q, r >= 2)"
     # The Latin and block layers of a block-permutational Sudoku square
@@ -297,6 +318,8 @@ def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
 
 
 def cmd_compare(args) -> int:
+    from . import switching
+
     fam_a = designs.load_family(args.a)
     fam_b = designs.load_family(args.b)
     if len(fam_a) != 1 or len(fam_b) != 1:
@@ -304,7 +327,7 @@ def cmd_compare(args) -> int:
         return 2
     cert = switching.nonisomorphism_certificate(fam_a.squares[0], fam_b.squares[0])
     if args.json:
-        print(json.dumps(cert.to_json_dict(), indent=2))
+        _print_json(cert.to_json_dict())
     else:
         print(f"verdict: {cert.verdict}")
         if cert.differing_coefficient_index is not None:
@@ -368,7 +391,7 @@ def verified_table_rows(max_order: int, order_cap: int):
 def cmd_table(args) -> int:
     rows = list(verified_table_rows(args.max_order, args.order_cap))
     if args.json:
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
     else:
         for row in rows:
             q, r = row["type"]
@@ -470,13 +493,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        switching.SwitchError,
-        switching.TheoremPreconditionError,
-        graph.FamilyStructureError,
-        graph.EquitabilityError,
-        spectra.SrgParameterError,
-    ) as exc:
+    except designs.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -25,6 +25,11 @@ class FormatError(ValueError):
     """Malformed family file; messages carry 1-based line numbers."""
 
 
+class CheckFailed(ValueError):
+    """A mathematical check or precondition failed on well-formed input;
+    the base of the errors that make a command exit with 1."""
+
+
 @dataclass(frozen=True)
 class SudokuShape:
     """Block geometry (q, r): blocks have q rows and r columns."""
@@ -114,6 +119,11 @@ class MoslsFamily:
 
     def __iter__(self):
         return iter(self.squares)
+
+
+def _max_abs(A: np.ndarray) -> int:
+    """max |a_ij| as a Python int; np.abs would wrap at -2**63."""
+    return max(int(A.max(initial=0)), -int(A.min(initial=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +301,9 @@ def parse_family(text: str) -> MoslsFamily:
     if f < 1:
         fail(2, f"count must be positive, got {f}")
 
+    # one array conversion per square keeps a single square's tokens alive;
+    # a layout problem is raised after the rows above it check out
+    shape = SudokuShape(q, r)
     squares = []
     ln = 2  # 1-based index of the last consumed line
     for k in range(f):
@@ -299,25 +312,49 @@ def parse_family(text: str) -> MoslsFamily:
             if ln > len(lines) or lines[ln - 1].strip() != "":
                 fail(ln, f"expected blank line before square {k + 1}")
         rows = []
+        problem = None
         for i in range(n):
             ln += 1
             if ln > len(lines):
-                fail(ln, f"unexpected end of file inside square {k + 1}")
+                problem = (ln, f"unexpected end of file inside square {k + 1}")
+                break
             parts = lines[ln - 1].split()
             if len(parts) != n:
-                fail(ln, f"expected {n} integers, got {len(parts)}")
-            try:
-                row = [int(tok) for tok in parts]
-            except ValueError:
-                fail(ln, "entries must be integers")
-            for v in row:
-                if not 1 <= v <= n:
-                    fail(ln, f"symbol {v} outside 1..{n}")
-            rows.append(row)
-        squares.append(LatinSquare(rows, SudokuShape(q, r)))
+                problem = (ln, f"expected {n} integers, got {len(parts)}")
+                break
+            rows.append(parts)
+        values = _entry_values(rows, n, first_line=3 + k * (n + 1))
+        if problem:
+            fail(*problem)
+        squares.append(LatinSquare(values, shape))
     if ln != len(lines):
         fail(ln + 1, "trailing content after last square")
-    return MoslsFamily(SudokuShape(q, r), tuple(squares))
+    return MoslsFamily(shape, tuple(squares))
+
+
+def _entry_values(rows: list[list[str]], n: int, first_line: int) -> np.ndarray:
+    """Rows of tokens, the first on line first_line, as one int64 array,
+    converted as int() does.
+
+    On a non-integer or a symbol outside 1..n, the first such row raises
+    FormatError, naming the non-integer before any symbol and else its
+    first bad symbol.
+    """
+    try:
+        values = np.array(rows, dtype=np.int64)
+        if not ((values < 1) | (values > n)).any():
+            return values
+    except (ValueError, OverflowError):  # OverflowError: a symbol beyond int64
+        pass
+    for ln, parts in enumerate(rows, start=first_line):
+        try:
+            row = [int(tok) for tok in parts]
+        except ValueError:
+            raise FormatError(f"line {ln}: entries must be integers") from None
+        for v in row:
+            if not 1 <= v <= n:
+                raise FormatError(f"line {ln}: symbol {v} outside 1..{n}")
+    raise RuntimeError("internal error: the rows failed the array check but not line by line")
 
 
 def save_family(fam: MoslsFamily, path) -> None:

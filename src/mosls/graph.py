@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import MoslsFamily, SudokuShape
-from .spectra import _max_abs
+from .designs import CheckFailed, MoslsFamily, SudokuShape, _max_abs
 
 # Largest vertex count the dense builders accept: order 49.  One dense
 # int64 (n**2) x (n**2) array then takes 2401**2 * 8 bytes, about 46 MB,
@@ -23,11 +22,11 @@ from .spectra import _max_abs
 MAX_VERTICES = 49 ** 2
 
 
-class FamilyStructureError(ValueError):
+class FamilyStructureError(CheckFailed):
     """The family violates Latin/orthogonality/Sudoku constraints."""
 
 
-class EquitabilityError(ValueError):
+class EquitabilityError(CheckFailed):
     """The block partition is not equitable for this graph."""
 
 
@@ -229,8 +228,17 @@ def edge_list(graph: CellGraph) -> list[tuple[int, int]]:
 
 
 def edge_lines(graph: CellGraph) -> str:
-    e = _edges(graph)
-    return "\n".join(map("{0} {1}".format, e[:, 0].tolist(), e[:, 1].tolist())) + "\n"
+    """One "u v" line per edge, in edge_list order; the lines of vertex u
+    are joined at once from the precomputed vertex names."""
+    A = graph.adjacency
+    names = [str(v) for v in range(1, A.shape[0] + 1)]
+    rows = []
+    for u, row in enumerate(np.triu(A, 1)):
+        later = np.flatnonzero(row).tolist()
+        if later:
+            prefix = names[u] + " "
+            rows.append(prefix + ("\n" + prefix).join([names[v] for v in later]))
+    return "\n".join(rows) + "\n"
 
 
 def matrix_lines(graph: CellGraph) -> str:

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import CheckFailed, _max_abs
+
 EXACT_SIZE_CAP = 150
 
 
-class SrgParameterError(ValueError):
+class SrgParameterError(CheckFailed):
     """Multiplicity formulas gave a negative or non-integer value."""
 
 
@@ -276,11 +278,6 @@ def _power_sums(poly: IntPolynomial, count: int) -> list[int]:
             acc += c[d - i] * sums[k - i]
         sums.append(-acc)
     return sums
-
-
-def _max_abs(A: np.ndarray) -> int:
-    """max |a_ij| as a Python int; np.abs would wrap at -2**63."""
-    return max(int(A.max(initial=0)), -int(A.min(initial=0)))
 
 
 def _modulus_limit(n: int, amax: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
+from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
 from .graph import build_mosls_graph
 from .spectra import (
     IntPolynomial,
@@ -31,7 +31,7 @@ from .spectra import (
 )
 
 
-class SwitchError(ValueError):
+class SwitchError(CheckFailed):
     """Switch input is not a cycle or violates a precondition."""
 
 
@@ -39,7 +39,7 @@ class SwitchValidityError(SwitchError):
     """A line crossing the band separates the two symbols."""
 
 
-class TheoremPreconditionError(ValueError):
+class TheoremPreconditionError(CheckFailed):
     """The spectral-change formula does not apply to these inputs."""
 
 
@@ -110,6 +110,9 @@ def row_cycle_switch(L: LatinSquare, cycle: RowCycle) -> LatinSquare:
         raise SwitchError("rows must differ")
     _check_lines("row", (cycle.row_a, cycle.row_b), L.order)
     _check_lines("column", cycle.columns, L.order)
+    repeats = [c for k, c in enumerate(cycle.columns) if c in cycle.columns[:k]]
+    if repeats:
+        raise SwitchError(f"column {repeats[0]} repeats in the cycle")
     ent = L.entries.copy()
     a, b = cycle.row_a - 1, cycle.row_b - 1
     cols = [c - 1 for c in cycle.columns]

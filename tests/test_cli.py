@@ -614,3 +614,32 @@ def test_spectrum_exact_and_numeric_are_exclusive(four_file, capsys):
         main(["spectrum", "--in", four_file, "--exact", "--numeric"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [
+        ("FamilyStructureError", 1, "check failed"),
+        ("EquitabilityError", 1, "check failed"),
+        ("SrgParameterError", 1, "check failed"),
+        ("SwitchError", 1, "check failed"),
+        ("SwitchValidityError", 1, "check failed"),
+        ("TheoremPreconditionError", 1, "check failed"),
+        ("FormatError", 2, "error"),
+        ("OrderCapError", 2, "error"),
+        ("FieldError", 2, "error"),
+        ("ClosedFormRangeError", 2, "error"),
+    ],
+)
+def test_failed_checks_exit_1_and_other_value_errors_exit_2(error, code, prefix, monkeypatch, capsys):
+    import mosls
+
+    exc_type = getattr(mosls, error)
+    assert issubclass(exc_type, mosls.CheckFailed) == (code == 1)
+
+    def raise_it(path):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(designs, "load_family", raise_it)
+    assert main(["check", "--in", "unused"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"

@@ -246,6 +246,39 @@ def test_parse_rejects_missing_square():
         parse_family(text)
 
 
+# (square rows of an order-2, two-square file, the first error) when the
+# entries are converted all at once: the first failing line is named, and a
+# non-integer on it comes before its bad symbols
+ENTRY_ERRORS = [
+    (["1 2", "2 x", "", "1 2"], "line 4: entries must be integers"),
+    (["1 2", "2 1", "", "0 2", "2"], "line 6: symbol 0 outside 1..2"),
+    (["1 3", "2 x", "", "1 2", "2 1"], "line 3: symbol 3 outside 1..2"),
+    (["3 x", "2 1", "", "1 2", "2 1"], "line 3: entries must be integers"),
+    (["1 2", "0 99999999999999999999", "", "1 2", "2 1"], "line 4: symbol 0 outside 1..2"),
+    (["1 2", "99999999999999999999 0", "", "1 2", "2 1"], "line 4: symbol 99999999999999999999 outside 1..2"),
+    (["1 2", "2 -9223372036854775809"], "line 4: symbol -9223372036854775809 outside 1..2"),
+    (["1 2", "2 1", "", "1 2", "2 1", "extra"], "line 8: trailing content after last square"),
+    (["1 2", "2 1", "", "1 2", "2 3", "extra"], "line 7: symbol 3 outside 1..2"),
+    (["1 2", "2 1", "1 2", "2 1"], "line 5: expected blank line before square 2"),
+    (["1 2", "0 1", "1 2", "2 1"], "line 4: symbol 0 outside 1..2"),
+    (["1_0 ٢", "٢ 1"], "line 3: symbol 10 outside 1..2"),
+]
+
+
+@pytest.mark.parametrize("rows,message", ENTRY_ERRORS)
+def test_parse_names_the_first_failing_line(rows, message):
+    text = "\n".join(["mosls v1", "order 2 type 1 2 count 2", *rows]) + "\n"
+    with pytest.raises(FormatError) as info:
+        parse_family(text)
+    assert str(info.value) == message
+
+
+def test_parse_converts_tokens_as_int_does():
+    # int() accepts underscores, signs and non-ASCII decimal digits
+    text = "mosls v1\norder 2 type 1 2 count 1\n+1 ٢\n0_2 １\n"
+    assert parse_family(text).squares[0].entries.tolist() == [[1, 2], [2, 1]]
+
+
 def test_family_shape_consistency():
     with pytest.raises(ValueError):
         MoslsFamily(SudokuShape(1, 4), (cyclic_square(4), cyclic_square(3)))

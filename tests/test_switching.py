@@ -117,6 +117,8 @@ def test_row_cycle_decompose_rejects_rows_that_are_not_permutations():
         (RowCycle(0, 2, (1, 4)), "row 0 outside 1..4"),
         (RowCycle(1, 5, (1, 4)), "row 5 outside 1..4"),
         (RowCycle(2, 2, (1, 4)), "rows must differ"),
+        # swapping columns 1 and 4 once leaves a Latin square
+        (RowCycle(1, 2, (1, 4, 1)), "column 1 repeats in the cycle"),
     ],
 )
 def test_row_cycle_switch_checks_the_cycle(cycle, message):
