@@ -69,7 +69,6 @@ _EXPORTS = {
         "SrgParameterError",
         "certify_charpoly",
         "charpoly_exact",
-        "cospectral",
         "jacobi_eigenvalues",
         "mosls_graph_spectrum",
         "numeric_spectrum",

@@ -167,12 +167,15 @@ def is_sudoku(L: LatinSquare) -> bool:
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
-    """True iff superimposing the squares yields all n**2 ordered pairs."""
+    """True iff superimposing the squares yields all n**2 ordered pairs of
+    symbols in 1..n."""
     n = a.order
     if b.order != n:
         raise ValueError(f"order mismatch: {n} vs {b.order}")
-    codes = np.sort((a.entries - 1) * n + (b.entries - 1), axis=None)
-    return not (codes[1:] == codes[:-1]).any()
+    if min(a.entries.min(), b.entries.min()) < 1 or max(a.entries.max(), b.entries.max()) > n:
+        return False
+    codes = (a.entries - 1) * n + (b.entries - 1)
+    return bool((np.bincount(codes.ravel(), minlength=n * n) == 1).all())
 
 
 def block(L: LatinSquare, i: int, j: int) -> Block:

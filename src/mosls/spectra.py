@@ -1,26 +1,17 @@
 """Exact and numeric spectra of integer symmetric matrices, plus the
 closed-form spectra predicted for MOLS/MOSLS cell graphs.
 
-Characteristic polynomials are exact over the integers, by one of two
-paths.  A symmetric matrix is tried first with a certified guess: its
-LAPACK eigenvalues are grouped and rounded into a candidate
-P = prod F_j**m_j with monic integer factors F_j, and certify_charpoly
-proves det(tI - A) = P from R(A) = 0 for R = prod F_j and the power sums
-tr(A**k) for k < deg R, all checked modulo a few pairwise coprime moduli
-with float64 BLAS products (proof at charpoly_exact).  The same
-certificate checks a closed-form spectrum against a graph too large for a
-charpoly.
-
-Any other matrix, and a guess that cannot be rounded or fails its
-certificate, takes the general path: the matrix is reduced to Hessenberg
-form modulo a battery of word-sized primes, the charpoly recurrence is
-evaluated mod each prime, and the integer coefficients are recovered by
-Chinese remaindering against an a-priori coefficient bound.  Reduction
-mod p commutes with taking det(tI - M), so no prime is "unlucky" and the
-reconstruction is exact.  The bound is
-B = max_k isqrt(C(n,k)**2 * F**k // n**k) + 1 with F = sum of a_ij**2
-(Schur's and Maclaurin's inequalities; proof at charpoly_exact), and
-primes are taken until their product exceeds 2B.
+Characteristic polynomials are exact over the integers, from one engine:
+tr(A**k) computed exactly, modulo a few pairwise coprime moduli on float64
+BLAS products and recombined by the Chinese remainder theorem, and
+Newton's identities on those power sums.  A symmetric matrix first takes
+its linear factors from the near-integer groups of its LAPACK eigenvalues;
+the power sums then give the remaining factor of degree d, and
+certify_charpoly proves the product from R(A) = 0 and the power sums
+tr(A**k) for k < deg R on the same modular chain.  Any other matrix, and a
+guess that the certificate rejects, takes d = n: Newton's identities on
+all n traces give the charpoly directly (proof at charpoly_exact).  The same certificate checks a closed-form spectrum
+against a graph too large for a charpoly.
 """
 
 from __future__ import annotations
@@ -71,10 +62,6 @@ class IntPolynomial:
         return [str(c) for c in self.coeffs]
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return poly_product(((a, 1), (b, 1)))
-
-
 def poly_divmod(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     """Division by a monic divisor; exact integer arithmetic throughout."""
     if den.coeffs[-1] != 1:
@@ -103,10 +90,6 @@ def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return quot
 
 
-def poly_from_roots(roots) -> IntPolynomial:
-    return poly_product((IntPolynomial((-root, 1)), 1) for root in roots)
-
-
 def poly_product(factors) -> IntPolynomial:
     """prod F**m over the (F, m) pairs; object arrays keep Python ints."""
     acc = np.ones(1, dtype=object)
@@ -120,76 +103,6 @@ def poly_product(factors) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial
 
-_PRIME_POOL: list[int] = []
-_SIEVE_WINDOW = 1 << 12  # about 230 primes per window just below 2**26
-
-
-def _primes_between(lo: int, hi: int) -> list[int]:
-    """Primes p with 2 <= lo <= p < hi, ascending, by a numpy segmented sieve."""
-    root = math.isqrt(hi - 1)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for d in range(2, math.isqrt(root) + 1):
-        if small[d]:
-            small[d * d :: d] = False
-    keep = np.ones(hi - lo, dtype=bool)
-    for d in np.flatnonzero(small).tolist():
-        first = max(d * d, -(-lo // d) * d)
-        keep[first - lo :: d] = False
-    return (np.flatnonzero(keep) + lo).tolist()
-
-
-def _more_primes(count: int) -> list[int]:
-    """Primes just below 2**26, largest first; products of two residues and
-    sums of up to 150 such products stay inside int64."""
-    hi = _PRIME_POOL[-1] if _PRIME_POOL else 1 << 26
-    while len(_PRIME_POOL) < count:
-        lo = max(hi - _SIEVE_WINDOW, 2)
-        _PRIME_POOL.extend(reversed(_primes_between(lo, hi)))
-        hi = lo
-    return _PRIME_POOL[:count]
-
-
-def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
-    """Charpoly of M over Z_p via Hessenberg reduction, ascending coeffs."""
-    n = M.shape[0]
-    # every dot product below sums at most n products of residues
-    if n * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"{n} products of residues mod {p} may overflow int64")
-    H = np.mod(M, p).astype(np.int64)
-    for k in range(n - 2):
-        col = H[k + 1 :, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = k + 1 + int(nz[0])
-        if piv != k + 1:
-            H[[k + 1, piv]] = H[[piv, k + 1]]
-            H[:, [k + 1, piv]] = H[:, [piv, k + 1]]
-        inv = pow(int(H[k + 1, k]), p - 2, p)
-        factors = (H[k + 2 :, k] * inv) % p
-        # rows k+1 and below are already zero left of column k, so the
-        # elimination only touches columns k onwards
-        H[k + 2 :, k:] = (H[k + 2 :, k:] - factors[:, None] * H[k + 1, k:]) % p
-        H[:, k + 1] = (H[:, k + 1] + H[:, k + 2 :] @ factors) % p
-
-    # P[k] holds coeffs of det(tI - H[:k,:k]); expand along last columns
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    prods = np.zeros(n, dtype=np.int64)  # prods[i] = H[i+1,i]*...*H[k-1,k-2]
-    for k in range(1, n + 1):
-        if k >= 2:
-            sub = int(H[k - 1, k - 2])
-            prods[: k - 2] = (prods[: k - 2] * sub) % p
-            prods[k - 2] = sub
-        P[k, 1 : k + 1] = P[k - 1, :k]
-        P[k, :k] -= (int(H[k - 1, k - 1]) * P[k - 1, :k]) % p
-        if k >= 2:
-            w = (H[: k - 1, k - 1] * prods[: k - 1]) % p
-            P[k, :k] -= (w @ P[: k - 1, :k]) % p
-        P[k] %= p
-    return [int(c) for c in P[n]]
-
 
 def check_exact_size(n: int) -> None:
     """Refuse an exact charpoly of an n x n matrix above EXACT_SIZE_CAP."""
@@ -197,73 +110,34 @@ def check_exact_size(n: int) -> None:
         raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_SIZE_CAP}")
 
 
-def _coefficient_bound(A: np.ndarray) -> int:
-    """B with |c_k| < B for every coefficient of det(tI - A); see
-    charpoly_exact for the proof."""
-    n = A.shape[0]
-    frob = sum(v * v for v in A.ravel().tolist())  # Python ints, exact
-    return max(math.isqrt(math.comb(n, k) ** 2 * frob**k // n**k) for k in range(n + 1)) + 1
-
-
-def _primes_above(bound: int) -> list[int]:
-    """Pool primes, largest first, until their product exceeds bound."""
-    primes: list[int] = []
-    prod = 1
-    while prod <= bound:
-        primes.append(_more_primes(len(primes) + 1)[-1])
-        prod *= primes[-1]
-    return primes
-
-
-def _hessenberg_crt(A: np.ndarray) -> IntPolynomial:
-    """det(tI - A) for any square int64 matrix: Hessenberg charpolys mod
-    primes whose product exceeds 2 * _coefficient_bound(A), recombined by
-    the Chinese remainder theorem into symmetric residues."""
-    primes = _primes_above(2 * _coefficient_bound(A))
-    residues = [_hessenberg_charpoly_mod(A, p) for p in primes]
-    coeffs = []
-    for k in range(A.shape[0] + 1):
-        x, mod = 0, 1
-        for p, res in zip(primes, residues):
-            delta = (res[k] - x) * pow(mod % p, p - 2, p) % p
-            x += mod * delta
-            mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    return IntPolynomial(tuple(coeffs))
+def _int_matrix(M) -> np.ndarray:
+    """M as an int64 array; ValueError unless M is square with integral
+    entries, which a plain int64 cast would truncate silently."""
+    A = np.asarray(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail below
+        B = A.astype(np.int64, copy=False)
+    if B is not A and not np.array_equal(A, B):
+        raise ValueError("matrix entries must be integers")
+    return B
 
 
 # Eigenvalues of a guess closer than this form one group, and a group this
 # close to an integer gives a linear factor.  It is fixed, not the caller's
 # group_tol: a wrong guess costs a fallback, never a wrong result.
 _GUESS_TOL = 1e-6
-# np.poly coefficients of a guessed factor must lie this close to integers
-_ROUND_TOL = 1e-3
 
 
-def _guess_factors(A: np.ndarray) -> list[tuple[IntPolynomial, int]] | None:
-    """Candidate factors (F, m) of det(tI - A) for symmetric A, read off
-    grouped eigvalsh values, or None when a factor does not round.
-
-    Near-integer groups give linear factors; the other groups of each
-    multiplicity give one factor, the rounded np.poly of their values."""
+def _linear_guess(A: np.ndarray) -> list[tuple[IntPolynomial, int]]:
+    """(t - v, m) for each group of m eigvalsh values of the symmetric A
+    that lies near the integer v."""
     groups = _group_values(np.linalg.eigvalsh(A.astype(np.float64))[::-1], _GUESS_TOL)
-    factors = []
-    irrational: dict[int, list[float]] = {}
-    for value, mult in groups:
-        root = round(value)
-        if abs(value - root) <= _GUESS_TOL:
-            factors.append((IntPolynomial((-root, 1)), mult))
-        else:
-            irrational.setdefault(mult, []).append(value)
-    for mult, roots in irrational.items():
-        coeffs = np.poly(roots)[::-1]  # ascending, monic
-        rounded = np.rint(coeffs)
-        if np.abs(coeffs).max() >= 2**52 or np.abs(coeffs - rounded).max() > _ROUND_TOL:
-            return None
-        factors.append((IntPolynomial(tuple(int(c) for c in rounded)), mult))
-    return factors
+    return [
+        (IntPolynomial((-round(value), 1)), mult)
+        for value, mult in groups
+        if abs(value - round(value)) <= _GUESS_TOL
+    ]
 
 
 def _power_sums(poly: IntPolynomial, count: int) -> list[int]:
@@ -281,9 +155,8 @@ def _power_sums(poly: IntPolynomial, count: int) -> list[int]:
 
 
 def _modulus_limit(n: int, amax: int) -> int:
-    """Largest modulus m for which every float64 value that
-    certify_charpoly computes mod m on an n x n matrix with |a_ij| <= amax
-    is an exact integer.
+    """Largest modulus m for which every float64 value that _chain computes
+    mod m on an n x n matrix with |a_ij| <= amax is an exact integer.
 
     Residues y satisfy |y| <= m - 1.  With a = max(amax, 1): an entry of
     A @ Y, and each of its partial sums, is at most n a (m - 1) in
@@ -313,6 +186,86 @@ def _coprime_moduli(limit: int, bound: int) -> list[int]:
     return moduli
 
 
+def _abs_row_sum(A: np.ndarray) -> int:
+    """max_i sum_j |a_ij| as a Python int, exact: int64 sums cannot overflow
+    while n max|a_ij| < 2**63; beyond that the magnitudes are summed as
+    Python ints, read as uint64, since np.abs maps -2**63 to itself."""
+    if A.shape[0] * _max_abs(A) < 2**63:
+        return int(np.abs(A).sum(axis=1).max(initial=0))
+    return max(np.abs(A).view(np.uint64).sum(axis=1, dtype=object))
+
+
+def _chain(A: np.ndarray, c, bound: int):
+    """Residues of Y_0 = I, Y_j = A @ Y_(j-1) + c_j I for j = 1..len(c)
+    (the powers A**j when every c_j = 0; R(A) by Horner when the c_j are
+    the coefficients of a monic R below its leading one, top down): yields
+    m, [tr(Y_j) mod m for each j] and the last Y_j for each of the
+    pairwise coprime moduli m, until their product exceeds bound.
+
+    Each step is one float64 BLAS product, reduced as T - m * rint(T / m),
+    whose rounded quotient is within 1/2 + 2/m of T / m, so |residue| < m
+    for m >= 5.  A is reduced to residues in [0, m) when max|a_ij| >= m,
+    so its entries are at most a = min(max|a_ij|, m - 1), and every value
+    is exact while (n a + 1)(m - 1) + m < 2**53 (_modulus_limit): for m up
+    to _modulus_limit(n, max|a_ij|), and for any entries up to
+    isqrt(2**52 // n), as then (n (m - 1) + 1)(m - 1) + m <= n m**2 + m,
+    with n m**2 <= 2**52.
+    """
+    n, amax = A.shape[0], _max_abs(A)
+    limit = max(_modulus_limit(n, amax), math.isqrt(2**52 // max(n, 1)))
+    Af = A.astype(np.float64)
+    T, Y = np.empty_like(Af), np.empty_like(Af)
+    for m in _coprime_moduli(limit, bound):
+        B = Af if amax < m else np.mod(A, m).astype(np.float64)
+        traces = []
+        for j, cj in enumerate(c):
+            if j:
+                np.matmul(B, Y, out=T)
+            else:
+                np.copyto(T, B)  # A @ Y_0
+            T.reshape(-1)[:: n + 1] += cj % m
+            np.multiply(T, 1.0 / m, out=Y)
+            np.rint(Y, out=Y)
+            Y *= -m
+            Y += T
+            traces.append(int(Y.trace()) % m)
+        yield m, traces, Y
+
+
+def _exact_traces(A: np.ndarray, d: int) -> list[int]:
+    """tr(A**k) for k = 1..d: the symmetric CRT residue of the power chain
+    modulo moduli whose product exceeds 2 n rho**d (charpoly_exact)."""
+    values, prod = [0] * d, 1
+    for m, traces, _ in _chain(A, [0] * d, 2 * A.shape[0] * _abs_row_sum(A) ** d):
+        inv = pow(prod, -1, m)
+        values = [x + prod * ((t - x) * inv % m) for x, t in zip(values, traces)]
+        prod *= m
+    return [x - prod if 2 * x > prod else x for x in values]
+
+
+def _power_sum_quotient(A: np.ndarray, linear) -> IntPolynomial:
+    """det(tI - A) / prod (t - v)**m over the (t - v, m) pairs in linear,
+    when they divide it: t**d + a_1 t**(d-1) + ... + a_d, d = n - sum m,
+    by Newton's identities k a_k = -(a_(k-1) p_1 + ... + a_0 p_k), a_0 = 1,
+    on the exact power sums p_k = tr(A**k) - sum m v**k.
+
+    Every division by k is exact: these are the identities of the power
+    series f(x) = det(I - xA) / prod (1 - v x)**m, whose logarithmic
+    derivative -x f'/f is sum p_k x**k, and f has integer coefficients.
+    When the linear factors divide the charpoly, f is the reversed
+    quotient; when not, the result is f cut at degree d, which the
+    certificate rejects."""
+    sums = _exact_traces(A, A.shape[0] - sum(mult for _, mult in linear))
+    for poly, mult in linear:
+        sums = [s - mult * (-poly.coeffs[0]) ** k for k, s in enumerate(sums, 1)]
+    a = [1]
+    for k in range(1, len(sums) + 1):
+        quot, rem = divmod(-sum(a[k - i] * sums[i - 1] for i in range(1, k + 1)), k)
+        assert rem == 0, "inexact division in Newton's identities"
+        a.append(quot)
+    return IntPolynomial(tuple(a[::-1]))
+
+
 def _certificate_bound(n: int, rho: int, R: IntPolynomial, sums: list[int]) -> int:
     """Q such that, for an n x n integer matrix with largest absolute row
     sum rho, R(A) = 0 and tr(A**k) = sums[k] follow from their residues
@@ -338,19 +291,13 @@ def certify_charpoly(M, factors) -> bool:
     symmetric M (for any square M, True is still a proof).
 
     Both are checked modulo pairwise coprime moduli whose product exceeds
-    _certificate_bound, one modulus m at a time, by the Horner chain
-    Y_0 = I, Y_j = M @ Y_(j-1) + r_(D-j) I mod m on float64 BLAS products.
-    Y_D = R(M), and tr(Y_j) = sum_(i<=j) r_(D-j+i) tr(M**i) with r_D = 1 is
-    unit triangular in the traces, so tr(Y_j) = sum_(i<=j) r_(D-j+i) p_i
-    for 0 < j < D holds mod m iff tr(M**k) = p_k does for k < D.  Each
-    modulus is at most _modulus_limit, which keeps every float64 value an
-    exact integer; residues are reduced as T - m * rint(T / m), whose
-    rounded quotient is within 1/2 + 2/m of T / m, so |residue| < m for
-    m >= 5.  ValueError is raised when the moduli would fall below 5.
+    _certificate_bound, by the Horner chain Y_0 = I,
+    Y_j = M @ Y_(j-1) + r_(D-j) I (_chain).  Y_D = R(M), and
+    tr(Y_j) = sum_(i<=j) r_(D-j+i) tr(M**i) with r_D = 1 is unit triangular
+    in the traces, so tr(Y_j) = sum_(i<=j) r_(D-j+i) p_i for 0 < j < D
+    holds mod m iff tr(M**k) = p_k does for k < D.
     """
-    A = np.asarray(M, dtype=np.int64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    A = _int_matrix(M)
     if any(poly.degree < 1 or poly.coeffs[-1] != 1 for poly, _ in factors):
         raise ValueError("factors must be monic of degree at least 1")
     n = A.shape[0]
@@ -362,30 +309,10 @@ def certify_charpoly(M, factors) -> bool:
     for poly, mult in factors:
         for k, s in enumerate(_power_sums(poly, D)):
             sums[k] += mult * s
-    expected = [sum(r[D - j + i] * sums[i] for i in range(j + 1)) for j in range(D)]
-    amax = _max_abs(A)
-
-    Af = A.astype(np.float64)
-    T = np.abs(Af)
-    # exact float row sums: below 2**51 whenever _modulus_limit allows a
-    # modulus of 5, and otherwise _coprime_moduli raises for any bound
-    rho = int(T.sum(axis=1).max(initial=0))
-    Y = np.empty_like(Af)
-    diagonal = T.reshape(-1)[:: n + 1]
-    for m in _coprime_moduli(_modulus_limit(n, amax), _certificate_bound(n, rho, R, sums)):
-        for j in range(1, D + 1):
-            if j == 1:
-                np.copyto(T, Af)  # M @ Y_0
-            else:
-                np.matmul(Af, Y, out=T)
-            diagonal += r[D - j] % m
-            np.multiply(T, 1.0 / m, out=Y)
-            np.rint(Y, out=Y)
-            Y *= -m
-            Y += T
-            if j < D and (int(Y.trace()) - expected[j]) % m:
-                return False
-        if Y.any():
+    expected = [sum(r[D - j + i] * sums[i] for i in range(j + 1)) for j in range(1, D)]
+    bound = _certificate_bound(n, _abs_row_sum(A), R, sums)
+    for m, traces, Y in _chain(A, [r[D - j] for j in range(1, D + 1)], bound):
+        if any((t - e) % m for t, e in zip(traces, expected)) or Y.any():
             return False
     return True
 
@@ -393,16 +320,31 @@ def certify_charpoly(M, factors) -> bool:
 def charpoly_exact(M) -> IntPolynomial:
     """det(tI - M) with exact integer coefficients.
 
-    M must be a square integer matrix with at most EXACT_SIZE_CAP rows; the cap
-    keeps the modular reconstruction comfortably fast.
+    M must be a square integer matrix with at most EXACT_SIZE_CAP rows; the
+    cap keeps the up to n products per modulus of the power chain fast.
 
-    Certified guess.  A symmetric M with n * max|m_ij| <= 2**27 gets a
-    candidate P = prod F_j**m_j from its grouped eigvalsh values
-    (_guess_factors), and P is returned when certify_charpoly accepts it.  Let R = prod F_j and D = deg R.
-    Claim: if R(M) = 0 and tr(M**k) = p_k(P) for 0 <= k < D, then
-    det(tI - M) = P, for any square M.  Proof: R(M) = 0 means the minimal
-    polynomial of M divides R, so every eigenvalue of M is one of the
-    distinct roots s_1..s_E of R, with E <= D; so are the roots of P.
+    One engine: exact power sums.  Given linear factors (t - v_j)**m_j and
+    d = n - sum m_j, _power_sum_quotient computes tr(M**k) for k <= d and
+    runs Newton's identities on p_k = tr(M**k) - sum_j m_j v_j**k, whose
+    divisions are exact (proof there); if the linear factors divide
+    det(tI - M), the result Q is the quotient.  The traces are
+    exact: every eigenvalue is at most rho = max_i sum_j |m_ij| in
+    magnitude, so |tr(M**k)| <= n rho**k, and the moduli multiply to more
+    than 2 n rho**d, so the symmetric CRT residue is the trace itself.
+    Moduli cannot run out: _chain reduces M modulo each modulus when its
+    entries are large, which keeps every modulus up to
+    isqrt(2**52 // n) > 2**22 exact for n <= 150.  The primes alone below
+    that multiply to about e**(2**22), and with int64 entries rho < 2**71,
+    so every bound here is below 2**(2**15).
+
+    Certified guess.  A symmetric M takes its linear factors from the
+    near-integer groups of its eigvalsh values (_linear_guess); with Q the
+    quotient above, P = prod (t - v_j)**m_j * Q is returned when
+    certify_charpoly accepts it.  Let R = prod F over its factors F and
+    D = deg R.  Claim: if R(M) = 0 and tr(M**k) = p_k(P) for 0 <= k < D,
+    then det(tI - M) = P, for any square M.  Proof: R(M) = 0 means the
+    minimal polynomial of M divides R, so every eigenvalue of M is one of
+    the distinct roots s_1..s_E of R, with E <= D; so are the roots of P.
     Let a_i and b_i be the multiplicities of s_i in det(tI - M) and in P.
     Then tr(M**k) - p_k(P) = sum_i (a_i - b_i) s_i**k = 0 for k < E is a
     Vandermonde system in the distinct s_i, which is nonsingular, so
@@ -414,36 +356,21 @@ def charpoly_exact(M) -> IntPolynomial:
     the pairwise coprime moduli exceeds every |R(M)_ij| and every
     |tr(M**k) - p_k(P)| (_certificate_bound).
 
-    General path.  Non-symmetric M, and a guess that does not round or is
-    rejected, go to Hessenberg reduction mod primes (_hessenberg_crt).
-    Coefficient bound: let lambda_1..lambda_n be the complex eigenvalues
-    of M and F = sum a_ij**2.  Schur's inequality gives
-    sum |lambda_i|**2 <= F for any square matrix, symmetric or not, and
-    Cauchy-Schwarz then gives S = sum |lambda_i| <= sqrt(n F).  The
-    coefficient of t**(n-k) is (-1)**k e_k(lambda), so
-    |c_(n-k)| <= e_k(|lambda|) <= C(n,k) (S/n)**k <= sqrt(C(n,k)**2 F**k / n**k)
-    by Maclaurin's inequality for the non-negative |lambda_i|.  Since
-    isqrt(floor(x)) + 1 > sqrt(x), every |c| is below
-    B = max_k isqrt(C(n,k)**2 * F**k // n**k) + 1.  Primes are added until
-    their product exceeds 2B, so the symmetric CRT residue is the
-    coefficient itself.
+    General path.  Non-symmetric M, a symmetric M without a near-integer
+    eigenvalue, and a rejected guess run the same code with no linear
+    factors: d = n, and Newton's identities on all n exact traces give
+    det(tI - M) itself, as they hold for the eigenvalues of any square
+    matrix.  A direct computation needs no certificate.
     """
-    A = np.array(M, dtype=np.int64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    n = A.shape[0]
-    check_exact_size(n)
-    if n == 0:
-        return IntPolynomial((1,))
-    # n * max|m_ij| <= 2**27 gives a modulus limit L >= 2**26; every prime
-    # in (L/2, L], at least 1.8 million of them and each above 2**25, is
-    # taken before the moduli could run out, far more than the at most
-    # 2n (2 rho)**n of _certificate_bound needs below a million rows
-    if np.array_equal(A, A.T) and _modulus_limit(n, _max_abs(A)) >= 2**26:
-        factors = _guess_factors(A)
-        if factors is not None and certify_charpoly(A, factors):
+    A = _int_matrix(M)
+    check_exact_size(A.shape[0])
+    linear = _linear_guess(A) if np.array_equal(A, A.T) else []
+    if linear:
+        rest = _power_sum_quotient(A, linear)
+        factors = linear + [(rest, 1)] if rest.degree else linear
+        if certify_charpoly(A, factors):
             return poly_product(factors)
-    return _hessenberg_crt(A)
+    return _power_sum_quotient(A, [])
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +603,3 @@ def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, in
     assert sum(mult for _, mult in factors) == (q * r) ** 2
     return factors
 
-
-def cospectral(a: IntPolynomial, b: IntPolynomial) -> bool:
-    """Equality test for charpolys of equal degree."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return a.coeffs == b.coeffs

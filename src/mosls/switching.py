@@ -21,14 +21,7 @@ import numpy as np
 
 from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
 from .graph import build_mosls_graph
-from .spectra import (
-    IntPolynomial,
-    charpoly_exact,
-    check_exact_size,
-    poly_divexact,
-    poly_from_roots,
-    poly_mul,
-)
+from .spectra import IntPolynomial, charpoly_exact, check_exact_size, poly_divexact, poly_product
 
 
 class SwitchError(CheckFailed):
@@ -210,7 +203,9 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
     """
     if q < 2 or r < 2:
         raise TheoremPreconditionError(f"need q, r >= 2, got ({q}, {r})")
-    removed = poly_from_roots([-2, -(r + 2), q * r - 2, q * r - r - 2])
+    removed = poly_product(
+        (IntPolynomial((-root, 1)), 1) for root in (-2, -(r + 2), q * r - 2, q * r - r - 2)
+    )
     try:
         reduced = poly_divexact(base, removed)
     except ValueError as exc:
@@ -218,7 +213,7 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
             "base charpoly is not divisible by the removed eigenvalues; "
             "the formula does not apply"
         ) from exc
-    return poly_mul(reduced, switched_quartic(q, r))
+    return poly_product(((reduced, 1), (switched_quartic(q, r), 1)))
 
 
 @dataclass

@@ -7,7 +7,17 @@ their cell graphs.  Everything here is frozen input data for tests.
 
 import numpy as np
 
-from mosls import LatinSquare, MoslsFamily, SudokuShape
+from mosls import (
+    IntPolynomial,
+    LatinSquare,
+    MoslsFamily,
+    SudokuShape,
+    build_mols_graph,
+    build_mosls_graph,
+    composite_mosls,
+    poly_product,
+)
+from mosls.cli import _TABLE_ROWS
 
 # orthogonal Sudoku pair of order 4, type (2,2)
 FOUR_A = LatinSquare(
@@ -114,7 +124,7 @@ NINE_SWITCHED = LatinSquare(
 
 # Sudoku square of order 10, type (2,5), not block-permutational; its MOSLS
 # cell graph has 23 simple irrational eigenvalues, whose np.poly has
-# coefficients above 2**52, so charpoly_exact takes the Hessenberg path
+# coefficients above 2**52, so they cannot be rounded from floats
 TEN = LatinSquare(
     [
         [8, 7, 4, 1, 3, 5, 9, 2, 10, 6],
@@ -149,3 +159,26 @@ def cyclic_square(n: int, shape: SudokuShape | None = None) -> LatinSquare:
     """Cyclic Latin square L(i, j) = ((i + j - 2) mod n) + 1."""
     ent = [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
     return LatinSquare(ent, shape or SudokuShape(1, n))
+
+
+def roots_poly(roots) -> IntPolynomial:
+    """prod (t - x) over the integer roots."""
+    return poly_product((IntPolynomial((-x, 1)), 1) for x in roots)
+
+
+# (order, q, r, factors) of the constructible table rows of order <= 12
+TABLE_ROWS = [(o, q, r, factors) for o, q, r, factors, _ in _TABLE_ROWS if factors and o <= 12]
+
+
+def table_graphs() -> list[tuple[str, np.ndarray]]:
+    """Both graph flavours of every constructible table row of order <= 12,
+    as (id, adjacency): the MOSLS graph of the family and of its first
+    square, and the MOLS graph of its first square."""
+    graphs = []
+    for order, q, r, factors in TABLE_ROWS:
+        fam = composite_mosls(factors)
+        tag = f"order{order}-type{q}x{r}"
+        graphs.append((f"{tag}-mosls", build_mosls_graph(fam).adjacency))
+        graphs.append((f"{tag}-mosls-one", build_mosls_graph(fam, [1]).adjacency))
+        graphs.append((f"{tag}-mols-one", build_mols_graph(fam, [1]).adjacency))
+    return graphs

@@ -73,6 +73,17 @@ def test_are_orthogonal():
         are_orthogonal(FOUR_A, cyclic_square(3))
 
 
+def test_are_orthogonal_needs_symbols_in_range():
+    # the pair codes (a-1)*n + (b-1) are distinct, but (3, 1) and (0, 2)
+    # are no pairs of symbols in 1..2, and (1, 2), (2, 1) are missing
+    a = LatinSquare([[1, 2], [3, 0]], SudokuShape(1, 2))
+    b = LatinSquare([[1, 2], [1, 2]], SudokuShape(1, 2))
+    assert not are_orthogonal(a, b)
+    assert not are_orthogonal(b, a)
+    top = LatinSquare([[1, 2], [2, 3]], SudokuShape(1, 2))
+    assert not are_orthogonal(top, LatinSquare([[1, 1], [2, 2]], SudokuShape(1, 2)))
+
+
 def test_block_indexing():
     b = block(NINE, 1, 1)
     assert np.array_equal(b.cells, [[5, 6, 4], [9, 7, 8], [1, 2, 3]])

@@ -35,7 +35,7 @@ PUBLIC = {
     "SudokuShape", "SwitchError", "SwitchSpec", "SwitchValidityError",
     "TheoremPreconditionError", "are_orthogonal", "block", "block_map_factorization",
     "block_partition", "build_mols_graph", "build_mosls_graph", "certify_charpoly",
-    "charpoly_exact", "commute_check", "composite_count", "composite_mosls", "cospectral",
+    "charpoly_exact", "commute_check", "composite_count", "composite_mosls",
     "family_pairwise_orthogonal", "field_square", "format_family", "is_block_permutational",
     "is_latin", "is_sudoku", "jacobi_eigenvalues", "load_family", "mosls_graph_spectrum",
     "nonisomorphism_certificate", "numeric_spectrum", "parse_family", "poly_product",

@@ -15,7 +15,6 @@ from mosls import (
     certify_charpoly,
     charpoly_exact,
     composite_mosls,
-    cospectral,
     is_block_permutational,
     is_sudoku,
     jacobi_eigenvalues,
@@ -28,23 +27,18 @@ from mosls import (
     sudoku_symbol_switch,
 )
 from mosls import gf, spectra
-from mosls.cli import _TABLE_ROWS
 from mosls.spectra import (
+    _abs_row_sum,
     _certificate_bound,
-    _coefficient_bound,
     _coprime_moduli,
-    _guess_factors,
-    _hessenberg_charpoly_mod,
-    _hessenberg_crt,
+    _exact_traces,
+    _linear_guess,
     _modulus_limit,
-    _more_primes,
+    _power_sum_quotient,
     _power_sums,
-    _primes_between,
     _relative_residual,
     poly_divexact,
     poly_divmod,
-    poly_from_roots,
-    poly_mul,
 )
 from fixtures import (
     FOUR_FAMILY,
@@ -56,8 +50,19 @@ from fixtures import (
     NINE_SWITCHED,
     SIX_SWITCHED,
     SWITCH4_B,
+    TABLE_ROWS,
     TEN,
+    roots_poly,
     single,
+    table_graphs,
+)
+from hessenberg_reference import (
+    _coefficient_bound,
+    _hessenberg_charpoly_mod,
+    _hessenberg_crt,
+    _more_primes,
+    _primes_between,
+    reference_charpoly,
 )
 
 
@@ -87,7 +92,7 @@ def test_int_polynomial_basics():
 def test_poly_mul():
     a = IntPolynomial((1, 1))
     b = IntPolynomial((-1, 1))
-    assert poly_mul(a, b).coeffs == (-1, 0, 1)
+    assert poly_product([(a, 1), (b, 1)]).coeffs == (-1, 0, 1)
 
 
 def test_poly_divmod():
@@ -107,9 +112,9 @@ def test_poly_divexact():
 
 
 def test_poly_from_roots():
-    assert poly_from_roots([1, -1]).coeffs == (-1, 0, 1)
-    assert poly_from_roots([]).coeffs == (1,)
-    assert poly_from_roots([2, 2]).coeffs == (4, -4, 1)
+    assert roots_poly([1, -1]).coeffs == (-1, 0, 1)
+    assert roots_poly([]).coeffs == (1,)
+    assert roots_poly([2, 2]).coeffs == (4, -4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +136,15 @@ def test_charpoly_four_cycle():
 
 
 def test_charpoly_pivot_swap_path():
-    # zero in the pivot position forces a row/column exchange
+    # zero in the pivot position forces a row/column exchange in the
+    # Hessenberg reference
     m = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     assert charpoly_exact(m).coeffs == (0, -2, 0, 1)
+    assert _hessenberg_crt(np.array(m)).coeffs == (0, -2, 0, 1)
 
 
 def test_charpoly_multi_prime_reconstruction():
-    # coefficients beyond one word force several CRT primes
+    # coefficients beyond one word force several CRT moduli
     big = 10**6
     m = [[big, 2], [2, -big]]
     assert charpoly_exact(m).coeffs == (-(big * big + 4), 0, 1)
@@ -163,6 +170,24 @@ def test_charpoly_input_validation():
         charpoly_exact(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="cap"):
         charpoly_exact(np.zeros((151, 151)))
+
+
+@pytest.mark.parametrize("M", [[[0.5]], [[2.0, 0.5], [0.5, 2.0]], [[np.nan]], [[1e30]], [[2.0**63]]])
+def test_non_integral_matrices_are_refused(M):
+    # an int64 cast read [[0.5]] as [[0]]: charpoly t, certified as t
+    with pytest.raises(ValueError, match="integers"):
+        charpoly_exact(M)
+    with pytest.raises(ValueError, match="integers"):
+        certify_charpoly(M, [(IntPolynomial((0, 1)), len(M))])
+
+
+def test_numeric_spectrum_refuses_a_non_integral_charpoly():
+    # 0.5 I was reported with charpoly t**2 and residual 1.0
+    half = [[0.5, 0], [0, 0.5]]
+    with pytest.raises(ValueError, match="integers"):
+        numeric_spectrum(half)
+    assert [m for _, m in numeric_spectrum(half, with_charpoly=False).numeric] == [2]
+    assert charpoly_exact(np.eye(2)).coeffs == (1, -2, 1)  # integral floats are fine
 
 
 def _bareiss_det(rows) -> int:
@@ -216,9 +241,6 @@ def _primes_needed(bound: int) -> int:
     return count
 
 
-TABLE_ROWS = [(o, q, r, factors) for o, q, r, factors, _ in _TABLE_ROWS if factors and o <= 12]
-
-
 @pytest.mark.parametrize(
     "order,q,r,factors", TABLE_ROWS, ids=[f"order{o}-type{q}x{r}" for o, q, r, _ in TABLE_ROWS]
 )
@@ -245,7 +267,7 @@ def test_coefficient_bound_covers_table_graphs(order, q, r, factors):
 def test_charpoly_of_scalar_matrix(k, n):
     # all |eigenvalues| are equal, so Maclaurin's inequality is an equality
     # and the bound exceeds the largest coefficient by exactly one
-    want = poly_from_roots([k] * n).coeffs
+    want = roots_poly([k] * n).coeffs
     m = k * np.eye(n, dtype=np.int64)
     assert charpoly_exact(m).coeffs == want
     assert _coefficient_bound(m) == max(abs(c) for c in want) + 1
@@ -267,6 +289,7 @@ def test_charpoly_when_a_pivot_vanishes_mod_one_prime():
     p = _more_primes(1)[0]
     m = np.array([[3, -1, 4, 1], [p, 5, -9, 2], [6, 5, 3, -5], [8, 9, -7, 9]])
     assert _primes_needed(2 * _coefficient_bound(m)) > 1
+    assert _hessenberg_crt(m).coeffs == _reference_charpoly(m)
     assert charpoly_exact(m).coeffs == _reference_charpoly(m)
 
 
@@ -293,20 +316,9 @@ def test_prime_pool_matches_trial_division():
 # certified guess
 
 
-def _no_fallback(*args):
-    raise AssertionError("charpoly_exact fell back to the Hessenberg path")
-
-
 def _certificate_graphs():
     """Both graph flavours of every constructible table row of order <= 12,
     and switched single squares, as (id, adjacency)."""
-    graphs = []
-    for order, q, r, factors in TABLE_ROWS:
-        fam = composite_mosls(factors)
-        tag = f"order{order}-type{q}x{r}"
-        graphs.append((f"{tag}-mosls", build_mosls_graph(fam).adjacency))
-        graphs.append((f"{tag}-mosls-one", build_mosls_graph(fam, [1]).adjacency))
-        graphs.append((f"{tag}-mols-one", build_mols_graph(fam, [1]).adjacency))
     twelve = composite_mosls([(3, 1, 0), (2, 0, 2)]).squares[0]
     switched = [
         ("switch4", SWITCH4_B),
@@ -314,24 +326,22 @@ def _certificate_graphs():
         ("switch9", NINE_SWITCHED),
         ("switch12", sudoku_symbol_switch(twelve, SwitchSpec("row-block", 1, (1, 3)))),
     ]
-    graphs += [(name, build_mosls_graph(single(sq)).adjacency) for name, sq in switched]
-    return graphs
+    return table_graphs() + [(name, build_mosls_graph(single(sq)).adjacency) for name, sq in switched]
 
 
 CERTIFICATE_GRAPHS = _certificate_graphs()
 
 
 @pytest.mark.parametrize("adjacency", [a for _, a in CERTIFICATE_GRAPHS], ids=[i for i, _ in CERTIFICATE_GRAPHS])
-def test_certified_guess_matches_hessenberg(adjacency, monkeypatch):
-    want = _hessenberg_crt(adjacency).coeffs
-    monkeypatch.setattr(spectra, "_hessenberg_charpoly_mod", _no_fallback)
-    assert charpoly_exact(adjacency).coeffs == want
+def test_certified_guess_matches_hessenberg(adjacency, no_general_path):
+    assert charpoly_exact(adjacency) == reference_charpoly(adjacency)
 
 
 def _nine_switched():
     adjacency = build_mosls_graph(single(NINE_SWITCHED)).adjacency
-    factors = _guess_factors(adjacency)
-    linear = sorted(-f.coeffs[0] for f, _ in factors if f.degree == 1)
+    factors = _linear_guess(adjacency)
+    linear = sorted(-f.coeffs[0] for f, _ in factors)
+    factors.append((_power_sum_quotient(adjacency, factors), 1))
     return adjacency, dict(factors), linear
 
 
@@ -340,7 +350,34 @@ def test_power_sums_newton_identities():
     # the Lucas numbers
     assert _power_sums(IntPolynomial((-1, -1, 1)), 8) == [2, 1, 3, 4, 7, 11, 18, 29]
     assert _power_sums(IntPolynomial((-3, 1)), 4) == [1, 3, 9, 27]
-    assert _power_sums(poly_from_roots([2, -1, 5]), 5) == [3, 6, 30, 132, 642]
+    assert _power_sums(roots_poly([2, -1, 5]), 5) == [3, 6, 30, 132, 642]
+
+
+def test_power_sum_quotient_inverts_newton_identities():
+    # diag(2, 2, 3) plus the companion matrix of t^3 - 2t + 5: the
+    # quotient by the right linear factors is that cubic, and the general
+    # path (no linear factors) gives the whole charpoly
+    cubic = IntPolynomial((5, -2, 0, 1))
+    M = np.zeros((6, 6), dtype=np.int64)
+    M[:3, :3] = np.diag([2, 2, 3])
+    M[4, 3] = M[5, 4] = 1
+    M[3:, 5] = [-c for c in cubic.coeffs[:3]]
+    linear = [(IntPolynomial((-2, 1)), 2), (IntPolynomial((-3, 1)), 1)]
+    assert _power_sum_quotient(M, linear) == cubic
+    assert _power_sum_quotient(M, []) == poly_product(linear + [(cubic, 1)])
+    assert _power_sums(cubic, 4)[1:] == _exact_traces(M[3:, 3:], 3)
+
+
+def test_exact_traces_match_integer_powers():
+    rng = np.random.default_rng(9)
+    for n, amax in ((1, 5), (4, 3), (7, 10**6), (5, 2**62)):
+        M = rng.integers(-amax, amax + 1, size=(n, n))
+        power, want = np.eye(n, dtype=object), []
+        for _ in range(6):
+            power = power.dot(M.astype(object))
+            want.append(int(power.trace()))
+        assert _exact_traces(M, 6) == want
+    assert _abs_row_sum(np.array([[-(2**63), -(2**63)], [1, 2]])) == 2**64
 
 
 def test_certificate_accepts_the_true_factors():
@@ -438,53 +475,98 @@ def test_certificate_at_the_float64_limit():
     assert _modulus_limit(2, a) > 2**25
     assert certify_charpoly(m, [(IntPolynomial((-a, 1)), 1), (IntPolynomial((a, 1)), 1)])
     assert not certify_charpoly(m, [(IntPolynomial((-a, 1)), 1), (IntPolynomial((a - 1, 1)), 1)])
-    # n * max|a| = 2**52 leaves no modulus of 5 or more
-    with pytest.raises(ValueError, match="coprime"):
-        certify_charpoly([[2**52]], [(IntPolynomial((-(2**52), 1)), 1)])
+    # n * max|a| = 2**52 leaves no unreduced modulus of 5 or more; the chain
+    # reduces the matrix instead, and both verdicts stay exact
+    assert _modulus_limit(1, 2**52) < 5
+    assert certify_charpoly([[2**52]], [(IntPolynomial((-(2**52), 1)), 1)])
+    assert not certify_charpoly([[2**52]], [(IntPolynomial((1 - 2**52, 1)), 1)])
 
 
-@pytest.mark.parametrize("a,guessed", [(2**26, True), (2**26 + 1, False)])
-def test_guess_needs_moduli_of_pool_size(a, guessed, monkeypatch):
-    # the guess runs while n * max|a| <= 2**27, i.e. _modulus_limit >= 2**26
+@pytest.mark.parametrize("n", [1, 2, 3, 144, 150, 2401])
+def test_reduced_chain_at_its_edge(n):
+    # residues in [0, m) are at most m - 1, and up to isqrt(2**52 // n)
+    # every float64 value of the chain stays below 2**53
+    m = math.isqrt(2**52 // n)
+    assert m <= _modulus_limit(n, m - 1)
+    assert (n * (m - 1) + 1) * (m - 1) + m < 2**53
+    assert n > 150 or m > 2**22
+
+
+@pytest.mark.parametrize("a", [2**26, 2**26 + 1, 2**62])
+def test_guess_runs_at_any_entry_size(a, monkeypatch):
+    # the chain reduces large entries, so the moduli never run out and the
+    # guess needs no size gate
     calls = []
-    monkeypatch.setattr(spectra, "_guess_factors", lambda A: calls.append(A) or None)
+    guess = spectra._linear_guess
+    monkeypatch.setattr(spectra, "_linear_guess", lambda A: calls.append(A) or guess(A))
     assert charpoly_exact([[0, a], [a, 0]]).coeffs == (-(a * a), 0, 1)
-    assert bool(calls) == guessed
+    assert len(calls) == 1
 
 
 def test_unroundable_guess_falls_back_to_the_reference():
+    # no eigenvalue is near an integer, so there is no linear factor to
+    # guess and the general path runs at once
     rng = np.random.default_rng(3)
     m = rng.integers(-(10**6), 10**6 + 1, size=(12, 12))
     m = m + m.T
-    assert _guess_factors(m) is None
+    assert _linear_guess(m) == []
     assert charpoly_exact(m).coeffs == _reference_charpoly(m)
 
 
-def test_sudoku_graph_of_order_10_falls_back_and_is_certified(monkeypatch):
-    # switch and compare build this graph; seeded random Sudoku squares of
-    # orders 10 and 12 fell back like this one, those of orders <= 9 did not
+def test_sudoku_graph_of_order_10_is_certified(no_general_path):
+    # switch and compare build this graph; its 23 simple irrational
+    # eigenvalues once sent it to the Hessenberg fallback, and now the
+    # power sums give their factor of degree 23 exactly
     assert is_sudoku(TEN) and not is_block_permutational(TEN)
     A = build_mosls_graph(single(TEN)).adjacency
-    assert _guess_factors(A) is None
-    calls = []
-
-    def counted(M):
-        calls.append(M.shape)
-        return _hessenberg_crt(M)
-
-    monkeypatch.setattr(spectra, "_hessenberg_crt", counted)
+    linear = _linear_guess(A)
+    rest = _power_sum_quotient(A, linear)
+    assert rest.degree == 23 and max(abs(c) for c in rest.coeffs) >= 2**53
     P = charpoly_exact(A)
-    assert calls == [(100, 100)]
+    assert P == poly_product(linear + [(rest, 1)]) == reference_charpoly(A)
     # Cayley-Hamilton and the power sums prove P from the graph alone
     assert certify_charpoly(A, [(P, 1)])
     wrong = IntPolynomial((P.coeffs[0] + 1, *P.coeffs[1:]))
     assert not certify_charpoly(A, [(wrong, 1)])
 
 
+def _counted_calls(monkeypatch, name):
+    calls = []
+    real = getattr(spectra, name)
+    monkeypatch.setattr(spectra, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_rejected_guess_falls_back(monkeypatch):
     path3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    monkeypatch.setattr(spectra, "_guess_factors", lambda A: [(IntPolynomial((0, 1)), 3)])
+    monkeypatch.setattr(spectra, "_linear_guess", lambda A: [(IntPolynomial((0, 1)), 3)])
     assert charpoly_exact(path3).coeffs == (0, -2, 0, 1)
+
+
+@pytest.mark.parametrize("guess", [[(1, 1)], [(0, 1), (2, 1)], [(0, 1), (2, 1), (-2, 1)]])
+def test_wrong_linear_guess_is_certified_out(guess, monkeypatch):
+    # wrong linear factors of path3 (eigenvalues 0 and -+ sqrt 2): Newton's
+    # identities still give an integer rest, the certificate rejects the
+    # candidate, and the general path (all 3 traces) gives the charpoly
+    path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    linear = [(IntPolynomial((-v, 1)), m) for v, m in guess]
+    monkeypatch.setattr(spectra, "_linear_guess", lambda A: linear)
+    certified = _counted_calls(monkeypatch, "certify_charpoly")
+    traced = _counted_calls(monkeypatch, "_exact_traces")
+    assert charpoly_exact(path3).coeffs == (0, -2, 0, 1)
+    assert len(certified) == 1 and [d for _, d in traced][-1] == 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_charpoly_of_extreme_int64_entries(seed):
+    # entries near -+2**62 and -2**63, symmetric or not
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    m = rng.integers(-(2**62), 2**62, size=(n, n)) + rng.integers(-5, 6, size=(n, n))
+    m[0, 0] = -(2**63)
+    for M in (m, np.triu(m) + np.triu(m, 1).T):
+        assert charpoly_exact(M).coeffs == _reference_charpoly(M)
+    assert charpoly_exact([[2**62, 3], [5, -(2**62)]]).coeffs == (-(2**124) - 15, 0, 1)
 
 
 def test_closed_form_factors_expand_to_the_charpoly():
@@ -623,8 +705,8 @@ def test_srg_spectrum_conference():
     assert got == [(IntPolynomial((-2, 1)), 1), (IntPolynomial((-1, 1, 1)), 2)]
     roots = sorted(np.roots(got[1][0].coeffs[::-1]).real)
     assert np.allclose(roots, [(-1 - math.sqrt(5)) / 2, (-1 + math.sqrt(5)) / 2])
-    assert poly_product(got).coeffs == poly_mul(
-        IntPolynomial((-2, 1)), poly_mul(IntPolynomial((-1, 1, 1)), IntPolynomial((-1, 1, 1)))
+    assert poly_product(got).coeffs == poly_product(
+        [(IntPolynomial((-2, 1)), 1), (IntPolynomial((-1, 1, 1)), 1), (IntPolynomial((-1, 1, 1)), 1)]
     ).coeffs
 
 
@@ -692,16 +774,6 @@ def test_srg_spectrum_half_integer_conjugates():
     assert got == [(IntPolynomial((-6, 1)), 1), (IntPolynomial((-3, 1, 1)), 6)]
     roots = sorted(np.roots(got[1][0].coeffs[::-1]).real)
     assert np.allclose(roots, [(-1 - math.sqrt(13)) / 2, (-1 + math.sqrt(13)) / 2])
-
-
-def test_cospectral():
-    a = IntPolynomial((0, -2, 0, 1))
-    b = IntPolynomial((0, -2, 0, 1))
-    c = IntPolynomial((0, -1, 0, 1))
-    assert cospectral(a, b)
-    assert not cospectral(a, c)
-    with pytest.raises(ValueError, match="degree"):
-        cospectral(a, IntPolynomial((0, 1)))
 
 
 def test_graph_charpoly_matches_closed_form_order4():

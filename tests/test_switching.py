@@ -26,10 +26,11 @@ from mosls import (
     sudoku_symbol_switch,
     switched_charpoly_expected,
     switched_quartic,
+    transpose,
 )
-from mosls import composite_mosls, spectra
+from mosls import composite_mosls
 from mosls.cli import _TABLE_ROWS
-from mosls.spectra import IntPolynomial, poly_divexact, poly_from_roots, poly_mul
+from mosls.spectra import IntPolynomial, poly_divexact, poly_product
 from fixtures import (
     NINE,
     NINE_SWITCHED,
@@ -40,8 +41,13 @@ from fixtures import (
     SPECTRUM_SWITCH4_B_INT,
     SWITCH4_A,
     SWITCH4_B,
+    TABLE_ROWS,
+    TEN,
+    roots_poly,
     single,
+    table_graphs,
 )
+from hessenberg_reference import reference_charpoly
 
 
 def graph_poly(square):
@@ -200,17 +206,17 @@ def test_switched_quartic_order9_roots():
 
 def test_spectrum_order4_base():
     poly = graph_poly(SWITCH4_A)
-    want = poly_from_roots(
+    want = roots_poly(
         [v for v, m in SPECTRUM_SWITCH4_A.items() for _ in range(m)]
     )
     assert poly.coeffs == want.coeffs
 
 
 def test_spectrum_order4_switched():
-    int_part = poly_from_roots(
+    int_part = roots_poly(
         [v for v, m in SPECTRUM_SWITCH4_B_INT.items() for _ in range(m)]
     )
-    want = poly_mul(int_part, switched_quartic(2, 2))
+    want = poly_product(((int_part, 1), (switched_quartic(2, 2), 1)))
     assert graph_poly(SWITCH4_B).coeffs == want.coeffs
 
 
@@ -223,7 +229,7 @@ def test_switched_charpoly_expected_order6():
     got = switched_charpoly_expected(graph_poly(SIX), 2, 3)
     assert got.coeffs == graph_poly(SIX_SWITCHED).coeffs
     # the four departing eigenvalues for type (2, 3): -2, -5, 4, 1
-    removed = poly_from_roots([-2, -5, 4, 1])
+    removed = roots_poly([-2, -5, 4, 1])
     poly_divexact(graph_poly(SIX), removed)
 
 
@@ -312,22 +318,24 @@ def _valid_switches():
     return found
 
 
-def test_switch_sweep(request, monkeypatch):
+def _sampled_switches(full: bool):
+    """All valid switches when full, else the seeded sample of 40."""
+    switches = _valid_switches()
+    assert len(switches) == 982
+    if not full:
+        picks = np.random.default_rng(2021).choice(len(switches), size=40, replace=False)
+        switches = [switches[i] for i in sorted(picks)]
+    return switches
+
+
+def test_switch_sweep(request, no_general_path):
     """The switching theorem predicts the switched charpoly, and the two
     charpolys differ, on a seeded sample of the valid switches (all of them
     with --full-sweep); every charpoly is a certified guess.  On every base
     and switched square the Latin and block layers commute exactly when the
     square is block-permutational."""
-    switches = _valid_switches()
-    assert len(switches) == 982
-    if not request.config.getoption("--full-sweep"):
-        picks = np.random.default_rng(2021).choice(len(switches), size=40, replace=False)
-        switches = [switches[i] for i in sorted(picks)]
+    switches = _sampled_switches(request.config.getoption("--full-sweep"))
 
-    def no_fallback(*args):
-        raise AssertionError("charpoly_exact fell back to the Hessenberg path")
-
-    monkeypatch.setattr(spectra, "_hessenberg_charpoly_mod", no_fallback)
     def poly_and_commute(square):
         g = build_mosls_graph(single(square))
         assert commute_check(g) == is_block_permutational(square)
@@ -343,3 +351,52 @@ def test_switch_sweep(request, monkeypatch):
         switched = poly_and_commute(sudoku_symbol_switch(square, spec))
         assert switched_charpoly_expected(base[key], eff_q, eff_r).coeffs == switched.coeffs
         assert base[key].coeffs != switched.coeffs
+
+
+def _random_sudoku_squares(order: int, count: int, rng) -> list:
+    """count Sudoku squares of the order that are not block-permutational:
+    each a chain of 20 random valid symbol switches from a table square of
+    that order or its transpose."""
+    starts = [sq for o, _, _, factors in TABLE_ROWS if o == order for sq in composite_mosls(factors).squares]
+    starts += [transpose(sq) for sq in starts]
+    squares = []
+    while len(squares) < count:
+        square = starts[rng.integers(len(starts))]
+        q, r = square.shape.q, square.shape.r
+        switched = 0
+        while switched < 20:
+            kind = ("row-block", "col-block")[rng.integers(2)]
+            index = int(rng.integers(1, (r if kind == "row-block" else q) + 1))
+            k1, k2 = (int(k) for k in rng.choice(order, size=2, replace=False) + 1)
+            try:
+                square = sudoku_symbol_switch(square, SwitchSpec(kind, index, (k1, k2)))
+            except SwitchValidityError:
+                continue
+            switched += 1
+        if not is_block_permutational(square):
+            squares.append(square)
+    return squares
+
+
+def test_no_sudoku_graph_takes_the_general_path(request, no_general_path):
+    """charpoly_exact certifies its guess, and equals the Hessenberg
+    reference, on both graph flavours of every table row of order <= 12,
+    the single-square graphs of the switches test_switch_sweep samples,
+    TEN, and seeded random Sudoku squares of orders 10 and 12 (10 per order,
+    100 with --full-sweep)."""
+    per_order = 100 if request.config.getoption("--full-sweep") else 10
+    rng = np.random.default_rng(1011)
+    squares = [TEN]
+    for square, spec in _sampled_switches(full=False):
+        squares += [square, sudoku_symbol_switch(square, spec)]
+    for order in (10, 12):
+        squares += _random_sudoku_squares(order, per_order, rng)
+    graphs = [adjacency for _, adjacency in table_graphs()]
+    graphs += [build_mosls_graph(single(square)).adjacency for square in squares]
+    seen = set()
+    for adjacency in graphs:
+        key = adjacency.tobytes()
+        if key not in seen:
+            seen.add(key)
+            assert charpoly_exact(adjacency) == reference_charpoly(adjacency)
+    assert len(seen) >= 2 * per_order + 40
