@@ -29,16 +29,12 @@ _EXPORTS = {
         "product",
     ),
     "designs": (
-        "Block",
         "CheckFailed",
         "FormatError",
         "LatinSquare",
         "MoslsFamily",
         "SudokuShape",
         "are_orthogonal",
-        "block",
-        "block_map_factorization",
-        "family_pairwise_orthogonal",
         "is_block_permutational",
         "is_latin",
         "is_sudoku",
@@ -63,13 +59,11 @@ _EXPORTS = {
     ),
     "spectra": (
         "ClosedFormRangeError",
-        "ConvergenceError",
         "IntPolynomial",
         "SpectrumReport",
         "SrgParameterError",
         "certify_charpoly",
         "charpoly_exact",
-        "jacobi_eigenvalues",
         "mosls_graph_spectrum",
         "numeric_spectrum",
         "poly_product",

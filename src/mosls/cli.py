@@ -14,6 +14,7 @@ loaded only for --json output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import construct, designs
@@ -72,12 +73,10 @@ def _family_checks(fam: designs.MoslsFamily) -> dict:
         sudoku = designs.is_sudoku(sq) if latin else False
         bp = designs.is_block_permutational(sq) if sudoku else False
         squares.append({"latin": latin, "sudoku": sudoku, "block_permutational": bp})
-    orthogonal = []
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            orthogonal.append(
-                [i + 1, j + 1, designs.are_orthogonal(fam.squares[i], fam.squares[j])]
-            )
+    orthogonal = [
+        [i + 1, j + 1, designs.are_orthogonal(a, b)]
+        for (i, a), (j, b) in itertools.combinations(enumerate(fam.squares), 2)
+    ]
     ok = all(s["latin"] and s["sudoku"] for s in squares) and all(
         o[2] for o in orthogonal
     )

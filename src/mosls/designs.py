@@ -46,23 +46,6 @@ class SudokuShape:
         return self.q * self.r
 
 
-@dataclass(frozen=True)
-class Block:
-    """One q-by-r block, addressed by block-row i and block-column j."""
-
-    block_row: int
-    block_col: int
-    cells: np.ndarray
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Block)
-            and self.block_row == other.block_row
-            and self.block_col == other.block_col
-            and np.array_equal(self.cells, other.cells)
-        )
-
-
 class LatinSquare:
     """An n-by-n array over symbols 1..n with a shape annotation.
 
@@ -72,9 +55,7 @@ class LatinSquare:
     __slots__ = ("shape", "entries")
 
     def __init__(self, entries, shape: SudokuShape):
-        arr = np.array(entries, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be square, got shape {arr.shape}")
+        arr = _int_matrix(np.array(entries))  # np.array copies: the square owns its entries
         if arr.shape[0] != shape.order:
             raise ValueError(
                 f"entry array is {arr.shape[0]}x{arr.shape[0]} but shape "
@@ -124,6 +105,23 @@ class MoslsFamily:
 def _max_abs(A: np.ndarray) -> int:
     """max |a_ij| as a Python int; np.abs would wrap at -2**63."""
     return max(int(A.max(initial=0)), -int(A.min(initial=0)))
+
+
+def _int_matrix(M) -> np.ndarray:
+    """M as an int64 array; ValueError unless M is square with integral
+    entries within int64, which a plain int64 cast would truncate or wrap
+    silently.  An int64 array is returned as is, not copied."""
+    A = np.asarray(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail below
+            B = A.astype(np.int64, copy=False)
+    except OverflowError:  # Python ints beyond int64
+        raise ValueError("matrix entries must be integers within int64") from None
+    if B is not A and not np.array_equal(A, B):
+        raise ValueError("matrix entries must be integers within int64")
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -178,54 +176,6 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     return bool((np.bincount(codes.ravel(), minlength=n * n) == 1).all())
 
 
-def block(L: LatinSquare, i: int, j: int) -> Block:
-    """Block in block-row i (1..r) and block-column j (1..q)."""
-    q, r = L.shape.q, L.shape.r
-    if not 1 <= i <= r:
-        raise ValueError(f"block-row {i} outside 1..{r}")
-    if not 1 <= j <= q:
-        raise ValueError(f"block-column {j} outside 1..{q}")
-    cells = L.entries[(i - 1) * q : i * q, (j - 1) * r : j * r].copy()
-    cells.setflags(write=False)
-    return Block(i, j, cells)
-
-
-def block_map_factorization(M: Block, M2: Block):
-    """Row/column permutations turning one block into another.
-
-    Returns (sigma, tau) with M.cells[a, b] == M2.cells[sigma[a], tau[b]]
-    (0-based tuples), or None when no such pair exists.  Both blocks must
-    hold the same symbols with no repeats.
-    """
-    A, B = M.cells, M2.cells
-    if A.shape != B.shape:
-        raise ValueError(f"block shape mismatch: {A.shape} vs {B.shape}")
-    q, r = A.shape
-    syms_a = sorted(A.ravel().tolist())
-    syms_b = sorted(B.ravel().tolist())
-    if len(set(syms_a)) != q * r or len(set(syms_b)) != q * r:
-        raise ValueError("blocks must have all-distinct entries")
-    if syms_a != syms_b:
-        raise ValueError("blocks must use the same symbol set")
-    where = {int(B[a, b]): (a, b) for a in range(q) for b in range(r)}
-    sigma = [None] * q
-    tau = [None] * r
-    for a in range(q):
-        for b in range(r):
-            a2, b2 = where[int(A[a, b])]
-            if sigma[a] is None:
-                sigma[a] = a2
-            elif sigma[a] != a2:
-                return None
-            if tau[b] is None:
-                tau[b] = b2
-            elif tau[b] != b2:
-                return None
-    # distinct symbols force sigma and tau to be bijections at this point
-    assert sorted(sigma) == list(range(q)) and sorted(tau) == list(range(r))
-    return tuple(sigma), tuple(tau)
-
-
 def is_block_permutational(L: LatinSquare) -> bool:
     """True iff every block is a row/column permutation of the first block.
 
@@ -248,14 +198,6 @@ def is_block_permutational(L: LatinSquare) -> bool:
 def transpose(L: LatinSquare) -> LatinSquare:
     """Transpose the array; the shape flips from (q, r) to (r, q)."""
     return LatinSquare(L.entries.T.copy(), SudokuShape(L.shape.r, L.shape.q))
-
-
-def family_pairwise_orthogonal(fam: MoslsFamily) -> bool:
-    return all(
-        are_orthogonal(fam.squares[i], fam.squares[j])
-        for i in range(len(fam))
-        for j in range(i + 1, len(fam))
-    )
 
 
 # ---------------------------------------------------------------------------

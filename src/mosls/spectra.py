@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CheckFailed, _max_abs
+from .designs import CheckFailed, _int_matrix, _max_abs
 
 EXACT_SIZE_CAP = 150
 
@@ -32,10 +32,6 @@ class SrgParameterError(CheckFailed):
 
 class ClosedFormRangeError(ValueError):
     """A closed-form multiplicity is negative for these parameters."""
-
-
-class ConvergenceError(ArithmeticError):
-    """An iterative eigensolver ran out of sweeps above its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,34 +58,6 @@ class IntPolynomial:
         return [str(c) for c in self.coeffs]
 
 
-def poly_divmod(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Division by a monic divisor; exact integer arithmetic throughout."""
-    if den.coeffs[-1] != 1:
-        raise ValueError("divisor must be monic")
-    work = list(num.coeffs)
-    dd = den.degree
-    if num.degree < dd:
-        return IntPolynomial((0,)), num
-    quot = [0] * (num.degree - dd + 1)
-    for i in range(num.degree, dd - 1, -1):
-        c = work[i]
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                work[i - dd + j] -= c * den.coeffs[j]
-    rem = work[:dd] if dd else [0]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
-
-
-def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
-    quot, rem = poly_divmod(num, den)
-    if rem.coeffs != (0,):
-        raise ValueError("division is not exact")
-    return quot
-
-
 def poly_product(factors) -> IntPolynomial:
     """prod F**m over the (F, m) pairs; object arrays keep Python ints."""
     acc = np.ones(1, dtype=object)
@@ -108,19 +76,6 @@ def check_exact_size(n: int) -> None:
     """Refuse an exact charpoly of an n x n matrix above EXACT_SIZE_CAP."""
     if n > EXACT_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_SIZE_CAP}")
-
-
-def _int_matrix(M) -> np.ndarray:
-    """M as an int64 array; ValueError unless M is square with integral
-    entries, which a plain int64 cast would truncate silently."""
-    A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail below
-        B = A.astype(np.int64, copy=False)
-    if B is not A and not np.array_equal(A, B):
-        raise ValueError("matrix entries must be integers")
-    return B
 
 
 # Eigenvalues of a guess closer than this form one group, and a group this
@@ -385,51 +340,6 @@ def _symmetric_float(M) -> np.ndarray:
     if not np.array_equal(A, A.T):
         raise ValueError("matrix must be symmetric")
     return A
-
-
-def jacobi_eigenvalues(M, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    tol * ||M||_F; ConvergenceError is raised if max_sweeps sweeps do not
-    get there.  Returns eigenvalues in descending order.  This pure-Python
-    solver is the independent reference that tests check the LAPACK path
-    of numeric_spectrum against.
-    """
-    A = _symmetric_float(M)
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy()
-    target = tol * max(np.linalg.norm(A), 1e-300)
-
-    def offnorm():
-        # taken directly: sqrt(||A||^2 - ||diag A||^2) loses every digit
-        # below about sqrt(eps) * ||A||, so it reads 0 too early or never
-        # reaches the default target
-        return float(np.linalg.norm(A - np.diag(A.diagonal())))
-
-    sweeps = 0
-    while offnorm() > target:
-        if sweeps == max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi stopped after {sweeps} sweeps with off-diagonal norm "
-                f"{offnorm():.3e} above the target {target:.3e}"
-            )
-        sweeps += 1
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = A[i, j]
-                if abs(aij) < 1e-300:
-                    continue
-                theta = (A[j, j] - A[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                A[[i, j], :] = rot.T @ A[[i, j], :]
-                A[:, [i, j]] = A[:, [i, j]] @ rot
-                A[i, j] = A[j, i] = 0.0
-    return np.sort(A.diagonal())[::-1]
 
 
 @dataclass

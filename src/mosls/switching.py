@@ -21,7 +21,7 @@ import numpy as np
 
 from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
 from .graph import build_mosls_graph
-from .spectra import IntPolynomial, charpoly_exact, check_exact_size, poly_divexact, poly_product
+from .spectra import IntPolynomial, charpoly_exact, check_exact_size, poly_product
 
 
 class SwitchError(CheckFailed):
@@ -123,7 +123,7 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
     occurrences inside the band or both outside it; the offending line is
     reported otherwise.  A valid switch preserves Latin and Sudoku.
     """
-    if not is_sudoku(L):
+    if not (is_latin(L) and is_sudoku(L)):
         raise SwitchError("symbol switching requires a Sudoku square")
     # a column-band switch is a row-band switch of the transpose
     if spec.kind == "row-block":
@@ -203,17 +203,18 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
     """
     if q < 2 or r < 2:
         raise TheoremPreconditionError(f"need q, r >= 2, got ({q}, {r})")
-    removed = poly_product(
-        (IntPolynomial((-root, 1)), 1) for root in (-2, -(r + 2), q * r - 2, q * r - r - 2)
-    )
-    try:
-        reduced = poly_divexact(base, removed)
-    except ValueError as exc:
-        raise TheoremPreconditionError(
-            "base charpoly is not divisible by the removed eigenvalues; "
-            "the formula does not apply"
-        ) from exc
-    return poly_product(((reduced, 1), (switched_quartic(q, r), 1)))
+    coeffs = list(base.coeffs)
+    for root in (-2, -(r + 2), q * r - 2, q * r - r - 2):
+        # synthetic division by t - root: coeffs[k + 1] becomes the
+        # quotient's coefficient of t**k and coeffs[0] the remainder
+        for k in range(len(coeffs) - 2, -1, -1):
+            coeffs[k] += root * coeffs[k + 1]
+        if len(coeffs) < 2 or coeffs.pop(0):
+            raise TheoremPreconditionError(
+                "base charpoly is not divisible by the removed eigenvalues; "
+                "the formula does not apply"
+            )
+    return poly_product(((IntPolynomial(tuple(coeffs)), 1), (switched_quartic(q, r), 1)))
 
 
 @dataclass

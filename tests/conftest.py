@@ -6,6 +6,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+def pytest_configure(config):
+    # a warning fails the test that raised it, as if given -W error
+    config.addinivalue_line("filterwarnings", "error")
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--full-sweep",

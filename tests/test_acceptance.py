@@ -18,7 +18,6 @@ from mosls import (
     charpoly_exact,
     commute_check,
     composite_mosls,
-    family_pairwise_orthogonal,
     is_sudoku,
     mosls_graph_spectrum,
     nonisomorphism_certificate,
@@ -37,8 +36,9 @@ from mosls import (
 from mosls import gf
 from mosls.cli import verified_table_rows
 from mosls.designs import LatinSquare
-from mosls.spectra import IntPolynomial, poly_divmod
+from mosls.spectra import IntPolynomial
 from mosls.switching import SwitchSpec
+from designs_reference import family_pairwise_orthogonal
 from fixtures import (
     NINE,
     NINE_SWITCHED,
@@ -50,6 +50,7 @@ from fixtures import (
     SWITCH4_B,
     single,
 )
+from spectra_reference import poly_divmod
 
 
 @contextmanager

@@ -459,6 +459,20 @@ def test_switch_invalid_separating_line(tmp_path, capsys):
     assert "check failed" in err and "lies inside the band" in err
 
 
+def test_switch_on_a_non_latin_square_exits_1(tmp_path, capsys):
+    # well-formed, symbols in range, columns repeat: an invalid square, as
+    # `check` and `spectrum` report it
+    bad = designs.LatinSquare([[1, 2, 3, 4], [3, 4, 1, 2]] * 2, designs.SudokuShape(2, 2))
+    src = tmp_path / "bad.txt"
+    designs.save_family(single(bad), src)
+    code, stdout, err = run(
+        capsys, "switch", "--in", str(src), "--row-block", "1", "--symbols", "1,2"
+    )
+    assert code == 1 and stdout == ""
+    assert err == "check failed: symbol switching requires a Sudoku square\n"
+    assert run(capsys, "check", "--in", str(src))[0] == 1
+
+
 def test_switch_flag_errors(nine_file, four_file, capsys):
     code, _, err = run(capsys, "switch", "--in", nine_file, "--symbols", "1,2")
     assert code == 2 and "exactly one" in err

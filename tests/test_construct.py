@@ -8,7 +8,6 @@ from mosls import (
     SudokuShape,
     composite_count,
     composite_mosls,
-    family_pairwise_orthogonal,
     field_square,
     is_block_permutational,
     is_latin,
@@ -16,6 +15,7 @@ from mosls import (
     product,
 )
 from mosls.designs import LatinSquare
+from designs_reference import family_pairwise_orthogonal
 
 
 def assert_coset_bands(ctx, size):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mosls import (
-    Block,
     SwitchSpec,
     SwitchValidityError,
     FormatError,
@@ -12,8 +11,6 @@ from mosls import (
     MoslsFamily,
     SudokuShape,
     are_orthogonal,
-    block,
-    block_map_factorization,
     composite_mosls,
     format_family,
     is_block_permutational,
@@ -24,6 +21,7 @@ from mosls import (
     transpose,
 )
 from mosls.cli import _TABLE_ROWS
+from designs_reference import Block, block, block_map_factorization
 from fixtures import FOUR_A, FOUR_B, FOUR_FAMILY, NINE, REMARK4, cyclic_square
 
 
@@ -37,12 +35,26 @@ def test_shape_validation():
         LatinSquare([[1, 2, 3], [3, 1, 2]], SudokuShape(1, 3))
 
 
+def test_square_entries_must_be_integers_within_int64():
+    # an int64 cast stored [[1, 2], [2, 1]], which is_latin then accepted
+    with pytest.raises(ValueError, match="integers"):
+        LatinSquare([[1.5, 2.9], [2.2, 1.0]], SudokuShape(1, 2))
+    with pytest.raises(ValueError, match="integers"):
+        LatinSquare([[2**70, 1], [1, 2**70]], SudokuShape(1, 2))
+    assert LatinSquare([[1.0, 2.0], [2.0, 1.0]], SudokuShape(1, 2)) == cyclic_square(2)
+
+
 def test_square_immutable():
     sq = cyclic_square(3)
     with pytest.raises(ValueError):
         sq.entries[0, 0] = 2
     with pytest.raises(AttributeError):
         sq.shape = SudokuShape(3, 1)
+    # an int64 input is copied, so the caller cannot write through it
+    arr = np.array([[1, 2], [2, 1]], dtype=np.int64)
+    sq = LatinSquare(arr, SudokuShape(1, 2))
+    arr[0, 0] = 2
+    assert sq.entries[0, 0] == 1 and not sq.entries.flags.writeable
 
 
 def test_is_latin():

@@ -9,13 +9,13 @@ from mosls import (
     build_mosls_graph,
     charpoly_exact,
     composite_mosls,
-    jacobi_eigenvalues,
     mosls_graph_spectrum,
     numeric_spectrum,
     poly_product,
     srg_spectrum,
 )
 from mosls.cli import _TABLE_ROWS
+from spectra_reference import jacobi_eigenvalues
 
 # pure-Python Jacobi takes about a second at 81 vertices and grows as
 # n**3, so it is compared on the graphs of at most 64 vertices and on one

@@ -28,16 +28,16 @@ print("\\n".join(sys.modules))
 """
 
 PUBLIC = {
-    "Block", "CellGraph", "Certificate", "CheckFailed", "ClosedFormRangeError",
-    "ConvergenceError", "DEFAULT_ORDER_CAP", "EquitabilityError", "FamilyStructureError",
+    "CellGraph", "Certificate", "CheckFailed", "ClosedFormRangeError",
+    "DEFAULT_ORDER_CAP", "EquitabilityError", "FamilyStructureError",
     "FieldError", "FormatError", "IntPolynomial", "LatinSquare", "MoslsFamily",
     "OrderCapError", "QuotientMatrix", "RowCycle", "SpectrumReport", "SrgParameterError",
     "SudokuShape", "SwitchError", "SwitchSpec", "SwitchValidityError",
-    "TheoremPreconditionError", "are_orthogonal", "block", "block_map_factorization",
+    "TheoremPreconditionError", "are_orthogonal",
     "block_partition", "build_mols_graph", "build_mosls_graph", "certify_charpoly",
     "charpoly_exact", "commute_check", "composite_count", "composite_mosls",
-    "family_pairwise_orthogonal", "field_square", "format_family", "is_block_permutational",
-    "is_latin", "is_sudoku", "jacobi_eigenvalues", "load_family", "mosls_graph_spectrum",
+    "field_square", "format_family", "is_block_permutational",
+    "is_latin", "is_sudoku", "load_family", "mosls_graph_spectrum",
     "nonisomorphism_certificate", "numeric_spectrum", "parse_family", "poly_product",
     "product", "quotient_matrix", "quotient_spectrum", "row_cycle_decompose",
     "row_cycle_switch", "save_family", "srg_check", "srg_spectrum", "sudoku_symbol_switch",

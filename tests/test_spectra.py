@@ -7,7 +7,6 @@ import pytest
 from mosls import (
     ClosedFormRangeError,
     SwitchSpec,
-    ConvergenceError,
     IntPolynomial,
     SrgParameterError,
     build_mols_graph,
@@ -17,7 +16,6 @@ from mosls import (
     composite_mosls,
     is_block_permutational,
     is_sudoku,
-    jacobi_eigenvalues,
     mosls_graph_spectrum,
     numeric_spectrum,
     poly_product,
@@ -37,8 +35,6 @@ from mosls.spectra import (
     _power_sum_quotient,
     _power_sums,
     _relative_residual,
-    poly_divexact,
-    poly_divmod,
 )
 from fixtures import (
     FOUR_FAMILY,
@@ -64,6 +60,7 @@ from hessenberg_reference import (
     _primes_between,
     reference_charpoly,
 )
+from spectra_reference import ConvergenceError, jacobi_eigenvalues, poly_divexact, poly_divmod
 
 
 def spectrum_dict(factors) -> dict:
@@ -172,9 +169,14 @@ def test_charpoly_input_validation():
         charpoly_exact(np.zeros((151, 151)))
 
 
-@pytest.mark.parametrize("M", [[[0.5]], [[2.0, 0.5], [0.5, 2.0]], [[np.nan]], [[1e30]], [[2.0**63]]])
+@pytest.mark.parametrize(
+    "M",
+    [[[0.5]], [[2.0, 0.5], [0.5, 2.0]], [[np.nan]], [[1e30]], [[2.0**63]],
+     [[2**70]], [[-(2**63) - 1]], [[2**64 - 1]]],
+)
 def test_non_integral_matrices_are_refused(M):
-    # an int64 cast read [[0.5]] as [[0]]: charpoly t, certified as t
+    # an int64 cast read [[0.5]] as [[0]]: charpoly t, certified as t; a
+    # Python int beyond int64 raised OverflowError, and 2**64 - 1 wrapped
     with pytest.raises(ValueError, match="integers"):
         charpoly_exact(M)
     with pytest.raises(ValueError, match="integers"):

@@ -30,7 +30,8 @@ from mosls import (
 )
 from mosls import composite_mosls
 from mosls.cli import _TABLE_ROWS
-from mosls.spectra import IntPolynomial, poly_divexact, poly_product
+from mosls.spectra import IntPolynomial, poly_product
+from spectra_reference import poly_divexact, poly_divmod
 from fixtures import (
     NINE,
     NINE_SWITCHED,
@@ -181,6 +182,9 @@ def test_symbol_switch_spec_validation():
 def test_symbol_switch_requires_sudoku():
     with pytest.raises(SwitchError, match="Sudoku"):
         sudoku_symbol_switch(REMARK4, SwitchSpec("row-block", 1, (1, 2)))
+    not_latin = LatinSquare([[1, 2, 3, 4], [3, 4, 1, 2]] * 2, SudokuShape(2, 2))
+    with pytest.raises(SwitchError, match="requires a Sudoku square"):
+        sudoku_symbol_switch(not_latin, SwitchSpec("row-block", 1, (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,50 @@ def test_theorem_preconditions():
     base = charpoly_exact(np.zeros((16, 16)))
     with pytest.raises(TheoremPreconditionError, match="not divisible"):
         switched_charpoly_expected(base, 2, 2)
+    # a base of degree below 4, the zero polynomial included: every root
+    # divides zero, but no quotient of degree -4 exists
+    for coeffs in [(0,), (5,), (2, 1)]:
+        with pytest.raises(TheoremPreconditionError, match="not divisible"):
+            switched_charpoly_expected(IntPolynomial(coeffs), 2, 2)
+
+
+def _expected_by_long_division(base, q, r):
+    """The switching theorem by general division, as the reference."""
+    removed = roots_poly([-2, -(r + 2), q * r - 2, q * r - r - 2])
+    quot, rem = poly_divmod(base, removed)
+    if rem.coeffs != (0,):
+        raise TheoremPreconditionError("not divisible")
+    return poly_product(((quot, 1), (switched_quartic(q, r), 1)))
+
+
+def test_synthetic_division_matches_long_division():
+    # seeded bases as factor lists: linear factors at the four removed
+    # roots and near them with random multiplicities (zero makes the
+    # theorem inapplicable), a random quadratic, and a constant that
+    # makes the base non-monic
+    rng = np.random.default_rng(12)
+    raised = 0
+    for _ in range(600):
+        q, r = rng.integers(2, 7, size=2).tolist()
+        roots = [-2, -(r + 2), q * r - 2, q * r - r - 2]
+        candidates = roots + rng.integers(-12, 40, size=3).tolist()
+        mults = rng.choice(4, size=4, p=[0.15, 0.45, 0.25, 0.15]).tolist()
+        mults += rng.integers(0, 3, size=3).tolist()
+        factors = [(IntPolynomial((-v, 1)), m) for v, m in zip(candidates, mults)]
+        if rng.random() < 0.5:
+            factors.append((IntPolynomial((*rng.integers(-9, 10, size=2).tolist(), 1)), 1))
+        if rng.random() < 0.3:
+            factors.append((IntPolynomial((int(rng.choice([-3, -1, 2, 7])),)), 1))
+        base = poly_product(factors)
+        try:
+            want = _expected_by_long_division(base, q, r)
+        except TheoremPreconditionError:
+            raised += 1
+            with pytest.raises(TheoremPreconditionError, match="not divisible"):
+                switched_charpoly_expected(base, q, r)
+        else:
+            assert switched_charpoly_expected(base, q, r).coeffs == want.coeffs
+    assert 150 < raised < 450
 
 
 # ---------------------------------------------------------------------------
