@@ -10,15 +10,17 @@ between cells of the same block that share neither a row nor a column.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import CheckFailed, MoslsFamily, SudokuShape, _max_abs
 
-# Largest vertex count the dense builders accept: order 49.  One dense
-# int64 (n**2) x (n**2) array then takes 2401**2 * 8 bytes, about 46 MB,
-# and a build holds a few of them at once; order 64 would need 134 MB each.
+# Largest vertex count the dense builders accept: order 49.  The dense
+# int64 (n**2) x (n**2) adjacency then takes 2401**2 * 8 bytes, about 46 MB;
+# a build holds that one int64 array plus a few n**4-byte uint8/bool layers
+# (5.8 MB each).  Order 64 would need 134 MB for the adjacency alone.
 MAX_VERTICES = 49 ** 2
 
 
@@ -51,7 +53,10 @@ class CellGraph:
 def _resolve_subset(fam: MoslsFamily, subset) -> list[int]:
     if subset is None:
         return list(range(1, len(fam) + 1))
-    picked = sorted(set(int(k) for k in subset))
+    try:
+        picked = sorted(set(map(operator.index, subset)))
+    except TypeError as exc:
+        raise ValueError(f"square index is not an integer: {exc}") from None
     for k in picked:
         if not 1 <= k <= len(fam):
             raise ValueError(f"square index {k} outside 1..{len(fam)}")
@@ -59,16 +64,19 @@ def _resolve_subset(fam: MoslsFamily, subset) -> list[int]:
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer product a @ b, computed by float64 BLAS and returned as int64.
+    """Integer product a @ b, computed by float BLAS and returned as int64.
 
     Every entry and partial sum is an integer of magnitude at most
-    a.shape[1] * max|a| * max|b|; below 2**53 float64 holds each of them
-    exactly, so the result equals the int64 product in any summation order.
+    a.shape[1] * max|a| * max|b|.  float32 holds every integer below 2**24
+    exactly and float64 every one below 2**53, so the product runs in the
+    narrower type the bound allows and equals the int64 product in any
+    summation order.
     """
     bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     if bound >= 2**53:
         raise ValueError(f"product entries may reach {bound}, not exact in float64 (2**53)")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    dtype = np.float32 if bound < 2**24 else np.float64
+    return (a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
 
 
 def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,27 +103,34 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     picked = _resolve_subset(fam, subset)
     labels = [rows, cols, *(fam.squares[k - 1].entries.ravel() for k in picked)]
     names = ["row", "column", *(f"symbol in square {k}" for k in picked)]
-    agree = np.zeros((rows.size, rows.size), dtype=np.int64)
-    for label in labels:
-        agree += label[:, None] == label[None, :]
+    # Each label adds at most 1 to a pair's count, and only 0, 1 and "2 or
+    # more" matter, so clamping the counts at 2 every 253 labels keeps them
+    # below uint8's wrap at 256.  A family of Latin squares that passes has
+    # at most n - 1 squares, hence at most 50 labels under MAX_VERTICES.
+    agree = np.zeros((rows.size, rows.size), dtype=np.uint8)
+    same = np.empty_like(agree, dtype=bool)
+    for i, label in enumerate(labels, start=1):
+        agree += np.equal(label[:, None], label[None, :], out=same)
+        if i % 253 == 0:
+            np.minimum(agree, 2, out=agree)
     np.fill_diagonal(agree, 0)
-    if (agree > 1).any():
-        u, v = np.argwhere(agree > 1)[0]
+    if np.greater(agree, 1, out=same).any():
+        u, v = np.argwhere(same)[0]
         both = [name for name, label in zip(names, labels) if label[u] == label[v]]
         raise FamilyStructureError(
             f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
             f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
         )
-    return CellGraph(fam.shape, len(picked), "mols", (agree == 1).astype(np.int64))
+    return CellGraph(fam.shape, len(picked), "mols", agree.astype(np.int64))
 
 
 def _block_adjacency(shape: SudokuShape) -> np.ndarray:
-    """Same block, different row and different column."""
+    """Boolean layer: same block, different row and different column."""
     rows, cols, blocks = _cells(shape)
-    same_block = blocks[:, None] == blocks[None, :]
-    diff_row = rows[:, None] != rows[None, :]
-    diff_col = cols[:, None] != cols[None, :]
-    return (same_block & diff_row & diff_col).astype(np.int64)
+    layer = blocks[:, None] == blocks[None, :]
+    layer &= rows[:, None] != rows[None, :]
+    layer &= cols[:, None] != cols[None, :]
+    return layer
 
 
 def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -123,7 +138,7 @@ def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     the two edge sets cannot overlap."""
     mols = build_mols_graph(fam, subset)
     blocks = _block_adjacency(fam.shape)
-    overlap = mols.adjacency & blocks
+    overlap = np.logical_and(mols.adjacency, blocks)
     if overlap.any():
         u, v = np.argwhere(overlap)[0]
         n = fam.shape.order
@@ -131,7 +146,8 @@ def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
             f"cells ({u // n + 1}, {u % n + 1}) and ({v // n + 1}, {v % n + 1}) "
             "share a block and a symbol; some selected square is not Sudoku"
         )
-    return CellGraph(fam.shape, mols.family_size, "mosls", mols.adjacency + blocks)
+    mols.adjacency += blocks
+    return CellGraph(fam.shape, mols.family_size, "mosls", mols.adjacency)
 
 
 def srg_check(graph: CellGraph):
@@ -189,9 +205,9 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     valid = cells.dtype.kind in "iu" and all(map(len, parts))
     if not (valid and np.array_equal(np.sort(cells), np.arange(nv))):
         raise ValueError("parts must partition the vertex set")
-    indicator = np.zeros((nv, len(parts)), dtype=np.int64)
+    indicator = np.zeros((nv, len(parts)), dtype=bool)
     for pid, members in enumerate(parts):
-        indicator[list(members), pid] = 1
+        indicator[list(members), pid] = True
     counts = _exact_matmul(graph.adjacency, indicator)
     entries = np.zeros((len(parts), len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
@@ -219,7 +235,7 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
 
 def _edges(graph: CellGraph) -> np.ndarray:
     """Sorted 1-based edge pairs (u, v) with u < v, one row per edge."""
-    return np.argwhere(np.triu(graph.adjacency, 1)) + 1
+    return np.argwhere(np.triu(graph.adjacency != 0, 1)) + 1
 
 
 def edge_list(graph: CellGraph) -> list[tuple[int, int]]:
@@ -229,12 +245,13 @@ def edge_list(graph: CellGraph) -> list[tuple[int, int]]:
 
 def edge_lines(graph: CellGraph) -> str:
     """One "u v" line per edge, in edge_list order; the lines of vertex u
-    are joined at once from the precomputed vertex names."""
+    are joined at once from the precomputed vertex names.  Row u is read
+    right of the diagonal in place, so no dense copy is made."""
     A = graph.adjacency
     names = [str(v) for v in range(1, A.shape[0] + 1)]
     rows = []
-    for u, row in enumerate(np.triu(A, 1)):
-        later = np.flatnonzero(row).tolist()
+    for u in range(A.shape[0]):
+        later = (np.flatnonzero(A[u, u + 1:]) + (u + 1)).tolist()
         if later:
             prefix = names[u] + " "
             rows.append(prefix + ("\n" + prefix).join([names[v] for v in later]))

@@ -5,6 +5,8 @@ squares; the spectra are the known closed-form eigenvalue multisets of
 their cell graphs.  Everything here is frozen input data for tests.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from mosls import (
@@ -159,6 +161,18 @@ def cyclic_square(n: int, shape: SudokuShape | None = None) -> LatinSquare:
     """Cyclic Latin square L(i, j) = ((i + j - 2) mod n) + 1."""
     ent = [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
     return LatinSquare(ent, shape or SudokuShape(1, n))
+
+
+def peak_traced(fn):
+    """(fn(), peak bytes traced during the call); memory allocated before
+    the call, such as a graph it reads, does not count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def roots_poly(roots) -> IntPolynomial:

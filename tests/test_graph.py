@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -34,6 +32,7 @@ from fixtures import (
     REMARK4,
     SIX,
     cyclic_square,
+    peak_traced,
     single,
 )
 
@@ -56,6 +55,13 @@ def test_subset_validation():
         build_mols_graph(FOUR_FAMILY, subset=[3])
     with pytest.raises(ValueError, match="outside"):
         build_mols_graph(FOUR_FAMILY, subset=[0])
+    # int() would truncate 1.7 to square 1 and parse "2" as square 2
+    for subset in ([1.7], ["2"], [1, 2.0]):
+        with pytest.raises(ValueError, match="square index is not an integer"):
+            build_mols_graph(FOUR_FAMILY, subset=subset)
+    numpy_index = build_mols_graph(FOUR_FAMILY, subset=[np.int64(2)])
+    assert numpy_index.family_size == 1
+    assert np.array_equal(numpy_index.adjacency, build_mols_graph(FOUR_FAMILY, [2]).adjacency)
 
 
 def test_mols_graph_degrees():
@@ -101,6 +107,11 @@ def test_mols_graph_rejects_non_latin():
     dup = MoslsFamily(SudokuShape(1, 2), (bad.squares[0], bad.squares[0]))
     with pytest.raises(FamilyStructureError, match="symbol in square 1"):
         build_mols_graph(dup)
+    # cells (1, 1) and (2, 2) agree in all 256 copies, a count that a
+    # uint8 total would wrap to 0
+    many = MoslsFamily(SudokuShape(1, 2), (bad.squares[0],) * 256)
+    with pytest.raises(FamilyStructureError, match="symbol in square 1 and symbol in square 2"):
+        build_mols_graph(many)
 
 
 def test_mols_graph_rejects_non_orthogonal_pair():
@@ -222,12 +233,14 @@ def _quotient_reference(graph):
 def test_blas_products_match_int64_reference(fam):
     mols = build_mols_graph(fam).adjacency
     blocks = _block_adjacency(fam.shape)
+    assert mols.dtype == np.int64 and blocks.dtype == bool
     assert np.array_equal(_exact_matmul(mols, blocks), mols @ blocks)
     assert np.array_equal(_exact_matmul(blocks, mols), blocks @ mols)
     commutes = np.array_equal(mols @ blocks, blocks @ mols)
     assert commute_check(fam) == commutes
 
     mosls_graph = build_mosls_graph(fam)
+    assert mosls_graph.adjacency.dtype == np.int64
     assert commute_check(build_mols_graph(fam)) == commutes
     assert commute_check(mosls_graph) == commutes
     for g in (build_mols_graph(fam, [1]), build_mols_graph(fam), mosls_graph):
@@ -244,6 +257,15 @@ def test_blas_products_match_int64_reference(fam):
 
 
 def test_exact_matmul_bound():
+    # bound 4095 * 4097 * 1 = 2**24 - 1: float32, every partial sum exact
+    row = np.full((1, 4095), 4097, dtype=np.int64)
+    product = _exact_matmul(row, np.ones((4095, 1), dtype=bool))
+    assert product.dtype == np.int64 and product.tolist() == [[2**24 - 1]]
+    # 4097**2 is odd and above 2**24, where float32 rounds it to an even
+    # neighbour, so this bound must take float64
+    assert int(np.float32(4097) * np.float32(4097)) == 16785408
+    odd = np.array([[4097]], dtype=np.int64)
+    assert _exact_matmul(odd, odd).tolist() == [[16785409]]
     big = np.array([[2**26]], dtype=np.int64)
     product = _exact_matmul(big, big)
     assert product.dtype == np.int64 and product.tolist() == [[2**52]]
@@ -261,8 +283,8 @@ def test_exact_matmul_bound():
 def test_vertex_cap_refuses_before_allocating():
     fam = composite_mosls([(2, 3, 3)], order_cap=64)
     assert fam.shape.order ** 2 > MAX_VERTICES
-    tracemalloc.start()
-    try:
+
+    def refuse_all():
         with pytest.raises(ValueError, match="dense graph cap"):
             build_mols_graph(fam)
         with pytest.raises(ValueError, match="dense graph cap"):
@@ -275,11 +297,45 @@ def test_vertex_cap_refuses_before_allocating():
         tiny = CellGraph(fam.shape, 0, "mols", np.zeros((1, 1), dtype=np.int64))
         with pytest.raises(ValueError, match="dense graph cap"):
             commute_check(tiny)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = peak_traced(refuse_all)
     # one dense 4096 x 4096 int64 array would take 134 MB
     assert peak < 1 << 20
+
+
+def test_dense_layer_memory_at_729_vertices():
+    # Bounds in units of the int64 adjacency (4.05 MiB).  The build holds
+    # that array plus n**4-byte uint8/bool layers; one product adds float32
+    # copies of both operands and the int64 result.  An int64 label test or
+    # float64 operand copies would each take a further full adjacency.
+    field27 = composite_mosls([(3, 1, 2)], order_cap=27)
+    g, build_peak = peak_traced(lambda: build_mosls_graph(field27))
+    nbytes = g.adjacency.nbytes
+    assert g.num_vertices == 729 and g.adjacency.dtype == np.int64
+    assert build_peak <= 1.75 * nbytes
+    commutes, commute_peak = peak_traced(lambda: commute_check(g))
+    assert commutes and commute_peak <= 2 * nbytes
+    # one square keeps the output text small next to the adjacency, so the
+    # peak measures the export's own arrays, which no dense copy may take
+    one = build_mosls_graph(field27, [1])
+    text, export_peak = peak_traced(lambda: edge_lines(one))
+    assert text == "".join(f"{u} {v}\n" for u, v in edge_list(one))
+    assert export_peak <= 0.5 * nbytes
+
+
+def test_dense_layer_at_the_vertex_cap():
+    fam = composite_mosls([(7, 1, 1)], order_cap=49)
+    g, build_peak = peak_traced(lambda: build_mosls_graph(fam, [1, 2]))
+    assert g.num_vertices == MAX_VERTICES
+    assert build_peak <= 1.75 * g.adjacency.nbytes
+    assert (g.adjacency.sum(axis=1) == 4 * 48 + 6 * 6).all()  # (f + 2)(n - 1) + (q - 1)(r - 1)
+    assert commute_check(g)
+    # diagonal qr - 1, same block-row r + f, same block-column q + f, else f
+    band, stack = np.divmod(np.arange(49), 7)
+    same_line = (band[:, None] == band[None, :]) | (stack[:, None] == stack[None, :])
+    expected = np.where(same_line, 7 + 2, 2)
+    np.fill_diagonal(expected, 48)
+    assert np.array_equal(quotient_matrix(g).entries, expected)
 
 
 def test_edge_list_and_lines_agree():
