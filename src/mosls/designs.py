@@ -55,7 +55,9 @@ class LatinSquare:
     __slots__ = ("shape", "entries")
 
     def __init__(self, entries, shape: SudokuShape):
-        arr = _int_matrix(np.array(entries))  # np.array copies: the square owns its entries
+        # np.array copies: the square owns its entries, int64 for the
+        # symbol arithmetic of the checks
+        arr = _int_matrix(np.array(entries)).astype(np.int64, copy=False)
         if arr.shape[0] != shape.order:
             raise ValueError(
                 f"entry array is {arr.shape[0]}x{arr.shape[0]} but shape "
@@ -110,10 +112,16 @@ def _max_abs(A: np.ndarray) -> int:
 def _int_matrix(M) -> np.ndarray:
     """M as an int64 array; ValueError unless M is square with integral
     entries within int64, which a plain int64 cast would truncate or wrap
-    silently.  An int64 array is returned as is, not copied."""
+    silently.  An int64 array is returned as is, not copied, and so is a
+    bool or unsigned array narrower than 64 bits: its entries are
+    non-negative and within int64, so np.abs is the identity on them and
+    sums of them promote to a 64-bit type.  Signed narrow arrays are cast,
+    as np.abs(np.int8(-128)) is -128."""
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if A.dtype == bool or (A.dtype.kind == "u" and A.dtype.itemsize < 8):
+        return A
     try:
         with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail below
             B = A.astype(np.int64, copy=False)

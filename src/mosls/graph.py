@@ -18,9 +18,10 @@ import numpy as np
 from .designs import CheckFailed, MoslsFamily, SudokuShape, _max_abs
 
 # Largest vertex count the dense builders accept: order 49.  The dense
-# int64 (n**2) x (n**2) adjacency then takes 2401**2 * 8 bytes, about 46 MB;
-# a build holds that one int64 array plus a few n**4-byte uint8/bool layers
-# (5.8 MB each).  Order 64 would need 134 MB for the adjacency alone.
+# uint8 (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
+# build holds it and two more n**4-byte bool layers, and the SRG test's
+# float32 operand and product take four times the adjacency each.  Order 64
+# would take 16.8 MB per byte layer and 67 MB per float32 array.
 MAX_VERTICES = 49 ** 2
 
 
@@ -34,7 +35,13 @@ class EquitabilityError(CheckFailed):
 
 @dataclass
 class CellGraph:
-    """Dense 0/1 adjacency over the n**2 cells of a family."""
+    """Dense adjacency over the n**2 cells of a family.
+
+    The builders give a uint8 0/1 matrix, one byte per cell pair.  uint8
+    arithmetic wraps at 256 (an adjacency @ adjacency product of two uint8
+    arrays is uint8 too), so callers cast before any other arithmetic; the
+    checks here take any integer matrix and state their own bounds.
+    """
 
     shape: SudokuShape
     family_size: int
@@ -64,29 +71,38 @@ def _resolve_subset(fam: MoslsFamily, subset) -> list[int]:
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer product a @ b, computed by float BLAS and returned as int64.
+    """Integer product a @ b, computed and returned in a float type.
 
     Every entry and partial sum is an integer of magnitude at most
     a.shape[1] * max|a| * max|b|.  float32 holds every integer below 2**24
     exactly and float64 every one below 2**53, so the product runs in the
-    narrower type the bound allows and equals the int64 product in any
-    summation order.
+    narrower type the bound allows and equals the integer product in any
+    summation order.  A square (b is a) casts its operand once.
     """
     bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     if bound >= 2**53:
         raise ValueError(f"product entries may reach {bound}, not exact in float64 (2**53)")
     dtype = np.float32 if bound < 2**24 else np.float64
-    return (a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
+    af = a.astype(dtype)
+    return af @ (af if b is a else b.astype(dtype))
+
+
+def _dense_size(shape: SudokuShape) -> int:
+    """The vertex count n**2 of the shape's cell graph; ValueError above
+    MAX_VERTICES."""
+    n = shape.order
+    if n * n > MAX_VERTICES:
+        raise ValueError(
+            f"order {n} gives {n * n} vertices, above the dense graph cap of {MAX_VERTICES}"
+        )
+    return n * n
 
 
 def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0-based row, column and block of every cell, blocks numbered
     block-row-major; refuses more than MAX_VERTICES cells first."""
     n = shape.order
-    if n * n > MAX_VERTICES:
-        raise ValueError(
-            f"order {n} gives {n * n} vertices, above the dense graph cap of {MAX_VERTICES}"
-        )
+    _dense_size(shape)
     rows = np.repeat(np.arange(n), n)
     cols = np.tile(np.arange(n), n)
     return rows, cols, (rows // shape.q) * shape.q + cols // shape.r
@@ -121,7 +137,7 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
             f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
             f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
         )
-    return CellGraph(fam.shape, len(picked), "mols", agree.astype(np.int64))
+    return CellGraph(fam.shape, len(picked), "mols", agree)
 
 
 def _block_adjacency(shape: SudokuShape) -> np.ndarray:
@@ -154,25 +170,31 @@ def srg_check(graph: CellGraph):
     """Exhaustive strong-regularity test.
 
     Returns (num_vertices, k, lam, mu) when every vertex has degree k,
-    every adjacent pair has lam common neighbours and every non-adjacent
-    distinct pair has mu; otherwise returns None.
+    every adjacent pair (entry 1) has lam common neighbours and every
+    non-adjacent distinct pair (entry 0) has mu; otherwise returns None.
+    A parameter with no pair to read it from is 0.
     """
     A = graph.adjacency
     deg = A.sum(axis=1)
     if deg.min() != deg.max():
         return None
-    k = int(deg[0])
     common = _exact_matmul(A, A)
-    off = ~np.eye(A.shape[0], dtype=bool)
-    lam_vals = common[(A == 1) & off]
-    mu_vals = common[(A == 0) & off]
-    if lam_vals.size and lam_vals.min() != lam_vals.max():
-        return None
-    if mu_vals.size and mu_vals.min() != mu_vals.max():
-        return None
-    lam = int(lam_vals[0]) if lam_vals.size else 0
-    mu = int(mu_vals[0]) if mu_vals.size else 0
-    return (A.shape[0], k, lam, mu)
+    # two reused masks, no copy of common: each parameter is read at the
+    # first pair of its kind (0 when there is none) and every other pair
+    # of that kind is compared with it
+    pairs = np.empty(A.shape, dtype=bool)
+    differ = np.empty_like(pairs)
+    params = []
+    for entry in (1, 0):
+        np.equal(A, entry, out=pairs)
+        np.fill_diagonal(pairs, False)
+        first = pairs.argmax()
+        value = common.flat[first] if pairs.flat[first] else 0
+        np.not_equal(common, value, out=differ)
+        if np.logical_and(differ, pairs, out=differ).any():
+            return None
+        params.append(int(value))
+    return (A.shape[0], int(deg[0]), *params)
 
 
 @dataclass
@@ -208,7 +230,7 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     indicator = np.zeros((nv, len(parts)), dtype=bool)
     for pid, members in enumerate(parts):
         indicator[list(members), pid] = True
-    counts = _exact_matmul(graph.adjacency, indicator)
+    counts = _exact_matmul(graph.adjacency, indicator).astype(np.int64)
     entries = np.zeros((len(parts), len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
         rows = counts[list(members)]
@@ -218,6 +240,43 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     return QuotientMatrix(tuple(tuple(m) for m in parts), entries)
 
 
+def _times_block_layer(A: np.ndarray, shape: SudokuShape) -> np.ndarray:
+    """The integer product A @ B with the block adjacency B of the shape,
+    from sums over A's columns instead of a matrix product.
+
+    B[w, v] = 1 iff cell w lies in v's block but in neither v's row nor
+    v's column.  So by inclusion-exclusion (A @ B)[u, v] is row u of A
+    summed over v's block, minus its sums over v's row segment (the r
+    cells of v's row in that block) and over v's column segment (the q
+    cells of v's column there), plus A[u, v], which both segments hold.
+    Reshapes of A's columns give all three sums per row u: n block sums,
+    n**2 / r row segments and n**2 / q column segments.
+
+    Each sum covers at most n cells of row u, and so does each partial
+    result in the order A[u, v] - column, block - row, their sum (q - 1,
+    n - r and n - q - r + 1 cells), so every value is at most n max|A| in
+    magnitude: below 2**15 the arithmetic runs in int16, else in int64,
+    which needs n max|A| < 2**63.
+    """
+    nv = _dense_size(shape)
+    q, r = shape.q, shape.r
+    bound = shape.order * _max_abs(A)
+    if bound >= 2**63:
+        raise ValueError(f"block sums may reach {bound}, not exact in int64 (2**63)")
+    dtype = np.int16 if bound < 2**15 else np.int64
+    # cell (band * q + i, stack * r + j) is column
+    # ((band * q + i) * q + stack) * r + j, so the columns reshape to
+    # [band, i, stack, j], and v's block is [band, stack]
+    product = A.reshape(nv, r, q, q, r).astype(dtype)
+    # einsum: sum(axis=-1) over the short last axis is several times slower
+    rows = np.einsum("...j->...", product)  # [band, i, stack]
+    cols = product.sum(axis=2, dtype=dtype)  # [band, stack, j]
+    np.subtract(rows.sum(axis=2, dtype=dtype)[:, :, None], rows, out=rows)  # block - row
+    product -= cols[:, :, None]
+    product += rows[..., None]
+    return product.reshape(nv, nv)
+
+
 def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     """True iff the graph's Latin adjacency L commutes with the block
     adjacency B; a family is taken as its MOLS graph.
@@ -225,11 +284,12 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     L and B are symmetric, so B @ L is the transpose of L @ B, and the two
     commute iff L @ B is symmetric.  A MOSLS adjacency is L + B, and B @ B
     is symmetric, so for either flavour the test is whether
-    adjacency @ B is symmetric.
+    adjacency @ B is symmetric; _times_block_layer forms it without a
+    matrix product.
     """
     if isinstance(graph, MoslsFamily):
         graph = build_mols_graph(graph)
-    product = _exact_matmul(graph.adjacency, _block_adjacency(graph.shape))
+    product = _times_block_layer(graph.adjacency, graph.shape)
     return bool(np.array_equal(product, product.T))
 
 
@@ -255,7 +315,7 @@ def edge_lines(graph: CellGraph) -> str:
         if later:
             prefix = names[u] + " "
             rows.append(prefix + ("\n" + prefix).join([names[v] for v in later]))
-    return "\n".join(rows) + "\n"
+    return "\n".join(rows) + "\n" if rows else ""
 
 
 def matrix_lines(graph: CellGraph) -> str:

@@ -350,6 +350,15 @@ def test_graph_export_edges(tmp_path, capsys):
     assert stdout == "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 
 
+def test_graph_export_edges_of_a_graph_without_edges(tmp_path, capsys):
+    # the order-1 family: one cell, no edges, so no line at all
+    path = tmp_path / "one.txt"
+    path.write_text("mosls v1\norder 1 type 1 1 count 1\n1\n")
+    code, stdout, _ = run(capsys, "graph-export", "--in", str(path), "--format", "edges")
+    assert code == 0
+    assert stdout == ""
+
+
 def test_graph_export_matrix_to_file(tmp_path, capsys):
     src = tmp_path / "two.txt"
     designs.save_family(single(cyclic_square(2)), src)

@@ -20,6 +20,7 @@ from mosls.graph import (
     MAX_VERTICES,
     _block_adjacency,
     _exact_matmul,
+    _times_block_layer,
     edge_lines,
     edge_list,
     matrix_lines,
@@ -183,6 +184,78 @@ def test_commute_check():
     assert not commute_check(single(NINE_SWITCHED))
 
 
+# Shapes with q = r and with q != r up to order 9; for q = 1 the block
+# layer is empty.
+RANDOM_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("q, r", RANDOM_SHAPES)
+def test_block_sums_match_int64_product_on_random_matrices(q, r):
+    shape = SudokuShape(q, r)
+    n, nv = shape.order, shape.order ** 2
+    blocks = _block_adjacency(shape).astype(np.int64)
+    rng = np.random.default_rng(100 * q + r)
+    int16_max = (2**15 - 1) // n  # largest max|A| with n max|A| < 2**15
+    for amax, dtype in [
+        (1, np.int16),
+        (3, np.int16),
+        (int16_max, np.int16),
+        (int16_max + 1, np.int64),
+        (2**40, np.int64),
+    ]:
+        A = rng.integers(-amax, amax, size=(nv, nv), endpoint=True)
+        A[0, -1] = -amax  # max|A| = amax exactly; A is not symmetric
+        product = _times_block_layer(A, shape)
+        expected = A @ blocks
+        assert product.dtype == dtype and np.array_equal(product, expected)
+        graph = CellGraph(shape, 0, "mols", A)
+        assert commute_check(graph) == np.array_equal(expected, expected.T)
+    # commuting with B: a polynomial in B plus a multiple of the all-ones J,
+    # which commutes with B as every row of B has (q - 1)(r - 1) ones
+    for _ in range(3):
+        a, b, c, d = rng.integers(-3, 3, size=4, endpoint=True)
+        A = a * np.eye(nv, dtype=np.int64) + b * blocks + c + d * (blocks @ blocks)
+        expected = A @ blocks
+        assert np.array_equal(_times_block_layer(A, shape), expected)
+        assert commute_check(CellGraph(shape, 0, "mols", A))
+    # multiples of 2**16 read as 0 in int16, which would commute
+    A = rng.integers(0, 1, size=(nv, nv), endpoint=True) * 2**16
+    expected = A @ blocks
+    assert np.array_equal(_times_block_layer(A, shape), expected)
+    assert commute_check(CellGraph(shape, 0, "mols", A)) == np.array_equal(expected, expected.T)
+
+
+def test_block_sums_refuse_beyond_int64():
+    shape = SudokuShape(2, 2)
+    blocks = _block_adjacency(shape).astype(np.int64)
+    A = np.zeros((16, 16), dtype=np.int64)
+    A[0, 5] = 2**61 - 1  # n max|A| = 2**63 - 4
+    assert np.array_equal(_times_block_layer(A, shape), A @ blocks)
+    for big in (2**61, -(2**63)):
+        A[0, 5] = big
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            commute_check(CellGraph(shape, 0, "mols", A))
+
+
+def test_srg_check_reads_every_pair():
+    # K4 beside two copies of K3,3 is 3-regular, and every pair at vertex
+    # 1 (in the K4) reads lam = 2 and mu = 0, but adjacent pairs in a K3,3
+    # have no common neighbour
+    A = np.zeros((16, 16), dtype=np.uint8)
+    A[:4, :4] = 1
+    for start in (4, 10):
+        A[start:start + 3, start + 3:start + 6] = 1
+        A[start + 3:start + 6, start:start + 3] = 1
+    np.fill_diagonal(A, 0)
+    assert srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", A)) is None
+    assert _srg_reference(A) is None
+    # four copies of K4 are strongly regular
+    cliques = np.kron(np.eye(4, dtype=np.uint8), np.ones((4, 4), dtype=np.uint8))
+    np.fill_diagonal(cliques, 0)
+    params = srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", cliques))
+    assert params == _srg_reference(cliques) == (16, 3, 2, 0)
+
+
 def test_export_formats():
     g = build_mols_graph(single(cyclic_square(2)))
     assert edge_lines(g) == "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -202,6 +275,7 @@ PRODUCT_CASES = [
 
 def _srg_reference(A):
     """srg_check with a plain int64 product."""
+    A = A.astype(np.int64)  # uint8 @ uint8 would wrap at 256
     deg = A.sum(axis=1)
     if deg.min() != deg.max():
         return None
@@ -222,7 +296,7 @@ def _quotient_reference(graph):
     indicator = np.zeros((graph.num_vertices, len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
         indicator[list(members), pid] = 1
-    counts = graph.adjacency @ indicator
+    counts = graph.adjacency.astype(np.int64) @ indicator
     rows = [counts[list(members)] for members in parts]
     if any(not (part_rows == part_rows[0]).all() for part_rows in rows):
         return None
@@ -233,14 +307,20 @@ def _quotient_reference(graph):
 def test_blas_products_match_int64_reference(fam):
     mols = build_mols_graph(fam).adjacency
     blocks = _block_adjacency(fam.shape)
-    assert mols.dtype == np.int64 and blocks.dtype == bool
-    assert np.array_equal(_exact_matmul(mols, blocks), mols @ blocks)
-    assert np.array_equal(_exact_matmul(blocks, mols), blocks @ mols)
-    commutes = np.array_equal(mols @ blocks, blocks @ mols)
+    assert mols.dtype == np.uint8 and blocks.dtype == bool
+    wide = mols.astype(np.int64)  # uint8 @ uint8 would wrap at 256
+    assert np.array_equal(_exact_matmul(mols, blocks), wide @ blocks)
+    assert np.array_equal(_exact_matmul(blocks, mols), blocks @ wide)
+    assert np.array_equal(_times_block_layer(mols, fam.shape), wide @ blocks)
+    commutes = np.array_equal(wide @ blocks, blocks @ wide)
     assert commute_check(fam) == commutes
 
     mosls_graph = build_mosls_graph(fam)
-    assert mosls_graph.adjacency.dtype == np.int64
+    assert mosls_graph.adjacency.dtype == np.uint8
+    assert np.array_equal(
+        _times_block_layer(mosls_graph.adjacency, fam.shape),
+        mosls_graph.adjacency.astype(np.int64) @ blocks,
+    )
     assert commute_check(build_mols_graph(fam)) == commutes
     assert commute_check(mosls_graph) == commutes
     for g in (build_mols_graph(fam, [1]), build_mols_graph(fam), mosls_graph):
@@ -260,15 +340,16 @@ def test_exact_matmul_bound():
     # bound 4095 * 4097 * 1 = 2**24 - 1: float32, every partial sum exact
     row = np.full((1, 4095), 4097, dtype=np.int64)
     product = _exact_matmul(row, np.ones((4095, 1), dtype=bool))
-    assert product.dtype == np.int64 and product.tolist() == [[2**24 - 1]]
+    assert product.dtype == np.float32 and product.tolist() == [[2**24 - 1]]
     # 4097**2 is odd and above 2**24, where float32 rounds it to an even
     # neighbour, so this bound must take float64
     assert int(np.float32(4097) * np.float32(4097)) == 16785408
     odd = np.array([[4097]], dtype=np.int64)
-    assert _exact_matmul(odd, odd).tolist() == [[16785409]]
+    product = _exact_matmul(odd, odd)
+    assert product.dtype == np.float64 and product.tolist() == [[16785409]]
     big = np.array([[2**26]], dtype=np.int64)
     product = _exact_matmul(big, big)
-    assert product.dtype == np.int64 and product.tolist() == [[2**52]]
+    assert product.dtype == np.float64 and product.tolist() == [[2**52]]
     with pytest.raises(ValueError, match="2\\*\\*53"):
         _exact_matmul(np.array([[2**27]]), np.array([[2**27]]))
     # two terms of 2**52 reach the bound exactly
@@ -303,39 +384,61 @@ def test_vertex_cap_refuses_before_allocating():
     assert peak < 1 << 20
 
 
-def test_dense_layer_memory_at_729_vertices():
-    # Bounds in units of the int64 adjacency (4.05 MiB).  The build holds
-    # that array plus n**4-byte uint8/bool layers; one product adds float32
-    # copies of both operands and the int64 result.  An int64 label test or
-    # float64 operand copies would each take a further full adjacency.
-    field27 = composite_mosls([(3, 1, 2)], order_cap=27)
-    g, build_peak = peak_traced(lambda: build_mosls_graph(field27))
-    nbytes = g.adjacency.nbytes
-    assert g.num_vertices == 729 and g.adjacency.dtype == np.int64
-    assert build_peak <= 1.75 * nbytes
+def _dense_peaks_within_pins(fam, subset, srg_params):
+    """Build the MOSLS and MOLS graphs of the squares in subset and run
+    commute_check and srg_check on them, pinning each traced peak in units
+    of n**4 bytes, one byte per cell pair: an int64 array takes 8.  A build
+    holds the uint8 adjacency and at most two bool layers, commute_check
+    an int16 product and its bool symmetry test, and srg_check one float32
+    copy of the adjacency and the float32 product.  Returns the MOSLS
+    graph."""
+    g, build_peak = peak_traced(lambda: build_mosls_graph(fam, subset))
+    units = g.num_vertices ** 2
+    assert g.adjacency.dtype == np.uint8
+    assert build_peak <= 3.5 * units
     commutes, commute_peak = peak_traced(lambda: commute_check(g))
-    assert commutes and commute_peak <= 2 * nbytes
+    assert commutes and commute_peak <= 4.5 * units
+    mols, mols_peak = peak_traced(lambda: build_mols_graph(fam, subset))
+    assert mols_peak <= 3.5 * units
+    params, srg_peak = peak_traced(lambda: srg_check(mols))
+    assert params == srg_params and srg_peak <= 8.5 * units
+    return g
+
+
+def test_dense_layer_memory_at_729_vertices():
+    field27 = composite_mosls([(3, 1, 2)], order_cap=27)
+    f = len(field27)
+    srg_params = (729, (f + 2) * 26, 25 + f * (f + 1), (f + 1) * (f + 2))
+    g = _dense_peaks_within_pins(field27, None, srg_params)
+    assert g.num_vertices == 729 and f == 18
     # one square keeps the output text small next to the adjacency, so the
-    # peak measures the export's own arrays, which no dense copy may take
+    # peak measures the export's own arrays, which no dense int64 copy
+    # (8 bytes per cell pair) may take
     one = build_mosls_graph(field27, [1])
     text, export_peak = peak_traced(lambda: edge_lines(one))
     assert text == "".join(f"{u} {v}\n" for u, v in edge_list(one))
-    assert export_peak <= 0.5 * nbytes
+    assert export_peak <= 4 * g.num_vertices ** 2
 
 
 def test_dense_layer_at_the_vertex_cap():
     fam = composite_mosls([(7, 1, 1)], order_cap=49)
-    g, build_peak = peak_traced(lambda: build_mosls_graph(fam, [1, 2]))
+    # the MOLS graph of f = 2 squares: (n**2, (f + 2)(n - 1), n - 2 + f(f + 1), (f + 1)(f + 2))
+    g = _dense_peaks_within_pins(fam, [1, 2], (MAX_VERTICES, 4 * 48, 47 + 6, 12))
     assert g.num_vertices == MAX_VERTICES
-    assert build_peak <= 1.75 * g.adjacency.nbytes
     assert (g.adjacency.sum(axis=1) == 4 * 48 + 6 * 6).all()  # (f + 2)(n - 1) + (q - 1)(r - 1)
-    assert commute_check(g)
     # diagonal qr - 1, same block-row r + f, same block-column q + f, else f
     band, stack = np.divmod(np.arange(49), 7)
     same_line = (band[:, None] == band[None, :]) | (stack[:, None] == stack[None, :])
     expected = np.where(same_line, 7 + 2, 2)
     np.fill_diagonal(expected, 48)
     assert np.array_equal(quotient_matrix(g).entries, expected)
+
+
+def test_graph_without_edges_exports_no_line():
+    g = build_mols_graph(single(cyclic_square(1)))
+    assert g.num_vertices == 1
+    assert srg_check(g) == (1, 0, 0, 0)  # no pair of either kind
+    assert edge_list(g) == [] and edge_lines(g) == ""
 
 
 def test_edge_list_and_lines_agree():

@@ -25,6 +25,7 @@ from mosls import (
     sudoku_symbol_switch,
 )
 from mosls import gf, spectra
+from mosls.designs import _int_matrix
 from mosls.spectra import (
     _abs_row_sum,
     _certificate_bound,
@@ -428,6 +429,32 @@ def test_certificate_rejects_perturbed_candidates(mutate):
     bad = mutate(factors, linear)
     assert sum(m * f.degree for f, m in bad.items()) == 81
     assert not certify_charpoly(adjacency, list(bad.items()))
+
+
+def test_narrow_unsigned_matrices_are_read_without_a_copy():
+    adjacency, factors, linear = _nine_switched()
+    assert adjacency.dtype == np.uint8
+    wide = adjacency.astype(np.int64)
+    bad = list(_moved_multiplicity(factors, linear).items())
+    for narrow in (adjacency, adjacency.astype(bool), adjacency.astype(np.uint16)):
+        assert _int_matrix(narrow) is narrow
+        assert charpoly_exact(narrow) == charpoly_exact(wide)
+        assert certify_charpoly(narrow, list(factors.items()))
+        assert not certify_charpoly(narrow, bad)
+    # row sums of uint8 entries promote instead of wrapping at 256
+    assert _abs_row_sum(np.full((3, 3), 255, dtype=np.uint8)) == 765
+
+
+def test_signed_narrow_matrices_are_cast():
+    # np.abs(np.int8(-128)) is -128, so int8 input takes the int64 cast
+    for rows, row_sum, coeffs in [
+        ([[-128, 1], [0, 2]], 129, (-256, 126, 1)),  # (t + 128)(t - 2)
+        ([[-128, 0], [0, 3]], 128, (-384, 125, 1)),  # symmetric: the certified guess
+    ]:
+        M = np.array(rows, dtype=np.int8)
+        assert _int_matrix(M).dtype == np.int64
+        assert _abs_row_sum(_int_matrix(M)) == row_sum
+        assert charpoly_exact(M).coeffs == coeffs
 
 
 def test_certificate_input_validation():
