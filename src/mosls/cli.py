@@ -111,21 +111,16 @@ def _print_checks(report: dict) -> None:
 def cmd_construct(args) -> int:
     if args.factor:
         if args.p is not None or args.m is not None or args.n is not None:
-            print("error: use either --p/--m/--n or --factor, not both", file=sys.stderr)
-            return 2
+            raise ValueError("use either --p/--m/--n or --factor, not both")
         factors = [_parse_factor(tok) for tok in args.factor]
     else:
         if args.p is None or args.m is None or args.n is None:
-            print("error: --p, --m and --n are required without --factor", file=sys.stderr)
-            return 2
+            raise ValueError("--p, --m and --n are required without --factor")
         factors = [(args.p, args.m, args.n)]
     fam = construct.composite_mosls(factors, order_cap=args.order_cap)
     if args.count is not None:
         if not 1 <= args.count <= len(fam):
-            print(
-                f"error: --count {args.count} outside 1..{len(fam)}", file=sys.stderr
-            )
-            return 2
+            raise ValueError(f"--count {args.count} outside 1..{len(fam)}")
         fam = designs.MoslsFamily(fam.shape, fam.squares[: args.count])
     report = _family_checks(fam)
     _emit(designs.format_family(fam), args.out)
@@ -169,18 +164,13 @@ def cmd_spectrum(args) -> int:
     want_numeric = not args.exact
     if want_exact and nv > spectra.EXACT_SIZE_CAP:
         if args.exact:
-            print(
-                f"error: {nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"{nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}")
         print(
             f"warning: {nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}; "
             "falling back to numeric-only",
             file=sys.stderr,
         )
         want_exact = False
-        want_numeric = True
 
     if want_numeric:
         report = spectra.numeric_spectrum(
@@ -264,11 +254,9 @@ def cmd_switch(args) -> int:
 
     fam = designs.load_family(args.input)
     if len(fam) != 1:
-        print("error: switch expects a single-square family file", file=sys.stderr)
-        return 2
+        raise ValueError("switch expects a single-square family file")
     if (args.row_block is None) == (args.col_block is None):
-        print("error: exactly one of --row-block or --col-block is required", file=sys.stderr)
-        return 2
+        raise ValueError("exactly one of --row-block or --col-block is required")
     if args.row_block is not None:
         spec = switching.SwitchSpec("row-block", args.row_block, _parse_symbols(args.symbols))
     else:
@@ -322,8 +310,7 @@ def cmd_compare(args) -> int:
     fam_a = designs.load_family(args.a)
     fam_b = designs.load_family(args.b)
     if len(fam_a) != 1 or len(fam_b) != 1:
-        print("error: compare expects single-square family files", file=sys.stderr)
-        return 2
+        raise ValueError("compare expects single-square family files")
     cert = switching.nonisomorphism_certificate(fam_a.squares[0], fam_b.squares[0])
     if args.json:
         _print_json(cert.to_json_dict())
@@ -486,16 +473,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except designs.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except designs.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ gives its size without building it.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -101,12 +102,14 @@ def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
     return MoslsFamily(shape, tuple(squares))
 
 
-def _checked_factors(factors) -> list:
+def _checked_factors(factors, order_cap: int | None = None) -> list:
     """The (p, m, n) factors as a list, checked in input order, then for
-    emptiness and repeated primes."""
+    emptiness and repeated primes.  A p above order_cap is not tested for
+    primality (trial division up to sqrt(p)): its factor alone makes the
+    order exceed the cap, which the caller checks next."""
     factors = list(factors)
     for p, m, n in factors:
-        if not gf.is_prime(p):
+        if (order_cap is None or p <= max(order_cap, 1)) and not gf.is_prime(p):
             raise ValueError(f"{p} is not prime")
         if m < 0 or n < 0 or m + n < 1:
             raise ValueError(f"invalid exponents ({m}, {n})")
@@ -133,10 +136,15 @@ def composite_mosls(factors, order_cap: int = DEFAULT_ORDER_CAP) -> MoslsFamily:
     Factors are combined in ascending order of p; the result has type
     (prod p**m, prod p**n) and composite_count(factors) squares.
     """
-    factors = sorted(_checked_factors(factors))
-    total = 1
-    for p, m, n in factors:
-        total *= p ** (m + n)
+    factors = sorted(_checked_factors(factors, order_cap))
+    # each p >= 2 lies in [2**(b - 1), 2**b) for its bit length b, so the
+    # order is at least 2**low, and below 2**(2 * low) as b >= 2: it is
+    # formed only when low is below the cap's bit length (or 64)
+    low = sum((m + n) * (p.bit_length() - 1) for p, m, n in factors)
+    if low >= max(order_cap.bit_length(), 64):
+        order = " * ".join(f"{p}**{m + n}" for p, m, n in factors)
+        raise OrderCapError(f"order {order} exceeds cap {order_cap}")
+    total = math.prod(p ** (m + n) for p, m, n in factors)
     if total > order_cap:
         raise OrderCapError(f"order {total} exceeds cap {order_cap}")
     return reduce(product, [_prime_power_family(*f) for f in factors])

@@ -156,20 +156,29 @@ def is_latin(L: LatinSquare) -> bool:
     return rows_ok and cols_ok
 
 
+def _block_cells(shape: SudokuShape) -> np.ndarray:
+    """The block map: an (n, n) array whose row k holds the row-major cell
+    indices (row-1)*n + (col-1) of block k, row by row within the block.
+    Blocks are block-row-major: block-row i and block-column j (1-based)
+    at k = (i-1)*q + (j-1)."""
+    q, r = shape.q, shape.r
+    # cell (band*q + i, stack*r + j) has index ((band*q + i)*q + stack)*r + j,
+    # so the indices reshape to [band, i, stack, j]
+    cells = np.arange(shape.order ** 2).reshape(r, q, q, r)
+    return cells.transpose(0, 2, 1, 3).reshape(shape.order, shape.order)
+
+
 def _blocks(L: LatinSquare) -> np.ndarray:
-    """The r*q blocks as an (r*q, q, r) array, block-row-major: block-row i
-    and block-column j (1-based) at index (i-1)*q + (j-1)."""
-    q, r = L.shape.q, L.shape.r
-    return L.entries.reshape(r, q, q, r).transpose(0, 2, 1, 3).reshape(r * q, q, r)
+    """The entries of the square through the block map: row k holds block
+    k, row by row."""
+    return L.entries.ravel()[_block_cells(L.shape)]
 
 
 def is_sudoku(L: LatinSquare) -> bool:
     """True iff Latin and every q-by-r block contains each symbol once."""
     if not is_latin(L):
         raise ValueError("is_sudoku requires a Latin square")
-    n = L.order
-    cells = np.sort(_blocks(L).reshape(n, n), axis=1)
-    return bool((cells == np.arange(1, n + 1)).all())
+    return bool((np.sort(_blocks(L), axis=1) == np.arange(1, L.order + 1)).all())
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
@@ -195,11 +204,10 @@ def is_block_permutational(L: LatinSquare) -> bool:
     if not is_sudoku(L):
         raise ValueError("is_block_permutational requires a Sudoku square")
     blocks = _blocks(L)
-    r = L.shape.r
-    # position of symbol s in block k, at [k, s - 1], flat within the block
-    where = np.argsort(blocks.reshape(len(blocks), -1), axis=1)
-    row_of = (where // r)[:, blocks[0] - 1]
-    col_of = (where % r)[:, blocks[0] - 1]
+    # where[k, a, b]: the position within block k of the symbol at (a, b)
+    # of the first block, row-major within the block
+    where = np.argsort(blocks, axis=1)[:, blocks[0] - 1].reshape(-1, L.shape.q, L.shape.r)
+    row_of, col_of = np.divmod(where, L.shape.r)
     return bool((row_of == row_of[:, :, :1]).all() and (col_of == col_of[:, :1, :]).all())
 
 

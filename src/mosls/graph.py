@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CheckFailed, MoslsFamily, SudokuShape, _max_abs
+from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells, _max_abs
 
 # Largest vertex count the dense builders accept: order 49.  The dense
 # uint8 (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
-# build holds it and two more n**4-byte bool layers, and the SRG test's
+# build holds it and one n**4-byte bool buffer, and the SRG test's
 # float32 operand and product take four times the adjacency each.  Order 64
 # would take 16.8 MB per byte layer and 67 MB per float32 array.
 MAX_VERTICES = 49 ** 2
@@ -98,14 +98,10 @@ def _dense_size(shape: SudokuShape) -> int:
     return n * n
 
 
-def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based row, column and block of every cell, blocks numbered
-    block-row-major; refuses more than MAX_VERTICES cells first."""
-    n = shape.order
-    _dense_size(shape)
-    rows = np.repeat(np.arange(n), n)
-    cols = np.tile(np.arange(n), n)
-    return rows, cols, (rows // shape.q) * shape.q + cols // shape.r
+def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray]:
+    """0-based row and column of every cell; refuses more than
+    MAX_VERTICES cells first."""
+    return np.divmod(np.arange(_dense_size(shape)), shape.order)
 
 
 def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -115,7 +111,7 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     agreeing twice names the violation (non-Latin square or non-orthogonal
     pair) in the raised error.
     """
-    rows, cols, _ = _cells(fam.shape)
+    rows, cols = _cells(fam.shape)
     picked = _resolve_subset(fam, subset)
     labels = [rows, cols, *(fam.squares[k - 1].entries.ravel() for k in picked)]
     names = ["row", "column", *(f"symbol in square {k}" for k in picked)]
@@ -140,30 +136,34 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     return CellGraph(fam.shape, len(picked), "mols", agree)
 
 
-def _block_adjacency(shape: SudokuShape) -> np.ndarray:
-    """Boolean layer: same block, different row and different column."""
-    rows, cols, blocks = _cells(shape)
-    layer = blocks[:, None] == blocks[None, :]
-    layer &= rows[:, None] != rows[None, :]
-    layer &= cols[:, None] != cols[None, :]
-    return layer
-
-
 def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
-    """MOLS adjacency plus block edges; requires Sudoku-valid squares so
-    the two edge sets cannot overlap."""
+    """MOLS adjacency plus block edges: cells of one block in different
+    rows and different columns.  Requires Sudoku-valid squares, so that
+    no such pair already shares a symbol.
+
+    Only the n**3 pairs inside blocks are read and written, through the
+    block map; within a block, cell a = i*r + j lies in another row and
+    another column than cell b exactly where the n x n pattern is set.
+    """
     mols = build_mols_graph(fam, subset)
-    blocks = _block_adjacency(fam.shape)
-    overlap = np.logical_and(mols.adjacency, blocks)
-    if overlap.any():
-        u, v = np.argwhere(overlap)[0]
-        n = fam.shape.order
+    A = mols.adjacency
+    n, r = fam.shape.order, fam.shape.r
+    row, col = np.divmod(np.arange(n), r)
+    other = (row[:, None] != row[None, :]) & (col[:, None] != col[None, :])
+    cells = _block_cells(fam.shape)
+    pairs = cells[:, :, None], cells[:, None, :]  # [block, a, b]
+    inside = A[pairs]
+    clash = np.logical_and(inside, other)
+    if clash.any():
+        # the first clashing pair (u, v) in row-major order
+        u, v = divmod(int((pairs[0] * n**2 + pairs[1])[clash].min()), n**2)
         raise FamilyStructureError(
             f"cells ({u // n + 1}, {u % n + 1}) and ({v // n + 1}, {v % n + 1}) "
             "share a block and a symbol; some selected square is not Sudoku"
         )
-    mols.adjacency += blocks
-    return CellGraph(fam.shape, mols.family_size, "mosls", mols.adjacency)
+    inside |= other
+    A[pairs] = inside
+    return CellGraph(fam.shape, mols.family_size, "mosls", A)
 
 
 def srg_check(graph: CellGraph):
@@ -208,17 +208,16 @@ class QuotientMatrix:
 def block_partition(shape: SudokuShape) -> tuple[tuple[int, ...], ...]:
     """Vertices of each block, ordered block-row-major: (1,1)..(1,q),
     (2,1).. up to (r,q)."""
-    q, r = shape.q, shape.r
-    # cell (band*q + i) * n + (stack*r + j) sits at [band, i, stack, j]
-    cells = np.arange(shape.order ** 2).reshape(r, q, q, r).transpose(0, 2, 1, 3)
-    return tuple(map(tuple, cells.reshape(q * r, q * r).tolist()))
+    return tuple(map(tuple, _block_cells(shape).tolist()))
 
 
 def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     """Quotient of the adjacency over a partition (default: the blocks).
 
     Every vertex of a part must see the same number of neighbours in each
-    part, else EquitabilityError identifies the offending part.
+    part, else EquitabilityError identifies the offending part.  The
+    counts are sums of each part's adjacency columns in int64, each at
+    most n**2 max|A| in magnitude, which must stay below 2**63.
     """
     if parts is None:
         parts = block_partition(graph.shape)
@@ -227,10 +226,13 @@ def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
     valid = cells.dtype.kind in "iu" and all(map(len, parts))
     if not (valid and np.array_equal(np.sort(cells), np.arange(nv))):
         raise ValueError("parts must partition the vertex set")
-    indicator = np.zeros((nv, len(parts)), dtype=bool)
+    A = graph.adjacency
+    bound = nv * _max_abs(A)
+    if bound >= 2**63:
+        raise ValueError(f"part counts may reach {bound}, not exact in int64 (2**63)")
+    counts = np.empty((nv, len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
-        indicator[list(members), pid] = True
-    counts = _exact_matmul(graph.adjacency, indicator).astype(np.int64)
+        A[:, list(members)].sum(axis=1, dtype=np.int64, out=counts[:, pid])
     entries = np.zeros((len(parts), len(parts)), dtype=np.int64)
     for pid, members in enumerate(parts):
         rows = counts[list(members)]
@@ -293,25 +295,25 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     return bool(np.array_equal(product, product.T))
 
 
-def _edges(graph: CellGraph) -> np.ndarray:
-    """Sorted 1-based edge pairs (u, v) with u < v, one row per edge."""
-    return np.argwhere(np.triu(graph.adjacency != 0, 1)) + 1
+def _later_neighbours(A: np.ndarray):
+    """(u, the sorted neighbours v > u) for every 0-based vertex u; row u
+    is read right of the diagonal in place, so no dense copy is made."""
+    for u in range(A.shape[0]):
+        yield u, (np.flatnonzero(A[u, u + 1:]) + (u + 1)).tolist()
 
 
 def edge_list(graph: CellGraph) -> list[tuple[int, int]]:
     """Sorted 1-based edge pairs (u, v) with u < v."""
-    return [(u, v) for u, v in _edges(graph).tolist()]
+    return [(u + 1, v + 1) for u, later in _later_neighbours(graph.adjacency) for v in later]
 
 
 def edge_lines(graph: CellGraph) -> str:
     """One "u v" line per edge, in edge_list order; the lines of vertex u
-    are joined at once from the precomputed vertex names.  Row u is read
-    right of the diagonal in place, so no dense copy is made."""
+    are joined at once from the precomputed vertex names."""
     A = graph.adjacency
     names = [str(v) for v in range(1, A.shape[0] + 1)]
     rows = []
-    for u in range(A.shape[0]):
-        later = (np.flatnonzero(A[u, u + 1:]) + (u + 1)).tolist()
+    for u, later in _later_neighbours(A):
         if later:
             prefix = names[u] + " "
             rows.append(prefix + ("\n" + prefix).join([names[v] for v in later]))

@@ -101,6 +101,15 @@ def test_construct_order_cap(capsys):
 
 
 @pytest.mark.parametrize(
+    "p, m, order",
+    [("3", "3000000", "3**3000001"), ("3", "1500", "3**1501"), ("2305843009213693951", "0", "2305843009213693951")],
+)
+def test_construct_oversized_factor_fails_fast(p, m, order, capsys):
+    code, stdout, err = run(capsys, "construct", "--p", p, "--m", m, "--n", "1")
+    assert (code, stdout, err) == (2, "", f"error: order {order} exceeds cap 16\n")
+
+
+@pytest.mark.parametrize(
     "p,m,n",
     [("3", "1", "1"), ("2", "2", "0"), ("3", "0", "2"), ("4", "1", "1"), ("2", "-1", "1"), ("5", "1", "1")],
 )
@@ -587,6 +596,37 @@ def test_compare_above_exact_cap_fails_before_building_graphs(tmp_path, capsys, 
     code, stdout, err = run(capsys, "compare", "--a", str(a), "--b", str(a))
     assert code == 2 and stdout == ""
     assert err == "error: matrix size 256 exceeds exact cap 150\n"
+
+
+# every usage error a command raises itself: (argv, stderr line), with
+# {four}, {nine} and {field16} the family files of the fixtures
+COMMAND_USAGE_ERRORS = [
+    (
+        ["construct", "--p", "2", "--m", "1", "--n", "1", "--factor", "2:1:1"],
+        "use either --p/--m/--n or --factor, not both",
+    ),
+    (["construct", "--p", "2", "--m", "1"], "--p, --m and --n are required without --factor"),
+    (["construct", "--p", "2", "--m", "1", "--n", "1", "--count", "9"], "--count 9 outside 1..2"),
+    (["spectrum", "--in", "{field16}", "--exact"], "256 vertices exceed the exact cap 150"),
+    (
+        ["switch", "--in", "{four}", "--row-block", "1", "--symbols", "1,2"],
+        "switch expects a single-square family file",
+    ),
+    (
+        ["switch", "--in", "{nine}", "--symbols", "1,2"],
+        "exactly one of --row-block or --col-block is required",
+    ),
+    (["compare", "--a", "{four}", "--b", "{nine}"], "compare expects single-square family files"),
+]
+
+
+@pytest.mark.parametrize("argv, message", COMMAND_USAGE_ERRORS)
+def test_command_usage_errors_exit_2_with_one_line(
+    argv, message, four_file, nine_file, field16_file, capsys
+):
+    files = {"four": four_file, "nine": nine_file, "field16": field16_file}
+    code, stdout, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

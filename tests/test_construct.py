@@ -243,6 +243,62 @@ def test_order_cap():
     assert fam.shape == SudokuShape(6, 3)
 
 
+def _refuse_primality_above(monkeypatch, cap):
+    """Make gf.is_prime fail the test when asked about a p above cap."""
+    is_prime = gf.is_prime
+
+    def guarded(p):
+        assert p <= cap, f"trial division of {p}, above the cap {cap}"
+        return is_prime(p)
+
+    monkeypatch.setattr(gf, "is_prime", guarded)
+
+
+def test_oversized_orders_fail_fast_without_forming_them(monkeypatch):
+    _refuse_primality_above(monkeypatch, 16)
+    # a Mersenne prime, whose trial division would take about 1.5e9 steps
+    with pytest.raises(OrderCapError, match=r"^order 2305843009213693951 exceeds cap 16$"):
+        composite_mosls([(2**61 - 1, 0, 1)])
+    # the order 3**1501 has 717 digits, 3**3000001 more than Python will
+    # convert to a string; neither is formed
+    with pytest.raises(OrderCapError, match=r"^order 3\*\*1501 exceeds cap 16$"):
+        composite_mosls([(3, 1500, 1)])
+    with pytest.raises(OrderCapError, match=r"^order 3\*\*3000001 exceeds cap 16$"):
+        composite_mosls([(3, 3000000, 1)])
+    # a product is named by its factors in ascending order of p
+    with pytest.raises(OrderCapError, match=r"^order 2\*\*40 \* 3\*\*30 exceeds cap 16$"):
+        composite_mosls([(3, 30, 0), (2, 20, 20)])
+
+
+def test_order_is_named_in_full_below_2_to_the_64():
+    # 2**63 has low = 63 and is named in full, 2**64 by its factor
+    with pytest.raises(OrderCapError, match=f"^order {2**63} exceeds cap 16$"):
+        composite_mosls([(2, 63, 0)])
+    with pytest.raises(OrderCapError, match=r"^order 2\*\*64 exceeds cap 16$"):
+        composite_mosls([(2, 64, 0)])
+    # under a cap beyond 2**64 the order is compared in full either way
+    with pytest.raises(OrderCapError, match=f"^order {3**50} exceeds cap {2**79}$"):
+        composite_mosls([(3, 50, 0)], order_cap=2**79)
+
+
+def test_a_p_above_the_cap_is_reported_by_the_cap(monkeypatch):
+    _refuse_primality_above(monkeypatch, 16)
+    # 20 is not prime but lies above the cap: its exponents, the other
+    # factors and the distinct-prime check come first, then the cap
+    with pytest.raises(OrderCapError, match="^order 20 exceeds cap 16$"):
+        composite_mosls([(20, 1, 0)])
+    with pytest.raises(ValueError, match=r"^invalid exponents \(0, 0\)$"):
+        composite_mosls([(20, 0, 0)])
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        composite_mosls([(20, 1, 0), (4, 1, 0)])
+    with pytest.raises(ValueError, match="^factor primes must be distinct$"):
+        composite_mosls([(20, 1, 0), (20, 0, 1)])
+    # without a cap every p is tested first, as before
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^20 is not prime$"):
+        composite_count([(20, 0, 0)])
+
+
 def test_composite_mosls_rejects_bad_factors():
     with pytest.raises(ValueError):
         composite_mosls([])

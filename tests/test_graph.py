@@ -5,6 +5,7 @@ from mosls import (
     CellGraph,
     EquitabilityError,
     FamilyStructureError,
+    LatinSquare,
     MoslsFamily,
     SudokuShape,
     block_partition,
@@ -16,9 +17,9 @@ from mosls import (
     srg_check,
 )
 from mosls.cli import _TABLE_ROWS
+from mosls.designs import is_sudoku, transpose
 from mosls.graph import (
     MAX_VERTICES,
-    _block_adjacency,
     _exact_matmul,
     _times_block_layer,
     edge_lines,
@@ -36,6 +37,7 @@ from fixtures import (
     peak_traced,
     single,
 )
+from graph_reference import block_adjacency, first_sudoku_clash
 
 
 def test_order2_graph_is_complete():
@@ -129,6 +131,39 @@ def test_mosls_graph_rejects_non_sudoku():
         build_mosls_graph(single(REMARK4))
 
 
+def _shuffled_latin(rng, shape):
+    """A cyclic square with rows, columns and symbols permuted at random,
+    drawn again until it is not Sudoku."""
+    n = shape.order
+    while True:
+        rows, cols, symbols = rng.permutation(n), rng.permutation(n), rng.permutation(n)
+        square = LatinSquare(symbols[(rows[:, None] + cols[None, :]) % n] + 1, shape)
+        if not is_sudoku(square):
+            return square
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (2, 3), (3, 3)])
+def test_sudoku_clash_names_the_dense_first_pair(q, r):
+    # orders 4, 6 and 9, each square in both orientations: as drawn, of
+    # shape (q, r), and transposed, of shape (r, q)
+    rng = np.random.default_rng(10 * q + r)
+    for _ in range(4):
+        square = _shuffled_latin(rng, SudokuShape(q, r))
+        for sq in (square, transpose(square)):
+            fam = single(sq)
+            mols = build_mols_graph(fam).adjacency
+            overlap = np.logical_and(mols, block_adjacency(sq.shape))
+            assert overlap.sum() >= 4  # several clashing pairs, both ways round
+            n = sq.order
+            (u1, u2), (v1, v2) = (divmod(w, n) for w in first_sudoku_clash(mols, sq.shape))
+            with pytest.raises(FamilyStructureError) as exc:
+                build_mosls_graph(fam)
+            assert str(exc.value) == (
+                f"cells ({u1 + 1}, {u2 + 1}) and ({v1 + 1}, {v2 + 1}) share a block "
+                "and a symbol; some selected square is not Sudoku"
+            )
+
+
 def test_block_partition_layout():
     parts = block_partition(SudokuShape(2, 2))
     assert parts == ((0, 1, 4, 5), (2, 3, 6, 7), (8, 9, 12, 13), (10, 11, 14, 15))
@@ -193,7 +228,7 @@ RANDOM_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
 def test_block_sums_match_int64_product_on_random_matrices(q, r):
     shape = SudokuShape(q, r)
     n, nv = shape.order, shape.order ** 2
-    blocks = _block_adjacency(shape).astype(np.int64)
+    blocks = block_adjacency(shape).astype(np.int64)
     rng = np.random.default_rng(100 * q + r)
     int16_max = (2**15 - 1) // n  # largest max|A| with n max|A| < 2**15
     for amax, dtype in [
@@ -227,7 +262,7 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
 
 def test_block_sums_refuse_beyond_int64():
     shape = SudokuShape(2, 2)
-    blocks = _block_adjacency(shape).astype(np.int64)
+    blocks = block_adjacency(shape).astype(np.int64)
     A = np.zeros((16, 16), dtype=np.int64)
     A[0, 5] = 2**61 - 1  # n max|A| = 2**63 - 4
     assert np.array_equal(_times_block_layer(A, shape), A @ blocks)
@@ -306,7 +341,7 @@ def _quotient_reference(graph):
 @pytest.mark.parametrize("fam", [f for _, f in PRODUCT_CASES], ids=[i for i, _ in PRODUCT_CASES])
 def test_blas_products_match_int64_reference(fam):
     mols = build_mols_graph(fam).adjacency
-    blocks = _block_adjacency(fam.shape)
+    blocks = block_adjacency(fam.shape)
     assert mols.dtype == np.uint8 and blocks.dtype == bool
     wide = mols.astype(np.int64)  # uint8 @ uint8 would wrap at 256
     assert np.array_equal(_exact_matmul(mols, blocks), wide @ blocks)
@@ -369,7 +404,7 @@ def test_vertex_cap_refuses_before_allocating():
         with pytest.raises(ValueError, match="dense graph cap"):
             build_mols_graph(fam)
         with pytest.raises(ValueError, match="dense graph cap"):
-            _block_adjacency(fam.shape)
+            block_adjacency(fam.shape)
         with pytest.raises(ValueError, match="dense graph cap"):
             build_mosls_graph(fam)
         with pytest.raises(ValueError, match="dense graph cap"):
@@ -386,31 +421,36 @@ def test_vertex_cap_refuses_before_allocating():
 
 def _dense_peaks_within_pins(fam, subset, srg_params):
     """Build the MOSLS and MOLS graphs of the squares in subset and run
-    commute_check and srg_check on them, pinning each traced peak in units
-    of n**4 bytes, one byte per cell pair: an int64 array takes 8.  A build
-    holds the uint8 adjacency and at most two bool layers, commute_check
-    an int16 product and its bool symmetry test, and srg_check one float32
-    copy of the adjacency and the float32 product.  Returns the MOSLS
-    graph."""
+    commute_check, quotient_matrix and srg_check on them, pinning each
+    traced peak in units of n**4 bytes, one byte per cell pair: an int64
+    array takes 8.  A build holds the uint8 adjacency and one bool buffer
+    (the block layer is written per block, on n**3 pairs), commute_check
+    an int16 product and its bool symmetry test, quotient_matrix one
+    part's columns and the int64 counts (8 bytes per vertex and part), and
+    srg_check one float32 copy of the adjacency and the float32 product.  Returns the MOSLS graph and its block quotient."""
     g, build_peak = peak_traced(lambda: build_mosls_graph(fam, subset))
     units = g.num_vertices ** 2
     assert g.adjacency.dtype == np.uint8
-    assert build_peak <= 3.5 * units
+    assert build_peak <= 2.5 * units
     commutes, commute_peak = peak_traced(lambda: commute_check(g))
     assert commutes and commute_peak <= 4.5 * units
+    quotient, quotient_peak = peak_traced(lambda: quotient_matrix(g))
+    assert quotient_peak <= 1 * units
     mols, mols_peak = peak_traced(lambda: build_mols_graph(fam, subset))
-    assert mols_peak <= 3.5 * units
+    assert mols_peak <= 2.5 * units
     params, srg_peak = peak_traced(lambda: srg_check(mols))
     assert params == srg_params and srg_peak <= 8.5 * units
-    return g
+    return g, quotient
 
 
 def test_dense_layer_memory_at_729_vertices():
     field27 = composite_mosls([(3, 1, 2)], order_cap=27)
     f = len(field27)
     srg_params = (729, (f + 2) * 26, 25 + f * (f + 1), (f + 1) * (f + 2))
-    g = _dense_peaks_within_pins(field27, None, srg_params)
+    g, quotient = _dense_peaks_within_pins(field27, None, srg_params)
     assert g.num_vertices == 729 and f == 18
+    # every row of the quotient counts the degree (f + 2)(n - 1) + (q - 1)(r - 1)
+    assert (quotient.entries.sum(axis=1) == (f + 2) * 26 + 2 * 8).all()
     # one square keeps the output text small next to the adjacency, so the
     # peak measures the export's own arrays, which no dense int64 copy
     # (8 bytes per cell pair) may take
@@ -423,7 +463,7 @@ def test_dense_layer_memory_at_729_vertices():
 def test_dense_layer_at_the_vertex_cap():
     fam = composite_mosls([(7, 1, 1)], order_cap=49)
     # the MOLS graph of f = 2 squares: (n**2, (f + 2)(n - 1), n - 2 + f(f + 1), (f + 1)(f + 2))
-    g = _dense_peaks_within_pins(fam, [1, 2], (MAX_VERTICES, 4 * 48, 47 + 6, 12))
+    g, quotient = _dense_peaks_within_pins(fam, [1, 2], (MAX_VERTICES, 4 * 48, 47 + 6, 12))
     assert g.num_vertices == MAX_VERTICES
     assert (g.adjacency.sum(axis=1) == 4 * 48 + 6 * 6).all()  # (f + 2)(n - 1) + (q - 1)(r - 1)
     # diagonal qr - 1, same block-row r + f, same block-column q + f, else f
@@ -431,7 +471,7 @@ def test_dense_layer_at_the_vertex_cap():
     same_line = (band[:, None] == band[None, :]) | (stack[:, None] == stack[None, :])
     expected = np.where(same_line, 7 + 2, 2)
     np.fill_diagonal(expected, 48)
-    assert np.array_equal(quotient_matrix(g).entries, expected)
+    assert np.array_equal(quotient.entries, expected)
 
 
 def test_graph_without_edges_exports_no_line():
