@@ -264,10 +264,9 @@ def cmd_switch(args) -> int:
 
     square = fam.squares[0]
     switched = switching.sudoku_symbol_switch(square, spec)
-    out_fam = designs.MoslsFamily(fam.shape, (switched,))
-    _emit(designs.format_family(out_fam), args.out)
-
+    # certify before writing, so a square above the exact cap writes nothing
     cert = switching.nonisomorphism_certificate(square, switched)
+    _emit(designs.format_family(designs.MoslsFamily(fam.shape, (switched,))), args.out)
     q, r = fam.shape.q, fam.shape.r
     # a column-band switch is a row-band switch of the transpose
     eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)

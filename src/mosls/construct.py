@@ -105,8 +105,8 @@ def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
 def _checked_factors(factors, order_cap: int | None = None) -> list:
     """The (p, m, n) factors as a list, checked in input order, then for
     emptiness and repeated primes.  A p above order_cap is not tested for
-    primality (trial division up to sqrt(p)): its factor alone makes the
-    order exceed the cap, which the caller checks next."""
+    primality: its factor alone makes the order exceed the cap, which the
+    caller checks next."""
     factors = list(factors)
     for p, m, n in factors:
         if (order_cap is None or p <= max(order_cap, 1)) and not gf.is_prime(p):

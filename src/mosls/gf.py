@@ -25,14 +25,28 @@ class FieldError(ValueError):
 MAX_FIELD_SIZE = 1024
 
 
+# Miller-Rabin with the twelve primes up to 37 as bases has no strong
+# pseudoprime below 3.3e24, so below 2**64 it is deterministic.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin primality; FieldError from 2**64 on."""
+    if p >= 2**64:
+        raise FieldError(f"primality of {p} is not tested at 2**64 and above")
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

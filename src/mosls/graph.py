@@ -6,6 +6,8 @@ In the MOLS flavor two cells are adjacent when they share a row, share a
 column, or share a symbol in one of the selected squares; for a valid
 family these events are mutually exclusive.  The MOSLS flavor adds edges
 between cells of the same block that share neither a row nor a column.
+A CellGraph is a checked 0/1 matrix on at most MAX_VERTICES vertices, so
+no check here states a bound of its own.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells, _max_abs
+from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells
 
-# Largest vertex count the dense builders accept: order 49.  The dense
-# uint8 (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
+# Largest vertex count a CellGraph accepts: order 49.  The dense uint8
+# (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
 # build holds it and one n**4-byte bool buffer, and the SRG test's
 # float32 operand and product take four times the adjacency each.  Order 64
-# would take 16.8 MB per byte layer and 67 MB per float32 array.
+# would take 16.8 MB per byte layer and 67 MB per float32 array.  Every
+# common-neighbour or block count is then at most 2401, exact in float32
+# (below 2**24) and in int16 (below 2**15).
 MAX_VERTICES = 49 ** 2
 
 
@@ -35,18 +39,28 @@ class EquitabilityError(CheckFailed):
 
 @dataclass
 class CellGraph:
-    """Dense adjacency over the n**2 cells of a family.
+    """Dense 0/1 adjacency over the n**2 cells of a family, stored as
+    uint8 (a uint8 input is not copied), one byte per cell pair.
 
-    The builders give a uint8 0/1 matrix, one byte per cell pair.  uint8
-    arithmetic wraps at 256 (an adjacency @ adjacency product of two uint8
-    arrays is uint8 too), so callers cast before any other arithmetic; the
-    checks here take any integer matrix and state their own bounds.
+    Refuses, with ValueError and in this order, more than MAX_VERTICES
+    vertices before reading the adjacency, a shape other than (n**2, n**2),
+    and any entry outside {0, 1}.  uint8 arithmetic wraps at 256, so
+    callers cast before any arithmetic of their own.
     """
 
     shape: SudokuShape
     family_size: int
     flavor: str  # "mols" or "mosls"
     adjacency: np.ndarray
+
+    def __post_init__(self):
+        nv = _dense_size(self.shape)
+        A = self.adjacency
+        if A.shape != (nv, nv):
+            raise ValueError(f"adjacency has shape {A.shape}, order {self.order} needs ({nv}, {nv})")
+        if not (A.max(initial=0) <= 1 if A.dtype == np.uint8 else np.isin(A, (0, 1)).all()):
+            raise ValueError("adjacency entries must be 0 or 1")
+        self.adjacency = A.astype(np.uint8, copy=False)
 
     @property
     def order(self) -> int:
@@ -68,23 +82,6 @@ def _resolve_subset(fam: MoslsFamily, subset) -> list[int]:
         if not 1 <= k <= len(fam):
             raise ValueError(f"square index {k} outside 1..{len(fam)}")
     return picked
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer product a @ b, computed and returned in a float type.
-
-    Every entry and partial sum is an integer of magnitude at most
-    a.shape[1] * max|a| * max|b|.  float32 holds every integer below 2**24
-    exactly and float64 every one below 2**53, so the product runs in the
-    narrower type the bound allows and equals the integer product in any
-    summation order.  A square (b is a) casts its operand once.
-    """
-    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    if bound >= 2**53:
-        raise ValueError(f"product entries may reach {bound}, not exact in float64 (2**53)")
-    dtype = np.float32 if bound < 2**24 else np.float64
-    af = a.astype(dtype)
-    return af @ (af if b is a else b.astype(dtype))
 
 
 def _dense_size(shape: SudokuShape) -> int:
@@ -178,7 +175,11 @@ def srg_check(graph: CellGraph):
     deg = A.sum(axis=1)
     if deg.min() != deg.max():
         return None
-    common = _exact_matmul(A, A)
+    # every partial sum counts common neighbours, at most MAX_VERTICES <
+    # 2**24, so float32 is exact; the operand goes before the masks come
+    operand = A.astype(np.float32)
+    common = operand @ operand
+    del operand
     # two reused masks, no copy of common: each parameter is read at the
     # first pair of its kind (0 when there is none) and every other pair
     # of that kind is compared with it
@@ -211,35 +212,25 @@ def block_partition(shape: SudokuShape) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _block_cells(shape).tolist()))
 
 
-def quotient_matrix(graph: CellGraph, parts=None) -> QuotientMatrix:
-    """Quotient of the adjacency over a partition (default: the blocks).
+def quotient_matrix(graph: CellGraph) -> QuotientMatrix:
+    """Quotient of the adjacency over the block partition.
 
-    Every vertex of a part must see the same number of neighbours in each
-    part, else EquitabilityError identifies the offending part.  The
-    counts are sums of each part's adjacency columns in int64, each at
-    most n**2 max|A| in magnitude, which must stay below 2**63.
+    Every vertex of a block must see the same number of neighbours in each
+    block, else EquitabilityError identifies the offending block.  The
+    counts are sums of each block's adjacency columns, in int64.
     """
-    if parts is None:
-        parts = block_partition(graph.shape)
-    nv = graph.num_vertices
-    cells = np.array([v for members in parts for v in members])
-    valid = cells.dtype.kind in "iu" and all(map(len, parts))
-    if not (valid and np.array_equal(np.sort(cells), np.arange(nv))):
-        raise ValueError("parts must partition the vertex set")
+    blocks = _block_cells(graph.shape)
     A = graph.adjacency
-    bound = nv * _max_abs(A)
-    if bound >= 2**63:
-        raise ValueError(f"part counts may reach {bound}, not exact in int64 (2**63)")
-    counts = np.empty((nv, len(parts)), dtype=np.int64)
-    for pid, members in enumerate(parts):
-        A[:, list(members)].sum(axis=1, dtype=np.int64, out=counts[:, pid])
-    entries = np.zeros((len(parts), len(parts)), dtype=np.int64)
-    for pid, members in enumerate(parts):
-        rows = counts[list(members)]
+    counts = np.empty((A.shape[0], len(blocks)), dtype=np.int64)
+    for pid, members in enumerate(blocks):
+        A[:, members].sum(axis=1, dtype=np.int64, out=counts[:, pid])
+    entries = np.empty((len(blocks), len(blocks)), dtype=np.int64)
+    for pid, members in enumerate(blocks):
+        rows = counts[members]
         if not (rows == rows[0]).all():
             raise EquitabilityError(f"partition is not equitable at part {pid + 1}")
         entries[pid] = rows[0]
-    return QuotientMatrix(tuple(tuple(m) for m in parts), entries)
+    return QuotientMatrix(block_partition(graph.shape), entries)
 
 
 def _times_block_layer(A: np.ndarray, shape: SudokuShape) -> np.ndarray:
@@ -257,23 +248,19 @@ def _times_block_layer(A: np.ndarray, shape: SudokuShape) -> np.ndarray:
     Each sum covers at most n cells of row u, and so does each partial
     result in the order A[u, v] - column, block - row, their sum (q - 1,
     n - r and n - q - r + 1 cells), so every value is at most n max|A| in
-    magnitude: below 2**15 the arithmetic runs in int16, else in int64,
-    which needs n max|A| < 2**63.
+    magnitude, and the arithmetic runs in int16: exact for n max|A| <
+    2**15, which a CellGraph's 0/1 adjacency meets with n <= 49.
     """
-    nv = _dense_size(shape)
+    nv = A.shape[0]
     q, r = shape.q, shape.r
-    bound = shape.order * _max_abs(A)
-    if bound >= 2**63:
-        raise ValueError(f"block sums may reach {bound}, not exact in int64 (2**63)")
-    dtype = np.int16 if bound < 2**15 else np.int64
     # cell (band * q + i, stack * r + j) is column
     # ((band * q + i) * q + stack) * r + j, so the columns reshape to
     # [band, i, stack, j], and v's block is [band, stack]
-    product = A.reshape(nv, r, q, q, r).astype(dtype)
+    product = A.reshape(nv, r, q, q, r).astype(np.int16)
     # einsum: sum(axis=-1) over the short last axis is several times slower
     rows = np.einsum("...j->...", product)  # [band, i, stack]
-    cols = product.sum(axis=2, dtype=dtype)  # [band, stack, j]
-    np.subtract(rows.sum(axis=2, dtype=dtype)[:, :, None], rows, out=rows)  # block - row
+    cols = product.sum(axis=2, dtype=np.int16)  # [band, stack, j]
+    np.subtract(rows.sum(axis=2, dtype=np.int16)[:, :, None], rows, out=rows)  # block - row
     product -= cols[:, :, None]
     product += rows[..., None]
     return product.reshape(nv, nv)
@@ -295,25 +282,15 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     return bool(np.array_equal(product, product.T))
 
 
-def _later_neighbours(A: np.ndarray):
-    """(u, the sorted neighbours v > u) for every 0-based vertex u; row u
-    is read right of the diagonal in place, so no dense copy is made."""
-    for u in range(A.shape[0]):
-        yield u, (np.flatnonzero(A[u, u + 1:]) + (u + 1)).tolist()
-
-
-def edge_list(graph: CellGraph) -> list[tuple[int, int]]:
-    """Sorted 1-based edge pairs (u, v) with u < v."""
-    return [(u + 1, v + 1) for u, later in _later_neighbours(graph.adjacency) for v in later]
-
-
 def edge_lines(graph: CellGraph) -> str:
-    """One "u v" line per edge, in edge_list order; the lines of vertex u
-    are joined at once from the precomputed vertex names."""
+    """One "u v" line per edge u < v, 1-based, sorted.  Row u is read right
+    of the diagonal in place, so no dense copy is made, and its lines are
+    joined at once from the precomputed vertex names."""
     A = graph.adjacency
     names = [str(v) for v in range(1, A.shape[0] + 1)]
     rows = []
-    for u, later in _later_neighbours(A):
+    for u in range(A.shape[0]):
+        later = (np.flatnonzero(A[u, u + 1:]) + (u + 1)).tolist()
         if later:
             prefix = names[u] + " "
             rows.append(prefix + ("\n" + prefix).join([names[v] for v in later]))

@@ -598,6 +598,26 @@ def test_compare_above_exact_cap_fails_before_building_graphs(tmp_path, capsys, 
     assert err == "error: matrix size 256 exceeds exact cap 150\n"
 
 
+def test_switch_above_exact_cap_writes_nothing(tmp_path, capsys):
+    a = tmp_path / "f16.txt"
+    code, _, _ = run(
+        capsys, "construct", "--p", "2", "--m", "2", "--n", "2", "--count", "1", "--out", str(a),
+    )
+    assert code == 0
+    switch = ["switch", "--in", str(a), "--row-block", "1", "--symbols", "1,2"]
+    # an invalid switch is still refused first, with exit 1
+    code, stdout, err = run(capsys, *switch[:-1], "1,5")
+    assert code == 1 and stdout == "" and "check failed" in err
+    # a valid switch on 256 vertices: no family on stdout or in --out
+    code, stdout, err = run(capsys, *switch)
+    assert code == 2 and stdout == ""
+    assert err == "error: matrix size 256 exceeds exact cap 150\n"
+    out = tmp_path / "switched.txt"
+    code, stdout, err = run(capsys, *switch, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: matrix size 256 exceeds exact cap 150\n"
+
+
 # every usage error a command raises itself: (argv, stderr line), with
 # {four}, {nine} and {field16} the family files of the fixtures
 COMMAND_USAGE_ERRORS = [

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from mosls import gf
+from mosls.construct import composite_count
 
 
 def test_canonical_moduli():
@@ -25,6 +28,33 @@ def test_field_size_is_bounded():
             gf.make_field(2, d)
     with pytest.raises(gf.FieldError):
         gf.is_irreducible(2, [1, 0, 1] + [0] * 17 + [1])  # degree 20
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 10**5
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [gf.is_prime(k) for k in range(limit)] == sieve.tolist()
+    assert not any(gf.is_prime(k) for k in (-7, -2, -1))
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # the smallest strong pseudoprimes to the bases 2; 2, 3, 5, 7; and
+    # every prime up to 23
+    for composite in (2047, 3215031751, 3825123056546413051):
+        assert not gf.is_prime(composite)
+    assert gf.is_prime(2**61 - 1) and gf.is_prime(2**64 - 59)  # the largest below 2**64
+    assert not gf.is_prime(4294967291 * 4294967279)  # the two largest primes below 2**32
+    for big in (2**64, 2**89 - 1):
+        with pytest.raises(gf.FieldError, match="2\\*\\*64"):
+            gf.is_prime(big)
+    # trial division would take about 1.5e9 steps on this Mersenne prime
+    start = time.perf_counter()
+    assert composite_count([(2**61 - 1, 0, 1)]) == 2**61 - 2
+    assert time.perf_counter() - start < 1
 
 
 def test_is_irreducible_known_cases():

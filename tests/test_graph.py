@@ -18,14 +18,7 @@ from mosls import (
 )
 from mosls.cli import _TABLE_ROWS
 from mosls.designs import is_sudoku, transpose
-from mosls.graph import (
-    MAX_VERTICES,
-    _exact_matmul,
-    _times_block_layer,
-    edge_lines,
-    edge_list,
-    matrix_lines,
-)
+from mosls.graph import MAX_VERTICES, _times_block_layer, edge_lines, matrix_lines
 from fixtures import (
     FOUR_FAMILY,
     FOUR_PRINTED_ADJACENCY,
@@ -37,14 +30,14 @@ from fixtures import (
     peak_traced,
     single,
 )
-from graph_reference import block_adjacency, first_sudoku_clash
+from graph_reference import block_adjacency, edge_list, first_sudoku_clash
 
 
 def test_order2_graph_is_complete():
     g = build_mols_graph(single(cyclic_square(2)))
     assert g.num_vertices == 4
     assert np.array_equal(g.adjacency, np.ones((4, 4), dtype=np.int64) - np.eye(4))
-    assert edge_list(g) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert edge_list(g.adjacency) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_empty_subset_gives_rook_graph():
@@ -196,20 +189,29 @@ def test_quotient_matrix_order6():
 
 
 def test_quotient_matrix_custom_parts_and_errors():
+    # the path 1-2-3-4 on the four cells of type (1, 2), whose blocks
+    # {0, 1} and {2, 3} are not equitable for it
     path = np.zeros((4, 4), dtype=np.int64)
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         path[u, v] = path[v, u] = 1
     g = CellGraph(SudokuShape(1, 2), 0, "mols", path)
+    assert block_partition(g.shape) == ((0, 1), (2, 3))
     with pytest.raises(EquitabilityError, match="part 1"):
-        quotient_matrix(g, parts=[(0, 1), (2, 3)])
-    quo = quotient_matrix(g, parts=[(0, 3), (1, 2)])
+        quotient_matrix(g)
+    # the partition into ends {0, 3} and middles {1, 2} is equitable; the
+    # quotient takes only the blocks, so relabel the path to make the ends
+    # cells 0 and 1
+    ends_first = [0, 3, 1, 2]
+    relabelled = CellGraph(g.shape, 0, "mols", path[np.ix_(ends_first, ends_first)])
+    quo = quotient_matrix(relabelled)
     assert quo.entries.tolist() == [[0, 1], [1, 1]]
-    with pytest.raises(ValueError, match="partition"):
-        quotient_matrix(g, parts=[(0, 1), (1, 2, 3)])
-    # a vertex outside 0..3, a non-integer, an empty part
-    for parts in ([(0, 1), (2, 3, 4)], [(0, 1), (2, 3.0)], [(0, 1), (), (2, 3)]):
-        with pytest.raises(ValueError, match="parts must partition the vertex set"):
-            quotient_matrix(g, parts=parts)
+    # the parts are always the blocks, and they partition the vertex set
+    for shape in (SudokuShape(1, 2), SudokuShape(2, 3), SudokuShape(3, 2)):
+        nv = shape.order ** 2
+        quo = quotient_matrix(CellGraph(shape, 0, "mols", np.zeros((nv, nv), dtype=np.uint8)))
+        assert quo.parts == block_partition(shape)
+        assert sorted(v for part in quo.parts for v in part) == list(range(nv))
+        assert not quo.entries.any()
 
 
 def test_commute_check():
@@ -231,45 +233,46 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
     blocks = block_adjacency(shape).astype(np.int64)
     rng = np.random.default_rng(100 * q + r)
     int16_max = (2**15 - 1) // n  # largest max|A| with n max|A| < 2**15
-    for amax, dtype in [
-        (1, np.int16),
-        (3, np.int16),
-        (int16_max, np.int16),
-        (int16_max + 1, np.int64),
-        (2**40, np.int64),
-    ]:
+    for amax in (1, 3, int16_max):
         A = rng.integers(-amax, amax, size=(nv, nv), endpoint=True)
         A[0, -1] = -amax  # max|A| = amax exactly; A is not symmetric
         product = _times_block_layer(A, shape)
-        expected = A @ blocks
-        assert product.dtype == dtype and np.array_equal(product, expected)
-        graph = CellGraph(shape, 0, "mols", A)
-        assert commute_check(graph) == np.array_equal(expected, expected.T)
+        assert product.dtype == np.int16 and np.array_equal(product, A @ blocks)
     # commuting with B: a polynomial in B plus a multiple of the all-ones J,
     # which commutes with B as every row of B has (q - 1)(r - 1) ones
+    eye = np.eye(nv, dtype=np.int64)
     for _ in range(3):
         a, b, c, d = rng.integers(-3, 3, size=4, endpoint=True)
-        A = a * np.eye(nv, dtype=np.int64) + b * blocks + c + d * (blocks @ blocks)
+        A = a * eye + b * blocks + c + d * (blocks @ blocks)
+        product = _times_block_layer(A, shape)
+        assert np.array_equal(product, A @ blocks) and np.array_equal(product, product.T)
+    # commute_check on random symmetric 0/1 graphs, and on the 0/1 sums of
+    # the disjoint layers I, B and J - I - B, which all commute with B
+    for _ in range(3):
+        A = np.triu(rng.integers(0, 1, size=(nv, nv), endpoint=True), 1)
+        A += A.T
         expected = A @ blocks
         assert np.array_equal(_times_block_layer(A, shape), expected)
+        assert commute_check(CellGraph(shape, 0, "mols", A)) == np.array_equal(expected, expected.T)
+    for a, b, c in np.ndindex(2, 2, 2):
+        A = a * eye + b * blocks + c * (1 - eye - blocks)
+        assert np.array_equal(_times_block_layer(A, shape), A @ blocks)
         assert commute_check(CellGraph(shape, 0, "mols", A))
-    # multiples of 2**16 read as 0 in int16, which would commute
-    A = rng.integers(0, 1, size=(nv, nv), endpoint=True) * 2**16
-    expected = A @ blocks
-    assert np.array_equal(_times_block_layer(A, shape), expected)
-    assert commute_check(CellGraph(shape, 0, "mols", A)) == np.array_equal(expected, expected.T)
 
 
-def test_block_sums_refuse_beyond_int64():
+def test_cell_graph_refuses_a_wrong_shape_and_stores_uint8():
     shape = SudokuShape(2, 2)
-    blocks = block_adjacency(shape).astype(np.int64)
-    A = np.zeros((16, 16), dtype=np.int64)
-    A[0, 5] = 2**61 - 1  # n max|A| = 2**63 - 4
-    assert np.array_equal(_times_block_layer(A, shape), A @ blocks)
-    for big in (2**61, -(2**63)):
-        A[0, 5] = big
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            commute_check(CellGraph(shape, 0, "mols", A))
+    # the shape is checked before the entries
+    for bad_shape in ((16, 15), (4, 4), (256,), (16, 16, 1)):
+        with pytest.raises(ValueError, match=r"^adjacency has shape .*needs \(16, 16\)$"):
+            CellGraph(shape, 0, "mols", np.full(bad_shape, 7, dtype=np.int64))
+    # a uint8 adjacency is kept, not copied; other 0/1 arrays become uint8
+    A = build_mols_graph(FOUR_FAMILY).adjacency
+    assert CellGraph(shape, 2, "mols", A).adjacency is A
+    for dtype in (bool, np.int8, np.int64, np.float64):
+        g = CellGraph(shape, 2, "mols", A.astype(dtype))
+        assert g.adjacency.dtype == np.uint8 and np.array_equal(g.adjacency, A)
+        assert commute_check(g) and srg_check(g) == (16, 12, 8, 12)
 
 
 def test_srg_check_reads_every_pair():
@@ -344,8 +347,6 @@ def test_blas_products_match_int64_reference(fam):
     blocks = block_adjacency(fam.shape)
     assert mols.dtype == np.uint8 and blocks.dtype == bool
     wide = mols.astype(np.int64)  # uint8 @ uint8 would wrap at 256
-    assert np.array_equal(_exact_matmul(mols, blocks), wide @ blocks)
-    assert np.array_equal(_exact_matmul(blocks, mols), blocks @ wide)
     assert np.array_equal(_times_block_layer(mols, fam.shape), wide @ blocks)
     commutes = np.array_equal(wide @ blocks, blocks @ wide)
     assert commute_check(fam) == commutes
@@ -371,29 +372,25 @@ def test_blas_products_match_int64_reference(fam):
         assert np.array_equal(quo.entries, expected)
 
 
-def test_exact_matmul_bound():
-    # bound 4095 * 4097 * 1 = 2**24 - 1: float32, every partial sum exact
-    row = np.full((1, 4095), 4097, dtype=np.int64)
-    product = _exact_matmul(row, np.ones((4095, 1), dtype=bool))
-    assert product.dtype == np.float32 and product.tolist() == [[2**24 - 1]]
-    # 4097**2 is odd and above 2**24, where float32 rounds it to an even
-    # neighbour, so this bound must take float64
-    assert int(np.float32(4097) * np.float32(4097)) == 16785408
-    odd = np.array([[4097]], dtype=np.int64)
-    product = _exact_matmul(odd, odd)
-    assert product.dtype == np.float64 and product.tolist() == [[16785409]]
-    big = np.array([[2**26]], dtype=np.int64)
-    product = _exact_matmul(big, big)
-    assert product.dtype == np.float64 and product.tolist() == [[2**52]]
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        _exact_matmul(np.array([[2**27]]), np.array([[2**27]]))
-    # two terms of 2**52 reach the bound exactly
-    row = np.array([[2**26, 2**26]], dtype=np.int64)
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        _exact_matmul(row, row.T)
-    # np.abs wraps -2**63 to itself, which would read as a negative max
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        _exact_matmul(np.array([[-(2**63)]], dtype=np.int64), np.array([[2]]))
+def test_cell_graph_refuses_entries_outside_0_1():
+    # entries that only a product sized per call could take: 2, 4097 (whose
+    # square float32 rounds to an even neighbour), 2**26, and negatives,
+    # where np.abs would wrap -2**63 to itself
+    shape = SudokuShape(2, 2)
+    for dtype, bad in [
+        (np.int64, 2),
+        (np.int64, 4097),
+        (np.int64, 2**26),
+        (np.int64, -1),
+        (np.int64, -(2**63)),
+        (np.float64, 0.5),
+        (np.uint8, 2),
+        (np.uint8, 255),  # -1 wrapped to uint8
+    ]:
+        A = np.zeros((16, 16), dtype=dtype)
+        A[0, 5] = A[5, 0] = bad
+        with pytest.raises(ValueError, match="^adjacency entries must be 0 or 1$"):
+            CellGraph(shape, 0, "mols", A)
 
 
 def test_vertex_cap_refuses_before_allocating():
@@ -409,10 +406,9 @@ def test_vertex_cap_refuses_before_allocating():
             build_mosls_graph(fam)
         with pytest.raises(ValueError, match="dense graph cap"):
             commute_check(fam)
-        # a graph's block layer comes from its shape, refused the same way
-        tiny = CellGraph(fam.shape, 0, "mols", np.zeros((1, 1), dtype=np.int64))
+        # a graph refuses its shape before it reads the adjacency
         with pytest.raises(ValueError, match="dense graph cap"):
-            commute_check(tiny)
+            CellGraph(fam.shape, 0, "mols", np.zeros((1, 1), dtype=np.int64))
 
     _, peak = peak_traced(refuse_all)
     # one dense 4096 x 4096 int64 array would take 134 MB
@@ -456,7 +452,7 @@ def test_dense_layer_memory_at_729_vertices():
     # (8 bytes per cell pair) may take
     one = build_mosls_graph(field27, [1])
     text, export_peak = peak_traced(lambda: edge_lines(one))
-    assert text == "".join(f"{u} {v}\n" for u, v in edge_list(one))
+    assert text == "".join(f"{u} {v}\n" for u, v in edge_list(one.adjacency))
     assert export_peak <= 4 * g.num_vertices ** 2
 
 
@@ -478,12 +474,12 @@ def test_graph_without_edges_exports_no_line():
     g = build_mols_graph(single(cyclic_square(1)))
     assert g.num_vertices == 1
     assert srg_check(g) == (1, 0, 0, 0)  # no pair of either kind
-    assert edge_list(g) == [] and edge_lines(g) == ""
+    assert edge_list(g.adjacency) == [] and edge_lines(g) == ""
 
 
 def test_edge_list_and_lines_agree():
     g = build_mosls_graph(FOUR_FAMILY)
-    edges = edge_list(g)
+    edges = edge_list(g.adjacency)
     assert all(type(u) is int and type(v) is int for u, v in edges)
     assert edges == sorted(edges) and all(u < v for u, v in edges)
     assert len(edges) == g.adjacency.sum() // 2
