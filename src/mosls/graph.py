@@ -7,13 +7,15 @@ column, or share a symbol in one of the selected squares; for a valid
 family these events are mutually exclusive.  The MOSLS flavor adds edges
 between cells of the same block that share neither a row nor a column.
 A CellGraph is a checked 0/1 matrix on at most MAX_VERTICES vertices, so
-no check here states a bound of its own.
+no check here states a bound of its own but srg_check, whose int16 counts
+also bound the classes of the labels it counts from.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -21,11 +23,10 @@ from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells
 
 # Largest vertex count a CellGraph accepts: order 49.  The dense uint8
 # (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
-# build holds it and one n**4-byte bool buffer, and the SRG test's
-# float32 operand and product take four times the adjacency each.  Order 64
-# would take 16.8 MB per byte layer and 67 MB per float32 array.  Every
-# common-neighbour or block count is then at most 2401, exact in float32
-# (below 2**24) and in int16 (below 2**15).
+# build holds it and one n**4-byte bool buffer, and srg_check's int16
+# common-neighbour counts take twice the adjacency.  Order 64 would take
+# 16.8 MB per byte layer.  Every common-neighbour or block count is then at
+# most 2401, exact in int16 (below 2**15).
 MAX_VERTICES = 49 ** 2
 
 
@@ -40,18 +41,30 @@ class EquitabilityError(CheckFailed):
 @dataclass
 class CellGraph:
     """Dense 0/1 adjacency over the n**2 cells of a family, stored as
-    uint8 (a uint8 input is not copied), one byte per cell pair.
+    uint8 (a uint8 input is not copied), one byte per cell pair, and the
+    signed labels it is a sum of.
+
+    labels, when given, are pairs (sign, label): sign is 1 or -1 and label
+    holds one value per cell.  With E[u, v] = 1 where label[u] == label[v],
+    the adjacency is meant to be the sum of sign * (E - I) over the labels:
+    row, column and each selected square's symbol with sign 1, and for the
+    MOSLS flavor also the block with 1 and the row and column segments
+    inside a block with -1.  srg_check counts common neighbours from them,
+    refuses a graph without them, and tests that they give the adjacency
+    before any verdict.
 
     Refuses, with ValueError and in this order, more than MAX_VERTICES
     vertices before reading the adjacency, a shape other than (n**2, n**2),
-    and any entry outside {0, 1}.  uint8 arithmetic wraps at 256, so
-    callers cast before any arithmetic of their own.
+    any entry outside {0, 1}, and a label that is not a sign of 1 or -1
+    with one value per cell.  uint8 arithmetic wraps at 256, so callers
+    cast before any arithmetic of their own.
     """
 
     shape: SudokuShape
     family_size: int
     flavor: str  # "mols" or "mosls"
     adjacency: np.ndarray
+    labels: tuple[tuple[int, np.ndarray], ...] | None = None
 
     def __post_init__(self):
         nv = _dense_size(self.shape)
@@ -61,6 +74,14 @@ class CellGraph:
         if not (A.max(initial=0) <= 1 if A.dtype == np.uint8 else np.isin(A, (0, 1)).all()):
             raise ValueError("adjacency entries must be 0 or 1")
         self.adjacency = A.astype(np.uint8, copy=False)
+        if self.labels is not None:
+            self.labels = tuple((sign, np.asarray(label)) for sign, label in self.labels)
+            for sign, label in self.labels:
+                if sign not in (1, -1) or label.shape != (nv,):
+                    raise ValueError(
+                        f"a label is a sign of 1 or -1 and {nv} cell values, got {sign!r} "
+                        f"and shape {label.shape}"
+                    )
 
     @property
     def order(self) -> int:
@@ -130,7 +151,7 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
             f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
             f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
         )
-    return CellGraph(fam.shape, len(picked), "mols", agree)
+    return CellGraph(fam.shape, len(picked), "mols", agree, [(1, label) for label in labels])
 
 
 def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -160,42 +181,90 @@ def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
         )
     inside |= other
     A[pairs] = inside
-    return CellGraph(fam.shape, mols.family_size, "mosls", A)
+    # the block layer is E - I of the block label, less that of the row
+    # segment (block and row) and of the column segment (block and column)
+    block = np.empty(n * n, dtype=np.intp)
+    block[cells] = np.arange(n)[:, None]
+    cell_rows, cell_cols = _cells(fam.shape)
+    segments = [(-1, block * n + cell_rows), (-1, block * n + cell_cols)]
+    labels = [*mols.labels, (1, block), *segments]
+    return CellGraph(fam.shape, mols.family_size, "mosls", A, labels)
 
 
 def srg_check(graph: CellGraph):
-    """Exhaustive strong-regularity test.
+    """Exhaustive strong-regularity test, counted from the graph's labels.
 
     Returns (num_vertices, k, lam, mu) when every vertex has degree k,
     every adjacent pair (entry 1) has lam common neighbours and every
     non-adjacent distinct pair (entry 0) has mu; otherwise returns None.
-    A parameter with no pair to read it from is 0.
+    A parameter with no pair to read it from is 0.  ValueError for a graph
+    without labels, and for one whose labels do not give its adjacency.
+
+    With A = sum_l s_l (E_l - I), the counts A @ A are the sum of
+    s_l (E_l - I) @ A, whose rows in a class of label l are the class's
+    sum of A's rows, less each row itself: an int16 array and one small
+    gather per class, with no matrix product.
     """
+    if graph.labels is None:
+        raise ValueError("srg_check counts common neighbours from the graph's labels; it has none")
     A = graph.adjacency
-    deg = A.sum(axis=1)
+    nv = A.shape[0]
+    signed = [(sign, *_classes(label)) for sign, label in graph.labels]
+    # a class of c cells adds 0 to c - 1 to an entry, so every partial
+    # count lies within +-reach, and int16 holds it below 2**15
+    reach = sum(max(map(len, members)) - 1 for _, _, members in signed)
+    if reach >= 2**15:
+        raise ValueError(f"the labels' classes reach {reach} in a count, beyond int16")
+    common = np.zeros(A.shape, dtype=np.int16)
+    for sign, _, members in signed:
+        add = np.add if sign == 1 else np.subtract
+        for cls in members:
+            rows = A[cls]
+            common[cls] = add(common[cls], rows.sum(axis=0, dtype=np.int16) - rows)
+    if not _labels_give_adjacency(A, [(sign, ids) for sign, ids, _ in signed], common):
+        raise ValueError("the graph's labels do not give its adjacency")
+    # A is symmetric with an empty diagonal, so the diagonal of A @ A holds
+    # the degrees, and row 0 holds the first pair of each kind, if any
+    deg = common.diagonal()
+    k = int(deg[0])
     if deg.min() != deg.max():
         return None
-    # every partial sum counts common neighbours, at most MAX_VERTICES <
-    # 2**24, so float32 is exact; the operand goes before the masks come
-    operand = A.astype(np.float32)
-    common = operand @ operand
-    del operand
-    # two reused masks, no copy of common: each parameter is read at the
-    # first pair of its kind (0 when there is none) and every other pair
-    # of that kind is compared with it
-    pairs = np.empty(A.shape, dtype=bool)
-    differ = np.empty_like(pairs)
-    params = []
-    for entry in (1, 0):
-        np.equal(A, entry, out=pairs)
-        np.fill_diagonal(pairs, False)
-        first = pairs.argmax()
-        value = common.flat[first] if pairs.flat[first] else 0
-        np.not_equal(common, value, out=differ)
-        if np.logical_and(differ, pairs, out=differ).any():
-            return None
-        params.append(int(value))
-    return (A.shape[0], int(deg[0]), *params)
+    lam = int(common[0, A[0].argmax()]) if k > 0 else 0
+    mu = int(common[0, 1 + A[0, 1:].argmin()]) if k < nv - 1 else 0
+    # in place: 0 exactly where an adjacent pair counts lam and a
+    # non-adjacent pair mu
+    common -= mu
+    np.subtract(common, lam - mu, out=common, where=A.view(bool))
+    np.fill_diagonal(common, 0)
+    if common.any():
+        return None
+    return (nv, k, lam, mu)
+
+
+def _classes(label: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Class ids 0, 1, ... of the cells, and the cells of each class."""
+    _, ids, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    return ids, np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def _labels_give_adjacency(A: np.ndarray, signed_ids, common: np.ndarray) -> bool:
+    """True iff M = sum_l s_l (E_l - I) is the 0/1 matrix A, given the
+    pairs (s_l, class ids of label l) and common = M @ A, with no further
+    n**4 array.
+
+    M and A are integer, so M = A iff sum (M - A)**2 = sum M**2 - 2 <M, A>
+    + sum A**2 is 0.  M[u, v] for u != v sums s_l over the labels on which
+    u and v agree, so sum M**2 sums s_l s_m over the ordered pairs that
+    agree on both l and m: the squared sizes of their joint classes, less
+    the nv pairs (u, u).  M is symmetric, so <M, A> is the trace of M @ A,
+    and A is 0/1, so sum A**2 counts its ones.  Python ints hold it all.
+    """
+    squares = 0
+    for (s, a), (t, b) in product(signed_ids, repeat=2):
+        joint = np.unique(a * (b.max() + 1) + b, return_counts=True)[1]
+        squares += s * t * (int((joint * joint).sum()) - len(a))
+    inner = int(np.trace(common, dtype=np.int64))
+    return squares - 2 * inner + int(np.count_nonzero(A)) == 0
 
 
 @dataclass
@@ -298,4 +367,11 @@ def edge_lines(graph: CellGraph) -> str:
 
 
 def matrix_lines(graph: CellGraph) -> str:
-    return "\n".join(" ".join(map(str, row)) for row in graph.adjacency.tolist()) + "\n"
+    """One line per vertex: its adjacency row as 0/1 digits separated by
+    single spaces.  The text is written as ASCII codes into one uint8
+    buffer, digits in the even columns, and decoded once."""
+    A = graph.adjacency
+    text = np.full((A.shape[0], 2 * A.shape[1]), ord(" "), dtype=np.uint8)
+    np.add(A, ord("0"), out=text[:, ::2])
+    text[:, -1] = ord("\n")
+    return str(text, "ascii")

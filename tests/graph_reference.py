@@ -33,3 +33,19 @@ def edge_list(adjacency: np.ndarray) -> list[tuple[int, int]]:
     """Sorted 1-based edge pairs (u, v) with u < v, one per line of
     mosls.graph.edge_lines."""
     return [(int(u), int(v)) for u, v in np.argwhere(np.triu(adjacency, 1)) + 1]
+
+
+def matrix_text(adjacency: np.ndarray) -> str:
+    """One line per row, its entries joined by single spaces."""
+    return "\n".join(" ".join(map(str, row)) for row in adjacency.tolist()) + "\n"
+
+
+def label_adjacency(labels) -> np.ndarray:
+    """The int64 sum of sign * (E - I) over the (sign, label) pairs, where
+    E[u, v] = 1 iff label[u] == label[v]."""
+    total = 0
+    for sign, label in labels:
+        same = (label[:, None] == label[None, :]).astype(np.int64)
+        np.fill_diagonal(same, 0)
+        total = total + sign * same
+    return total

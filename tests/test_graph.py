@@ -30,7 +30,13 @@ from fixtures import (
     peak_traced,
     single,
 )
-from graph_reference import block_adjacency, edge_list, first_sudoku_clash
+from graph_reference import (
+    block_adjacency,
+    edge_list,
+    first_sudoku_clash,
+    label_adjacency,
+    matrix_text,
+)
 
 
 def test_order2_graph_is_complete():
@@ -267,10 +273,11 @@ def test_cell_graph_refuses_a_wrong_shape_and_stores_uint8():
         with pytest.raises(ValueError, match=r"^adjacency has shape .*needs \(16, 16\)$"):
             CellGraph(shape, 0, "mols", np.full(bad_shape, 7, dtype=np.int64))
     # a uint8 adjacency is kept, not copied; other 0/1 arrays become uint8
-    A = build_mols_graph(FOUR_FAMILY).adjacency
+    built = build_mols_graph(FOUR_FAMILY)
+    A = built.adjacency
     assert CellGraph(shape, 2, "mols", A).adjacency is A
     for dtype in (bool, np.int8, np.int64, np.float64):
-        g = CellGraph(shape, 2, "mols", A.astype(dtype))
+        g = CellGraph(shape, 2, "mols", A.astype(dtype), built.labels)
         assert g.adjacency.dtype == np.uint8 and np.array_equal(g.adjacency, A)
         assert commute_check(g) and srg_check(g) == (16, 12, 8, 12)
 
@@ -285,13 +292,62 @@ def test_srg_check_reads_every_pair():
         A[start:start + 3, start + 3:start + 6] = 1
         A[start + 3:start + 6, start:start + 3] = 1
     np.fill_diagonal(A, 0)
-    assert srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", A)) is None
+    # E_a - E_c: a joins the K4 and each K3,3's six cells, and c takes out
+    # the pairs inside each side of a K3,3 (its K4 cells are singletons)
+    a = np.repeat([0, 1, 2], [4, 6, 6])
+    c = np.concatenate([np.arange(4), np.repeat([4, 5, 6, 7], 3)])
+    labels = [(1, a), (-1, c)]
+    assert np.array_equal(label_adjacency(labels), A)
+    assert srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", A, labels)) is None
     assert _srg_reference(A) is None
-    # four copies of K4 are strongly regular
+    # four copies of K4 are strongly regular: one label
     cliques = np.kron(np.eye(4, dtype=np.uint8), np.ones((4, 4), dtype=np.uint8))
     np.fill_diagonal(cliques, 0)
-    params = srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", cliques))
+    params = srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", cliques, [(1, np.arange(16) // 4)]))
     assert params == _srg_reference(cliques) == (16, 3, 2, 0)
+
+
+def test_srg_check_needs_labels_that_give_the_adjacency():
+    g = build_mols_graph(FOUR_FAMILY)
+    with pytest.raises(ValueError, match="has none"):
+        srg_check(CellGraph(g.shape, 2, "mols", g.adjacency))
+    # a square left out, a square counted twice, a sign turned, a loop the
+    # labels cannot give: none gets a verdict, not even None
+    rows, cols, first, second = (label for _, label in g.labels)
+    loop = g.adjacency.copy()
+    loop[3, 3] = 1
+    for adjacency, labels in [
+        (g.adjacency, [(1, rows), (1, cols), (1, first)]),
+        (g.adjacency, [*g.labels, (1, second)]),
+        (g.adjacency, [(1, rows), (1, cols), (1, first), (-1, second)]),
+        (loop, g.labels),
+    ]:
+        assert not np.array_equal(label_adjacency(labels), adjacency)
+        with pytest.raises(ValueError, match="do not give its adjacency"):
+            srg_check(CellGraph(g.shape, 2, "mols", adjacency, labels))
+    # the path 1-2-3-4 is not regular, and the labels give only 1-2 and 3-4
+    path = np.zeros((4, 4), dtype=np.uint8)
+    for u, v in [(0, 1), (1, 2), (2, 3)]:
+        path[u, v] = path[v, u] = 1
+    with pytest.raises(ValueError, match="do not give its adjacency"):
+        srg_check(CellGraph(SudokuShape(1, 2), 0, "mols", path, [(1, np.array([0, 0, 1, 1]))]))
+    path_labels = [(1, np.array([0, 0, 1, 1])), (1, np.array([0, 1, 1, 2]))]
+    assert srg_check(CellGraph(SudokuShape(1, 2), 0, "mols", path, path_labels)) is None
+
+
+def test_cell_graph_and_srg_check_refuse_malformed_labels():
+    A = np.zeros((16, 16), dtype=np.uint8)
+    shape = SudokuShape(2, 2)
+    for sign, label in [(2, np.zeros(16)), (0, np.zeros(16)), (1, np.zeros(15)), (1, np.zeros((4, 4)))]:
+        with pytest.raises(ValueError, match="a label is a sign of 1 or -1 and 16 cell values"):
+            CellGraph(shape, 0, "mols", A, [(sign, label)])
+    # one class of 16 cells adds up to 15 to a count, so 2185 such labels
+    # could reach 32775, whatever their signs
+    one_class = np.zeros(16, dtype=np.int64)
+    labels = [(1, one_class), (-1, one_class)] * 1092 + [(1, one_class)]
+    with pytest.raises(ValueError, match="reach 32775 in a count, beyond int16"):
+        srg_check(CellGraph(shape, 0, "mols", A, labels))
+    assert srg_check(CellGraph(shape, 0, "mols", A, labels[:2])) == (16, 0, 0, 0)
 
 
 def test_export_formats():
@@ -300,6 +356,8 @@ def test_export_formats():
     lines = matrix_lines(g).splitlines()
     assert lines[0] == "0 1 1 1"
     assert len(lines) == 4
+    mosls_graph = build_mosls_graph(FOUR_FAMILY)
+    assert matrix_lines(mosls_graph) == matrix_text(mosls_graph.adjacency)
 
 
 # every constructible `table` row of order at most 12, plus a switched
@@ -361,6 +419,7 @@ def test_blas_products_match_int64_reference(fam):
     assert commute_check(mosls_graph) == commutes
     for g in (build_mols_graph(fam, [1]), build_mols_graph(fam), mosls_graph):
         assert srg_check(g) == _srg_reference(g.adjacency)
+        assert np.array_equal(label_adjacency(g.labels), g.adjacency)
 
     expected = _quotient_reference(mosls_graph)
     if expected is None:
@@ -370,6 +429,18 @@ def test_blas_products_match_int64_reference(fam):
         quo = quotient_matrix(mosls_graph)
         assert quo.entries.dtype == np.int64
         assert np.array_equal(quo.entries, expected)
+
+
+# the field families of the large-graph inputs: orders 16 and 25, and
+# order 27 in both types
+FIELD_CASES = {"f16": [(2, 2, 2)], "f25": [(5, 1, 1)], "f27-3x9": [(3, 1, 2)], "f27-9x3": [(3, 2, 1)]}
+
+
+@pytest.mark.parametrize("factors", FIELD_CASES.values(), ids=FIELD_CASES.keys())
+def test_labels_give_the_adjacency_of_field_families(factors):
+    fam = composite_mosls(factors, order_cap=27)
+    for g in (build_mols_graph(fam), build_mosls_graph(fam)):
+        assert np.array_equal(label_adjacency(g.labels), g.adjacency)
 
 
 def test_cell_graph_refuses_entries_outside_0_1():
@@ -422,20 +493,24 @@ def _dense_peaks_within_pins(fam, subset, srg_params):
     array takes 8.  A build holds the uint8 adjacency and one bool buffer
     (the block layer is written per block, on n**3 pairs), commute_check
     an int16 product and its bool symmetry test, quotient_matrix one
-    part's columns and the int64 counts (8 bytes per vertex and part), and
-    srg_check one float32 copy of the adjacency and the float32 product.  Returns the MOSLS graph and its block quotient."""
+    part's columns and the int64 counts (8 bytes per vertex and part),
+    srg_check the int16 counts and per-class gathers of n rows, and
+    matrix_lines its uint8 text buffer (two bytes per pair) and the decoded
+    string.  Returns the MOSLS graph and its block quotient."""
     g, build_peak = peak_traced(lambda: build_mosls_graph(fam, subset))
     units = g.num_vertices ** 2
     assert g.adjacency.dtype == np.uint8
     assert build_peak <= 2.5 * units
     commutes, commute_peak = peak_traced(lambda: commute_check(g))
-    assert commutes and commute_peak <= 4.5 * units
+    assert commutes and commute_peak <= 3.5 * units
     quotient, quotient_peak = peak_traced(lambda: quotient_matrix(g))
     assert quotient_peak <= 1 * units
     mols, mols_peak = peak_traced(lambda: build_mols_graph(fam, subset))
     assert mols_peak <= 2.5 * units
     params, srg_peak = peak_traced(lambda: srg_check(mols))
-    assert params == srg_params and srg_peak <= 8.5 * units
+    assert params == srg_params and srg_peak <= 3.5 * units
+    text, matrix_peak = peak_traced(lambda: matrix_lines(g))
+    assert text == matrix_text(g.adjacency) and matrix_peak <= 6 * units
     return g, quotient
 
 
@@ -475,6 +550,7 @@ def test_graph_without_edges_exports_no_line():
     assert g.num_vertices == 1
     assert srg_check(g) == (1, 0, 0, 0)  # no pair of either kind
     assert edge_list(g.adjacency) == [] and edge_lines(g) == ""
+    assert matrix_lines(g) == matrix_text(g.adjacency) == "0\n"
 
 
 def test_edge_list_and_lines_agree():
