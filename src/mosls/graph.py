@@ -4,11 +4,14 @@ Vertices are the n**2 cells of the common grid, indexed row-major:
 cell (row, col) with 1-based coordinates gets index (row-1)*n + col.
 In the MOLS flavor two cells are adjacent when they share a row, share a
 column, or share a symbol in one of the selected squares; for a valid
-family these events are mutually exclusive.  The MOSLS flavor adds edges
-between cells of the same block that share neither a row nor a column.
-A CellGraph is a checked 0/1 matrix on at most MAX_VERTICES vertices, so
-no check here states a bound of its own but srg_check, whose int16 counts
-also bound the classes of the labels it counts from.
+family these events are mutually exclusive.  The MOSLS flavor adds the
+block layer: cells of the same block that share neither a row nor a
+column.  Every layer is held as signed labels (see CellGraph); the block
+layer's come from _block_labels alone, and _label_product multiplies by
+a sum of labels, for commute_check and srg_check.  A CellGraph is a
+checked 0/1 matrix on at most MAX_VERTICES vertices, so no check here
+states a bound of its own but _label_product, whose int16 counts also
+bound the classes of the labels it counts from.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells
 
 # Largest vertex count a CellGraph accepts: order 49.  The dense uint8
 # (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
-# build holds it and one n**4-byte bool buffer, and srg_check's int16
-# common-neighbour counts take twice the adjacency.  Order 64 would take
+# build holds it and one n**4-byte bool buffer, and the int16 counts of
+# _label_product take twice the adjacency.  Order 64 would take
 # 16.8 MB per byte layer.  Every common-neighbour or block count is then at
 # most 2401, exact in int16 (below 2**15).
 MAX_VERTICES = 49 ** 2
@@ -122,6 +125,38 @@ def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(_dense_size(shape)), shape.order)
 
 
+def _block_labels(shape: SudokuShape) -> list[tuple[int, np.ndarray]]:
+    """The block layer as signed labels, read off the block map: the block
+    with 1, less the row segment (block and row) and the column segment
+    (block and column) with -1.  Refuses more than MAX_VERTICES cells."""
+    rows, cols = _cells(shape)
+    n = shape.order
+    block = np.empty(n * n, dtype=np.intp)
+    block[_block_cells(shape)] = np.arange(n)[:, None]
+    return [(1, block), (-1, block * n + rows), (-1, block * n + cols)]
+
+
+def _add_agreements(counts: np.ndarray, labels) -> tuple[int, int] | None:
+    """Adds sign * E of each (sign, label) to the uint8 counts in place,
+    E[u, v] = 1 where label[u] == label[v], clears the diagonal, and
+    returns the first pair (u, v), row-major, counted above 1, or None.
+
+    Only 0, 1 and "2 or more" matter, so clamping the counts at 2 every
+    253 labels keeps them below uint8's wrap at 256; only a MOLS family,
+    all +1, has that many.  A -1 label comes after the +1 labels that
+    cover its pairs, so no off-diagonal count drops below 0."""
+    same = np.empty(counts.shape, dtype=bool)
+    for i, (sign, label) in enumerate(labels, start=1):
+        add = np.add if sign == 1 else np.subtract
+        add(counts, np.equal(label[:, None], label[None, :], out=same), out=counts)
+        if i % 253 == 0:
+            np.minimum(counts, 2, out=counts)
+    np.fill_diagonal(counts, 0)
+    if not np.greater(counts, 1, out=same).any():
+        return None
+    return divmod(int(same.argmax()), counts.shape[0])
+
+
 def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     """Adjacency for shared row, column, or symbol in a selected square.
 
@@ -131,64 +166,58 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     """
     rows, cols = _cells(fam.shape)
     picked = _resolve_subset(fam, subset)
-    labels = [rows, cols, *(fam.squares[k - 1].entries.ravel() for k in picked)]
+    labels = [(1, rows), (1, cols), *((1, fam.squares[k - 1].entries.ravel()) for k in picked)]
     names = ["row", "column", *(f"symbol in square {k}" for k in picked)]
-    # Each label adds at most 1 to a pair's count, and only 0, 1 and "2 or
-    # more" matter, so clamping the counts at 2 every 253 labels keeps them
-    # below uint8's wrap at 256.  A family of Latin squares that passes has
-    # at most n - 1 squares, hence at most 50 labels under MAX_VERTICES.
     agree = np.zeros((rows.size, rows.size), dtype=np.uint8)
-    same = np.empty_like(agree, dtype=bool)
-    for i, label in enumerate(labels, start=1):
-        agree += np.equal(label[:, None], label[None, :], out=same)
-        if i % 253 == 0:
-            np.minimum(agree, 2, out=agree)
-    np.fill_diagonal(agree, 0)
-    if np.greater(agree, 1, out=same).any():
-        u, v = np.argwhere(same)[0]
-        both = [name for name, label in zip(names, labels) if label[u] == label[v]]
+    clash = _add_agreements(agree, labels)
+    if clash is not None:
+        u, v = clash
+        both = [name for name, (_, label) in zip(names, labels) if label[u] == label[v]]
         raise FamilyStructureError(
             f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
             f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
         )
-    return CellGraph(fam.shape, len(picked), "mols", agree, [(1, label) for label in labels])
+    return CellGraph(fam.shape, len(picked), "mols", agree, labels)
 
 
 def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
-    """MOLS adjacency plus block edges: cells of one block in different
-    rows and different columns.  Requires Sudoku-valid squares, so that
-    no such pair already shares a symbol.
-
-    Only the n**3 pairs inside blocks are read and written, through the
-    block map; within a block, cell a = i*r + j lies in another row and
-    another column than cell b exactly where the n x n pattern is set.
-    """
+    """MOLS adjacency plus the block layer: cells of one block in different
+    rows and different columns.  Requires Sudoku-valid squares, so that no
+    such pair already shares a symbol; the first pair that does, in
+    row-major order, is named in the raised error."""
     mols = build_mols_graph(fam, subset)
-    A = mols.adjacency
-    n, r = fam.shape.order, fam.shape.r
-    row, col = np.divmod(np.arange(n), r)
-    other = (row[:, None] != row[None, :]) & (col[:, None] != col[None, :])
-    cells = _block_cells(fam.shape)
-    pairs = cells[:, :, None], cells[:, None, :]  # [block, a, b]
-    inside = A[pairs]
-    clash = np.logical_and(inside, other)
-    if clash.any():
-        # the first clashing pair (u, v) in row-major order
-        u, v = divmod(int((pairs[0] * n**2 + pairs[1])[clash].min()), n**2)
+    blocks = _block_labels(fam.shape)
+    clash = _add_agreements(mols.adjacency, blocks)
+    if clash is not None:
+        (u, v), n = clash, fam.shape.order
         raise FamilyStructureError(
             f"cells ({u // n + 1}, {u % n + 1}) and ({v // n + 1}, {v % n + 1}) "
             "share a block and a symbol; some selected square is not Sudoku"
         )
-    inside |= other
-    A[pairs] = inside
-    # the block layer is E - I of the block label, less that of the row
-    # segment (block and row) and of the column segment (block and column)
-    block = np.empty(n * n, dtype=np.intp)
-    block[cells] = np.arange(n)[:, None]
-    cell_rows, cell_cols = _cells(fam.shape)
-    segments = [(-1, block * n + cell_rows), (-1, block * n + cell_cols)]
-    labels = [*mols.labels, (1, block), *segments]
-    return CellGraph(fam.shape, mols.family_size, "mosls", A, labels)
+    return CellGraph(fam.shape, mols.family_size, "mosls", mols.adjacency, [*mols.labels, *blocks])
+
+
+def _label_product(labels, X: np.ndarray) -> np.ndarray:
+    """(sum_l s_l (E_l - I)) @ X in int16 for the (sign, label) pairs and a
+    0/1 matrix X, with E_l[u, v] = 1 where label l agrees on u and v.
+
+    Rows of (E_l - I) @ X in a class of label l are the class's sum of X's
+    rows, less each row itself: one small gather per class, with no matrix
+    product.  A class of c cells adds 0 to c - 1 to an entry, so every
+    partial count lies within +-reach, and int16 holds it below 2**15;
+    ValueError beyond that, before any count.
+    """
+    signed = [(sign, _classes(label)) for sign, label in labels]
+    reach = sum(max(map(len, members)) - 1 for _, members in signed)
+    if reach >= 2**15:
+        raise ValueError(f"the labels' classes reach {reach} in a count, beyond int16")
+    product = np.zeros(X.shape, dtype=np.int16)
+    for sign, members in signed:
+        add = np.add if sign == 1 else np.subtract
+        for cls in members:
+            rows = X[cls]
+            product[cls] = add(product[cls], rows.sum(axis=0, dtype=np.int16) - rows)
+    return product
 
 
 def srg_check(graph: CellGraph):
@@ -199,29 +228,14 @@ def srg_check(graph: CellGraph):
     non-adjacent distinct pair (entry 0) has mu; otherwise returns None.
     A parameter with no pair to read it from is 0.  ValueError for a graph
     without labels, and for one whose labels do not give its adjacency.
-
-    With A = sum_l s_l (E_l - I), the counts A @ A are the sum of
-    s_l (E_l - I) @ A, whose rows in a class of label l are the class's
-    sum of A's rows, less each row itself: an int16 array and one small
-    gather per class, with no matrix product.
+    The counts A @ A come from _label_product, as A = sum_l s_l (E_l - I).
     """
     if graph.labels is None:
         raise ValueError("srg_check counts common neighbours from the graph's labels; it has none")
     A = graph.adjacency
     nv = A.shape[0]
-    signed = [(sign, *_classes(label)) for sign, label in graph.labels]
-    # a class of c cells adds 0 to c - 1 to an entry, so every partial
-    # count lies within +-reach, and int16 holds it below 2**15
-    reach = sum(max(map(len, members)) - 1 for _, _, members in signed)
-    if reach >= 2**15:
-        raise ValueError(f"the labels' classes reach {reach} in a count, beyond int16")
-    common = np.zeros(A.shape, dtype=np.int16)
-    for sign, _, members in signed:
-        add = np.add if sign == 1 else np.subtract
-        for cls in members:
-            rows = A[cls]
-            common[cls] = add(common[cls], rows.sum(axis=0, dtype=np.int16) - rows)
-    if not _labels_give_adjacency(A, [(sign, ids) for sign, ids, _ in signed], common):
+    common = _label_product(graph.labels, A)
+    if not _labels_give_adjacency(A, graph.labels, common):
         raise ValueError("the graph's labels do not give its adjacency")
     # A is symmetric with an empty diagonal, so the diagonal of A @ A holds
     # the degrees, and row 0 holds the first pair of each kind, if any
@@ -241,16 +255,15 @@ def srg_check(graph: CellGraph):
     return (nv, k, lam, mu)
 
 
-def _classes(label: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Class ids 0, 1, ... of the cells, and the cells of each class."""
+def _classes(label: np.ndarray) -> list[np.ndarray]:
+    """The cells of each class of the label."""
     _, ids, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    return ids, np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
+    return np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
 
 
-def _labels_give_adjacency(A: np.ndarray, signed_ids, common: np.ndarray) -> bool:
+def _labels_give_adjacency(A: np.ndarray, labels, common: np.ndarray) -> bool:
     """True iff M = sum_l s_l (E_l - I) is the 0/1 matrix A, given the
-    pairs (s_l, class ids of label l) and common = M @ A, with no further
-    n**4 array.
+    (sign, label) pairs and common = M @ A, with no further n**4 array.
 
     M and A are integer, so M = A iff sum (M - A)**2 = sum M**2 - 2 <M, A>
     + sum A**2 is 0.  M[u, v] for u != v sums s_l over the labels on which
@@ -259,6 +272,7 @@ def _labels_give_adjacency(A: np.ndarray, signed_ids, common: np.ndarray) -> boo
     the nv pairs (u, u).  M is symmetric, so <M, A> is the trace of M @ A,
     and A is 0/1, so sum A**2 counts its ones.  Python ints hold it all.
     """
+    signed_ids = [(sign, np.unique(label, return_inverse=True)[1]) for sign, label in labels]
     squares = 0
     for (s, a), (t, b) in product(signed_ids, repeat=2):
         joint = np.unique(a * (b.max() + 1) + b, return_counts=True)[1]
@@ -302,52 +316,20 @@ def quotient_matrix(graph: CellGraph) -> QuotientMatrix:
     return QuotientMatrix(block_partition(graph.shape), entries)
 
 
-def _times_block_layer(A: np.ndarray, shape: SudokuShape) -> np.ndarray:
-    """The integer product A @ B with the block adjacency B of the shape,
-    from sums over A's columns instead of a matrix product.
-
-    B[w, v] = 1 iff cell w lies in v's block but in neither v's row nor
-    v's column.  So by inclusion-exclusion (A @ B)[u, v] is row u of A
-    summed over v's block, minus its sums over v's row segment (the r
-    cells of v's row in that block) and over v's column segment (the q
-    cells of v's column there), plus A[u, v], which both segments hold.
-    Reshapes of A's columns give all three sums per row u: n block sums,
-    n**2 / r row segments and n**2 / q column segments.
-
-    Each sum covers at most n cells of row u, and so does each partial
-    result in the order A[u, v] - column, block - row, their sum (q - 1,
-    n - r and n - q - r + 1 cells), so every value is at most n max|A| in
-    magnitude, and the arithmetic runs in int16: exact for n max|A| <
-    2**15, which a CellGraph's 0/1 adjacency meets with n <= 49.
-    """
-    nv = A.shape[0]
-    q, r = shape.q, shape.r
-    # cell (band * q + i, stack * r + j) is column
-    # ((band * q + i) * q + stack) * r + j, so the columns reshape to
-    # [band, i, stack, j], and v's block is [band, stack]
-    product = A.reshape(nv, r, q, q, r).astype(np.int16)
-    # einsum: sum(axis=-1) over the short last axis is several times slower
-    rows = np.einsum("...j->...", product)  # [band, i, stack]
-    cols = product.sum(axis=2, dtype=np.int16)  # [band, stack, j]
-    np.subtract(rows.sum(axis=2, dtype=np.int16)[:, :, None], rows, out=rows)  # block - row
-    product -= cols[:, :, None]
-    product += rows[..., None]
-    return product.reshape(nv, nv)
-
-
 def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     """True iff the graph's Latin adjacency L commutes with the block
     adjacency B; a family is taken as its MOLS graph.
 
     L and B are symmetric, so B @ L is the transpose of L @ B, and the two
     commute iff L @ B is symmetric.  A MOSLS adjacency is L + B, and B @ B
-    is symmetric, so for either flavour the test is whether
-    adjacency @ B is symmetric; _times_block_layer forms it without a
-    matrix product.
+    is symmetric, so for either flavour the test is whether A @ B is
+    symmetric, A the adjacency.  _label_product forms B @ A.T from the
+    shape's block labels, which is (A @ B).T, so a non-symmetric A is
+    judged on A @ B too.
     """
     if isinstance(graph, MoslsFamily):
         graph = build_mols_graph(graph)
-    product = _times_block_layer(graph.adjacency, graph.shape)
+    product = _label_product(_block_labels(graph.shape), graph.adjacency.T)
     return bool(np.array_equal(product, product.T))
 
 

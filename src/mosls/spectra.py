@@ -411,7 +411,11 @@ def numeric_spectrum(
 
     The options are keyword-only: a positional call written for the old
     (M, tol, group_tol, with_charpoly) signature raises TypeError instead
-    of silently shifting its arguments."""
+    of silently shifting its arguments.  ValueError unless group_tol is
+    finite and >= 0: a negative or NaN width groups nothing, and inf
+    groups every eigenvalue into one."""
+    if not 0 <= group_tol < math.inf:
+        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol!r}")
     values = np.linalg.eigvalsh(_symmetric_float(M))[::-1]
     numeric = _group_values(values, group_tol)
     if not with_charpoly:

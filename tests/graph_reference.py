@@ -1,6 +1,6 @@
 """Test-side references for the graph layer: the dense block layer of a
-shape, compared cell pair by cell pair, which mosls.graph writes per
-block through the block map; the Sudoku clash that
+shape, compared cell pair by cell pair, which mosls.graph holds as the
+signed labels of _block_labels; the Sudoku clash that
 mosls.graph.build_mosls_graph reports, read off that dense layer; and
 the edge pairs that mosls.graph.edge_lines writes.
 """

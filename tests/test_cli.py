@@ -3,7 +3,8 @@ import json
 import pytest
 
 from mosls.cli import main
-from mosls import designs, graph, spectra
+from mosls import composite_mosls, designs, graph, spectra
+from mosls.switching import SwitchSpec, sudoku_symbol_switch
 from fixtures import (
     FOUR_FAMILY,
     NINE,
@@ -177,6 +178,23 @@ def test_check_missing_file(capsys):
 # spectrum
 
 
+def test_spectrum_refuses_a_group_tol_that_breaks_grouping(tmp_path, capsys):
+    # the order-4 single-square graph has the eigenvalue 0 x6: a negative
+    # or NaN width read "residual: 1.000e+00", inf one group "x16"
+    path = tmp_path / "one.txt"
+    designs.save_family(single(FOUR_FAMILY.squares[0]), path)
+    for bad in ("-1e-6", "nan", "inf", "-inf"):
+        code, stdout, err = run(capsys, "spectrum", "--in", str(path), f"--group-tol={bad}")
+        assert code == 2 and stdout == ""
+        assert err == f"error: group_tol must be finite and >= 0, got {float(bad)!r}\n"
+    # 0 is a valid width, and the default groups the six zeros
+    code, _, err = run(capsys, "spectrum", "--in", str(path), "--group-tol", "0")
+    assert code == 0 and err == ""
+    code, stdout, err = run(capsys, "spectrum", "--in", str(path))
+    assert code == 0 and err == "" and " x6\n" in stdout
+    assert float(stdout.split("residual: ")[1]) < 1e-12
+
+
 def test_spectrum_verify_closed_form(four_file, capsys):
     code, stdout, _ = run(capsys, "spectrum", "--in", four_file, "--verify-closed-form")
     assert code == 0
@@ -311,6 +329,41 @@ def test_spectrum_wrong_closed_form_above_the_cap(field16_file, capsys, monkeypa
     assert code == 1
     assert "falling back to numeric-only" in err
     assert stdout.endswith("closed form: MISMATCH\n")
+
+
+# the field families above the exact cap that the large-graph inputs use:
+# order 25, and order 27 in both types
+ABOVE_CAP = {
+    "f25": ["--p", "5", "--m", "1", "--n", "1"],
+    "f27-3x9": ["--p", "3", "--m", "1", "--n", "2"],
+    "f27-9x3": ["--p", "3", "--m", "2", "--n", "1"],
+}
+
+
+@pytest.mark.parametrize("construct", ABOVE_CAP.values(), ids=ABOVE_CAP.keys())
+def test_spectrum_certifies_large_field_families(construct, tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    assert main(["construct", *construct, "--order-cap", "27", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
+    assert code == 0
+    assert "falling back to numeric-only" in err
+    assert stdout.endswith("closed form: MATCH\n")
+
+
+def test_spectrum_refuses_the_closed_form_of_a_switched_order27_square(tmp_path, capsys):
+    fam = composite_mosls([(3, 1, 2)], order_cap=27)
+    square = fam.squares[0]
+    # symbols 1 and 10 fill the same columns of block-row 1, so the switch
+    # is valid; it keeps the square Sudoku but breaks the commuting layers
+    switched = sudoku_symbol_switch(square, SwitchSpec("row-block", 1, (1, 10)))
+    for sq, verdict in ((square, "MATCH"), (switched, "INAPPLICABLE (adjacency layers do not commute)")):
+        path = tmp_path / "one.txt"
+        designs.save_family(single(sq), path)
+        code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
+        assert code == 0 and "vertices 729" in stdout
+        assert "falling back to numeric-only" in err
+        assert stdout.endswith(f"closed form: {verdict}\n")
 
 
 def test_spectrum_numeric_certifies_the_closed_form(four_file, capsys):

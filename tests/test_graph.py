@@ -18,7 +18,7 @@ from mosls import (
 )
 from mosls.cli import _TABLE_ROWS
 from mosls.designs import is_sudoku, transpose
-from mosls.graph import MAX_VERTICES, _times_block_layer, edge_lines, matrix_lines
+from mosls.graph import MAX_VERTICES, _block_labels, _label_product, edge_lines, matrix_lines
 from fixtures import (
     FOUR_FAMILY,
     FOUR_PRINTED_ADJACENCY,
@@ -227,6 +227,12 @@ def test_commute_check():
     assert not commute_check(single(NINE_SWITCHED))
 
 
+def _times_blocks(A, shape):
+    """A @ B with the block layer B of the shape, as commute_check forms
+    it: the label product B @ A.T of the block labels, transposed."""
+    return _label_product(_block_labels(shape), A.T).T
+
+
 # Shapes with q = r and with q != r up to order 9; for q = 1 the block
 # layer is empty.
 RANDOM_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
@@ -238,11 +244,13 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
     n, nv = shape.order, shape.order ** 2
     blocks = block_adjacency(shape).astype(np.int64)
     rng = np.random.default_rng(100 * q + r)
+    # the block labels add the block's sum, then take off the row and the
+    # column segment's, so every partial count is at most n max|A|
     int16_max = (2**15 - 1) // n  # largest max|A| with n max|A| < 2**15
     for amax in (1, 3, int16_max):
         A = rng.integers(-amax, amax, size=(nv, nv), endpoint=True)
         A[0, -1] = -amax  # max|A| = amax exactly; A is not symmetric
-        product = _times_block_layer(A, shape)
+        product = _times_blocks(A, shape)
         assert product.dtype == np.int16 and np.array_equal(product, A @ blocks)
     # commuting with B: a polynomial in B plus a multiple of the all-ones J,
     # which commutes with B as every row of B has (q - 1)(r - 1) ones
@@ -250,7 +258,7 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
     for _ in range(3):
         a, b, c, d = rng.integers(-3, 3, size=4, endpoint=True)
         A = a * eye + b * blocks + c + d * (blocks @ blocks)
-        product = _times_block_layer(A, shape)
+        product = _times_blocks(A, shape)
         assert np.array_equal(product, A @ blocks) and np.array_equal(product, product.T)
     # commute_check on random symmetric 0/1 graphs, and on the 0/1 sums of
     # the disjoint layers I, B and J - I - B, which all commute with B
@@ -258,12 +266,23 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
         A = np.triu(rng.integers(0, 1, size=(nv, nv), endpoint=True), 1)
         A += A.T
         expected = A @ blocks
-        assert np.array_equal(_times_block_layer(A, shape), expected)
+        assert np.array_equal(_times_blocks(A, shape), expected)
         assert commute_check(CellGraph(shape, 0, "mols", A)) == np.array_equal(expected, expected.T)
     for a, b, c in np.ndindex(2, 2, 2):
         A = a * eye + b * blocks + c * (1 - eye - blocks)
-        assert np.array_equal(_times_block_layer(A, shape), A @ blocks)
+        assert np.array_equal(_times_blocks(A, shape), A @ blocks)
         assert commute_check(CellGraph(shape, 0, "mols", A))
+    # non-symmetric 0/1 graphs are judged on A @ B: a random one, and the
+    # column of B at cell 0 alone, whose A @ B = B e (B e)^T is symmetric
+    # while its transpose gives e (B**2 e)^T, symmetric only for q, r <= 2
+    # (B**2 = I) or q = 1 (B = 0)
+    column = np.outer(blocks[:, 0], eye[0])
+    verdicts = []
+    for A in (rng.integers(0, 1, size=(nv, nv), endpoint=True), column, column.T):
+        expected = A @ blocks
+        verdicts.append(np.array_equal(expected, expected.T))
+        assert commute_check(CellGraph(shape, 0, "mols", A)) == verdicts[-1]
+    assert verdicts[1] and verdicts[2] == (max(q, r) <= 2 or q == 1)
 
 
 def test_cell_graph_refuses_a_wrong_shape_and_stores_uint8():
@@ -401,18 +420,20 @@ def _quotient_reference(graph):
 
 @pytest.mark.parametrize("fam", [f for _, f in PRODUCT_CASES], ids=[i for i, _ in PRODUCT_CASES])
 def test_blas_products_match_int64_reference(fam):
+    """The label counts of commute_check and srg_check, and the column sums
+    of quotient_matrix, against int64 products; no BLAS runs in graph."""
     mols = build_mols_graph(fam).adjacency
     blocks = block_adjacency(fam.shape)
     assert mols.dtype == np.uint8 and blocks.dtype == bool
     wide = mols.astype(np.int64)  # uint8 @ uint8 would wrap at 256
-    assert np.array_equal(_times_block_layer(mols, fam.shape), wide @ blocks)
+    assert np.array_equal(_times_blocks(mols, fam.shape), wide @ blocks)
     commutes = np.array_equal(wide @ blocks, blocks @ wide)
     assert commute_check(fam) == commutes
 
     mosls_graph = build_mosls_graph(fam)
     assert mosls_graph.adjacency.dtype == np.uint8
     assert np.array_equal(
-        _times_block_layer(mosls_graph.adjacency, fam.shape),
+        _times_blocks(mosls_graph.adjacency, fam.shape),
         mosls_graph.adjacency.astype(np.int64) @ blocks,
     )
     assert commute_check(build_mols_graph(fam)) == commutes
@@ -491,8 +512,8 @@ def _dense_peaks_within_pins(fam, subset, srg_params):
     commute_check, quotient_matrix and srg_check on them, pinning each
     traced peak in units of n**4 bytes, one byte per cell pair: an int64
     array takes 8.  A build holds the uint8 adjacency and one bool buffer
-    (the block layer is written per block, on n**3 pairs), commute_check
-    an int16 product and its bool symmetry test, quotient_matrix one
+    (the block layer is added as three labels, like the MOLS layers),
+    commute_check the int16 label product and its bool symmetry test, quotient_matrix one
     part's columns and the int64 counts (8 bytes per vertex and part),
     srg_check the int16 counts and per-class gathers of n rows, and
     matrix_lines its uint8 text buffer (two bytes per pair) and the decoded

@@ -698,6 +698,21 @@ def test_grouping_compares_with_the_first_member():
     assert [m for _, m in rep.numeric] == [2, 2, 1]
 
 
+def test_numeric_spectrum_refuses_a_group_width_that_breaks_grouping():
+    c4 = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+    # negative and NaN widths put each eigenvalue alone, so the double 0
+    # read a residual of 1; inf put all four in one group
+    for bad in (-1e-6, -math.inf, math.nan, math.inf):
+        for with_charpoly in (True, False):
+            with pytest.raises(ValueError, match="^group_tol must be finite and >= 0, got "):
+                numeric_spectrum(c4, group_tol=bad, with_charpoly=with_charpoly)
+    # 0 is a valid width: only equal floats group, and the roots 2 and -2
+    # stay single either way
+    rep = numeric_spectrum(c4, group_tol=0.0)
+    assert [m for v, m in rep.numeric if abs(v) > 1] == [1, 1]
+    assert sum(m for _, m in rep.numeric) == 4
+
+
 def test_numeric_spectrum_without_charpoly():
     rep = numeric_spectrum([[2, 1], [1, 2]], with_charpoly=False)
     assert rep.charpoly is None
