@@ -15,9 +15,24 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
-from . import construct, designs
+# numpy's bundled OpenBLAS starts one worker per extra CPU when it loads,
+# and an idle worker busy-polls for 2**28 cycles (about 0.1 s) after the
+# load and after every threaded product.  A command runs for about 0.2 s,
+# so that spin was 37-39% of the CPU time of the spectrum, construct and
+# switch benchmark jobs (2-CPU host, numpy 2.4.6).  4 is OpenBLAS's
+# minimum, 2**4 cycles: an idle worker sleeps at once and the next
+# threaded product wakes it, so the thread count and the split of every
+# product stay as they are (OPENBLAS_NUM_THREADS=1 saves the same CPU but
+# made order-49 `spectrum` 60% slower).  It must be set before numpy
+# loads; a value the user set wins, and other BLAS builds ignore it.  Set
+# here, not in the library, which leaves its host's environment alone.
+_OPENBLAS_THREAD_TIMEOUT = "4"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
+
+from . import construct, designs  # noqa: E402  (loads numpy)
 
 
 def _emit(text: str, out_path) -> None:

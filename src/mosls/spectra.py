@@ -423,9 +423,11 @@ def numeric_spectrum(
     poly = charpoly_exact(M)
     points = [v for v, _ in numeric]
     if poly.coeffs[0] == 0:
-        # the group of the exact root 0: its float mean, about 1e-15, would
-        # read a relative residual of 1 against a zero constant term
-        points = [0.0 if abs(v) <= group_tol else v for v in points]
+        # the groups of the exact root 0: their float means, about 1e-15,
+        # would read a relative residual of 1 against a zero constant term;
+        # a width below _GUESS_TOL (0 included) leaves them in many groups
+        near = max(group_tol, _GUESS_TOL)
+        points = [0.0 if abs(v) <= near else v for v in points]
     residual = _relative_residual(poly, points)
     return SpectrumReport(poly, numeric, residual)
 

@@ -5,10 +5,13 @@ squares; the spectra are the known closed-form eigenvalue multisets of
 their cell graphs.  Everything here is frozen input data for tests.
 """
 
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import mosls
 from mosls import (
     IntPolynomial,
     LatinSquare,
@@ -161,6 +164,16 @@ def cyclic_square(n: int, shape: SudokuShape | None = None) -> LatinSquare:
     """Cyclic Latin square L(i, j) = ((i + j - 2) mod n) + 1."""
     ent = [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
     return LatinSquare(ent, shape or SudokuShape(1, n))
+
+
+def fresh_env(*paths: str, **overrides: str) -> dict:
+    """Environment for a fresh interpreter: os.environ without OpenBLAS
+    settings, the paths and the mosls sources first on PYTHONPATH, then
+    the overrides."""
+    src = str(Path(mosls.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = os.pathsep.join([*paths, src, os.environ.get("PYTHONPATH", "")])
+    return {**env, **overrides}
 
 
 def peak_traced(fn):

@@ -188,8 +188,10 @@ def test_spectrum_refuses_a_group_tol_that_breaks_grouping(tmp_path, capsys):
         assert code == 2 and stdout == ""
         assert err == f"error: group_tol must be finite and >= 0, got {float(bad)!r}\n"
     # 0 is a valid width, and the default groups the six zeros
-    code, _, err = run(capsys, "spectrum", "--in", str(path), "--group-tol", "0")
+    code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--group-tol", "0")
     assert code == 0 and err == ""
+    # under width 0 the zeros stay apart, and each is evaluated at 0
+    assert float(stdout.split("residual: ")[1]) < 1e-12
     code, stdout, err = run(capsys, "spectrum", "--in", str(path))
     assert code == 0 and err == "" and " x6\n" in stdout
     assert float(stdout.split("residual: ")[1]) < 1e-12

@@ -1,18 +1,21 @@
 """Which modules each command loads, seen in fresh processes, and the lazy
 package namespace: `import mosls` loads no layer, and every exported name
-is the object its layer module defines."""
+is the object its layer module defines.  Also in fresh processes: the CLI
+lets numpy's idle OpenBLAS workers sleep, and the library leaves the
+environment alone."""
 
 import importlib
-import os
+import resource
+import statistics
 import subprocess
 import sys
-from pathlib import Path
+import time
 
 import pytest
 
 import mosls
+from fixtures import fresh_env
 
-SRC = str(Path(mosls.__file__).parent.parent)
 LAYERS = {"mosls.graph", "mosls.spectra", "mosls.switching"}
 
 # run cli.main(argv) with its output discarded, then print sys.modules
@@ -45,11 +48,29 @@ PUBLIC = {
 }
 
 
+# installed as sitecustomize: reports on stderr the value of
+# OPENBLAS_THREAD_TIMEOUT when numpy, and with it OpenBLAS, is imported
+NUMPY_PROBE = """
+import os, sys
+
+class _Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print("at numpy import:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"), file=sys.stderr)
+        return None
+
+sys.meta_path.insert(0, _Probe())
+"""
+
+# what the `mosls` script that pip installs from [project.scripts] runs
+CONSOLE_SCRIPT = "import sys; from mosls.cli import main; sys.exit(main())"
+
+
 def _fresh_stdout(code: str, *args: str) -> str:
     """stdout of `python -c code args` in a new interpreter."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, "-c", code, *args]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run(argv, env=fresh_env(), capture_output=True, text=True, check=True).stdout
 
 
 def _fresh_modules(code: str, *args: str) -> set[str]:
@@ -123,3 +144,51 @@ def test_loaded_layer_exports_are_package_attributes():
     # walks vars(mosls) sees them without going through __getattr__
     spectra = importlib.import_module("mosls.spectra")
     assert vars(mosls)["charpoly_exact"] is spectra.charpoly_exact
+
+
+@pytest.fixture(scope="module")
+def numpy_probe(tmp_path_factory):
+    path = tmp_path_factory.mktemp("probe")
+    (path / "sitecustomize.py").write_text(NUMPY_PROBE)
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", [["-m", "mosls.cli"], ["-c", CONSOLE_SCRIPT]], ids=["module", "script"])
+@pytest.mark.parametrize("user,seen", [(None, "4"), ("30", "30")], ids=["default", "user-set"])
+def test_cli_sets_the_openblas_idle_spin_before_numpy_loads(entry, user, seen, numpy_probe):
+    overrides = {} if user is None else {"OPENBLAS_THREAD_TIMEOUT": user}
+    res = subprocess.run(
+        [sys.executable, *entry, "--help"],
+        env=fresh_env(numpy_probe, **overrides), capture_output=True, text=True,
+    )
+    assert res.returncode == 0 and res.stdout.startswith("usage: ")
+    assert res.stderr == f"at numpy import: {seen}\n"
+
+
+def test_library_leaves_the_environment_alone():
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import mosls, mosls.gf, mosls.designs, mosls.construct, mosls.graph, mosls.spectra, mosls.switching\n"
+        "print(dict(os.environ) == before, 'OPENBLAS_THREAD_TIMEOUT' in os.environ)\n"
+    )
+    assert _fresh_stdout(code) == "True False\n"
+
+
+def test_help_keeps_at_most_one_cpu_busy():
+    # an idle OpenBLAS worker that spins after numpy loads keeps a second
+    # CPU busy: the median (user + sys) / wall read up to about 1.5 on 2
+    # CPUs; on 1 CPU this cannot fail
+    ratios = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "mosls.cli", "--help"],
+            env=fresh_env(), capture_output=True, check=True,
+        )
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+        ratios.append(cpu / wall)
+    assert statistics.median(ratios) <= 1.3, ratios

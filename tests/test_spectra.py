@@ -713,6 +713,21 @@ def test_numeric_spectrum_refuses_a_group_width_that_breaks_grouping():
     assert sum(m for _, m in rep.numeric) == 4
 
 
+def test_zero_groups_under_a_narrow_width_are_evaluated_at_zero():
+    # the order-4 single-square graph has the eigenvalue 0 x6; eigvalsh
+    # returns it as values of order 1e-16, which a width below the guess
+    # tolerance leaves in several groups, each of them the root 0
+    adjacency = build_mosls_graph(single(FOUR_FAMILY.squares[0])).adjacency
+    default = numeric_spectrum(adjacency)
+    assert default.residual < 1e-12
+    for width in (0.0, 1e-20, 1e-12):
+        rep = numeric_spectrum(adjacency, group_tol=width)
+        assert rep.charpoly == default.charpoly
+        zeros = [m for v, m in rep.numeric if abs(v) <= spectra._GUESS_TOL]
+        assert sum(zeros) == 6
+        assert rep.residual < 1e-12
+
+
 def test_numeric_spectrum_without_charpoly():
     rep = numeric_spectrum([[2, 1], [1, 2]], with_charpoly=False)
     assert rep.charpoly is None
