@@ -257,10 +257,12 @@ def cmd_graph_export(args) -> int:
     from . import graph
 
     g = _build_graph(args)
-    if args.format == "edges":
-        _emit(graph.edge_lines(g), args.out)
+    write = graph.edge_lines if args.format == "edges" else graph.matrix_lines
+    if args.out:
+        with open(args.out, "w") as fh:
+            write(g, fh)
     else:
-        _emit(graph.matrix_lines(g), args.out)
+        write(g, sys.stdout)
     return 0
 
 

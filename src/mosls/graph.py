@@ -7,30 +7,32 @@ column, or share a symbol in one of the selected squares; for a valid
 family these events are mutually exclusive.  The MOSLS flavor adds the
 block layer: cells of the same block that share neither a row nor a
 column.  Every layer is held as signed labels (see CellGraph); the block
-layer's come from _block_labels alone, and _label_product multiplies by
-a sum of labels, for commute_check and srg_check.  A CellGraph is a
-checked 0/1 matrix on at most MAX_VERTICES vertices, so no check here
-states a bound of its own but _label_product, whose int16 counts also
-bound the classes of the labels it counts from.
+layer's come from _block_labels alone.  Builds scatter the labels'
+classes into the uint8 adjacency, and _label_product counts from them a
+slab at a time for commute_check and srg_check.  A CellGraph is a checked
+0/1 matrix on at most MAX_VERTICES vertices, so no check here states a
+bound of its own but _label_product, whose int16 counts also bound the
+classes of the labels it counts from.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells
 
-# Largest vertex count a CellGraph accepts: order 49.  The dense uint8
-# (n**2) x (n**2) adjacency then takes 2401**2 bytes, about 5.8 MB; a
-# build holds it and one n**4-byte bool buffer, and the int16 counts of
-# _label_product take twice the adjacency.  Order 64 would take
-# 16.8 MB per byte layer.  Every common-neighbour or block count is then at
-# most 2401, exact in int16 (below 2**15).
+# Largest vertex count a CellGraph accepts: order 49, whose dense uint8
+# (n**2) x (n**2) adjacency takes 2401**2 bytes, about 5.8 MB (16.8 MB at
+# order 64).  No other array of a graph call is n**4-sized: traced, a call
+# adds at most 1.2 n**4 bytes at 729 vertices and 0.5 at 2401, mostly the
+# labels' classes and slabs of _CHUNK rows or columns.  Every
+# common-neighbour or block count is then at most 2401, exact in int16.
 MAX_VERTICES = 49 ** 2
+_CHUNK = 64  # rows or columns per slab of the dense kernels
 
 
 class FamilyStructureError(CheckFailed):
@@ -45,7 +47,7 @@ class EquitabilityError(CheckFailed):
 class CellGraph:
     """Dense 0/1 adjacency over the n**2 cells of a family, stored as
     uint8 (a uint8 input is not copied), one byte per cell pair, and the
-    signed labels it is a sum of.
+    signed labels it is a sum of; a graph call makes no other n**4 array.
 
     labels, when given, are pairs (sign, label): sign is 1 or -1 and label
     holds one value per cell.  With E[u, v] = 1 where label[u] == label[v],
@@ -136,25 +138,50 @@ def _block_labels(shape: SudokuShape) -> list[tuple[int, np.ndarray]]:
     return [(1, block), (-1, block * n + rows), (-1, block * n + cols)]
 
 
+def _classes(labels):
+    """(sign, members, ids) for each (sign, label): the label's classes by
+    size, one (c, classes) array of cells per class size c, a class per
+    column with its cells ascending, and each cell's class in that order.
+    Stable argsorts and bincounts only: np.unique pulls more of numpy's
+    compiled code into memory, which left a spectrum command's peak
+    resident set 0.5 MiB higher (numpy 2.4.6)."""
+    for sign, label in labels:
+        cells = np.argsort(label, kind="stable")
+        ids = np.empty_like(cells)
+        ids[cells] = np.cumsum(np.append(True, label[cells[1:]] != label[cells[:-1]])) - 1
+        sizes = np.bincount(ids)
+        ids = np.argsort(np.argsort(sizes, kind="stable"), kind="stable")[ids]
+        tally = np.bincount(sizes)
+        widths = np.flatnonzero(tally)
+        groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(widths * tally[widths])[:-1])
+        yield sign, [group.reshape(-1, c).T for group, c in zip(groups, widths)], ids
+
+
 def _add_agreements(counts: np.ndarray, labels) -> tuple[int, int] | None:
     """Adds sign * E of each (sign, label) to the uint8 counts in place,
     E[u, v] = 1 where label[u] == label[v], clears the diagonal, and
     returns the first pair (u, v), row-major, counted above 1, or None.
 
-    Only 0, 1 and "2 or more" matter, so clamping the counts at 2 every
-    253 labels keeps them below uint8's wrap at 256; only a MOLS family,
-    all +1, has that many.  A -1 label comes after the +1 labels that
-    cover its pairs, so no off-diagonal count drops below 0."""
-    same = np.empty(counts.shape, dtype=bool)
-    for i, (sign, label) in enumerate(labels, start=1):
+    Each class's pairs are scattered in for _CHUNK of its cells at a time,
+    and the counts scanned _CHUNK rows at a time.  Only 0, 1 and "2 or
+    more" matter, so clamping the counts at 2 every 253 labels keeps them
+    below uint8's wrap at 256; only a MOLS family, all +1, has that many.
+    A -1 label comes after the +1 labels that cover its pairs, so no
+    off-diagonal count drops below 0."""
+    for i, (sign, members, _) in enumerate(_classes(labels), start=1):
         add = np.add if sign == 1 else np.subtract
-        add(counts, np.equal(label[:, None], label[None, :], out=same), out=counts)
+        for group in members:
+            for first in range(0, len(group), _CHUNK):
+                pairs = group[first:first + _CHUNK, None], group[None]
+                counts[pairs] = add(counts[pairs], 1)
         if i % 253 == 0:
             np.minimum(counts, 2, out=counts)
     np.fill_diagonal(counts, 0)
-    if not np.greater(counts, 1, out=same).any():
-        return None
-    return divmod(int(same.argmax()), counts.shape[0])
+    for start in range(0, len(counts), _CHUNK):
+        over = counts[start:start + _CHUNK] > 1
+        if over.any():
+            return divmod(start * len(counts) + int(over.argmax()), len(counts))
+    return None
 
 
 def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -197,26 +224,22 @@ def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     return CellGraph(fam.shape, mols.family_size, "mosls", mols.adjacency, [*mols.labels, *blocks])
 
 
-def _label_product(labels, X: np.ndarray) -> np.ndarray:
-    """(sum_l s_l (E_l - I)) @ X in int16 for the (sign, label) pairs and a
-    0/1 matrix X, with E_l[u, v] = 1 where label l agrees on u and v.
-
-    Rows of (E_l - I) @ X in a class of label l are the class's sum of X's
-    rows, less each row itself: one small gather per class, with no matrix
-    product.  A class of c cells adds 0 to c - 1 to an entry, so every
-    partial count lies within +-reach, and int16 holds it below 2**15;
-    ValueError beyond that, before any count.
-    """
-    signed = [(sign, _classes(label)) for sign, label in labels]
-    reach = sum(max(map(len, members)) - 1 for _, members in signed)
+def _label_product(classes, X: np.ndarray) -> np.ndarray:
+    """(sum_l s_l (E_l - I)) @ X in int16 for the _classes of the labels
+    and an integer X with a row per cell, E_l[u, v] = 1 where label l
+    agrees on u and v: row u of E_l @ X sums X's rows over u's class.  A
+    class of c cells adds 0 to c - 1 to an entry for a 0/1 X, so the
+    counts lie within +-reach, the sum of each label's largest class less
+    1; ValueError unless int16 holds that, before any count.  int16 wraps
+    modulo 2**16, so the counts are exact when the product fits."""
+    reach = sum(members[-1].shape[0] - 1 for _, members, _ in classes)
     if reach >= 2**15:
         raise ValueError(f"the labels' classes reach {reach} in a count, beyond int16")
-    product = np.zeros(X.shape, dtype=np.int16)
-    for sign, members in signed:
-        add = np.add if sign == 1 else np.subtract
-        for cls in members:
-            rows = X[cls]
-            product[cls] = add(product[cls], rows.sum(axis=0, dtype=np.int16) - rows)
+    X = np.ascontiguousarray(X)
+    product = np.multiply(X, -sum(sign for sign, _, _ in classes), dtype=np.int16)
+    for sign, members, ids in classes:
+        sums = np.concatenate([np.take(X, group, axis=0).sum(axis=0, dtype=np.int16) for group in members])
+        (np.add if sign == 1 else np.subtract)(product, np.take(sums, ids, axis=0), out=product)
     return product
 
 
@@ -228,56 +251,54 @@ def srg_check(graph: CellGraph):
     non-adjacent distinct pair (entry 0) has mu; otherwise returns None.
     A parameter with no pair to read it from is 0.  ValueError for a graph
     without labels, and for one whose labels do not give its adjacency.
-    The counts A @ A come from _label_product, as A = sum_l s_l (E_l - I).
+    The counts A @ A come from _label_product, as A = sum_l s_l (E_l - I),
+    a slab of _CHUNK columns at a time.
     """
     if graph.labels is None:
         raise ValueError("srg_check counts common neighbours from the graph's labels; it has none")
-    A = graph.adjacency
-    nv = A.shape[0]
-    common = _label_product(graph.labels, A)
-    if not _labels_give_adjacency(A, graph.labels, common):
+    classes = list(_classes(graph.labels))
+    A, nv = graph.adjacency, graph.num_vertices
+    degrees = np.empty(nv, dtype=np.int64)
+    fits = True
+    for start in range(0, nv, _CHUNK):
+        cols = slice(start, start + _CHUNK)
+        common = _label_product(classes, A[:, cols])
+        # A is symmetric with an empty diagonal, so the diagonal of A @ A
+        # holds the degrees, and column 0 the first pair of each kind
+        degrees[cols] = common[cols].diagonal()
+        if start == 0:
+            k = int(degrees[0])
+            lam = int(common[A[0].argmax(), 0]) if k > 0 else 0
+            mu = int(common[1 + A[0, 1:].argmin(), 0]) if k < nv - 1 else 0
+        # in place: 0 exactly where an adjacent pair counts lam and a
+        # non-adjacent pair mu
+        common -= mu
+        np.subtract(common, lam - mu, out=common, where=A[:, cols].view(bool))
+        np.fill_diagonal(common[cols], 0)
+        fits = fits and not common.any()
+    if not _labels_give_adjacency(A, classes, int(degrees.sum())):
         raise ValueError("the graph's labels do not give its adjacency")
-    # A is symmetric with an empty diagonal, so the diagonal of A @ A holds
-    # the degrees, and row 0 holds the first pair of each kind, if any
-    deg = common.diagonal()
-    k = int(deg[0])
-    if deg.min() != deg.max():
-        return None
-    lam = int(common[0, A[0].argmax()]) if k > 0 else 0
-    mu = int(common[0, 1 + A[0, 1:].argmin()]) if k < nv - 1 else 0
-    # in place: 0 exactly where an adjacent pair counts lam and a
-    # non-adjacent pair mu
-    common -= mu
-    np.subtract(common, lam - mu, out=common, where=A.view(bool))
-    np.fill_diagonal(common, 0)
-    if common.any():
-        return None
-    return (nv, k, lam, mu)
+    return (nv, k, lam, mu) if fits and degrees.min() == degrees.max() else None
 
 
-def _classes(label: np.ndarray) -> list[np.ndarray]:
-    """The cells of each class of the label."""
-    _, ids, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    return np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
-
-
-def _labels_give_adjacency(A: np.ndarray, labels, common: np.ndarray) -> bool:
+def _labels_give_adjacency(A: np.ndarray, classes, inner: int) -> bool:
     """True iff M = sum_l s_l (E_l - I) is the 0/1 matrix A, given the
-    (sign, label) pairs and common = M @ A, with no further n**4 array.
+    _classes of the labels and inner, the trace of M @ A.
 
     M and A are integer, so M = A iff sum (M - A)**2 = sum M**2 - 2 <M, A>
-    + sum A**2 is 0.  M[u, v] for u != v sums s_l over the labels on which
-    u and v agree, so sum M**2 sums s_l s_m over the ordered pairs that
-    agree on both l and m: the squared sizes of their joint classes, less
-    the nv pairs (u, u).  M is symmetric, so <M, A> is the trace of M @ A,
-    and A is 0/1, so sum A**2 counts its ones.  Python ints hold it all.
+    + sum A**2 is 0.  sum M**2 sums s_l s_m over the ordered pairs u != v
+    that agree on both l and m: the squared sizes of their joint classes,
+    less nv.  <M, A> is the trace of M @ A, M being symmetric, and sum A**2
+    counts the ones of the 0/1 A.  Python ints hold it all.
     """
-    signed_ids = [(sign, np.unique(label, return_inverse=True)[1]) for sign, label in labels]
+    nv = A.shape[0]
     squares = 0
-    for (s, a), (t, b) in product(signed_ids, repeat=2):
-        joint = np.unique(a * (b.max() + 1) + b, return_counts=True)[1]
-        squares += s * t * (int((joint * joint).sum()) - len(a))
-    inner = int(np.trace(common, dtype=np.int64))
+    for i, j in combinations_with_replacement(range(len(classes)), 2):
+        (s, _, a), (t, _, b) = classes[i], classes[j]
+        key = a * (int(b.max()) + 1) + b
+        # a bin per pair of ids, or per joint class where that is fewer
+        joint = np.bincount(key if key.max() < 16 * nv else next(_classes([(1, key)]))[2])
+        squares += (1 if i == j else 2) * s * t * (int(joint @ joint) - nv)
     return squares - 2 * inner + int(np.count_nonzero(A)) == 0
 
 
@@ -320,40 +341,43 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     """True iff the graph's Latin adjacency L commutes with the block
     adjacency B; a family is taken as its MOLS graph.
 
-    L and B are symmetric, so B @ L is the transpose of L @ B, and the two
-    commute iff L @ B is symmetric.  A MOSLS adjacency is L + B, and B @ B
-    is symmetric, so for either flavour the test is whether A @ B is
-    symmetric, A the adjacency.  _label_product forms B @ A.T from the
-    shape's block labels, which is (A @ B).T, so a non-symmetric A is
-    judged on A @ B too.
+    L and B are symmetric, so the two commute iff L @ B is symmetric, and
+    as B @ B is symmetric, iff A @ B is, A = L or the MOSLS A = L + B.  For
+    any 0/1 A, P = B @ A.T is compared with P.T on the cells S of one block
+    at a time: P[:, S] = B @ A[S].T, and as B joins no two blocks, P[S, :]
+    = B[S, S] @ A[:, S].T, one B[S, S] for all blocks, which share a layout.
     """
     if isinstance(graph, MoslsFamily):
         graph = build_mols_graph(graph)
-    product = _label_product(_block_labels(graph.shape), graph.adjacency.T)
-    return bool(np.array_equal(product, product.T))
+    A, labels, blocks = graph.adjacency, _block_labels(graph.shape), _block_cells(graph.shape)
+    local = list(_classes((sign, label[blocks[0]]) for sign, label in labels))
+    classes = list(_classes(labels))
+    return all(
+        np.array_equal(_label_product(local, A[:, S].T), _label_product(classes, A[S].T).T) for S in blocks
+    )
 
 
-def edge_lines(graph: CellGraph) -> str:
-    """One "u v" line per edge u < v, 1-based, sorted.  Row u is read right
-    of the diagonal in place, so no dense copy is made, and its lines are
-    joined at once from the precomputed vertex names."""
+def edge_lines(graph: CellGraph, out) -> None:
+    """Writes one "u v" line per edge u < v, 1-based, sorted, to the text
+    stream out, a row at a time: row u is read right of the diagonal in
+    place and its lines joined at once from the precomputed vertex names."""
     A = graph.adjacency
     names = [str(v) for v in range(1, A.shape[0] + 1)]
-    rows = []
     for u in range(A.shape[0]):
         later = (np.flatnonzero(A[u, u + 1:]) + (u + 1)).tolist()
         if later:
             prefix = names[u] + " "
-            rows.append(prefix + ("\n" + prefix).join([names[v] for v in later]))
-    return "\n".join(rows) + "\n" if rows else ""
+            out.write(prefix + ("\n" + prefix).join([names[v] for v in later]) + "\n")
 
 
-def matrix_lines(graph: CellGraph) -> str:
-    """One line per vertex: its adjacency row as 0/1 digits separated by
-    single spaces.  The text is written as ASCII codes into one uint8
-    buffer, digits in the even columns, and decoded once."""
+def matrix_lines(graph: CellGraph, out) -> None:
+    """Writes one line per vertex to the text stream out: its adjacency row
+    as 0/1 digits separated by single spaces, _CHUNK rows at a time as ASCII
+    codes in one uint8 buffer, digits in the even columns, decoded once."""
     A = graph.adjacency
-    text = np.full((A.shape[0], 2 * A.shape[1]), ord(" "), dtype=np.uint8)
-    np.add(A, ord("0"), out=text[:, ::2])
+    text = np.full((min(_CHUNK, A.shape[0]), 2 * A.shape[1]), ord(" "), dtype=np.uint8)
     text[:, -1] = ord("\n")
-    return str(text, "ascii")
+    for start in range(0, A.shape[0], _CHUNK):
+        rows = A[start:start + _CHUNK]
+        np.add(rows, ord("0"), out=text[:len(rows), ::2])
+        out.write(str(text[:len(rows)], "ascii"))

@@ -2,8 +2,11 @@
 shape, compared cell pair by cell pair, which mosls.graph holds as the
 signed labels of _block_labels; the Sudoku clash that
 mosls.graph.build_mosls_graph reports, read off that dense layer; and
-the edge pairs that mosls.graph.edge_lines writes.
+the edge pairs that mosls.graph.edge_lines writes; and the text an
+export writes, read back.
 """
+
+import io
 
 import numpy as np
 
@@ -49,3 +52,11 @@ def label_adjacency(labels) -> np.ndarray:
         np.fill_diagonal(same, 0)
         total = total + sign * same
     return total
+
+
+def written(export, graph) -> str:
+    """The text that export, mosls.graph.edge_lines or matrix_lines,
+    writes for the graph."""
+    out = io.StringIO()
+    export(graph, out)
+    return out.getvalue()

@@ -16,6 +16,7 @@ from fixtures import (
     cyclic_square,
     single,
 )
+from graph_reference import edge_list, matrix_text
 
 
 def run(capsys, *argv):
@@ -441,6 +442,25 @@ def test_graph_export_is_deterministic(four_file, tmp_path, capsys):
     run(capsys, "graph-export", "--in", four_file, "--out", str(a))
     run(capsys, "graph-export", "--in", four_file, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["edges", "matrix"])
+def test_graph_export_writes_the_same_bytes_to_stdout_and_to_a_file(fmt, tmp_path, capsys):
+    # order 9: 81 vertices, more rows than one slab of graph._CHUNK
+    src, out = tmp_path / "f9.txt", tmp_path / "graph.txt"
+    code, _, _ = run(capsys, "construct", "--p", "3", "--m", "1", "--n", "1", "--out", str(src))
+    assert code == 0
+    g = graph.build_mosls_graph(designs.load_family(src))
+    assert g.num_vertices > graph._CHUNK
+    code, stdout, _ = run(capsys, "graph-export", "--in", str(src), "--format", fmt)
+    assert code == 0
+    code, nothing, _ = run(capsys, "graph-export", "--in", str(src), "--format", fmt, "--out", str(out))
+    assert code == 0 and nothing == ""
+    assert out.read_bytes() == stdout.encode("ascii")
+    expected = matrix_text(g.adjacency) if fmt == "matrix" else "".join(
+        f"{u} {v}\n" for u, v in edge_list(g.adjacency)
+    )
+    assert stdout == expected
 
 
 @pytest.mark.parametrize("command", ["graph-export", "spectrum"])

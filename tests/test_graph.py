@@ -18,7 +18,16 @@ from mosls import (
 )
 from mosls.cli import _TABLE_ROWS
 from mosls.designs import is_sudoku, transpose
-from mosls.graph import MAX_VERTICES, _block_labels, _label_product, edge_lines, matrix_lines
+from mosls.graph import (
+    _CHUNK,
+    MAX_VERTICES,
+    _add_agreements,
+    _block_labels,
+    _classes,
+    _label_product,
+    edge_lines,
+    matrix_lines,
+)
 from fixtures import (
     FOUR_FAMILY,
     FOUR_PRINTED_ADJACENCY,
@@ -36,6 +45,7 @@ from graph_reference import (
     first_sudoku_clash,
     label_adjacency,
     matrix_text,
+    written,
 )
 
 
@@ -230,12 +240,13 @@ def test_commute_check():
 def _times_blocks(A, shape):
     """A @ B with the block layer B of the shape, as commute_check forms
     it: the label product B @ A.T of the block labels, transposed."""
-    return _label_product(_block_labels(shape), A.T).T
+    return _label_product(list(_classes(_block_labels(shape))), A.T).T
 
 
-# Shapes with q = r and with q != r up to order 9; for q = 1 the block
-# layer is empty.
-RANDOM_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
+# Shapes with q = r and with q != r up to order 12; for q = 1 the block
+# layer is empty.  commute_check reads one block at a time, of up to 12
+# cells here, on up to 144 vertices.
+RANDOM_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 3)]
 
 
 @pytest.mark.parametrize("q, r", RANDOM_SHAPES)
@@ -369,14 +380,108 @@ def test_cell_graph_and_srg_check_refuse_malformed_labels():
     assert srg_check(CellGraph(shape, 0, "mols", A, labels[:2])) == (16, 0, 0, 0)
 
 
+def test_label_product_on_column_slabs_matches_int64_products():
+    # the slabs srg_check counts in, joined, against the int64 product:
+    # classes of unequal sizes (singletons and one class of every cell
+    # among them), signs -1, a non-symmetric X, and a vertex count that is
+    # no multiple of the slab width
+    rng = np.random.default_rng(20)
+    nv = 2 * _CHUNK + 17
+    labels = [
+        (1, rng.integers(0, 6, size=nv)),
+        (-1, rng.integers(0, 50, size=nv)),
+        (1, np.minimum(np.arange(nv), 100) // 7),
+        (-1, np.zeros(nv, dtype=np.int64)),
+    ]
+    classes = list(_classes(labels))
+    assert {len(members) for _, members, _ in classes} > {1}  # unequal sizes
+    M = label_adjacency(labels)
+    for X in (rng.integers(0, 1, size=(nv, nv), endpoint=True).astype(np.uint8),
+              rng.integers(-3, 3, size=(nv, nv), endpoint=True)):
+        assert not np.array_equal(X, X.T)
+        slabs = [_label_product(classes, X[:, start:start + _CHUNK]) for start in range(0, nv, _CHUNK)]
+        assert [slab.shape for slab in slabs] == [(nv, _CHUNK), (nv, _CHUNK), (nv, 17)]
+        assert all(slab.dtype == np.int16 for slab in slabs)
+        assert np.array_equal(np.hstack(slabs), M @ X.astype(np.int64))
+
+
+def test_agreement_counts_over_classes_wider_than_a_part():
+    # a class of every cell, and classes of 70 cells: wider than the parts
+    # of graph._CHUNK cells the build scatters in; the counts, clamped at 2,
+    # and the first pair counted twice against the dense reference
+    nv = 2 * _CHUNK + 17
+    assert nv - 70 > _CHUNK
+    for labels in ([(1, np.zeros(nv, dtype=np.int64))],
+                   [(1, np.arange(nv) % 3), (1, np.arange(nv) >= 70), (1, np.arange(nv) // 2)]):
+        counts = np.zeros((nv, nv), dtype=np.uint8)
+        clash = _add_agreements(counts, labels)
+        expected = label_adjacency(labels)
+        assert np.array_equal(counts, np.minimum(expected, 2))
+        over = np.argwhere(expected > 1)
+        assert clash == (tuple(map(int, over[0])) if len(over) else None)
+
+
+def test_srg_check_counts_joint_classes_of_many_ids():
+    # disjoint 4-cycles on 144 cells: a label of quarters less one of
+    # halves, whose pair has about 144**2 / 8 ids, so the joint classes
+    # are counted by class rather than by bins; 2-regular, adjacent pairs
+    # share no neighbour, non-adjacent ones share 2 or 0: no verdict but
+    # None, and only once the labels are known to give the adjacency
+    cells = np.arange(144)
+    labels = [(1, cells // 4), (-1, cells // 2)]
+    A = label_adjacency(labels).astype(np.uint8)
+    assert set(np.unique(A)) == {0, 1} and (A.sum(axis=1) == 2).all()
+    g = CellGraph(SudokuShape(3, 4), 0, "mols", A, labels)
+    assert srg_check(g) is None and _srg_reference(A) is None
+    with pytest.raises(ValueError, match="do not give its adjacency"):
+        srg_check(CellGraph(SudokuShape(3, 4), 0, "mols", A, [(1, cells // 4), (-1, cells // 3)]))
+
+
+def test_label_product_reach_bound():
+    # a class of c cells adds up to c - 1 to a count, whatever the sign:
+    # 2184 labels with one class of all 16 cells and one whose largest
+    # class has 8 cells reach 32767, which int16 holds, and an all-ones X
+    # reads it on that class; a largest class of 9 cells reaches 32768,
+    # refused before any count
+    whole = np.zeros(16, dtype=np.int64)
+    eight, nine = np.minimum(np.arange(16), 8), np.minimum(np.arange(16), 7)
+    labels = [(1, whole)] * 2184 + [(1, eight)]
+    ones = np.ones((16, 3), dtype=np.uint8)
+    product = _label_product(list(_classes(labels)), ones)
+    assert product.max() == 2**15 - 1
+    assert np.array_equal(product, label_adjacency(labels) @ ones)
+    with pytest.raises(ValueError, match="reach 32768 in a count, beyond int16"):
+        _label_product(list(_classes([(1, whole)] * 2184 + [(-1, nine)])), ones)
+
+
+def test_sudoku_clash_past_the_first_slab_names_the_dense_first_pair():
+    # an order-16 Sudoku square with 4 x 4 blocks and rows 5 and 9 swapped
+    # stays Latin; its first clash lies past the first graph._CHUNK rows
+    # of the counts, which the build scans a slab at a time
+    shape = SudokuShape(4, 4)
+    i, j = np.indices((16, 16))
+    entries = (4 * (i % 4) + i // 4 + j) % 16 + 1
+    assert is_sudoku(LatinSquare(entries, shape))
+    entries[[5, 9]] = entries[[9, 5]]
+    fam = single(LatinSquare(entries, shape))
+    u, v = first_sudoku_clash(build_mols_graph(fam).adjacency, shape)
+    assert u >= _CHUNK
+    with pytest.raises(FamilyStructureError) as exc:
+        build_mosls_graph(fam)
+    assert str(exc.value) == (
+        f"cells ({u // 16 + 1}, {u % 16 + 1}) and ({v // 16 + 1}, {v % 16 + 1}) share a block "
+        "and a symbol; some selected square is not Sudoku"
+    )
+
+
 def test_export_formats():
     g = build_mols_graph(single(cyclic_square(2)))
-    assert edge_lines(g) == "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
-    lines = matrix_lines(g).splitlines()
+    assert written(edge_lines, g) == "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+    lines = written(matrix_lines, g).splitlines()
     assert lines[0] == "0 1 1 1"
     assert len(lines) == 4
     mosls_graph = build_mosls_graph(FOUR_FAMILY)
-    assert matrix_lines(mosls_graph) == matrix_text(mosls_graph.adjacency)
+    assert written(matrix_lines, mosls_graph) == matrix_text(mosls_graph.adjacency)
 
 
 # every constructible `table` row of order at most 12, plus a switched
@@ -507,31 +612,52 @@ def test_vertex_cap_refuses_before_allocating():
     assert peak < 1 << 20
 
 
+class _Discard:
+    """A text stream that drops what it is given, so that an export's
+    traced peak counts the export's own arrays and not its output."""
+
+    def write(self, text):
+        return len(text)
+
+
 def _dense_peaks_within_pins(fam, subset, srg_params):
-    """Build the MOSLS and MOLS graphs of the squares in subset and run
-    commute_check, quotient_matrix and srg_check on them, pinning each
-    traced peak in units of n**4 bytes, one byte per cell pair: an int64
-    array takes 8.  A build holds the uint8 adjacency and one bool buffer
-    (the block layer is added as three labels, like the MOLS layers),
-    commute_check the int16 label product and its bool symmetry test, quotient_matrix one
-    part's columns and the int64 counts (8 bytes per vertex and part),
-    srg_check the int16 counts and per-class gathers of n rows, and
-    matrix_lines its uint8 text buffer (two bytes per pair) and the decoded
-    string.  Returns the MOSLS graph and its block quotient."""
+    """Build the MOSLS and MOLS graphs of the squares in subset, run
+    commute_check (on the graph and on the family of those squares),
+    quotient_matrix and srg_check (on the MOLS graph and on that of the
+    first square alone) and both exports, pinning each traced peak in
+    units of n**4 bytes, one byte per cell pair: the uint8 adjacency takes
+    1 and an int64 array 8.  The adjacency is the only n**4-sized array: a
+    build holds it and one part of a label's class pairs (8 bytes per
+    pair), the checks and exports slabs of mosls.graph._CHUNK rows or
+    columns, or of one block, and the labels' classes (16 bytes per cell
+    and label), commute_check(family) also the adjacency it builds, and
+    quotient_matrix one part's columns and the int64 counts (8 bytes per
+    vertex and part).  Exports write to a stream that discards their
+    text.  Returns the MOSLS graph and its block quotient."""
     g, build_peak = peak_traced(lambda: build_mosls_graph(fam, subset))
     units = g.num_vertices ** 2
     assert g.adjacency.dtype == np.uint8
-    assert build_peak <= 2.5 * units
+    assert build_peak <= 1.5 * units
     commutes, commute_peak = peak_traced(lambda: commute_check(g))
-    assert commutes and commute_peak <= 3.5 * units
+    assert commutes and commute_peak <= 1 * units
+    squares = fam if subset is None else MoslsFamily(fam.shape, tuple(fam.squares[k - 1] for k in subset))
+    commutes, family_peak = peak_traced(lambda: commute_check(squares))
+    assert commutes and family_peak <= 2 * units
     quotient, quotient_peak = peak_traced(lambda: quotient_matrix(g))
     assert quotient_peak <= 1 * units
     mols, mols_peak = peak_traced(lambda: build_mols_graph(fam, subset))
-    assert mols_peak <= 2.5 * units
+    assert mols_peak <= 1.5 * units
     params, srg_peak = peak_traced(lambda: srg_check(mols))
-    assert params == srg_params and srg_peak <= 3.5 * units
-    text, matrix_peak = peak_traced(lambda: matrix_lines(g))
-    assert text == matrix_text(g.adjacency) and matrix_peak <= 6 * units
+    assert params == srg_params and srg_peak <= 1.25 * units
+    one = build_mols_graph(fam, [1])
+    n = fam.shape.order
+    params, one_peak = peak_traced(lambda: srg_check(one))
+    assert params == (n * n, 3 * (n - 1), n, 6)  # f = 1 in the parameters above
+    assert one_peak <= 1 * units
+    for export in (edge_lines, matrix_lines):
+        _, export_peak = peak_traced(lambda: export(g, _Discard()))
+        assert export_peak <= 1 * units
+    assert written(matrix_lines, g) == matrix_text(g.adjacency)
     return g, quotient
 
 
@@ -543,13 +669,14 @@ def test_dense_layer_memory_at_729_vertices():
     assert g.num_vertices == 729 and f == 18
     # every row of the quotient counts the degree (f + 2)(n - 1) + (q - 1)(r - 1)
     assert (quotient.entries.sum(axis=1) == (f + 2) * 26 + 2 * 8).all()
-    # one square keeps the output text small next to the adjacency, so the
-    # peak measures the export's own arrays, which no dense int64 copy
-    # (8 bytes per cell pair) may take
+    assert written(edge_lines, g) == "".join(f"{u} {v}\n" for u, v in edge_list(g.adjacency))
+    # one square's graph too, whose text is small next to its adjacency:
+    # the export's own arrays, which no dense int64 copy (8 bytes per cell
+    # pair) may take
     one = build_mosls_graph(field27, [1])
-    text, export_peak = peak_traced(lambda: edge_lines(one))
-    assert text == "".join(f"{u} {v}\n" for u, v in edge_list(one.adjacency))
-    assert export_peak <= 4 * g.num_vertices ** 2
+    _, export_peak = peak_traced(lambda: edge_lines(one, _Discard()))
+    assert written(edge_lines, one) == "".join(f"{u} {v}\n" for u, v in edge_list(one.adjacency))
+    assert export_peak <= 1 * g.num_vertices ** 2
 
 
 def test_dense_layer_at_the_vertex_cap():
@@ -564,14 +691,20 @@ def test_dense_layer_at_the_vertex_cap():
     expected = np.where(same_line, 7 + 2, 2)
     np.fill_diagonal(expected, 48)
     assert np.array_equal(quotient.entries, expected)
+    # the MOLS graph of all f = 42 squares: 44 labels, the most at the cap
+    every = build_mols_graph(fam)
+    f = len(fam)
+    params, peak = peak_traced(lambda: srg_check(every))
+    assert f == 42 and params == (MAX_VERTICES, (f + 2) * 48, 47 + f * (f + 1), (f + 1) * (f + 2))
+    assert peak <= 1 * MAX_VERTICES ** 2
 
 
 def test_graph_without_edges_exports_no_line():
     g = build_mols_graph(single(cyclic_square(1)))
     assert g.num_vertices == 1
     assert srg_check(g) == (1, 0, 0, 0)  # no pair of either kind
-    assert edge_list(g.adjacency) == [] and edge_lines(g) == ""
-    assert matrix_lines(g) == matrix_text(g.adjacency) == "0\n"
+    assert edge_list(g.adjacency) == [] and written(edge_lines, g) == ""
+    assert written(matrix_lines, g) == matrix_text(g.adjacency) == "0\n"
 
 
 def test_edge_list_and_lines_agree():
@@ -580,4 +713,4 @@ def test_edge_list_and_lines_agree():
     assert all(type(u) is int and type(v) is int for u, v in edges)
     assert edges == sorted(edges) and all(u < v for u, v in edges)
     assert len(edges) == g.adjacency.sum() // 2
-    assert edge_lines(g) == "".join(f"{u} {v}\n" for u, v in edges)
+    assert written(edge_lines, g) == "".join(f"{u} {v}\n" for u, v in edges)
