@@ -160,20 +160,19 @@ def cmd_check(args) -> int:
 
 
 def _build_graph(args):
-    """The cell graph of the --in family over the --subset squares."""
+    """The cell graph of the --in family over the --subset squares, and those squares."""
     from . import graph
 
     fam = designs.load_family(args.input)
     subset = _parse_subset(args.subset)
-    if args.mols_only:
-        return graph.build_mols_graph(fam, subset)
-    return graph.build_mosls_graph(fam, subset)
+    build = graph.build_mols_graph if args.mols_only else graph.build_mosls_graph
+    return build(fam, subset), [fam.squares[k - 1] for k in graph._resolve_subset(fam, subset)]
 
 
 def cmd_spectrum(args) -> int:
     from . import spectra
 
-    g = _build_graph(args)
+    g, squares = _build_graph(args)
     nv = g.num_vertices
     want_exact = not args.numeric
     want_numeric = not args.exact
@@ -196,7 +195,7 @@ def cmd_spectrum(args) -> int:
 
     verdict = None
     if args.verify_closed_form:
-        verdict = _closed_form_verdict(g, report)
+        verdict = _closed_form_verdict(g, squares, report)
 
     payload = report.to_json_dict()
     payload["flavor"] = g.flavor
@@ -228,10 +227,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _closed_form_verdict(g, report) -> str:
+def _closed_form_verdict(g, squares, report) -> str:
     """Compare the closed form with the exact charpoly, or, when none was
     computed (above the exact cap, or under --numeric), certify the closed
-    form on the graph itself."""
+    form on the graph itself.  The squares tell whether the MOSLS layers
+    commute (designs.is_block_permutational), the graph when four or more fail."""
     from . import graph, spectra
 
     n, f = g.order, g.family_size
@@ -243,7 +243,8 @@ def _closed_form_verdict(g, report) -> str:
         except spectra.SrgParameterError as exc:
             return f"INAPPLICABLE ({exc})"
     else:
-        if not graph.commute_check(g):
+        failing = sum(not designs.is_block_permutational(sq) for sq in squares)
+        if failing and (failing <= 3 or not graph.commute_check(g)):
             return "INAPPLICABLE (adjacency layers do not commute)"
         closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
     if report.charpoly is None:
@@ -256,7 +257,7 @@ def _closed_form_verdict(g, report) -> str:
 def cmd_graph_export(args) -> int:
     from . import graph
 
-    g = _build_graph(args)
+    g, _ = _build_graph(args)
     write = graph.edge_lines if args.format == "edges" else graph.matrix_lines
     if args.out:
         with open(args.out, "w") as fh:
@@ -304,13 +305,7 @@ def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
 
     if eff_q < 2 or eff_r < 2:
         return "INAPPLICABLE (needs q, r >= 2)"
-    # The Latin and block layers of a block-permutational Sudoku square
-    # always commute, so no commute_check is needed.  With S, R, C, K the
-    # same-symbol, same-row, same-column and same-block relations and o
-    # the entrywise product: S @ K = J, as each block holds each symbol
-    # once; S @ (R o K) and S @ (C o K) are symmetric exactly when every
-    # block splits the symbols into the same row sets and the same column
-    # sets; and R and C commute with every block term.
+    # the layers commute iff the square is: designs.is_block_permutational
     if not designs.is_block_permutational(square):
         return "INAPPLICABLE (square is not block-permutational)"
     try:

@@ -84,10 +84,9 @@ def check_exact_size(n: int) -> None:
 _GUESS_TOL = 1e-6
 
 
-def _linear_guess(A: np.ndarray) -> list[tuple[IntPolynomial, int]]:
-    """(t - v, m) for each group of m eigvalsh values of the symmetric A
-    that lies near the integer v."""
-    groups = _group_values(np.linalg.eigvalsh(A.astype(np.float64))[::-1], _GUESS_TOL)
+def _linear_guess(values: np.ndarray) -> list[tuple[IntPolynomial, int]]:
+    """(t - v, m) per group of m descending eigvalsh values near the integer v."""
+    groups = _group_values(values, _GUESS_TOL)
     return [
         (IntPolynomial((-round(value), 1)), mult)
         for value, mult in groups
@@ -317,10 +316,15 @@ def charpoly_exact(M) -> IntPolynomial:
     det(tI - M) itself, as they hold for the eigenvalues of any square
     matrix.  A direct computation needs no certificate.
     """
-    A = _int_matrix(M)
+    return _charpoly(_int_matrix(M))
+
+
+def _charpoly(A: np.ndarray, values=None) -> IntPolynomial:
+    """charpoly_exact of the int matrix A, given its descending eigvalsh values if known."""
     check_exact_size(A.shape[0])
-    linear = _linear_guess(A) if np.array_equal(A, A.T) else []
-    if linear:
+    symmetric = np.array_equal(A, A.T)
+    values = np.linalg.eigvalsh(A.astype(np.float64))[::-1] if symmetric and values is None else values
+    if symmetric and (linear := _linear_guess(values)):
         rest = _power_sum_quotient(A, linear)
         factors = linear + [(rest, 1)] if rest.degree else linear
         if certify_charpoly(A, factors):
@@ -407,7 +411,7 @@ def numeric_spectrum(
     with_charpoly: bool = True,
 ) -> SpectrumReport:
     """LAPACK eigenvalues (eigvalsh) grouped into multiplicities, with the
-    exact charpoly and a relative evaluation residual when requested.
+    exact charpoly (its guess reuses them) and a residual when requested.
 
     The options are keyword-only: a positional call written for the old
     (M, tol, group_tol, with_charpoly) signature raises TypeError instead
@@ -420,7 +424,7 @@ def numeric_spectrum(
     numeric = _group_values(values, group_tol)
     if not with_charpoly:
         return SpectrumReport(None, numeric, 0.0)
-    poly = charpoly_exact(M)
+    poly = _charpoly(_int_matrix(M), values)
     points = [v for v, _ in numeric]
     if poly.coeffs[0] == 0:
         # the groups of the exact root 0: their float means, about 1e-15,
@@ -499,8 +503,8 @@ def quotient_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]
 def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]:
     """Closed-form spectrum of the MOSLS cell graph on f squares of type
     (q, r), as linear factors with multiplicities, valid when the Latin
-    adjacency commutes with the block adjacency (true for
-    block-permutational families)."""
+    adjacency commutes with the block adjacency, which block-permutational
+    squares ensure (proof and converse at designs.is_block_permutational)."""
     if f < 1:
         raise ValueError("need at least one square")
     e = (q - 1) * (r - 1)

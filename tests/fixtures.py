@@ -146,6 +146,39 @@ TEN = LatinSquare(
     SudokuShape(2, 5),
 )
 
+# orthogonal Sudoku pair of order 8, type (2,4), neither square
+# block-permutational, found as exact covers of Sudoku transversals; the
+# count N(t, x) of blocks in which the cell holding t in the first square
+# and the cell holding x in the second are B-adjacent (same block, other
+# row and column) takes the values 1 and 5, not the constant 3
+ORTHO8_A = LatinSquare(
+    [
+        [7, 1, 5, 4, 3, 6, 8, 2],
+        [2, 8, 3, 6, 5, 4, 1, 7],
+        [8, 7, 6, 3, 4, 5, 2, 1],
+        [1, 2, 4, 5, 6, 3, 7, 8],
+        [6, 5, 8, 7, 2, 1, 4, 3],
+        [4, 3, 1, 2, 7, 8, 6, 5],
+        [3, 4, 7, 1, 8, 2, 5, 6],
+        [5, 6, 2, 8, 1, 7, 3, 4],
+    ],
+    SudokuShape(2, 4),
+)
+ORTHO8_B = LatinSquare(
+    [
+        [4, 5, 1, 3, 6, 2, 7, 8],
+        [7, 2, 8, 6, 4, 5, 1, 3],
+        [1, 6, 7, 5, 8, 3, 4, 2],
+        [8, 3, 4, 2, 1, 7, 5, 6],
+        [5, 7, 3, 8, 2, 4, 6, 1],
+        [2, 4, 6, 1, 7, 8, 3, 5],
+        [3, 1, 2, 7, 5, 6, 8, 4],
+        [6, 8, 5, 4, 3, 1, 2, 7],
+    ],
+    SudokuShape(2, 4),
+)
+ORTHO8_FAMILY = MoslsFamily(SudokuShape(2, 4), (ORTHO8_A, ORTHO8_B))
+
 # closed-form eigenvalue multisets of the MOSLS cell graphs
 SPECTRUM_FOUR_F2 = {13: 1, 1: 4, -1: 8, -3: 3}
 SPECTRUM_SIX_F1 = {17: 1, 5: 3, 4: 2, 2: 6, 1: 4, -1: 2, -2: 10, -4: 6, -5: 2}

@@ -4,6 +4,7 @@ import pytest
 
 from mosls.cli import main
 from mosls import composite_mosls, designs, graph, spectra
+from mosls.graph import commute_check
 from mosls.switching import SwitchSpec, sudoku_symbol_switch
 from fixtures import (
     FOUR_FAMILY,
@@ -275,6 +276,50 @@ def test_spectrum_subset_checks_the_selected_squares(tmp_path, capsys):
     )
     assert code == 0
     assert "closed form: INAPPLICABLE (adjacency layers do not commute)" in stdout
+
+
+@pytest.fixture
+def mixed8_file(tmp_path):
+    """Squares 1 and 2 of the order-8 field family, square 2 given a valid
+    switch that keeps the pair orthogonal, so only it is not
+    block-permutational."""
+    first, second = composite_mosls([(2, 1, 2)]).squares[:2]
+    switched = sudoku_symbol_switch(second, SwitchSpec("col-block", 1, (1, 3)))
+    assert designs.is_block_permutational(first) and not designs.is_block_permutational(switched)
+    path = tmp_path / "mixed8.txt"
+    designs.save_family(designs.MoslsFamily(first.shape, (first, switched)), path)
+    return str(path)
+
+
+def test_spectrum_closed_form_reads_the_selected_squares(mixed8_file, capsys):
+    code, stdout, _ = run(capsys, "check", "--in", mixed8_file)
+    assert code == 0 and stdout.endswith("verdict: PASS\n")
+    code, stdout, _ = run(capsys, "spectrum", "--in", mixed8_file, "--subset", "1", "--verify-closed-form")
+    assert code == 0 and stdout.endswith("closed form: MATCH\n")
+    for subset in ("1,2", "2"):
+        code, stdout, _ = run(capsys, "spectrum", "--in", mixed8_file, "--subset", subset, "--verify-closed-form")
+        assert code == 0
+        assert stdout.endswith("closed form: INAPPLICABLE (adjacency layers do not commute)\n")
+
+
+def test_spectrum_asks_the_graph_past_three_squares_that_are_not_permutational(
+    tmp_path, capsys, monkeypatch
+):
+    # the claim at designs.is_block_permutational is proved while at most
+    # three selected squares are not block-permutational; past that the
+    # graph decides.  With the predicate made to refuse every square, the
+    # four squares of the order-8 field family, whose layers commute, ask
+    # the graph and match, and three of them read INAPPLICABLE unasked
+    path = tmp_path / "f8.txt"
+    designs.save_family(composite_mosls([(2, 1, 2)]), path)
+    calls = []
+    monkeypatch.setattr(designs, "is_block_permutational", lambda square: False)
+    monkeypatch.setattr(graph, "commute_check", lambda g: calls.append(g) or commute_check(g))
+    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
+    assert code == 0 and stdout.endswith("closed form: MATCH\n") and len(calls) == 1
+    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--subset", "1,2,3", "--verify-closed-form")
+    assert code == 0 and len(calls) == 1
+    assert stdout.endswith("closed form: INAPPLICABLE (adjacency layers do not commute)\n")
 
 
 def test_spectrum_rejects_invalid_family(tmp_path, capsys):
@@ -607,7 +652,7 @@ def test_commands_build_each_graph_once(nine_file, capsys, monkeypatch):
     monkeypatch.setattr(graph, "build_mols_graph", counted)
     code, stdout, _ = run(capsys, "spectrum", "--in", nine_file, "--verify-closed-form")
     assert code == 0 and stdout.endswith("closed form: MATCH\n")
-    # the commute check reads the graph the command already holds
+    # the closed-form verdict reads the squares, not a second graph
     assert len(calls) == 1
     calls.clear()
     code, _, err = run(

@@ -17,7 +17,7 @@ from mosls import (
     srg_check,
 )
 from mosls.cli import _TABLE_ROWS
-from mosls.designs import is_sudoku, transpose
+from mosls.designs import are_orthogonal, is_block_permutational, is_sudoku, transpose
 from mosls.graph import (
     _CHUNK,
     MAX_VERTICES,
@@ -33,6 +33,7 @@ from fixtures import (
     FOUR_PRINTED_ADJACENCY,
     NINE,
     NINE_SWITCHED,
+    ORTHO8_FAMILY,
     REMARK4,
     SIX,
     cyclic_square,
@@ -235,6 +236,32 @@ def test_commute_check():
     assert commute_check(single(SIX))
     assert commute_check(single(NINE))
     assert not commute_check(single(NINE_SWITCHED))
+
+
+def test_layer_cross_terms_need_not_vanish():
+    """[L, B] is the sum of the commutators [S_k, B] of the same-symbol
+    relations S_k, and for two orthogonal squares neither of which is
+    block-permutational their Frobenius product -2 sum (N - b)**2 need not
+    be 0: on ORTHO8 N, the B-adjacent blocks between the cells of symbol t
+    in square 1 and of x in square 2, takes 1 and 5 around b = 3.  So the
+    squared norm of [L, B] is no sum of the squares' own terms, and the
+    proof at designs.is_block_permutational goes through N = b instead;
+    the layers of ORTHO8 do not commute, as it proves."""
+    a, b = ORTHO8_FAMILY.squares
+    assert is_sudoku(a) and is_sudoku(b) and are_orthogonal(a, b)
+    assert not is_block_permutational(a) and not is_block_permutational(b)
+    blocks = block_adjacency(ORTHO8_FAMILY.shape).astype(np.int64)
+    same = [np.equal.outer(sq.entries.ravel(), sq.entries.ravel()).astype(np.int64) for sq in (a, b)]
+    commutators = [s @ blocks - blocks @ s for s in same]
+    latin = build_mols_graph(ORTHO8_FAMILY).adjacency.astype(np.int64)
+    assert np.array_equal(latin @ blocks - blocks @ latin, sum(commutators))
+    onehot = [np.eye(8, dtype=np.int64)[sq.entries.ravel() - 1] for sq in (a, b)]
+    counts = onehot[0].T @ blocks @ onehot[1]
+    assert set(np.unique(counts).tolist()) == {1, 5} and counts.sum() == 3 * 64
+    cross = int((commutators[0] * commutators[1]).sum())
+    assert cross == -2 * int(((counts - 3) ** 2).sum()) == -512
+    assert not commute_check(build_mols_graph(ORTHO8_FAMILY))
+    assert not commute_check(build_mosls_graph(ORTHO8_FAMILY))
 
 
 def _times_blocks(A, shape):

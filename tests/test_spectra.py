@@ -340,9 +340,15 @@ def test_certified_guess_matches_hessenberg(adjacency, no_general_path):
     assert charpoly_exact(adjacency) == reference_charpoly(adjacency)
 
 
+def _guess(A):
+    """_linear_guess of the descending eigvalsh values of A, which
+    charpoly_exact computes, or numeric_spectrum hands it."""
+    return _linear_guess(np.linalg.eigvalsh(np.asarray(A, dtype=np.float64))[::-1])
+
+
 def _nine_switched():
     adjacency = build_mosls_graph(single(NINE_SWITCHED)).adjacency
-    factors = _linear_guess(adjacency)
+    factors = _guess(adjacency)
     linear = sorted(-f.coeffs[0] for f, _ in factors)
     factors.append((_power_sum_quotient(adjacency, factors), 1))
     return adjacency, dict(factors), linear
@@ -527,7 +533,7 @@ def test_guess_runs_at_any_entry_size(a, monkeypatch):
     # guess needs no size gate
     calls = []
     guess = spectra._linear_guess
-    monkeypatch.setattr(spectra, "_linear_guess", lambda A: calls.append(A) or guess(A))
+    monkeypatch.setattr(spectra, "_linear_guess", lambda values: calls.append(values) or guess(values))
     assert charpoly_exact([[0, a], [a, 0]]).coeffs == (-(a * a), 0, 1)
     assert len(calls) == 1
 
@@ -538,7 +544,7 @@ def test_unroundable_guess_falls_back_to_the_reference():
     rng = np.random.default_rng(3)
     m = rng.integers(-(10**6), 10**6 + 1, size=(12, 12))
     m = m + m.T
-    assert _linear_guess(m) == []
+    assert _guess(m) == []
     assert charpoly_exact(m).coeffs == _reference_charpoly(m)
 
 
@@ -548,7 +554,7 @@ def test_sudoku_graph_of_order_10_is_certified(no_general_path):
     # power sums give their factor of degree 23 exactly
     assert is_sudoku(TEN) and not is_block_permutational(TEN)
     A = build_mosls_graph(single(TEN)).adjacency
-    linear = _linear_guess(A)
+    linear = _guess(A)
     rest = _power_sum_quotient(A, linear)
     assert rest.degree == 23 and max(abs(c) for c in rest.coeffs) >= 2**53
     P = charpoly_exact(A)
@@ -568,7 +574,7 @@ def _counted_calls(monkeypatch, name):
 
 def test_rejected_guess_falls_back(monkeypatch):
     path3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    monkeypatch.setattr(spectra, "_linear_guess", lambda A: [(IntPolynomial((0, 1)), 3)])
+    monkeypatch.setattr(spectra, "_linear_guess", lambda values: [(IntPolynomial((0, 1)), 3)])
     assert charpoly_exact(path3).coeffs == (0, -2, 0, 1)
 
 
@@ -579,7 +585,7 @@ def test_wrong_linear_guess_is_certified_out(guess, monkeypatch):
     # candidate, and the general path (all 3 traces) gives the charpoly
     path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     linear = [(IntPolynomial((-v, 1)), m) for v, m in guess]
-    monkeypatch.setattr(spectra, "_linear_guess", lambda A: linear)
+    monkeypatch.setattr(spectra, "_linear_guess", lambda values: linear)
     certified = _counted_calls(monkeypatch, "certify_charpoly")
     traced = _counted_calls(monkeypatch, "_exact_traces")
     assert charpoly_exact(path3).coeffs == (0, -2, 0, 1)
@@ -680,6 +686,21 @@ def test_jacobi_matches_numpy():
         got = jacobi_eigenvalues(m)
         ref = np.sort(np.linalg.eigvalsh(m.astype(np.float64)))[::-1]
         assert np.allclose(got, ref, atol=1e-9)
+
+
+def test_numeric_spectrum_solves_once(monkeypatch):
+    # the charpoly's linear guess takes numeric_spectrum's eigenvalues;
+    # charpoly_exact alone runs its own eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    adjacency = build_mosls_graph(FOUR_FAMILY).adjacency
+    report = numeric_spectrum(adjacency)
+    assert len(calls) == 1
+    assert report.charpoly == charpoly_exact(adjacency) == poly_product(
+        (IntPolynomial((-v, 1)), m) for v, m in SPECTRUM_FOUR_F2.items()
+    )
+    assert len(calls) == 2
 
 
 def test_numeric_spectrum_grouping_and_residual():

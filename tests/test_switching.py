@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ import pytest
 from mosls import (
     Certificate,
     LatinSquare,
+    MoslsFamily,
     RowCycle,
     SudokuShape,
     SwitchError,
     SwitchSpec,
     SwitchValidityError,
     TheoremPreconditionError,
+    are_orthogonal,
+    build_mols_graph,
     build_mosls_graph,
     charpoly_exact,
     commute_check,
@@ -33,8 +38,10 @@ from mosls.cli import _TABLE_ROWS
 from mosls.spectra import IntPolynomial, poly_product
 from spectra_reference import poly_divexact, poly_divmod
 from fixtures import (
+    FOUR_FAMILY,
     NINE,
     NINE_SWITCHED,
+    ORTHO8_FAMILY,
     REMARK4,
     SIX,
     SIX_SWITCHED,
@@ -345,25 +352,31 @@ def test_certificate_shape_mismatch():
 # switch sweep
 
 
+def _switches_of(square):
+    """Every valid symbol switch of the square, as (spec, switched square)."""
+    q, r = square.shape.q, square.shape.r
+    found = []
+    for kind, bands in (("row-block", r), ("col-block", q)):
+        for index in range(1, bands + 1):
+            for k1, k2 in itertools.combinations(range(1, square.order + 1), 2):
+                spec = SwitchSpec(kind, index, (k1, k2))
+                try:
+                    found.append((spec, sudoku_symbol_switch(square, spec)))
+                except SwitchValidityError:
+                    continue
+    return found
+
+
 def _valid_switches():
     """Every valid symbol switch of every square of the constructible table
     rows of order <= 12 with q, r >= 2, as (square, spec)."""
-    found = []
-    for order, q, r, factors, _ in _TABLE_ROWS:
-        if not factors or order > 12 or min(q, r) < 2:
-            continue
-        for square in composite_mosls(factors).squares:
-            for kind, bands in (("row-block", r), ("col-block", q)):
-                for index in range(1, bands + 1):
-                    for k1 in range(1, order):
-                        for k2 in range(k1 + 1, order + 1):
-                            spec = SwitchSpec(kind, index, (k1, k2))
-                            try:
-                                sudoku_symbol_switch(square, spec)
-                            except SwitchValidityError:
-                                continue
-                            found.append((square, spec))
-    return found
+    return [
+        (square, spec)
+        for order, q, r, factors, _ in _TABLE_ROWS
+        if factors and order <= 12 and min(q, r) >= 2
+        for square in composite_mosls(factors).squares
+        for spec, _ in _switches_of(square)
+    ]
 
 
 def _sampled_switches(full: bool):
@@ -399,6 +412,53 @@ def test_switch_sweep(request, no_general_path):
         switched = poly_and_commute(sudoku_symbol_switch(square, spec))
         assert switched_charpoly_expected(base[key], eff_q, eff_r).coeffs == switched.coeffs
         assert base[key].coeffs != switched.coeffs
+
+
+# bases of the switched families: orders 8 and 9, and the order-12 types
+# (2, 6), (3, 4) and (4, 3) of the golden switch inputs
+SWITCHED_FAMILY_BASES = [
+    [(2, 1, 2)], [(2, 2, 1)], [(3, 1, 1)],
+    [(2, 1, 1), (3, 0, 1)], [(3, 1, 0), (2, 0, 2)], [(2, 2, 0), (3, 0, 1)],
+]
+
+
+def _switched_families(per_base: int, rng):
+    """per_base orthogonal pairs of squares of each base family, each square
+    kept (1 in 3) or given one valid symbol switch, at least one switched."""
+    for factors in SWITCHED_FAMILY_BASES:
+        fam = composite_mosls(factors)
+        switched = [[square for _, square in _switches_of(sq)] for sq in fam.squares]
+        kept = 0
+        while kept < per_base:
+            pair = sorted(rng.choice(len(fam), size=2, replace=False))
+            unswitched = rng.random(2) < 1 / 3
+            if unswitched.all():
+                continue
+            a, b = (fam.squares[k] if same else switched[k][rng.integers(len(switched[k]))]
+                    for k, same in zip(pair, unswitched))
+            if are_orthogonal(a, b):
+                kept += 1
+                yield MoslsFamily(fam.shape, (a, b))
+
+
+def test_commute_check_agrees_with_block_permutational(request):
+    """The Latin and block layers commute exactly when every square is
+    block-permutational, the claim proved at
+    designs.is_block_permutational for at most three squares that are not:
+    on every table family of order <= 12, the fixture families and squares,
+    and seeded orthogonal pairs of switched squares, 30 per base family
+    (300 with --full-sweep), among them pairs of two squares that are not."""
+    per_base = 300 if request.config.getoption("--full-sweep") else 30
+    families = [composite_mosls(factors) for *_, factors in TABLE_ROWS]
+    families += [FOUR_FAMILY, ORTHO8_FAMILY]
+    families += [single(sq) for sq in (SIX, SIX_SWITCHED, NINE, NINE_SWITCHED, TEN, SWITCH4_A, SWITCH4_B)]
+    families += _switched_families(per_base, np.random.default_rng(2021))
+    failing = Counter()
+    for fam in families:
+        permutational = [is_block_permutational(sq) for sq in fam.squares]
+        assert commute_check(build_mols_graph(fam)) == all(permutational)
+        failing[permutational.count(False)] += 1
+    assert failing[0] >= 16 and failing[1] >= per_base and failing[2] >= per_base
 
 
 def _random_sudoku_squares(order: int, count: int, rng) -> list:
