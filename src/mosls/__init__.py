@@ -43,6 +43,7 @@ _EXPORTS = {
         "format_family",
         "save_family",
         "transpose",
+        "write_family",
     ),
     "gf": ("FieldError",),
     "graph": (

@@ -35,14 +35,6 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
 from . import construct, designs  # noqa: E402  (loads numpy)
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _print_json(obj, file=None) -> None:
     import json
 
@@ -138,7 +130,8 @@ def cmd_construct(args) -> int:
             raise ValueError(f"--count {args.count} outside 1..{len(fam)}")
         fam = designs.MoslsFamily(fam.shape, fam.squares[: args.count])
     report = _family_checks(fam)
-    _emit(designs.format_family(fam), args.out)
+    write = designs.save_family if args.out else designs.write_family
+    write(fam, args.out or sys.stdout)
     dest = sys.stdout if args.out else sys.stderr
     print(
         f"constructed {report['count']} squares of order {report['order']} "
@@ -284,7 +277,8 @@ def cmd_switch(args) -> int:
     switched = switching.sudoku_symbol_switch(square, spec)
     # certify before writing, so a square above the exact cap writes nothing
     cert = switching.nonisomorphism_certificate(square, switched)
-    _emit(designs.format_family(designs.MoslsFamily(fam.shape, (switched,))), args.out)
+    write = designs.save_family if args.out else designs.write_family
+    write(designs.MoslsFamily(fam.shape, (switched,)), args.out or sys.stdout)
     q, r = fam.shape.q, fam.shape.r
     # a column-band switch is a row-band switch of the transpose
     eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)

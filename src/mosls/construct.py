@@ -92,9 +92,11 @@ def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
     shape = SudokuShape(q1 * q2, r1 * r2)
     rows1, rows2 = _line_pairs(r1, q1, r2, q2)
     cols1, cols2 = _line_pairs(q1, r1, q2, r2)
+    # intp: the pairing reaches n1 * n2, beyond the factors' uint8 at 256
     squares = [
         LatinSquare(
-            1 + (sq1.entries[np.ix_(rows1, cols1)] - 1) * n2 + (sq2.entries[np.ix_(rows2, cols2)] - 1),
+            1 + (sq1.entries[np.ix_(rows1, cols1)].astype(np.intp) - 1) * n2
+            + (sq2.entries[np.ix_(rows2, cols2)] - 1),
             shape,
         )
         for sq1, sq2 in zip(f1.squares, f2.squares)

@@ -6,7 +6,7 @@ q consecutive rows) and block-columns 1..q (each spans r consecutive
 columns).  Validation is explicit rather than enforced at construction, so
 invalid squares can be loaded from files and diagnosed.
 
-The module also defines the plain-text family format used by the CLI:
+The module also streams the CLI's plain-text family format, a square at a time:
 
     mosls v1
     order <n> type <q> <r> count <f>
@@ -16,6 +16,8 @@ The module also defines the plain-text family format used by the CLI:
 
 from __future__ import annotations
 
+import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +51,18 @@ class SudokuShape:
 class LatinSquare:
     """An n-by-n array over symbols 1..n with a shape annotation.
 
-    The entries are stored read-only; operations return new squares.
+    The entries are stored read-only, as uint8 if all are in 0..255, else
+    uint16 if in 0..65535, else int64 (a negative entry stays diagnosable);
+    symbol arithmetic casts to intp first.  Operations return new squares.
     """
 
     __slots__ = ("shape", "entries")
 
     def __init__(self, entries, shape: SudokuShape):
-        # np.array copies: the square owns its entries, int64 for the
-        # symbol arithmetic of the checks
-        arr = _int_matrix(np.array(entries)).astype(np.int64, copy=False)
+        arr = _int_matrix(entries)
+        low, high = int(arr.min(initial=0)), int(arr.max(initial=0))
+        dtype = np.int64 if low < 0 or high > 0xFFFF else np.uint8 if high <= 0xFF else np.uint16
+        arr = arr.astype(dtype)  # a copy: the square owns its entries
         if arr.shape[0] != shape.order:
             raise ValueError(
                 f"entry array is {arr.shape[0]}x{arr.shape[0]} but shape "
@@ -190,7 +195,8 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
         raise ValueError(f"order mismatch: {n} vs {b.order}")
     if min(a.entries.min(), b.entries.min()) < 1 or max(a.entries.max(), b.entries.max()) > n:
         return False
-    codes = (a.entries - 1) * n + (b.entries - 1)
+    # intp: the codes reach n**2 - 1, beyond the entries' uint8 at n = 17
+    codes = (a.entries.astype(np.intp) - 1) * n + (b.entries - 1)
     return bool((np.bincount(codes.ravel(), minlength=n * n) == 1).all())
 
 
@@ -277,38 +283,42 @@ def transpose(L: LatinSquare) -> LatinSquare:
 # text format
 
 
-def format_family(fam: MoslsFamily) -> str:
-    shape = fam.shape
-    lines = [
-        "mosls v1",
-        f"order {shape.order} type {shape.q} {shape.r} count {len(fam)}",
-    ]
+def write_family(fam: MoslsFamily, out) -> None:
+    """Write the family to the text stream out, one square at a time."""
+    q, r = fam.shape.q, fam.shape.r
+    out.write(f"mosls v1\norder {q * r} type {q} {r} count {len(fam)}\n")
     for k, sq in enumerate(fam.squares):
         if k:
-            lines.append("")
-        lines.extend(" ".join(map(str, row)) for row in sq.entries.tolist())
-    return "\n".join(lines) + "\n"
+            out.write("\n")
+        for row in sq.entries.tolist():
+            out.write(" ".join(map(str, row)) + "\n")
+
+
+def format_family(fam: MoslsFamily) -> str:
+    buf = io.StringIO()
+    write_family(fam, buf)
+    return buf.getvalue()
 
 
 def parse_family(text: str) -> MoslsFamily:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    return _read_family(io.StringIO(text))
+
+
+def _read_family(stream) -> MoslsFamily:
+    """Parse a text stream line by line, holding at most 1024 tokens or one
+    row; io.StringIO ends lines at "\n" only, a text-mode file also at "\r"."""
+    numbered = enumerate(itertools.chain(stream, itertools.repeat(None)), start=1)
 
     def fail(ln: int, msg: str):
         raise FormatError(f"line {ln}: {msg}")
 
-    if not lines or lines[0].strip() != "mosls v1":
+    (_, header), (_, sizes) = next(numbered), next(numbered)
+    if header is None or header.strip() != "mosls v1":
         fail(1, "expected header 'mosls v1'")
-    if len(lines) < 2:
+    if sizes is None:
         fail(2, "missing size header")
-    tokens = lines[1].split()
-    if (
-        len(tokens) != 7
-        or tokens[0] != "order"
-        or tokens[2] != "type"
-        or tokens[5] != "count"
-    ):
+    tokens = sizes.split()
+    if len(tokens) != 7 or (tokens[0], tokens[2], tokens[5]) != ("order", "type", "count"):
         fail(2, "expected 'order <n> type <q> <r> count <f>'")
     try:
         n, q, r, f = int(tokens[1]), int(tokens[3]), int(tokens[4]), int(tokens[6])
@@ -319,45 +329,37 @@ def parse_family(text: str) -> MoslsFamily:
     if f < 1:
         fail(2, f"count must be positive, got {f}")
 
-    # one array conversion per square keeps a single square's tokens alive;
-    # a layout problem is raised after the rows above it check out
+    # rows are converted 1024 tokens at a time, near a whole square's speed,
+    # and before a layout problem is raised: the first failing line is named
     shape = SudokuShape(q, r)
     squares = []
-    ln = 2  # 1-based index of the last consumed line
     for k in range(f):
         if k:
-            ln += 1
-            if ln > len(lines) or lines[ln - 1].strip() != "":
+            ln, line = next(numbered)
+            if line is None or line.strip() != "":
                 fail(ln, f"expected blank line before square {k + 1}")
-        rows = []
-        problem = None
+        chunks, rows = [], []
         for i in range(n):
-            ln += 1
-            if ln > len(lines):
-                problem = (ln, f"unexpected end of file inside square {k + 1}")
-                break
-            parts = lines[ln - 1].split()
+            ln, line = next(numbered)
+            parts = [] if line is None else line.split()
             if len(parts) != n:
-                problem = (ln, f"expected {n} integers, got {len(parts)}")
-                break
+                _entry_values(rows, n, first_line=ln - len(rows))
+                problem = f"expected {n} integers, got {len(parts)}"
+                fail(ln, problem if line is not None else f"unexpected end of file inside square {k + 1}")
             rows.append(parts)
-        values = _entry_values(rows, n, first_line=3 + k * (n + 1))
-        if problem:
-            fail(*problem)
-        squares.append(LatinSquare(values, shape))
-    if ln != len(lines):
+            if len(rows) * n >= 1024 or i == n - 1:
+                chunks.append(_entry_values(rows, n, first_line=ln + 1 - len(rows)))
+                rows = []
+        squares.append(LatinSquare(np.concatenate(chunks), shape))
+    if next(numbered)[1] is not None:
         fail(ln + 1, "trailing content after last square")
     return MoslsFamily(shape, tuple(squares))
 
 
 def _entry_values(rows: list[list[str]], n: int, first_line: int) -> np.ndarray:
     """Rows of tokens, the first on line first_line, as one int64 array,
-    converted as int() does.
-
-    On a non-integer or a symbol outside 1..n, the first such row raises
-    FormatError, naming the non-integer before any symbol and else its
-    first bad symbol.
-    """
+    converted as int() does.  FormatError names the first row with a
+    non-integer or a symbol outside 1..n, and the non-integer first."""
     try:
         values = np.array(rows, dtype=np.int64)
         if not ((values < 1) | (values > n)).any():
@@ -377,9 +379,9 @@ def _entry_values(rows: list[list[str]], n: int, first_line: int) -> np.ndarray:
 
 def save_family(fam: MoslsFamily, path) -> None:
     with open(path, "w") as fh:
-        fh.write(format_family(fam))
+        write_family(fam, fh)
 
 
 def load_family(path) -> MoslsFamily:
     with open(path) as fh:
-        return parse_family(fh.read())
+        return _read_family(fh)

@@ -146,6 +146,7 @@ def _classes(labels):
     compiled code into memory, which left a spectrum command's peak
     resident set 0.5 MiB higher (numpy 2.4.6)."""
     for sign, label in labels:
+        label = label.astype(np.intp, copy=False)  # uint8 maps 64 KiB more numpy code
         cells = np.argsort(label, kind="stable")
         ids = np.empty_like(cells)
         ids[cells] = np.cumsum(np.append(True, label[cells[1:]] != label[cells[:-1]])) - 1

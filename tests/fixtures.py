@@ -221,6 +221,14 @@ def peak_traced(fn):
     return result, peak
 
 
+class Discard:
+    """A text stream that drops what it is given, so that a writer's
+    traced peak counts the writer's own objects and not its output."""
+
+    def write(self, text):
+        return len(text)
+
+
 def roots_poly(roots) -> IntPolynomial:
     """prod (t - x) over the integer roots."""
     return poly_product((IntPolynomial((-x, 1)), 1) for x in roots)

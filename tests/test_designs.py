@@ -16,13 +16,17 @@ from mosls import (
     is_block_permutational,
     is_latin,
     is_sudoku,
+    load_family,
     parse_family,
+    product,
+    save_family,
     sudoku_symbol_switch,
     transpose,
+    write_family,
 )
 from mosls.cli import _TABLE_ROWS
 from designs_reference import Block, block, block_map_factorization
-from fixtures import FOUR_A, FOUR_B, FOUR_FAMILY, NINE, REMARK4, cyclic_square
+from fixtures import FOUR_A, FOUR_B, FOUR_FAMILY, NINE, REMARK4, Discard, cyclic_square, peak_traced, single
 
 
 def test_shape_validation():
@@ -55,6 +59,38 @@ def test_square_immutable():
     sq = LatinSquare(arr, SudokuShape(1, 2))
     arr[0, 0] = 2
     assert sq.entries[0, 0] == 1 and not sq.entries.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "high,dtype", [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.int64), (-1, np.int64)]
+)
+def test_square_holds_the_narrowest_dtype(high, dtype):
+    sq = LatinSquare([[1, high], [high, 1]], SudokuShape(1, 2))
+    assert sq.entries.dtype == dtype and sq.entries.tolist() == [[1, high], [high, 1]]
+    # a square that is not Latin stays diagnosable
+    with pytest.raises(ValueError, match=f"^symbol {high} at row 1, column 2 outside 1..2$"):
+        is_latin(sq)
+    assert not are_orthogonal(sq, cyclic_square(2))
+
+
+@pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint16)])
+def test_parsed_square_holds_the_narrowest_dtype(n, dtype):
+    fam = parse_family(format_family(single(cyclic_square(n))))
+    assert fam.squares[0].entries.dtype == dtype and fam.squares[0] == cyclic_square(n)
+
+
+def test_symbol_arithmetic_runs_in_intp():
+    # pair codes reach n**2 - 1, beyond uint8 from order 17 on
+    a, b = composite_mosls([(17, 0, 1)], order_cap=17).squares[:2]
+    assert a.entries.dtype == b.entries.dtype == np.uint8 and are_orthogonal(a, b)
+    # the product of uint8 squares of orders 16 and 17 has symbols up to 272
+    got = product(single(cyclic_square(16)), single(cyclic_square(17))).squares[0]
+    # its line 17*i + j pairs line i of the order-16 square and line j of the other
+    i, j = np.divmod(np.arange(272), 17)
+    first = (i[:, None] + i[None, :]) % 16 + 1
+    second = (j[:, None] + j[None, :]) % 17 + 1
+    assert got.entries.dtype == np.uint16
+    assert np.array_equal(got.entries, 1 + (first - 1) * 17 + (second - 1)) and is_latin(got)
 
 
 def test_is_latin():
@@ -235,38 +271,49 @@ def test_format_roundtrip():
     assert parse_family(text) == FOUR_FAMILY
 
 
-def test_parse_rejects_bad_header():
-    with pytest.raises(FormatError, match="line 1"):
-        parse_family("nope\norder 2 type 1 2 count 1\n1 2\n2 1\n")
+def _parsed(text: str, tmp_path):
+    """parse_family(text), or the text of the FormatError it raises;
+    load_family must give the same on a file holding the text."""
+    path = tmp_path / "family.txt"
+    path.write_bytes(text.encode())
+    outcomes = []
+    for parse, source in ((parse_family, text), (load_family, path)):
+        try:
+            outcomes.append(parse(source))
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
-def test_parse_rejects_type_order_mismatch():
-    with pytest.raises(FormatError, match="line 2"):
-        parse_family("mosls v1\norder 4 type 2 3 count 1\n")
+def test_parse_rejects_bad_header(tmp_path):
+    text = "nope\norder 2 type 1 2 count 1\n1 2\n2 1\n"
+    assert _parsed(text, tmp_path) == "line 1: expected header 'mosls v1'"
 
 
-def test_parse_rejects_wrong_row_length():
+def test_parse_rejects_type_order_mismatch(tmp_path):
+    text = "mosls v1\norder 4 type 2 3 count 1\n"
+    assert _parsed(text, tmp_path) == "line 2: type (2, 3) does not match order 4"
+
+
+def test_parse_rejects_wrong_row_length(tmp_path):
     text = "mosls v1\norder 2 type 1 2 count 1\n1 2\n2\n"
-    with pytest.raises(FormatError, match="line 4"):
-        parse_family(text)
+    assert _parsed(text, tmp_path) == "line 4: expected 2 integers, got 1"
 
 
-def test_parse_rejects_out_of_range_symbol():
+def test_parse_rejects_out_of_range_symbol(tmp_path):
     text = "mosls v1\norder 2 type 1 2 count 1\n1 3\n2 1\n"
-    with pytest.raises(FormatError, match="line 3"):
-        parse_family(text)
+    assert _parsed(text, tmp_path) == "line 3: symbol 3 outside 1..2"
 
 
-def test_parse_rejects_trailing_garbage():
+def test_parse_rejects_trailing_garbage(tmp_path):
     text = "mosls v1\norder 2 type 1 2 count 1\n1 2\n2 1\nextra\n"
-    with pytest.raises(FormatError, match="trailing"):
-        parse_family(text)
+    assert _parsed(text, tmp_path) == "line 5: trailing content after last square"
 
 
-def test_parse_rejects_missing_square():
+def test_parse_rejects_missing_square(tmp_path):
     text = "mosls v1\norder 2 type 1 2 count 2\n1 2\n2 1\n"
-    with pytest.raises(FormatError):
-        parse_family(text)
+    assert _parsed(text, tmp_path) == "line 5: expected blank line before square 2"
 
 
 # (square rows of an order-2, two-square file, the first error) when the
@@ -289,17 +336,62 @@ ENTRY_ERRORS = [
 
 
 @pytest.mark.parametrize("rows,message", ENTRY_ERRORS)
-def test_parse_names_the_first_failing_line(rows, message):
+def test_parse_names_the_first_failing_line(rows, message, tmp_path):
     text = "\n".join(["mosls v1", "order 2 type 1 2 count 2", *rows]) + "\n"
-    with pytest.raises(FormatError) as info:
-        parse_family(text)
-    assert str(info.value) == message
+    assert _parsed(text, tmp_path) == message
 
 
-def test_parse_converts_tokens_as_int_does():
+TWO = "mosls v1\norder 2 type 1 2 count 2\n1 2\n2 1\n\n2 1\n1 2\n"
+
+# (name, a layout of the two-square family TWO, the error or None where it
+# parses to TWO's family)
+LAYOUTS = [
+    ("crlf", TWO.replace("\n", "\r\n"), None),
+    ("no-final-newline", TWO[:-1], None),
+    ("one-trailing-blank-line", TWO + "\n", "line 8: trailing content after last square"),
+    ("two-trailing-blank-lines", TWO + "\n\n", "line 8: trailing content after last square"),
+    ("crlf-trailing-blank-line", TWO.replace("\n", "\r\n") + "\r\n", "line 8: trailing content after last square"),
+    ("trailing-row", TWO + "1 2\n", "line 8: trailing content after last square"),
+    ("trailing-text-without-newline", TWO + "x", "line 8: trailing content after last square"),
+    ("empty", "", "line 1: expected header 'mosls v1'"),
+    ("header-only", "mosls v1\n", "line 2: missing size header"),
+    ("end-inside-square", TWO[: -len("1 2\n")], "line 7: unexpected end of file inside square 2"),
+    # nothing the size of a square is allocated before its rows are read
+    (
+        "huge-order",
+        "mosls v1\norder 4000000000 type 1 4000000000 count 1\n1 2\n",
+        "line 3: expected 4000000000 integers, got 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in LAYOUTS], ids=[case[0] for case in LAYOUTS])
+def test_parse_and_load_agree_on_layout(text, message, tmp_path):
+    assert _parsed(text, tmp_path) == (message or parse_family(TWO))
+
+
+def test_parse_converts_tokens_as_int_does(tmp_path):
     # int() accepts underscores, signs and non-ASCII decimal digits
     text = "mosls v1\norder 2 type 1 2 count 1\n+1 ٢\n0_2 １\n"
-    assert parse_family(text).squares[0].entries.tolist() == [[1, 2], [2, 1]]
+    assert _parsed(text, tmp_path).squares[0].entries.tolist() == [[1, 2], [2, 1]]
+
+
+def test_family_text_streams_one_square_at_a_time(tmp_path):
+    # traced peaks in units of n**2 bytes, one uint8 entry: the writer holds
+    # one square's rows as lists of Python ints (8 bytes an entry) and one
+    # row's text, the reader the f squares it built and about 1024 tokens
+    # (read 9.3 and 31.5; the whole text took 169 and 328, the whole text
+    # of the file as lines alone 118)
+    fam = composite_mosls([(3, 2, 2)], order_cap=81)
+    f, units = len(fam), 81**2
+    assert f == 18 and {sq.entries.dtype for sq in fam} == {np.dtype(np.uint8)}
+    _, write_peak = peak_traced(lambda: write_family(fam, Discard()))
+    assert write_peak <= 16 * units
+    path = tmp_path / "f81.txt"
+    save_family(fam, path)
+    assert path.read_text() == format_family(fam)
+    loaded, load_peak = peak_traced(lambda: load_family(path))
+    assert loaded == fam and load_peak <= (f + 40) * units
 
 
 def test_family_shape_consistency():

@@ -16,6 +16,7 @@ message changed.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from mosls import cli, composite_mosls, format_family, gf, sudoku_symbol_switch
@@ -122,7 +123,8 @@ def _switch_outcomes():
                     for k2 in range(n + 2):
                         spec = SwitchSpec(kind, index, (k1, k2))
                         try:
-                            record = sudoku_symbol_switch(square, spec).entries.tobytes()
+                            # int64 bytes, as the digest was taken when squares held int64
+                            record = sudoku_symbol_switch(square, spec).entries.astype(np.int64).tobytes()
                         except Exception as exc:  # the exception is the outcome
                             record = f"{type(exc).__name__}: {exc}".encode()
                         h.update(repr(spec).encode() + b"\0" + record + b"\0")

@@ -36,6 +36,7 @@ from fixtures import (
     ORTHO8_FAMILY,
     REMARK4,
     SIX,
+    Discard,
     cyclic_square,
     peak_traced,
     single,
@@ -639,14 +640,6 @@ def test_vertex_cap_refuses_before_allocating():
     assert peak < 1 << 20
 
 
-class _Discard:
-    """A text stream that drops what it is given, so that an export's
-    traced peak counts the export's own arrays and not its output."""
-
-    def write(self, text):
-        return len(text)
-
-
 def _dense_peaks_within_pins(fam, subset, srg_params):
     """Build the MOSLS and MOLS graphs of the squares in subset, run
     commute_check (on the graph and on the family of those squares),
@@ -682,7 +675,7 @@ def _dense_peaks_within_pins(fam, subset, srg_params):
     assert params == (n * n, 3 * (n - 1), n, 6)  # f = 1 in the parameters above
     assert one_peak <= 1 * units
     for export in (edge_lines, matrix_lines):
-        _, export_peak = peak_traced(lambda: export(g, _Discard()))
+        _, export_peak = peak_traced(lambda: export(g, Discard()))
         assert export_peak <= 1 * units
     assert written(matrix_lines, g) == matrix_text(g.adjacency)
     return g, quotient
@@ -701,7 +694,7 @@ def test_dense_layer_memory_at_729_vertices():
     # the export's own arrays, which no dense int64 copy (8 bytes per cell
     # pair) may take
     one = build_mosls_graph(field27, [1])
-    _, export_peak = peak_traced(lambda: edge_lines(one, _Discard()))
+    _, export_peak = peak_traced(lambda: edge_lines(one, Discard()))
     assert written(edge_lines, one) == "".join(f"{u} {v}\n" for u, v in edge_list(one.adjacency))
     assert export_peak <= 1 * g.num_vertices ** 2
 

@@ -44,7 +44,7 @@ PUBLIC = {
     "nonisomorphism_certificate", "numeric_spectrum", "parse_family", "poly_product",
     "product", "quotient_matrix", "quotient_spectrum", "row_cycle_decompose",
     "row_cycle_switch", "save_family", "srg_check", "srg_spectrum", "sudoku_symbol_switch",
-    "switched_charpoly_expected", "switched_quartic", "transpose",
+    "switched_charpoly_expected", "switched_quartic", "transpose", "write_family",
 }
 
 
