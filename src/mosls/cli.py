@@ -166,22 +166,9 @@ def cmd_spectrum(args) -> int:
     from . import spectra
 
     g, squares = _build_graph(args)
-    nv = g.num_vertices
-    want_exact = not args.numeric
-    want_numeric = not args.exact
-    if want_exact and nv > spectra.EXACT_SIZE_CAP:
-        if args.exact:
-            raise ValueError(f"{nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}")
-        print(
-            f"warning: {nv} vertices exceed the exact cap {spectra.EXACT_SIZE_CAP}; "
-            "falling back to numeric-only",
-            file=sys.stderr,
-        )
-        want_exact = False
-
-    if want_numeric:
+    if not args.exact:
         report = spectra.numeric_spectrum(
-            g.adjacency, group_tol=args.group_tol, with_charpoly=want_exact
+            g.adjacency, group_tol=args.group_tol, with_charpoly=not args.numeric
         )
     else:
         report = spectra.SpectrumReport(spectra.charpoly_exact(g.adjacency), [], 0.0)
@@ -203,7 +190,7 @@ def cmd_spectrum(args) -> int:
     else:
         print(
             f"graph: flavor {g.flavor} order {g.order} type {g.shape.q} {g.shape.r} "
-            f"squares {g.family_size} vertices {nv}"
+            f"squares {g.family_size} vertices {g.num_vertices}"
         )
         if report.charpoly is not None:
             print("charpoly: " + " ".join(report.charpoly.decimal_strings()))
@@ -221,10 +208,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _closed_form_verdict(g, squares, report) -> str:
-    """Compare the closed form with the exact charpoly, or, when none was
-    computed (above the exact cap, or under --numeric), certify the closed
-    form on the graph itself.  The squares tell whether the MOSLS layers
-    commute (designs.is_block_permutational), the graph when four or more fail."""
+    """Compare the closed form with the exact charpoly, or, under --numeric,
+    which computes none, certify the closed form on the graph itself.  The
+    squares tell whether the MOSLS layers commute
+    (designs.is_block_permutational), the graph when four or more fail."""
     from . import graph, spectra
 
     n, f = g.order, g.family_size
@@ -275,7 +262,7 @@ def cmd_switch(args) -> int:
 
     square = fam.squares[0]
     switched = switching.sudoku_symbol_switch(square, spec)
-    # certify before writing, so a square above the exact cap writes nothing
+    # certify before writing, so a square whose charpoly is refused writes nothing
     cert = switching.nonisomorphism_certificate(square, switched)
     write = designs.save_family if args.out else designs.write_family
     write(designs.MoslsFamily(fam.shape, (switched,)), args.out or sys.stdout)

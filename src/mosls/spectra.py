@@ -10,8 +10,9 @@ the power sums then give the remaining factor of degree d, and
 certify_charpoly proves the product from R(A) = 0 and the power sums
 tr(A**k) for k < deg R on the same modular chain.  Any other matrix, and a
 guess that the certificate rejects, takes d = n: Newton's identities on
-all n traces give the charpoly directly (proof at charpoly_exact).  The same certificate checks a closed-form spectrum
-against a graph too large for a charpoly.
+all n traces give the charpoly directly (proof at charpoly_exact), unless
+d * n > EXACT_SIZE_CAP**2 (_power_sum_quotient).  The same certificate
+checks a closed-form spectrum against a graph without a charpoly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .designs import CheckFailed, _int_matrix, _max_abs
 
+# the power sums give a degree d of an n x n charpoly while d * n <= this**2
 EXACT_SIZE_CAP = 150
 
 
@@ -70,12 +72,6 @@ def poly_product(factors) -> IntPolynomial:
 
 # ---------------------------------------------------------------------------
 # exact characteristic polynomial
-
-
-def check_exact_size(n: int) -> None:
-    """Refuse an exact charpoly of an n x n matrix above EXACT_SIZE_CAP."""
-    if n > EXACT_SIZE_CAP:
-        raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_SIZE_CAP}")
 
 
 # Eigenvalues of a guess closer than this form one group, and a group this
@@ -188,7 +184,10 @@ def _chain(A: np.ndarray, c, bound: int):
 
 def _exact_traces(A: np.ndarray, d: int) -> list[int]:
     """tr(A**k) for k = 1..d: the symmetric CRT residue of the power chain
-    modulo moduli whose product exceeds 2 n rho**d (charpoly_exact)."""
+    modulo moduli whose product exceeds 2 n rho**d (charpoly_exact); no
+    chain, and so no float64 copy of A, when d = 0."""
+    if not d:
+        return []
     values, prod = [0] * d, 1
     for m, traces, _ in _chain(A, [0] * d, 2 * A.shape[0] * _abs_row_sum(A) ** d):
         inv = pow(prod, -1, m)
@@ -208,8 +207,16 @@ def _power_sum_quotient(A: np.ndarray, linear) -> IntPolynomial:
     derivative -x f'/f is sum p_k x**k, and f has integer coefficients.
     When the linear factors divide the charpoly, f is the reversed
     quotient; when not, the result is f cut at degree d, which the
-    certificate rejects."""
-    sums = _exact_traces(A, A.shape[0] - sum(mult for _, mult in linear))
+    certificate rejects.  ValueError, before any product, when
+    d * n > EXACT_SIZE_CAP**2 (d = 50, n = 729 took 9.4 s on 2 CPUs)."""
+    n = A.shape[0]
+    d = n - sum(mult for _, mult in linear)
+    if d * n > EXACT_SIZE_CAP**2:
+        raise ValueError(
+            f"exact charpoly refused: {d} of {n} eigenvalues uncertified, "
+            f"{d} * {n} > {EXACT_SIZE_CAP**2}; spectrum --numeric needs no charpoly"
+        )
+    sums = _exact_traces(A, d)
     for poly, mult in linear:
         sums = [s - mult * (-poly.coeffs[0]) ** k for k, s in enumerate(sums, 1)]
     a = [1]
@@ -274,8 +281,8 @@ def certify_charpoly(M, factors) -> bool:
 def charpoly_exact(M) -> IntPolynomial:
     """det(tI - M) with exact integer coefficients.
 
-    M must be a square integer matrix with at most EXACT_SIZE_CAP rows; the
-    cap keeps the up to n products per modulus of the power chain fast.
+    M must be a square integer matrix; ValueError when d * n exceeds
+    EXACT_SIZE_CAP**2 (_power_sum_quotient), which no n <= 150 does.
 
     One engine: exact power sums.  Given linear factors (t - v_j)**m_j and
     d = n - sum m_j, _power_sum_quotient computes tr(M**k) for k <= d and
@@ -285,11 +292,18 @@ def charpoly_exact(M) -> IntPolynomial:
     exact: every eigenvalue is at most rho = max_i sum_j |m_ij| in
     magnitude, so |tr(M**k)| <= n rho**k, and the moduli multiply to more
     than 2 n rho**d, so the symmetric CRT residue is the trace itself.
-    Moduli cannot run out: _chain reduces M modulo each modulus when its
-    entries are large, which keeps every modulus up to
-    isqrt(2**52 // n) > 2**22 exact for n <= 150.  The primes alone below
-    that multiply to about e**(2**22), and with int64 entries rho < 2**71,
-    so every bound here is below 2**(2**15).
+    Moduli cannot run out for n up to graph.MAX_VERTICES = 2401: _chain
+    reduces M modulo each modulus when its entries are large, which keeps
+    every modulus up to isqrt(2**52 // n) > 2**20 exact, and the moduli
+    from there down are together divisible by every prime from 5 to 2**20,
+    whose product exceeds 2**(2**20) (theta(x) > x (1 - 1/ln x), x >= 41).
+    Every bound is below 2**(91 n + 13) < 2**(2**18): int64 entries give
+    rho < 2**75; a linear root is a rounded eigvalsh value, at most 2 rho;
+    Q's coefficients, from det(I - xM) prod (1 - v_j x)**-m_j, are at most
+    C(3n, k) (2 rho)**k < 2**(89 k), so its roots are under 2**90
+    (Fujiwara); and _certificate_bound is at most prod (rho + |s|) over
+    the D <= n roots s of R, or n rho**k plus n powers s**k, k < D.  Above
+    2401 vertices _coprime_moduli may raise ValueError, never mis-round.
 
     Certified guess.  A symmetric M takes its linear factors from the
     near-integer groups of its eigvalsh values (_linear_guess); with Q the
@@ -321,7 +335,6 @@ def charpoly_exact(M) -> IntPolynomial:
 
 def _charpoly(A: np.ndarray, values=None) -> IntPolynomial:
     """charpoly_exact of the int matrix A, given its descending eigvalsh values if known."""
-    check_exact_size(A.shape[0])
     symmetric = np.array_equal(A, A.T)
     values = np.linalg.eigvalsh(A.astype(np.float64))[::-1] if symmetric and values is None else values
     if symmetric and (linear := _linear_guess(values)):
@@ -395,8 +408,9 @@ def _relative_residual(poly: IntPolynomial, points) -> float:
         num = den = 0
         bpow = 1
         for c in coeffs:
-            num = num * a + c * bpow
-            den = den * abs(a) + abs(c) * bpow
+            term = c * bpow  # the one product of two large ints per step
+            num = num * a + term
+            den = den * abs(a) + abs(term)
             bpow *= b
         if den == 0:
             continue

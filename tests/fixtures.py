@@ -5,6 +5,7 @@ squares; the spectra are the known closed-form eigenvalue multisets of
 their cell graphs.  Everything here is frozen input data for tests.
 """
 
+import itertools
 import os
 import tracemalloc
 from pathlib import Path
@@ -17,10 +18,13 @@ from mosls import (
     LatinSquare,
     MoslsFamily,
     SudokuShape,
+    SwitchSpec,
+    SwitchValidityError,
     build_mols_graph,
     build_mosls_graph,
     composite_mosls,
     poly_product,
+    sudoku_symbol_switch,
 )
 from mosls.cli import _TABLE_ROWS
 
@@ -197,6 +201,37 @@ def cyclic_square(n: int, shape: SudokuShape | None = None) -> LatinSquare:
     """Cyclic Latin square L(i, j) = ((i + j - 2) mod n) + 1."""
     ent = [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
     return LatinSquare(ent, shape or SudokuShape(1, n))
+
+
+def switches_of(square: LatinSquare):
+    """Every valid symbol switch of the square, as (spec, switched square),
+    row bands first, then column bands, each by index and symbol pair."""
+    q, r = square.shape.q, square.shape.r
+    for kind, bands in (("row-block", r), ("col-block", q)):
+        for index in range(1, bands + 1):
+            for k1, k2 in itertools.combinations(range(1, square.order + 1), 2):
+                spec = SwitchSpec(kind, index, (k1, k2))
+                try:
+                    yield spec, sudoku_symbol_switch(square, spec)
+                except SwitchValidityError:
+                    continue
+
+
+def switch_chain(square: LatinSquare, count: int, rng) -> LatinSquare:
+    """The square after count valid symbol switches, each drawn from rng
+    (band kind, band index, symbol pair) until one is valid."""
+    q, r = square.shape.q, square.shape.r
+    switched = 0
+    while switched < count:
+        kind = ("row-block", "col-block")[rng.integers(2)]
+        index = int(rng.integers(1, (r if kind == "row-block" else q) + 1))
+        k1, k2 = (int(k) for k in rng.choice(square.order, size=2, replace=False) + 1)
+        try:
+            square = sudoku_symbol_switch(square, SwitchSpec(kind, index, (k1, k2)))
+        except SwitchValidityError:
+            continue
+        switched += 1
+    return square
 
 
 def fresh_env(*paths: str, **overrides: str) -> dict:

@@ -54,45 +54,48 @@ def _more_primes(count: int) -> list[int]:
     return _PRIME_POOL[:count]
 
 
-def _hessenberg_charpoly_mod(M: np.ndarray, p: int) -> list[int]:
-    """Charpoly of M over Z_p via Hessenberg reduction, ascending coeffs."""
+def _hessenberg_charpoly_mod(M: np.ndarray, primes) -> list[list[int]]:
+    """Charpoly of M over Z_p for each p in primes, ascending coeffs, via
+    Hessenberg reduction with the primes on a leading array axis: each
+    prime takes its own pivot, the first nonzero entry mod that prime."""
     n = M.shape[0]
     # every dot product below sums at most n products of residues
-    if n * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"{n} products of residues mod {p} may overflow int64")
-    H = np.mod(M, p).astype(np.int64)
+    if any(n * (p - 1) ** 2 >= 2**63 for p in primes):
+        raise ValueError(f"{n} products of residues mod {max(primes)} may overflow int64")
+    mods = np.array(primes, dtype=np.int64)
+    each = np.arange(len(primes))
+    H = np.mod(M[None], mods[:, None, None]).astype(np.int64)
     for k in range(n - 2):
-        col = H[k + 1 :, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = k + 1 + int(nz[0])
-        if piv != k + 1:
-            H[[k + 1, piv]] = H[[piv, k + 1]]
-            H[:, [k + 1, piv]] = H[:, [piv, k + 1]]
-        inv = pow(int(H[k + 1, k]), p - 2, p)
-        factors = (H[k + 2 :, k] * inv) % p
+        # first nonzero entry below the subdiagonal position per prime; a
+        # prime with none swaps row k+1 with itself and eliminates nothing
+        piv = k + 1 + np.argmax(H[:, k + 1 :, k] != 0, axis=1)
+        H[each, k + 1], H[each, piv] = H[each, piv], H[each, k + 1]
+        H[each, :, k + 1], H[each, :, piv] = H[each, :, piv], H[each, :, k + 1]
+        inv = np.array([pow(int(h), p - 2, p) for h, p in zip(H[:, k + 1, k], primes)])
+        factors = (H[:, k + 2 :, k] * inv[:, None]) % mods[:, None]
         # rows k+1 and below are already zero left of column k, so the
         # elimination only touches columns k onwards
-        H[k + 2 :, k:] = (H[k + 2 :, k:] - factors[:, None] * H[k + 1, k:]) % p
-        H[:, k + 1] = (H[:, k + 1] + H[:, k + 2 :] @ factors) % p
+        H[:, k + 2 :, k:] -= factors[:, :, None] * H[:, None, k + 1, k:]
+        H[:, k + 2 :, k:] %= mods[:, None, None]
+        H[:, :, k + 1] += (H[:, :, k + 2 :] @ factors[:, :, None])[:, :, 0]
+        H[:, :, k + 1] %= mods[:, None]
 
-    # P[k] holds coeffs of det(tI - H[:k,:k]); expand along last columns
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    prods = np.zeros(n, dtype=np.int64)  # prods[i] = H[i+1,i]*...*H[k-1,k-2]
+    # P[:, k] holds coeffs of det(tI - H[:k,:k]); expand along last columns
+    P = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    prods = np.zeros((len(primes), n), dtype=np.int64)  # prods[:, i] = H[i+1,i]*...*H[k-1,k-2]
     for k in range(1, n + 1):
         if k >= 2:
-            sub = int(H[k - 1, k - 2])
-            prods[: k - 2] = (prods[: k - 2] * sub) % p
-            prods[k - 2] = sub
-        P[k, 1 : k + 1] = P[k - 1, :k]
-        P[k, :k] -= (int(H[k - 1, k - 1]) * P[k - 1, :k]) % p
+            sub = H[:, k - 1, k - 2]
+            prods[:, : k - 2] = (prods[:, : k - 2] * sub[:, None]) % mods[:, None]
+            prods[:, k - 2] = sub
+        P[:, k, 1 : k + 1] = P[:, k - 1, :k]
+        P[:, k, :k] -= (H[:, k - 1, k - 1, None] * P[:, k - 1, :k]) % mods[:, None]
         if k >= 2:
-            w = (H[: k - 1, k - 1] * prods[: k - 1]) % p
-            P[k, :k] -= (w @ P[: k - 1, :k]) % p
-        P[k] %= p
-    return [int(c) for c in P[n]]
+            w = (H[:, : k - 1, k - 1] * prods[:, : k - 1]) % mods[:, None]
+            P[:, k, :k] -= (w[:, None, :] @ P[:, : k - 1, :k])[:, 0, :] % mods[:, None]
+        P[:, k] %= mods[:, None]
+    return P[:, n].tolist()
 
 
 def _coefficient_bound(A: np.ndarray) -> int:
@@ -131,7 +134,7 @@ def _hessenberg_crt(A: np.ndarray) -> IntPolynomial:
     primes whose product exceeds 2 * _coefficient_bound(A), recombined by
     the Chinese remainder theorem into symmetric residues."""
     primes = _primes_above(2 * _coefficient_bound(A))
-    residues = [_hessenberg_charpoly_mod(A, p) for p in primes]
+    residues = _hessenberg_charpoly_mod(A, primes)
     coeffs = []
     for k in range(A.shape[0] + 1):
         x, mod = 0, 1

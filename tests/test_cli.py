@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mosls.cli import main
@@ -16,6 +17,8 @@ from fixtures import (
     SWITCH4_B,
     cyclic_square,
     single,
+    switch_chain,
+    switches_of,
 )
 from graph_reference import edge_list, matrix_text
 
@@ -38,6 +41,23 @@ def nine_file(tmp_path):
     path = tmp_path / "nine.txt"
     designs.save_family(single(NINE), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def switched27_file(tmp_path_factory):
+    """An order-27 square of type (3, 9) after 40 seeded valid symbol
+    switches: its guess leaves 46 of its 729 eigenvalues to the power sums,
+    and 46 * 729 exceeds the exact cap 150**2."""
+    square = composite_mosls([(3, 1, 2)], order_cap=27).squares[0]
+    path = tmp_path_factory.mktemp("switched27") / "s27.txt"
+    designs.save_family(single(switch_chain(square, 40, np.random.default_rng(1))), path)
+    return str(path)
+
+
+REFUSED27 = (
+    "exact charpoly refused: 46 of 729 eigenvalues uncertified, 46 * 729 > 22500; "
+    "spectrum --numeric needs no charpoly"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +351,9 @@ def test_spectrum_rejects_invalid_family(tmp_path, capsys):
 
 
 def test_spectrum_cap_fallback(tmp_path, capsys):
+    # 169 vertices: above the old vertex cap of 150, which made spectrum
+    # fall back to numeric-only output and --exact exit 2; both now give
+    # the charpoly, with no warning
     path = tmp_path / "big.txt"
     code, stdout, _ = run(
         capsys,
@@ -339,27 +362,38 @@ def test_spectrum_cap_fallback(tmp_path, capsys):
     )
     assert code == 0
     code, stdout, err = run(capsys, "spectrum", "--in", str(path))
-    assert code == 0
-    assert "falling back to numeric-only" in err
-    assert "charpoly:" not in stdout
-    code, _, err = run(capsys, "spectrum", "--in", str(path), "--exact")
-    assert code == 2
-    assert "exceed the exact cap" in err
+    assert code == 0 and err == ""
+    assert "vertices 169" in stdout and "residual: " in stdout
+    charpoly = next(line for line in stdout.splitlines() if line.startswith("charpoly: "))
+    assert charpoly == "charpoly: " + " ".join(
+        spectra.poly_product(spectra.mosls_graph_spectrum(1, 13, 1)).decimal_strings()
+    )
+    code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--exact")
+    assert code == 0 and err == ""
+    assert stdout.splitlines()[1:] == [charpoly]
 
 
 @pytest.fixture(scope="module")
 def field16_file(tmp_path_factory):
-    """The order-16 field family, type (4, 4): 256 vertices, above the cap."""
+    """The order-16 field family, type (4, 4): 256 vertices, above the old cap."""
     path = tmp_path_factory.mktemp("field16") / "f16.txt"
     assert main(["construct", "--p", "2", "--m", "2", "--n", "2", "--out", str(path)]) == 0
     return str(path)
 
 
 def test_spectrum_certifies_the_closed_form_above_the_cap(field16_file, capsys):
+    # the charpoly of 256 vertices is computed and compared with the closed
+    # form; under --numeric the closed form is certified on the graph
+    closed = spectra.poly_product(spectra.mosls_graph_spectrum(4, 4, 4))
     code, stdout, err = run(capsys, "spectrum", "--in", field16_file, "--verify-closed-form")
-    assert code == 0
-    assert "vertices 256" in stdout
-    assert "exceed the exact cap 150; falling back to numeric-only" in err
+    assert code == 0 and err == ""
+    assert "vertices 256" in stdout and "residual: " in stdout
+    assert "charpoly: " + " ".join(closed.decimal_strings()) + "\n" in stdout
+    assert stdout.endswith("closed form: MATCH\n")
+    code, stdout, err = run(
+        capsys, "spectrum", "--in", field16_file, "--numeric", "--verify-closed-form"
+    )
+    assert code == 0 and err == ""
     assert "charpoly:" not in stdout and "residual:" not in stdout
     assert stdout.endswith("closed form: MATCH\n")
 
@@ -373,14 +407,18 @@ def test_spectrum_wrong_closed_form_above_the_cap(field16_file, capsys, monkeypa
         return [(f0, m0 - 1), (f1, m1 + 1), *rest]
 
     monkeypatch.setattr(spectra, "mosls_graph_spectrum", moved)
-    code, stdout, err = run(capsys, "spectrum", "--in", field16_file, "--verify-closed-form")
-    assert code == 1
-    assert "falling back to numeric-only" in err
-    assert stdout.endswith("closed form: MISMATCH\n")
+    # against the charpoly, and certified on the graph under --numeric
+    for extra in ([], ["--numeric"]):
+        code, stdout, err = run(
+            capsys, "spectrum", "--in", field16_file, *extra, "--verify-closed-form"
+        )
+        assert code == 1 and err == ""
+        assert ("charpoly: " in stdout) == (not extra)
+        assert stdout.endswith("closed form: MISMATCH\n")
 
 
-# the field families above the exact cap that the large-graph inputs use:
-# order 25, and order 27 in both types
+# the field families above the old exact cap that the large-graph inputs
+# use: order 25, and order 27 in both types
 ABOVE_CAP = {
     "f25": ["--p", "5", "--m", "1", "--n", "1"],
     "f27-3x9": ["--p", "3", "--m", "1", "--n", "2"],
@@ -394,8 +432,8 @@ def test_spectrum_certifies_large_field_families(construct, tmp_path, capsys):
     assert main(["construct", *construct, "--order-cap", "27", "--out", str(path)]) == 0
     capsys.readouterr()
     code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
-    assert code == 0
-    assert "falling back to numeric-only" in err
+    assert code == 0 and err == ""
+    assert "charpoly: " in stdout and "residual: " in stdout
     assert stdout.endswith("closed form: MATCH\n")
 
 
@@ -409,9 +447,25 @@ def test_spectrum_refuses_the_closed_form_of_a_switched_order27_square(tmp_path,
         path = tmp_path / "one.txt"
         designs.save_family(single(sq), path)
         code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
-        assert code == 0 and "vertices 729" in stdout
-        assert "falling back to numeric-only" in err
+        assert code == 0 and err == "" and "vertices 729" in stdout
+        assert "charpoly: " in stdout
         assert stdout.endswith(f"closed form: {verdict}\n")
+
+
+def test_spectrum_refuses_a_charpoly_left_to_the_power_sums(switched27_file, capsys, monkeypatch):
+    # refused before any power-sum product, with one line that names
+    # --numeric, which gives the eigenvalues
+    def refuse(*args):
+        raise AssertionError("ran the modular power chain")
+
+    monkeypatch.setattr(spectra, "_chain", refuse)
+    for extra in ([], ["--verify-closed-form"], ["--json"]):
+        code, stdout, err = run(capsys, "spectrum", "--in", switched27_file, *extra)
+        assert (code, stdout, err) == (2, "", f"error: {REFUSED27}\n")
+    code, stdout, err = run(capsys, "spectrum", "--in", switched27_file, "--numeric")
+    assert code == 0 and err == ""
+    assert "vertices 729" in stdout and "charpoly:" not in stdout
+    assert sum(int(line.rsplit("x", 1)[1]) for line in stdout.splitlines()[2:]) == 729
 
 
 def test_spectrum_numeric_certifies_the_closed_form(four_file, capsys):
@@ -702,23 +756,16 @@ def test_compare_rejects_multi_square_files(four_file, tmp_path, capsys):
     assert code == 2 and "single-square" in err
 
 
-def test_compare_above_exact_cap_fails_before_building_graphs(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "f16.txt"
-    code, _, _ = run(
-        capsys, "construct", "--p", "2", "--m", "2", "--n", "2", "--count", "1", "--out", str(a),
-    )
-    assert code == 0
+def test_compare_refuses_before_any_power_sum_product(switched27_file, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ran the modular power chain")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a cell graph above the exact cap")
-
-    monkeypatch.setattr("mosls.switching.build_mosls_graph", refuse)
-    code, stdout, err = run(capsys, "compare", "--a", str(a), "--b", str(a))
-    assert code == 2 and stdout == ""
-    assert err == "error: matrix size 256 exceeds exact cap 150\n"
+    monkeypatch.setattr(spectra, "_chain", refuse)
+    code, stdout, err = run(capsys, "compare", "--a", switched27_file, "--b", switched27_file)
+    assert (code, stdout, err) == (2, "", f"error: {REFUSED27}\n")
 
 
-def test_switch_above_exact_cap_writes_nothing(tmp_path, capsys):
+def test_switch_above_exact_cap_writes_nothing(tmp_path, switched27_file, capsys):
     a = tmp_path / "f16.txt"
     code, _, _ = run(
         capsys, "construct", "--p", "2", "--m", "2", "--n", "2", "--count", "1", "--out", str(a),
@@ -728,18 +775,29 @@ def test_switch_above_exact_cap_writes_nothing(tmp_path, capsys):
     # an invalid switch is still refused first, with exit 1
     code, stdout, err = run(capsys, *switch[:-1], "1,5")
     assert code == 1 and stdout == "" and "check failed" in err
-    # a valid switch on 256 vertices: no family on stdout or in --out
-    code, stdout, err = run(capsys, *switch)
-    assert code == 2 and stdout == ""
-    assert err == "error: matrix size 256 exceeds exact cap 150\n"
+    # a valid switch on 256 vertices is certified and written, and
+    # compare tells the two squares apart
     out = tmp_path / "switched.txt"
     code, stdout, err = run(capsys, *switch, "--out", str(out))
-    assert code == 2 and stdout == "" and not out.exists()
-    assert err == "error: matrix size 256 exceeds exact cap 150\n"
+    assert code == 0 and err == "" and out.exists()
+    assert stdout == "certificate: NOT-ISOMORPHIC\nclosed form: MATCH\n"
+    code, stdout, err = run(capsys, "compare", "--a", str(a), "--b", str(out))
+    assert code == 0 and err == "" and stdout.startswith("verdict: NOT-ISOMORPHIC\n")
+    # a valid switch whose charpoly is refused: no family on stdout or in --out
+    spec, _ = next(switches_of(designs.load_family(switched27_file).squares[0]))
+    switch = [
+        "switch", "--in", switched27_file, f"--{spec.kind}", str(spec.index),
+        "--symbols", ",".join(map(str, spec.symbols)),
+    ]
+    code, stdout, err = run(capsys, *switch)
+    assert (code, stdout, err) == (2, "", f"error: {REFUSED27}\n")
+    out = tmp_path / "refused.txt"
+    code, stdout, err = run(capsys, *switch, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {REFUSED27}\n") and not out.exists()
 
 
 # every usage error a command raises itself: (argv, stderr line), with
-# {four}, {nine} and {field16} the family files of the fixtures
+# {four}, {nine} and {switched27} the family files of the fixtures
 COMMAND_USAGE_ERRORS = [
     (
         ["construct", "--p", "2", "--m", "1", "--n", "1", "--factor", "2:1:1"],
@@ -747,7 +805,7 @@ COMMAND_USAGE_ERRORS = [
     ),
     (["construct", "--p", "2", "--m", "1"], "--p, --m and --n are required without --factor"),
     (["construct", "--p", "2", "--m", "1", "--n", "1", "--count", "9"], "--count 9 outside 1..2"),
-    (["spectrum", "--in", "{field16}", "--exact"], "256 vertices exceed the exact cap 150"),
+    (["spectrum", "--in", "{switched27}", "--exact"], REFUSED27),
     (
         ["switch", "--in", "{four}", "--row-block", "1", "--symbols", "1,2"],
         "switch expects a single-square family file",
@@ -762,9 +820,9 @@ COMMAND_USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv, message", COMMAND_USAGE_ERRORS)
 def test_command_usage_errors_exit_2_with_one_line(
-    argv, message, four_file, nine_file, field16_file, capsys
+    argv, message, four_file, nine_file, switched27_file, capsys
 ):
-    files = {"four": four_file, "nine": nine_file, "field16": field16_file}
+    files = {"four": four_file, "nine": nine_file, "switched27": switched27_file}
     code, stdout, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
 

@@ -1,7 +1,8 @@
 """Closed form, exact charpoly and both numeric solvers agree on the cell
-graphs of every constructible `table` row of order at most 12; and the
-spectral commands give the same bytes in process and in fresh processes
-under any OpenBLAS threading."""
+graphs of every constructible `table` row of order at most 12; the
+switching theorem holds on field squares of orders 16 to 27 (49 with
+--full-sweep); and the spectral commands give the same bytes in process
+and in fresh processes under any OpenBLAS threading."""
 
 import subprocess
 import sys
@@ -15,13 +16,16 @@ from mosls import (
     charpoly_exact,
     composite_mosls,
     designs,
+    is_block_permutational,
     mosls_graph_spectrum,
+    nonisomorphism_certificate,
     numeric_spectrum,
     poly_product,
     srg_spectrum,
+    switched_charpoly_expected,
 )
 from mosls.cli import _TABLE_ROWS, main
-from fixtures import fresh_env, single
+from fixtures import fresh_env, single, switches_of
 from spectra_reference import jacobi_eigenvalues
 
 # pure-Python Jacobi takes about a second at 81 vertices and grows as
@@ -62,6 +66,38 @@ def test_spectra_agree(order, q, r, factors, flavor):
         reference = jacobi_eigenvalues(g.adjacency)
         values = np.linalg.eigvalsh(g.adjacency.astype(np.float64))[::-1]
         assert np.max(np.abs(reference - values)) <= 1e-9
+
+
+# field squares above 144 vertices, as (p, m, n): q = p**m, r = p**n
+LARGE_FIELDS = {
+    "order16-type4x4": (2, 2, 2),
+    "order16-type2x8": (2, 1, 3),
+    "order25-type5x5": (5, 1, 1),
+    "order27-type3x9": (3, 1, 2),
+    "order27-type9x3": (3, 2, 1),
+    "order49-type7x7": (7, 1, 1),
+}
+
+
+@pytest.mark.parametrize("factor", LARGE_FIELDS.values(), ids=LARGE_FIELDS.keys())
+def test_switching_theorem_above_order_12(factor, request):
+    """The first field square and its first valid symbol switch: the
+    certificate's charpolys, charpoly_exact of the two single-square
+    graphs, are the closed form and the switching theorem's prediction
+    from it, and they differ.  Order 49 (2401 vertices, about 20 s) runs
+    with --full-sweep only."""
+    p, m, n = factor
+    if p ** (m + n) > 27 and not request.config.getoption("--full-sweep"):
+        pytest.skip("order 49 runs with --full-sweep")
+    square = composite_mosls([factor], order_cap=49).squares[0]
+    assert is_block_permutational(square)
+    spec, switched = next(switches_of(square))
+    q, r = square.shape.q, square.shape.r
+    eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
+    cert = nonisomorphism_certificate(square, switched)
+    assert cert.verdict == "NOT-ISOMORPHIC"
+    assert cert.charpoly_a.coeffs == poly_product(mosls_graph_spectrum(q, r, 1)).coeffs
+    assert cert.charpoly_b.coeffs == switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r).coeffs
 
 
 # the CLI's own setting, the OpenBLAS default spin and one thread

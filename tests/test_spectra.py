@@ -163,11 +163,35 @@ def test_charpoly_matches_numpy_on_random_matrices():
         assert np.allclose([float(c) for c in got.coeffs], ref, atol=1e-6)
 
 
-def test_charpoly_input_validation():
+def test_charpoly_input_validation(monkeypatch):
     with pytest.raises(ValueError, match="square"):
         charpoly_exact(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="cap"):
-        charpoly_exact(np.zeros((151, 151)))
+
+    def refuse(*args):
+        raise AssertionError("ran the modular power chain")
+
+    # d = n on the general path of a non-symmetric matrix: 151 * 151 is
+    # over the cap and refused before any product, while the symmetric zero
+    # matrix is certified (d = 0)
+    monkeypatch.setattr(spectra, "_chain", refuse)
+    with pytest.raises(ValueError, match=r"151 of 151 eigenvalues uncertified, 151 \* 151 > 22500"):
+        charpoly_exact(np.triu(np.ones((151, 151), dtype=np.int64)))
+    monkeypatch.undo()
+    assert charpoly_exact(np.zeros((151, 151))).coeffs == (0,) * 151 + (1,)
+
+
+def test_a_fully_linear_guess_runs_no_power_chain(monkeypatch):
+    # d = 0: no power sums, so no chain and no float64 copy of the matrix
+    A = _int_matrix(build_mosls_graph(FOUR_FAMILY).adjacency)
+    linear = _linear_guess(np.linalg.eigvalsh(A.astype(np.float64))[::-1])
+    assert sum(mult for _, mult in linear) == 16
+
+    def refuse(*args):
+        raise AssertionError("ran the modular power chain")
+
+    monkeypatch.setattr(spectra, "_chain", refuse)
+    assert _exact_traces(A, 0) == []
+    assert _power_sum_quotient(A, linear).coeffs == (1,)
 
 
 @pytest.mark.parametrize(
@@ -294,15 +318,18 @@ def test_charpoly_when_a_pivot_vanishes_mod_one_prime():
     assert _primes_needed(2 * _coefficient_bound(m)) > 1
     assert _hessenberg_crt(m).coeffs == _reference_charpoly(m)
     assert charpoly_exact(m).coeffs == _reference_charpoly(m)
+    # the batched primes pivot as each prime alone does
+    primes = _more_primes(3)
+    assert _hessenberg_charpoly_mod(m, primes) == [_hessenberg_charpoly_mod(m, [q])[0] for q in primes]
 
 
 def test_hessenberg_refuses_int64_overflow():
     # n * (p - 1)**2 reaches 2**63 at n = 2, p = 2**31 + 1
     eye = np.eye(2, dtype=np.int64)
     with pytest.raises(ValueError, match="overflow"):
-        _hessenberg_charpoly_mod(eye, 2**31 + 1)
+        _hessenberg_charpoly_mod(eye, [2**31 + 1])
     p = 2**31 - 1
-    assert _hessenberg_charpoly_mod(eye, p) == [1, p - 2, 1]
+    assert _hessenberg_charpoly_mod(eye, [p]) == [[1, p - 2, 1]]
 
 
 def test_prime_pool_matches_trial_division():
@@ -524,7 +551,14 @@ def test_reduced_chain_at_its_edge(n):
     m = math.isqrt(2**52 // n)
     assert m <= _modulus_limit(n, m - 1)
     assert (n * (m - 1) + 1) * (m - 1) + m < 2**53
-    assert n > 150 or m > 2**22
+    # charpoly_exact's claim up to graph.MAX_VERTICES = 2401
+    assert m > 2**20
+
+
+def test_moduli_up_to_2_20_outweigh_every_charpoly_bound():
+    # charpoly_exact: the primes from 5 to 2**20 multiply to more than
+    # 2**(2**20), while every bound is below 2**(91 n + 13) < 2**(2**18)
+    assert sum(math.log2(p) for p in _primes_between(5, 2**20)) > 2**20
 
 
 @pytest.mark.parametrize("a", [2**26, 2**26 + 1, 2**62])

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 from collections import Counter
@@ -53,6 +52,8 @@ from fixtures import (
     TEN,
     roots_poly,
     single,
+    switch_chain,
+    switches_of,
     table_graphs,
 )
 from hessenberg_reference import reference_charpoly
@@ -352,21 +353,6 @@ def test_certificate_shape_mismatch():
 # switch sweep
 
 
-def _switches_of(square):
-    """Every valid symbol switch of the square, as (spec, switched square)."""
-    q, r = square.shape.q, square.shape.r
-    found = []
-    for kind, bands in (("row-block", r), ("col-block", q)):
-        for index in range(1, bands + 1):
-            for k1, k2 in itertools.combinations(range(1, square.order + 1), 2):
-                spec = SwitchSpec(kind, index, (k1, k2))
-                try:
-                    found.append((spec, sudoku_symbol_switch(square, spec)))
-                except SwitchValidityError:
-                    continue
-    return found
-
-
 def _valid_switches():
     """Every valid symbol switch of every square of the constructible table
     rows of order <= 12 with q, r >= 2, as (square, spec)."""
@@ -375,7 +361,7 @@ def _valid_switches():
         for order, q, r, factors, _ in _TABLE_ROWS
         if factors and order <= 12 and min(q, r) >= 2
         for square in composite_mosls(factors).squares
-        for spec, _ in _switches_of(square)
+        for spec, _ in switches_of(square)
     ]
 
 
@@ -427,7 +413,7 @@ def _switched_families(per_base: int, rng):
     kept (1 in 3) or given one valid symbol switch, at least one switched."""
     for factors in SWITCHED_FAMILY_BASES:
         fam = composite_mosls(factors)
-        switched = [[square for _, square in _switches_of(sq)] for sq in fam.squares]
+        switched = [[square for _, square in switches_of(sq)] for sq in fam.squares]
         kept = 0
         while kept < per_base:
             pair = sorted(rng.choice(len(fam), size=2, replace=False))
@@ -469,18 +455,7 @@ def _random_sudoku_squares(order: int, count: int, rng) -> list:
     starts += [transpose(sq) for sq in starts]
     squares = []
     while len(squares) < count:
-        square = starts[rng.integers(len(starts))]
-        q, r = square.shape.q, square.shape.r
-        switched = 0
-        while switched < 20:
-            kind = ("row-block", "col-block")[rng.integers(2)]
-            index = int(rng.integers(1, (r if kind == "row-block" else q) + 1))
-            k1, k2 = (int(k) for k in rng.choice(order, size=2, replace=False) + 1)
-            try:
-                square = sudoku_symbol_switch(square, SwitchSpec(kind, index, (k1, k2)))
-            except SwitchValidityError:
-                continue
-            switched += 1
+        square = switch_chain(starts[rng.integers(len(starts))], 20, rng)
         if not is_block_permutational(square):
             squares.append(square)
     return squares
