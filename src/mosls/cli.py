@@ -41,36 +41,31 @@ def _print_json(obj, file=None) -> None:
     print(json.dumps(obj, indent=2), file=file)
 
 
-def _parse_symbols(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise designs.FormatError(f"--symbols expects 'K1,K2', got {text!r}")
+def _int_fields(flag: str, text: str, form: str = "") -> tuple[int, ...]:
+    """The integers of a flag's text, split on the separator of form
+    ('K1,K2' or 'p:m:n') and as many as its fields; without a form, a
+    comma-separated list of at least one, empty fields skipped."""
+    sep = ":" if ":" in form else ","
+    parts = text.split(sep)
+    if form and len(parts) != len(form.split(sep)):
+        raise designs.FormatError(f"{flag} expects {form!r}, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        values = tuple(int(tok) for tok in parts if form or tok)
     except ValueError:
-        raise designs.FormatError(f"--symbols expects integers, got {text!r}") from None
+        raise designs.FormatError(f"{flag} expects integers, got {text!r}") from None
+    if not values:
+        raise designs.FormatError(f"{flag} selects no square: {text!r}")
+    return values
 
 
-def _parse_subset(text: str):
-    if text is None:
-        return None
-    try:
-        picked = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise designs.FormatError(f"--subset expects integers, got {text!r}") from None
-    if not picked:
-        raise designs.FormatError(f"--subset selects no square: {text!r}")
-    return picked
-
-
-def _parse_factor(text: str) -> tuple[int, int, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise designs.FormatError(f"--factor expects 'p:m:n', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise designs.FormatError(f"--factor expects integers, got {text!r}") from None
+def _write_family(fam: designs.MoslsFamily, out):
+    """Save fam to the file out, or write it to stdout without one; returns
+    the stream for the summary, the one the family did not go to."""
+    if out:
+        designs.save_family(fam, out)
+        return sys.stdout
+    designs.write_family(fam, sys.stdout)
+    return sys.stderr
 
 
 def _family_checks(fam: designs.MoslsFamily) -> dict:
@@ -119,7 +114,7 @@ def cmd_construct(args) -> int:
     if args.factor:
         if args.p is not None or args.m is not None or args.n is not None:
             raise ValueError("use either --p/--m/--n or --factor, not both")
-        factors = [_parse_factor(tok) for tok in args.factor]
+        factors = [_int_fields("--factor", tok, "p:m:n") for tok in args.factor]
     else:
         if args.p is None or args.m is None or args.n is None:
             raise ValueError("--p, --m and --n are required without --factor")
@@ -130,9 +125,7 @@ def cmd_construct(args) -> int:
             raise ValueError(f"--count {args.count} outside 1..{len(fam)}")
         fam = designs.MoslsFamily(fam.shape, fam.squares[: args.count])
     report = _family_checks(fam)
-    write = designs.save_family if args.out else designs.write_family
-    write(fam, args.out or sys.stdout)
-    dest = sys.stdout if args.out else sys.stderr
+    dest = _write_family(fam, args.out)
     print(
         f"constructed {report['count']} squares of order {report['order']} "
         f"type ({report['type'][0]}, {report['type'][1]}); "
@@ -157,7 +150,7 @@ def _build_graph(args):
     from . import graph
 
     fam = designs.load_family(args.input)
-    subset = _parse_subset(args.subset)
+    subset = None if args.subset is None else _int_fields("--subset", args.subset)
     build = graph.build_mols_graph if args.mols_only else graph.build_mosls_graph
     return build(fam, subset), [fam.squares[k - 1] for k in graph._resolve_subset(fam, subset)]
 
@@ -255,23 +248,22 @@ def cmd_switch(args) -> int:
         raise ValueError("switch expects a single-square family file")
     if (args.row_block is None) == (args.col_block is None):
         raise ValueError("exactly one of --row-block or --col-block is required")
+    symbols = _int_fields("--symbols", args.symbols, "K1,K2")
     if args.row_block is not None:
-        spec = switching.SwitchSpec("row-block", args.row_block, _parse_symbols(args.symbols))
+        spec = switching.SwitchSpec("row-block", args.row_block, symbols)
     else:
-        spec = switching.SwitchSpec("col-block", args.col_block, _parse_symbols(args.symbols))
+        spec = switching.SwitchSpec("col-block", args.col_block, symbols)
 
     square = fam.squares[0]
     switched = switching.sudoku_symbol_switch(square, spec)
     # certify before writing, so a square whose charpoly is refused writes nothing
     cert = switching.nonisomorphism_certificate(square, switched)
-    write = designs.save_family if args.out else designs.write_family
-    write(designs.MoslsFamily(fam.shape, (switched,)), args.out or sys.stdout)
+    dest = _write_family(designs.MoslsFamily(fam.shape, (switched,)), args.out)
     q, r = fam.shape.q, fam.shape.r
     # a column-band switch is a row-band switch of the transpose
     eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
     theorem = _switch_theorem_verdict(square, cert, eff_q, eff_r)
 
-    dest = sys.stdout if args.out else sys.stderr
     print(f"certificate: {cert.verdict}", file=dest)
     print(f"closed form: {theorem}", file=dest)
     if args.json:
@@ -284,9 +276,8 @@ def cmd_switch(args) -> int:
 def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
     from . import switching
 
-    if eff_q < 2 or eff_r < 2:
-        return "INAPPLICABLE (needs q, r >= 2)"
-    # the layers commute iff the square is: designs.is_block_permutational
+    # the layers commute iff the square is: designs.is_block_permutational;
+    # a flat square is, and the theorem refuses it (needs q, r >= 2)
     if not designs.is_block_permutational(square):
         return "INAPPLICABLE (square is not block-permutational)"
     try:

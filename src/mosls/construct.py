@@ -54,15 +54,15 @@ def _prime_power_family(p: int, m: int, n: int) -> MoslsFamily:
     When m, n >= 1 the multipliers a are the elements of degree exactly
     big = max(m, n), which makes every square Sudoku of type
     (p**big, p**(m+n-big)); transposing when big != m realises the larger
-    count max(p**m, p**n)*(p-1).  A flat type (big = 0) takes every nonzero
-    multiplier, p**(m+n) - 1 Latin squares.  Squares follow the canonical
-    order of a.
+    count.  A flat type (big = 0) takes every nonzero multiplier, giving
+    Latin squares.  Either way the multipliers are the composite_count
+    canonical indices from q = p**big up, in that order.
     """
     big = max(m, n) if m and n else 0
     ctx = gf.make_field(p, m + n)
     q = p ** big
     shape = SudokuShape(q, ctx.size // q)
-    squares = [field_square(ctx, a, shape) for a in range(q, q * p if big else ctx.size)]
+    squares = [field_square(ctx, a, shape) for a in range(q, q + composite_count([(p, m, n)]))]
     if big != m:
         squares = [transpose(sq) for sq in squares]
     return MoslsFamily(SudokuShape(p ** m, p ** n), tuple(squares))

@@ -81,13 +81,13 @@ _GUESS_TOL = 1e-6
 
 
 def _linear_guess(values: np.ndarray) -> list[tuple[IntPolynomial, int]]:
-    """(t - v, m) per group of m descending eigvalsh values near the integer v."""
-    groups = _group_values(values, _GUESS_TOL)
-    return [
-        (IntPolynomial((-round(value), 1)), mult)
-        for value, mult in groups
+    """(t - v, m) per integer v, m the descending eigvalsh values in the
+    groups near v (_linear_factors merges two groups near one v)."""
+    return _linear_factors(
+        (round(value), mult)
+        for value, mult in _group_values(values, _GUESS_TOL)
         if abs(value - round(value)) <= _GUESS_TOL
-    ]
+    )
 
 
 def _power_sums(poly: IntPolynomial, count: int) -> list[int]:
@@ -502,16 +502,22 @@ def srg_spectrum(n: int, k: int, lam: int, mu: int) -> list[tuple[IntPolynomial,
     return [(poly, mult) for poly, mult in factors if mult]
 
 
+def _quotient_lines(q: int, r: int, f: int) -> list[tuple[int, int]]:
+    """(eigenvalue, multiplicity) of the block quotient of the MOSLS cell
+    graph; the partition into blocks is equitable, so they are also the
+    first lines of mosls_graph_spectrum."""
+    e = (q - 1) * (r - 1)
+    return [
+        (e + (q * r - 1) * (f + 2), 1),
+        (e + q * r - 2 - f, q + r - 2),
+        (e - 2 - f, (q - 1) * (r - 1)),
+    ]
+
+
 def quotient_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]:
     """Spectrum of the block quotient of a MOSLS cell graph, as linear
     factors with multiplicities."""
-    return _linear_factors(
-        [
-            (3 * q * r - q - r - 1 + f * (q * r - 1), 1),
-            (2 * q * r - q - r - 1 - f, q + r - 2),
-            (q * r - q - r - 1 - f, (q - 1) * (r - 1)),
-        ]
-    )
+    return _linear_factors(_quotient_lines(q, r, f))
 
 
 def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]:
@@ -521,11 +527,7 @@ def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, in
     squares ensure (proof and converse at designs.is_block_permutational)."""
     if f < 1:
         raise ValueError("need at least one square")
-    e = (q - 1) * (r - 1)
-    lines = [
-        (e + (q * r - 1) * (f + 2), 1),
-        (e + q * r - 2 - f, q + r - 2),
-        (e - 2 - f, (q - 1) * (r - 1)),
+    lines = _quotient_lines(q, r, f) + [
         (q * r - 1 - f, f * (q - 1) * (r - 1)),
         (q * r - q - 1 - f, (r - 1) * (q + f)),
         (q * r - r - 1 - f, (q - 1) * (r + f)),

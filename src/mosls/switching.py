@@ -202,7 +202,7 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
     must divide base exactly) and the roots of switched_quartic join it.
     """
     if q < 2 or r < 2:
-        raise TheoremPreconditionError(f"need q, r >= 2, got ({q}, {r})")
+        raise TheoremPreconditionError("needs q, r >= 2")
     coeffs = list(base.coeffs)
     for root in (-2, -(r + 2), q * r - 2, q * r - r - 2):
         # synthetic division by t - root: coeffs[k + 1] becomes the

@@ -571,9 +571,11 @@ def test_dense_graph_cap_exits_2(command, tmp_path, capsys):
         "--order-cap", "64", "--out", str(path),
     )
     assert code == 0
-    code, stdout, err = run(capsys, command, "--in", str(path))
-    assert code == 2 and stdout == ""
-    assert err == "error: order 64 gives 4096 vertices, above the dense graph cap of 2401\n"
+    # the builders refuse the vertex count before they resolve --subset
+    for extra in ([], ["--subset", "0"]):
+        code, stdout, err = run(capsys, command, "--in", str(path), *extra)
+        assert code == 2 and stdout == ""
+        assert err == "error: order 64 gives 4096 vertices, above the dense graph cap of 2401\n"
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +817,18 @@ COMMAND_USAGE_ERRORS = [
         "exactly one of --row-block or --col-block is required",
     ),
     (["compare", "--a", "{four}", "--b", "{nine}"], "compare expects single-square family files"),
+    (["construct", "--factor", "2:1"], "--factor expects 'p:m:n', got '2:1'"),
+    (["construct", "--factor", "2:x:1"], "--factor expects integers, got '2:x:1'"),
+    (
+        ["switch", "--in", "{nine}", "--row-block", "1", "--symbols", "12"],
+        "--symbols expects 'K1,K2', got '12'",
+    ),
+    (
+        ["switch", "--in", "{nine}", "--row-block", "1", "--symbols", "1,x"],
+        "--symbols expects integers, got '1,x'",
+    ),
+    (["spectrum", "--in", "{four}", "--subset", "x"], "--subset expects integers, got 'x'"),
+    (["spectrum", "--in", "{four}", "--subset", ","], "--subset selects no square: ','"),
 ]
 
 

@@ -552,7 +552,7 @@ def _quotient_reference(graph):
 
 
 @pytest.mark.parametrize("fam", [f for _, f in PRODUCT_CASES], ids=[i for i, _ in PRODUCT_CASES])
-def test_blas_products_match_int64_reference(fam):
+def test_counts_match_int64_reference(fam):
     """The label counts of commute_check and srg_check, and the column sums
     of quotient_matrix, against int64 products; no BLAS runs in graph."""
     mols = build_mols_graph(fam).adjacency

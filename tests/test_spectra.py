@@ -194,6 +194,18 @@ def test_a_fully_linear_guess_runs_no_power_chain(monkeypatch):
     assert _power_sum_quotient(A, linear).coeffs == (1,)
 
 
+def test_linear_guess_merges_groups_near_one_integer():
+    # the two groups are 1.8e-6 apart, wider than _GUESS_TOL, yet both lie
+    # within it of 3: one factor (t - 3)**3, not (t - 3)**2 and (t - 3)
+    values = np.array([5.0, 3 + 9e-7, 3 + 9e-7, 3 - 9e-7, -1.0])
+    assert spectra._GUESS_TOL == 1e-6
+    assert _linear_guess(values) == [
+        (IntPolynomial((-5, 1)), 1),
+        (IntPolynomial((-3, 1)), 3),
+        (IntPolynomial((1, 1)), 1),
+    ]
+
+
 @pytest.mark.parametrize(
     "M",
     [[[0.5]], [[2.0, 0.5], [0.5, 2.0]], [[np.nan]], [[1e30]], [[2.0**63]],
