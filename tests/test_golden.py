@@ -4,9 +4,11 @@
 
 The construct cases are every constructible `table` row (default order cap)
 and ten families of order 25-81 built with `--order-cap 81`.  The exact
-spectrum cases run on the order-9 fixture pair and on the first square of
-each order-12 type.  A changed digest means some byte of the command's
-output or its exit code changed.
+spectrum cases run on the order-9 fixture pair, on the first square of
+each order-12 type, and on `switch` and `compare` of the first order-16
+(4, 4) and order-27 (3, 9) field squares, 256 and 729 vertices.  A
+changed digest means some byte of the command's output or its exit code
+changed.
 """
 
 import hashlib
@@ -131,11 +133,14 @@ def test_table_output(flags, capsys):
     assert _digest(["table"] + flags, capsys) == TABLE_DIGESTS[key]
 
 
-# single-square inputs: name -> (construct factors, switch that is valid on it)
-ORDER12_INPUTS = {
+# single-square inputs, the first square of each family:
+# name -> (construct factors, switch that is valid on it)
+SQUARE_INPUTS = {
     "o12-2x6": (["2:1:1", "3:0:1"], switching.SwitchSpec("row-block", 1, (1, 4))),
     "o12-3x4": (["3:1:0", "2:0:2"], switching.SwitchSpec("row-block", 1, (1, 2))),
     "o12-4x3": (["2:2:0", "3:0:1"], switching.SwitchSpec("row-block", 1, (1, 4))),
+    "o16-4x4": (["2:2:2"], switching.SwitchSpec("row-block", 1, (1, 2))),
+    "o27-3x9": (["3:1:2"], switching.SwitchSpec("col-block", 1, (1, 2))),
 }
 
 # name: argv with {input} placeholders; "{out}" marks a written --out file
@@ -158,6 +163,10 @@ EXACT_CASES = {
     "spectrum nine --verify-closed-form": ["spectrum", "--in", "{nine}", "--verify-closed-form"],
     "spectrum nine --verify-closed-form --json": ["spectrum", "--in", "{nine}", "--verify-closed-form", "--json"],
     "spectrum o12-3x4 --verify-closed-form": ["spectrum", "--in", "{o12-3x4}", "--verify-closed-form"],
+    "switch o16-4x4 --json": ["switch", "--in", "{o16-4x4}", "--row-block", "1", "--symbols", "1,2", "--json"],
+    "compare o16-4x4 --json": ["compare", "--a", "{o16-4x4}", "--b", "{o16-4x4-switched}", "--json"],
+    # a column-band switch: the theorem reads the square as type (9, 3)
+    "switch o27-3x9 --json": ["switch", "--in", "{o27-3x9}", "--col-block", "1", "--symbols", "1,2", "--json"],
 }
 
 EXACT_DIGESTS = {
@@ -165,6 +174,7 @@ EXACT_DIGESTS = {
     "compare nine --json": "05e091490c9589be454dd8838614052be1214b1ff5f84b3784a62574cf8cbb99",
     "compare nine itself": "2c9426df1aa3d555d866e42bf314c8deafe33523d839b457142cda4bbbc04b70",
     "compare o12-3x4 --json": "9ba567cbb7a6bc08d26040650d1033cac4ad3cf164005911d789f2fdff86e1f9",
+    "compare o16-4x4 --json": "19b91072aa6a019649ce0e89dd39fe620dcd8065d1581cab34d4e2d35604ea0b",
     "spectrum nine --exact": "c8d88cf8369b29eaea10c7a5a2064c0cf6ab550a4d4a20f7d66953603c23a294",
     "spectrum nine --verify-closed-form": "abfc045b7192be9ff152eeb5178cf416dd4cf3472a7550a13cf0264d187d954a",
     "spectrum nine --verify-closed-form --json": "845517a2d42708ec88c8661290388e4619b6750bfb653bf3b3ac8dce02c4a362",
@@ -175,6 +185,8 @@ EXACT_DIGESTS = {
     "switch nine to stdout": "7ee075bdf9abe7476859b230e78e50f144d700a3da451d657a16e8144c058d2a",
     "switch o12-2x6 --json": "53ffd5a506eb5ca56a8dd3633c37d34a8625da4405f7d81cdf934c23c05bf0d2",
     "switch o12-4x3": "2b798b3b3e6fc43fdc5fb15fa72b667b3f4e986838fdfd139b057a66142d0766",
+    "switch o16-4x4 --json": "a48718b669896ba3dcf240bcd777c3081daf21c44a05f461f1a6b6a773ac4bc1",
+    "switch o27-3x9 --json": "53f4f57f0725dc47941e56fcbde39f9e4a5db56c75ef2373ad65976fad2fc89d",
 }
 
 
@@ -186,10 +198,10 @@ def exact_inputs(tmp_path_factory):
     for name, fam in [("nine", single(NINE)), ("nine-switched", single(NINE_SWITCHED))]:
         paths[name] = work / f"{name}.txt"
         designs.save_family(fam, paths[name])
-    for name, (factors, spec) in ORDER12_INPUTS.items():
+    for name, (factors, spec) in SQUARE_INPUTS.items():
         paths[name] = work / f"{name}.txt"
         argv = ["construct"] + [tok for f in factors for tok in ("--factor", f)]
-        assert cli.main(argv + ["--count", "1", "--out", str(paths[name])]) == 0
+        assert cli.main(argv + ["--count", "1", "--order-cap", "27", "--out", str(paths[name])]) == 0
         square = designs.load_family(paths[name]).squares[0]
         paths[f"{name}-switched"] = work / f"{name}-switched.txt"
         switched = switching.sudoku_symbol_switch(square, spec)
