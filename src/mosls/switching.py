@@ -8,9 +8,14 @@ symbols inside one band of blocks (a block-row or block-column) and keeps
 the Sudoku property whenever every line crossing the band contains both
 occurrences of the symbols inside it or both outside it.
 
-For a single square (f = 1) with commuting Latin and block adjacency, a
-valid switch changes the cell-graph charpoly in a closed form: four known
-eigenvalues leave the spectrum and the roots of a quartic replace them.
+For a single square (f = 1) of type (q, r), q, r >= 2, whose Latin and
+block adjacency commute, a valid switch changes the cell-graph charpoly in
+a closed form.  Let a = r(q - 1) and w = (t + 2)(t + 2 - a).  The
+eigenvalues -2, -r-2, qr-2 and qr-r-2 leave the spectrum, and the product
+of t - v over them is w(w - qr^2); the roots of w(w - qr^2) + 4q^2(r - 1)^2
+join it.  So the new charpoly is the old plus 4q^2(r - 1)^2 times the old
+divided by w(w - qr^2), a positive constant times a nonzero polynomial: a
+valid switch of a block-permutational square always changes the charpoly.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
 from .graph import build_mosls_graph
-from .spectra import IntPolynomial, charpoly_exact, poly_product
+from .spectra import IntPolynomial, charpoly_exact
 
 
 class SwitchError(CheckFailed):
@@ -163,44 +168,23 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
 
 
 def switched_quartic(q: int, r: int) -> IntPolynomial:
-    """Monic quartic whose roots join the spectrum after a valid
-    single-square switch on a type (q, r) square."""
-    c3 = -2 * q * r + 2 * r + 8
-    c2 = q * q * r * r - 3 * q * r * r - 12 * q * r + r * r + 12 * r + 24
-    c1 = (
-        q * q * r**3
-        + 4 * q * q * r * r
-        - q * r**3
-        - 12 * q * r * r
-        - 24 * q * r
-        + 4 * r * r
-        + 24 * r
-        + 32
-    )
-    c0 = (
-        2 * q * q * r**3
-        + 8 * q * q * r * r
-        - 8 * q * q * r
-        + 4 * q * q
-        - 2 * q * r**3
-        - 12 * q * r * r
-        - 16 * q * r
-        + 4 * r * r
-        + 16 * r
-        + 16
-    )
-    return IntPolynomial((c0, c1, c2, c3, 1))
+    """The joining quartic w^2 - qr^2 w + 4q^2(r - 1)^2 of a type (q, r)
+    switch (module docstring); without the constant it is the product of
+    t - v over the four leaving eigenvalues."""
+    a = r * (q - 1)
+    w0, w1, s = 4 - 2 * a, 4 - a, q * r * r  # w = t^2 + w1 t + w0
+    c0 = w0 * (w0 - s) + _joining_constant(q, r)
+    return IntPolynomial((c0, w1 * (2 * w0 - s), w1 * w1 + 2 * w0 - s, 2 * w1, 1))
+
+
+def _joining_constant(q: int, r: int) -> int:
+    return 4 * q * q * (r - 1) ** 2
 
 
 def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolynomial:
-    """Charpoly of the switched single-square cell graph, predicted from
-    the unswitched charpoly.
-
-    Applies to one square (f = 1) of type (q, r) with q, r >= 2 whose
-    Latin adjacency commutes with the block adjacency.  The eigenvalues
-    -2, -r-2, qr-2 and qr-r-2 leave the spectrum (their linear factors
-    must divide base exactly) and the roots of switched_quartic join it.
-    """
+    """Charpoly of the switched cell graph of one type (q, r) square whose
+    Latin and block adjacency commute, predicted from the unswitched
+    charpoly base by the theorem of the module docstring."""
     if q < 2 or r < 2:
         raise TheoremPreconditionError("needs q, r >= 2")
     coeffs = list(base.coeffs)
@@ -214,7 +198,9 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
                 "base charpoly is not divisible by the removed eigenvalues; "
                 "the formula does not apply"
             )
-    return poly_product(((IntPolynomial(tuple(coeffs)), 1), (switched_quartic(q, r), 1)))
+    # quotient * (leaving quartic + const) = base + const * quotient
+    const = _joining_constant(q, r)
+    return IntPolynomial(tuple(b + const * c for b, c in zip(base.coeffs, coeffs + [0] * 4)))
 
 
 @dataclass

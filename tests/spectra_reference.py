@@ -1,8 +1,10 @@
 """Test-side references for the spectra layer: a pure-Python cyclic
 Jacobi eigensolver, which the LAPACK path of mosls.spectra.numeric_spectrum
-is checked against, and long division of integer polynomials by a monic
+is checked against; long division of integer polynomials by a monic
 divisor, which checks the synthetic division in
-mosls.switching.switched_charpoly_expected.
+mosls.switching.switched_charpoly_expected; and the switching theorem's
+joining quartic as expanded coefficients in q and r, which checks the
+structured form of mosls.switching.switched_quartic.
 """
 
 import math
@@ -42,6 +44,36 @@ def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     if rem.coeffs != (0,):
         raise ValueError("division is not exact")
     return quot
+
+
+def switched_quartic_expanded(q: int, r: int) -> IntPolynomial:
+    """The joining quartic of a type (q, r) switch, each coefficient
+    expanded as a polynomial in q and r."""
+    c3 = -2 * q * r + 2 * r + 8
+    c2 = q * q * r * r - 3 * q * r * r - 12 * q * r + r * r + 12 * r + 24
+    c1 = (
+        q * q * r**3
+        + 4 * q * q * r * r
+        - q * r**3
+        - 12 * q * r * r
+        - 24 * q * r
+        + 4 * r * r
+        + 24 * r
+        + 32
+    )
+    c0 = (
+        2 * q * q * r**3
+        + 8 * q * q * r * r
+        - 8 * q * q * r
+        + 4 * q * q
+        - 2 * q * r**3
+        - 12 * q * r * r
+        - 16 * q * r
+        + 4 * r * r
+        + 16 * r
+        + 16
+    )
+    return IntPolynomial((c0, c1, c2, c3, 1))
 
 
 def jacobi_eigenvalues(M, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:

@@ -23,6 +23,7 @@ from mosls import (
     is_block_permutational,
     is_latin,
     is_sudoku,
+    mosls_graph_spectrum,
     nonisomorphism_certificate,
     numeric_spectrum,
     row_cycle_decompose,
@@ -35,7 +36,7 @@ from mosls import (
 from mosls import composite_mosls
 from mosls.cli import _TABLE_ROWS
 from mosls.spectra import IntPolynomial, poly_product
-from spectra_reference import poly_divexact, poly_divmod
+from spectra_reference import poly_divexact, poly_divmod, switched_quartic_expanded
 from fixtures import (
     FOUR_FAMILY,
     NINE,
@@ -216,6 +217,64 @@ def test_switched_quartic_order9_roots():
             assert abs(acc) < 1e-8
 
 
+def _leaving_roots(q, r):
+    return [-2, -(r + 2), q * r - 2, q * r - r - 2]
+
+
+# In the two tests below each coefficient of the difference of the sides is
+# a polynomial of degree <= 2 in q and <= 3 in r; one that vanishes on a
+# 3 x 4 grid of distinct values, as on 1..6 x 1..6, vanishes for all q, r.
+QR_GRID = [(q, r) for q in range(1, 7) for r in range(1, 7)]
+
+
+@pytest.mark.parametrize("q,r", QR_GRID)
+def test_switched_quartic_matches_the_expanded_coefficients(q, r):
+    assert switched_quartic(q, r).coeffs == switched_quartic_expanded(q, r).coeffs
+
+
+@pytest.mark.parametrize("q,r", QR_GRID)
+def test_switched_quartic_is_the_leaving_quartic_plus_a_constant(q, r):
+    c0, *rest = switched_quartic(q, r).coeffs
+    leaving = roots_poly(_leaving_roots(q, r))
+    assert (c0 - 4 * q * q * (r - 1) ** 2, *rest) == leaving.coeffs
+
+
+def test_leaving_eigenvalues_lie_in_the_closed_form():
+    # so `switch` never reads "INAPPLICABLE (base charpoly is not
+    # divisible ...)" on a block-permutational square
+    for q in range(2, 13):
+        for r in range(2, 13):
+            mults = {-f.coeffs[0]: m for f, m in mosls_graph_spectrum(q, r, 1)}
+            assert all(mults.get(v, 0) >= 1 for v in _leaving_roots(q, r)), (q, r)
+
+
+@pytest.mark.parametrize("q,r", [(q, r) for q in range(2, 5) for r in range(2, 5)])
+def test_switched_charpoly_expected_of_the_closed_form(q, r):
+    closed = mosls_graph_spectrum(q, r, 1)
+    mults = {-f.coeffs[0]: m for f, m in closed}
+    for v in _leaving_roots(q, r):
+        mults[v] -= 1
+    lowered = [(IntPolynomial((-v, 1)), m) for v, m in mults.items()]
+    want = poly_product(lowered + [(switched_quartic(q, r), 1)])
+    assert switched_charpoly_expected(poly_product(closed), q, r).coeffs == want.coeffs
+
+
+def test_joining_eigenvalues_are_roots_of_the_quartic():
+    # w = (t + 2)(t + 2 - a) takes the two values w+- at which
+    # w (w - q r^2) + 4 q^2 (r - 1)^2 vanishes; each gives two t
+    for q in range(2, 10):
+        for r in range(2, 10):
+            coeffs = switched_quartic(q, r).coeffs
+            a = r * (q - 1)
+            for sign_w in (1, -1):
+                w = q * (r * r + sign_w * (r - 2) * math.sqrt(r * r + 4 * r - 4)) / 2
+                for sign_t in (1, -1):
+                    t = -2 + (a + sign_t * math.sqrt(a * a + 4 * w)) / 2
+                    value = sum(c * t**k for k, c in enumerate(coeffs))
+                    scale = sum(abs(c) * abs(t) ** k for k, c in enumerate(coeffs))
+                    assert abs(value) <= 1e-12 * scale, (q, r, t)
+
+
 def test_spectrum_order4_base():
     poly = graph_poly(SWITCH4_A)
     want = roots_poly(
@@ -272,7 +331,7 @@ def test_theorem_preconditions():
 
 def _expected_by_long_division(base, q, r):
     """The switching theorem by general division, as the reference."""
-    removed = roots_poly([-2, -(r + 2), q * r - 2, q * r - r - 2])
+    removed = roots_poly(_leaving_roots(q, r))
     quot, rem = poly_divmod(base, removed)
     if rem.coeffs != (0,):
         raise TheoremPreconditionError("not divisible")
@@ -288,7 +347,7 @@ def test_synthetic_division_matches_long_division():
     raised = 0
     for _ in range(600):
         q, r = rng.integers(2, 7, size=2).tolist()
-        roots = [-2, -(r + 2), q * r - 2, q * r - r - 2]
+        roots = _leaving_roots(q, r)
         candidates = roots + rng.integers(-12, 40, size=3).tolist()
         mults = rng.choice(4, size=4, p=[0.15, 0.45, 0.25, 0.15]).tolist()
         mults += rng.integers(0, 3, size=3).tolist()
