@@ -5,19 +5,23 @@
 The construct cases are every constructible `table` row (default order cap)
 and ten families of order 25-81 built with `--order-cap 81`.  The exact
 spectrum cases run on the order-9 fixture pair, on the first square of
-each order-12 type, and on `switch` and `compare` of the first order-16
-(4, 4) and order-27 (3, 9) field squares, 256 and 729 vertices.  A
-changed digest means some byte of the command's output or its exit code
-changed.
+each order-12 type, on `switch` and `compare` of the first order-16
+(4, 4) and order-27 (3, 9) field squares, 256 and 729 vertices, and on
+`spectrum` of those two whole field families and of the switched
+order-27 square.  A changed digest means some byte of the command's
+output or its exit code changed.  `spectrum --verify-closed-form` above
+150 vertices also prints LAPACK's numbers, which differ between builds,
+so only its other lines are digested; order 49 runs with --full-sweep.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fixtures import NINE, NINE_SWITCHED, single
-from mosls import cli, designs, switching
+from mosls import cli, designs, spectra, switching
 
 # name: (factors p:m:n, order cap or None for the default)
 CONSTRUCT_CASES = {
@@ -104,13 +108,17 @@ def _construct_argv(name: str) -> list[str]:
     return argv + (["--order-cap", str(cap)] if cap else [])
 
 
+def _sha(record) -> str:
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
 def _digest(argv, capsys, out_path=None) -> str:
     code = cli.main(argv)
     out, err = capsys.readouterr()
     record = [code, out, err]
     if out_path is not None:
         record.append(out_path.read_text())
-    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    return _sha(record)
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
@@ -143,6 +151,9 @@ SQUARE_INPUTS = {
     "o27-3x9": (["3:1:2"], switching.SwitchSpec("col-block", 1, (1, 2))),
 }
 
+# whole field families, every square: name -> construct factors
+FAMILY_INPUTS = {"o16-4x4-all": ["2:2:2"], "o27-3x9-all": ["3:1:2"]}
+
 # name: argv with {input} placeholders; "{out}" marks a written --out file
 EXACT_CASES = {
     "switch nine": ["switch", "--in", "{nine}", "--col-block", "3", "--symbols", "1,2", "--out", "{out}"],
@@ -167,6 +178,9 @@ EXACT_CASES = {
     "compare o16-4x4 --json": ["compare", "--a", "{o16-4x4}", "--b", "{o16-4x4-switched}", "--json"],
     # a column-band switch: the theorem reads the square as type (9, 3)
     "switch o27-3x9 --json": ["switch", "--in", "{o27-3x9}", "--col-block", "1", "--symbols", "1,2", "--json"],
+    "spectrum o16-4x4-all --exact": ["spectrum", "--in", "{o16-4x4-all}", "--exact"],
+    "spectrum o27-3x9-all --exact": ["spectrum", "--in", "{o27-3x9-all}", "--exact"],
+    "spectrum o27-3x9-switched --exact": ["spectrum", "--in", "{o27-3x9-switched}", "--exact"],
 }
 
 EXACT_DIGESTS = {
@@ -180,6 +194,9 @@ EXACT_DIGESTS = {
     "spectrum nine --verify-closed-form --json": "845517a2d42708ec88c8661290388e4619b6750bfb653bf3b3ac8dce02c4a362",
     "spectrum o12-3x4 --verify-closed-form": "6a7814ad61da2187cbc389f647fe85b5eeb9df1a061714c76ab8c790a72c14df",
     "spectrum o12-4x3 --exact": "3096dd12e7fb28030ebe42e5b4f9a2354c0e7fdf513242078fb17e5c8cd9a2bd",
+    "spectrum o16-4x4-all --exact": "cdc0f49996e9bff8bdf7e5a9a2d23ff58ee08ba902ce0206f04aff9e3df20e2d",
+    "spectrum o27-3x9-all --exact": "f50700fb315ac22d4fd2d7b23e0317943cc5d3998d726f168678e54395660602",
+    "spectrum o27-3x9-switched --exact": "bff6cda796c0f134330b17da28c9606ed2f32e23e0dc9ad21538545ec5874b31",
     "switch nine": "7b4e32e1d99194811b88e7c36cfbbfb13689ba4b8708e8a5ebcfd59da10ba84f",
     "switch nine --json": "d466fea88eac8a3899e6334a1f68c4f67d119fdc886bc28c170ae0bba58013bc",
     "switch nine to stdout": "7ee075bdf9abe7476859b230e78e50f144d700a3da451d657a16e8144c058d2a",
@@ -188,6 +205,11 @@ EXACT_DIGESTS = {
     "switch o16-4x4 --json": "a48718b669896ba3dcf240bcd777c3081daf21c44a05f461f1a6b6a773ac4bc1",
     "switch o27-3x9 --json": "53f4f57f0725dc47941e56fcbde39f9e4a5db56c75ef2373ad65976fad2fc89d",
 }
+
+
+def _construct_at_27(factors, path, *flags):
+    argv = ["construct"] + [tok for f in factors for tok in ("--factor", f)]
+    assert cli.main(argv + [*flags, "--order-cap", "27", "--out", str(path)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -200,12 +222,14 @@ def exact_inputs(tmp_path_factory):
         designs.save_family(fam, paths[name])
     for name, (factors, spec) in SQUARE_INPUTS.items():
         paths[name] = work / f"{name}.txt"
-        argv = ["construct"] + [tok for f in factors for tok in ("--factor", f)]
-        assert cli.main(argv + ["--count", "1", "--order-cap", "27", "--out", str(paths[name])]) == 0
+        _construct_at_27(factors, paths[name], "--count", "1")
         square = designs.load_family(paths[name]).squares[0]
         paths[f"{name}-switched"] = work / f"{name}-switched.txt"
         switched = switching.sudoku_symbol_switch(square, spec)
         designs.save_family(designs.MoslsFamily(square.shape, (switched,)), paths[f"{name}-switched"])
+    for name, factors in FAMILY_INPUTS.items():
+        paths[name] = work / f"{name}.txt"
+        _construct_at_27(factors, paths[name])
     return paths
 
 
@@ -216,3 +240,76 @@ def test_exact_spectrum_output(name, exact_inputs, tmp_path, capsys):
     names = {"out": out_path, **exact_inputs}
     argv = [tok.format_map({k: str(v) for k, v in names.items()}) for tok in EXACT_CASES[name]]
     assert _digest(argv, capsys, out_path) == EXACT_DIGESTS[name]
+
+
+# input -> (q, r, squares, and for a switched square the type (q, r) the
+# switching theorem reads its switch as, else None)
+VERIFY_INPUTS = {
+    "o16-4x4-all": (4, 4, 4, None),
+    "o27-3x9-all": (3, 9, 18, None),
+    "o27-3x9-switched": (3, 9, 1, (9, 3)),
+}
+
+VERIFY_DIGESTS = {
+    "o16-4x4-all": "020d013795a2eef499053e6de3e8a1b30933d8dfe5a4cbbf944758a5935250f3",
+    "o27-3x9-all": "ecdf49517050949e65c4f1aee4a7c8ac2f5e63dcd24ae8c678527222656771ef",
+    "o27-3x9-switched": "95d09f5f358ad94c8154cdd780b4ab361e9c1070c668d8600fea3260db2bd2b3",
+}
+
+ORDER49_DIGEST = "462c610cdb2f201ce7a3c7ca22681a4de8691b235adc64942e5f03ee32b22d65"
+
+
+def _exact_roots(q, r, f, switched) -> dict:
+    """The graph's eigenvalues and their multiplicities: the closed form,
+    and for a switched square the theorem's change to it, four leaving
+    roots one fewer each and the four roots of the joining quartic, the
+    latter to float64 precision."""
+    roots = {-poly.coeffs[0]: mult for poly, mult in spectra.mosls_graph_spectrum(q, r, f)}
+    if switched is not None:
+        sq, sr = switched
+        for t in (-2, -sr - 2, sq * sr - 2, sq * sr - sr - 2):
+            roots[t] -= 1
+        for t in np.roots(switching.switched_quartic(sq, sr).coeffs[::-1]):
+            roots[float(t)] = 1
+    return roots
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_INPUTS))
+def test_verify_closed_form_above_150_vertices(name, exact_inputs, capsys):
+    """`spectrum --verify-closed-form` at 256 and 729 vertices.  The exit
+    code, stderr and the graph:, charpoly: and closed form: lines are
+    digested.  The residual and the numeric groups come from LAPACK, so
+    they meet bounds instead: a residual of at most 1e-12, and each group
+    within 1e-9 (times max(1, |root|), as the text prints 10 significant
+    digits) of its own exact root, with that root's multiplicity."""
+    capsys.readouterr()
+    code = cli.main(["spectrum", "--in", str(exact_inputs[name]), "--verify-closed-form"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    start = lines.index("numeric:")
+    pinned, groups, residual = lines[:start] + lines[-1:], lines[start + 1:-2], lines[-2]
+    assert [line.split(": ")[0] for line in pinned] == ["graph", "charpoly", "closed form"]
+    assert _sha([code, pinned, err]) == VERIFY_DIGESTS[name]
+    label, value = residual.split(": ")
+    assert label == "residual" and float(value) <= 1e-12
+    roots = _exact_roots(*VERIFY_INPUTS[name])
+    matched = []
+    for line in groups:
+        value, mult = line.split(" x")
+        root = min(roots, key=lambda t: abs(t - float(value)))
+        assert abs(float(value) - root) <= 1e-9 * max(1, abs(root)), line
+        assert int(mult) == roots[root], line
+        matched.append(root)
+    assert sorted(matched) == sorted(roots)
+
+
+def test_spectrum_exact_order49(tmp_path, capsys, request):
+    """`spectrum --exact` on the first two order-49 (7, 7) field squares,
+    2401 vertices, about 6 s: with --full-sweep only."""
+    if not request.config.getoption("--full-sweep"):
+        pytest.skip("order 49 runs with --full-sweep")
+    path = tmp_path / "o49.txt"
+    argv = ["construct", "--p", "7", "--m", "1", "--n", "1", "--count", "2", "--order-cap", "49"]
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert _digest(["spectrum", "--in", str(path), "--exact"], capsys) == ORDER49_DIGEST
