@@ -146,19 +146,19 @@ def cmd_check(args) -> int:
 
 
 def _build_graph(args):
-    """The cell graph of the --in family over the --subset squares, and those squares."""
+    """The cell graph of the --in family over the --subset squares."""
     from . import graph
 
     fam = designs.load_family(args.input)
     subset = None if args.subset is None else _int_fields("--subset", args.subset)
     build = graph.build_mols_graph if args.mols_only else graph.build_mosls_graph
-    return build(fam, subset), [fam.squares[k - 1] for k in graph._resolve_subset(fam, subset)]
+    return build(fam, subset)
 
 
 def cmd_spectrum(args) -> int:
     from . import spectra
 
-    g, squares = _build_graph(args)
+    g = _build_graph(args)
     if not args.exact:
         report = spectra.numeric_spectrum(
             g.adjacency, group_tol=args.group_tol, with_charpoly=not args.numeric
@@ -168,13 +168,13 @@ def cmd_spectrum(args) -> int:
 
     verdict = None
     if args.verify_closed_form:
-        verdict = _closed_form_verdict(g, squares, report)
+        verdict = _closed_form_verdict(g, report)
 
     payload = report.to_json_dict()
     payload["flavor"] = g.flavor
     payload["order"] = g.order
     payload["type"] = [g.shape.q, g.shape.r]
-    payload["squares"] = g.family_size
+    payload["squares"] = len(g.squares)
     if verdict is not None:
         payload["closed_form"] = verdict
 
@@ -183,7 +183,7 @@ def cmd_spectrum(args) -> int:
     else:
         print(
             f"graph: flavor {g.flavor} order {g.order} type {g.shape.q} {g.shape.r} "
-            f"squares {g.family_size} vertices {g.num_vertices}"
+            f"squares {len(g.squares)} vertices {g.num_vertices}"
         )
         if report.charpoly is not None:
             print("charpoly: " + " ".join(report.charpoly.decimal_strings()))
@@ -200,14 +200,14 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _closed_form_verdict(g, squares, report) -> str:
+def _closed_form_verdict(g, report) -> str:
     """Compare the closed form with the exact charpoly, or, under --numeric,
     which computes none, certify the closed form on the graph itself.  The
-    squares tell whether the MOSLS layers commute
+    graph's squares tell whether the MOSLS layers commute
     (designs.is_block_permutational), the graph when four or more fail."""
     from . import graph, spectra
 
-    n, f = g.order, g.family_size
+    n, f = g.order, len(g.squares)
     if g.flavor == "mols":
         try:
             closed = spectra.srg_spectrum(
@@ -216,7 +216,7 @@ def _closed_form_verdict(g, squares, report) -> str:
         except spectra.SrgParameterError as exc:
             return f"INAPPLICABLE ({exc})"
     else:
-        failing = sum(not designs.is_block_permutational(sq) for sq in squares)
+        failing = sum(not designs.is_block_permutational(sq) for sq in g.squares)
         if failing and (failing <= 3 or not graph.commute_check(g)):
             return "INAPPLICABLE (adjacency layers do not commute)"
         closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
@@ -230,7 +230,7 @@ def _closed_form_verdict(g, squares, report) -> str:
 def cmd_graph_export(args) -> int:
     from . import graph
 
-    g, _ = _build_graph(args)
+    g = _build_graph(args)
     write = graph.edge_lines if args.format == "edges" else graph.matrix_lines
     if args.out:
         with open(args.out, "w") as fh:

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .designs import CheckFailed, MoslsFamily, SudokuShape, _block_cells
+from .designs import CheckFailed, LatinSquare, MoslsFamily, SudokuShape, _block_cells
 
 # Largest vertex count a CellGraph accepts: order 49, whose dense uint8
 # (n**2) x (n**2) adjacency takes 2401**2 bytes, about 5.8 MB (16.8 MB at
@@ -66,7 +66,7 @@ class CellGraph:
     """
 
     shape: SudokuShape
-    family_size: int
+    squares: tuple[LatinSquare, ...]  # the selected squares, in index order
     flavor: str  # "mols" or "mosls"
     adjacency: np.ndarray
     labels: tuple[tuple[int, np.ndarray], ...] | None = None
@@ -205,7 +205,7 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
             f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
             f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
         )
-    return CellGraph(fam.shape, len(picked), "mols", agree, labels)
+    return CellGraph(fam.shape, tuple(fam.squares[k - 1] for k in picked), "mols", agree, labels)
 
 
 def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -222,7 +222,7 @@ def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
             f"cells ({u // n + 1}, {u % n + 1}) and ({v // n + 1}, {v % n + 1}) "
             "share a block and a symbol; some selected square is not Sudoku"
         )
-    return CellGraph(fam.shape, mols.family_size, "mosls", mols.adjacency, [*mols.labels, *blocks])
+    return CellGraph(fam.shape, mols.squares, "mosls", mols.adjacency, [*mols.labels, *blocks])
 
 
 def _label_product(classes, X: np.ndarray) -> np.ndarray:

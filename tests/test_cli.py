@@ -322,6 +322,21 @@ def test_spectrum_closed_form_reads_the_selected_squares(mixed8_file, capsys):
         assert stdout.endswith("closed form: INAPPLICABLE (adjacency layers do not commute)\n")
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [("spectrum", ["--subset", "2,1,2", "--verify-closed-form"]), ("graph-export", ["--subset", "1"])],
+    ids=["spectrum", "graph-export"],
+)
+def test_subset_is_resolved_once(command, flags, four_file, capsys, monkeypatch):
+    # the builder resolves --subset, and the closed form reads the
+    # squares off the graph it built
+    calls = []
+    resolve = graph._resolve_subset
+    monkeypatch.setattr(graph, "_resolve_subset", lambda fam, subset: calls.append(subset) or resolve(fam, subset))
+    code, _, err = run(capsys, command, "--in", four_file, *flags)
+    assert code == 0 and err == "" and len(calls) == 1
+
+
 def test_spectrum_asks_the_graph_past_three_squares_that_are_not_permutational(
     tmp_path, capsys, monkeypatch
 ):

@@ -60,7 +60,7 @@ def test_order2_graph_is_complete():
 
 def test_empty_subset_gives_rook_graph():
     g = build_mols_graph(single(cyclic_square(3)), subset=[])
-    assert g.family_size == 0
+    assert g.squares == ()
     assert srg_check(g) == (9, 4, 1, 2)
 
 
@@ -74,7 +74,10 @@ def test_subset_validation():
         with pytest.raises(ValueError, match="square index is not an integer"):
             build_mols_graph(FOUR_FAMILY, subset=subset)
     numpy_index = build_mols_graph(FOUR_FAMILY, subset=[np.int64(2)])
-    assert numpy_index.family_size == 1
+    assert numpy_index.squares == (FOUR_FAMILY.squares[1],)
+    # a graph keeps the squares it selected, once each, in index order
+    assert build_mosls_graph(FOUR_FAMILY, [2, 1, 2]).squares == FOUR_FAMILY.squares
+    assert build_mols_graph(FOUR_FAMILY, []).squares == ()
     assert np.array_equal(numpy_index.adjacency, build_mols_graph(FOUR_FAMILY, [2]).adjacency)
 
 
@@ -212,7 +215,7 @@ def test_quotient_matrix_custom_parts_and_errors():
     path = np.zeros((4, 4), dtype=np.int64)
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         path[u, v] = path[v, u] = 1
-    g = CellGraph(SudokuShape(1, 2), 0, "mols", path)
+    g = CellGraph(SudokuShape(1, 2), (), "mols", path)
     assert block_partition(g.shape) == ((0, 1), (2, 3))
     with pytest.raises(EquitabilityError, match="part 1"):
         quotient_matrix(g)
@@ -220,13 +223,13 @@ def test_quotient_matrix_custom_parts_and_errors():
     # quotient takes only the blocks, so relabel the path to make the ends
     # cells 0 and 1
     ends_first = [0, 3, 1, 2]
-    relabelled = CellGraph(g.shape, 0, "mols", path[np.ix_(ends_first, ends_first)])
+    relabelled = CellGraph(g.shape, (), "mols", path[np.ix_(ends_first, ends_first)])
     quo = quotient_matrix(relabelled)
     assert quo.entries.tolist() == [[0, 1], [1, 1]]
     # the parts are always the blocks, and they partition the vertex set
     for shape in (SudokuShape(1, 2), SudokuShape(2, 3), SudokuShape(3, 2)):
         nv = shape.order ** 2
-        quo = quotient_matrix(CellGraph(shape, 0, "mols", np.zeros((nv, nv), dtype=np.uint8)))
+        quo = quotient_matrix(CellGraph(shape, (), "mols", np.zeros((nv, nv), dtype=np.uint8)))
         assert quo.parts == block_partition(shape)
         assert sorted(v for part in quo.parts for v in part) == list(range(nv))
         assert not quo.entries.any()
@@ -306,11 +309,11 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
         A += A.T
         expected = A @ blocks
         assert np.array_equal(_times_blocks(A, shape), expected)
-        assert commute_check(CellGraph(shape, 0, "mols", A)) == np.array_equal(expected, expected.T)
+        assert commute_check(CellGraph(shape, (), "mols", A)) == np.array_equal(expected, expected.T)
     for a, b, c in np.ndindex(2, 2, 2):
         A = a * eye + b * blocks + c * (1 - eye - blocks)
         assert np.array_equal(_times_blocks(A, shape), A @ blocks)
-        assert commute_check(CellGraph(shape, 0, "mols", A))
+        assert commute_check(CellGraph(shape, (), "mols", A))
     # non-symmetric 0/1 graphs are judged on A @ B: a random one, and the
     # column of B at cell 0 alone, whose A @ B = B e (B e)^T is symmetric
     # while its transpose gives e (B**2 e)^T, symmetric only for q, r <= 2
@@ -320,7 +323,7 @@ def test_block_sums_match_int64_product_on_random_matrices(q, r):
     for A in (rng.integers(0, 1, size=(nv, nv), endpoint=True), column, column.T):
         expected = A @ blocks
         verdicts.append(np.array_equal(expected, expected.T))
-        assert commute_check(CellGraph(shape, 0, "mols", A)) == verdicts[-1]
+        assert commute_check(CellGraph(shape, (), "mols", A)) == verdicts[-1]
     assert verdicts[1] and verdicts[2] == (max(q, r) <= 2 or q == 1)
 
 
@@ -329,13 +332,13 @@ def test_cell_graph_refuses_a_wrong_shape_and_stores_uint8():
     # the shape is checked before the entries
     for bad_shape in ((16, 15), (4, 4), (256,), (16, 16, 1)):
         with pytest.raises(ValueError, match=r"^adjacency has shape .*needs \(16, 16\)$"):
-            CellGraph(shape, 0, "mols", np.full(bad_shape, 7, dtype=np.int64))
+            CellGraph(shape, (), "mols", np.full(bad_shape, 7, dtype=np.int64))
     # a uint8 adjacency is kept, not copied; other 0/1 arrays become uint8
     built = build_mols_graph(FOUR_FAMILY)
     A = built.adjacency
-    assert CellGraph(shape, 2, "mols", A).adjacency is A
+    assert CellGraph(shape, built.squares, "mols", A).adjacency is A
     for dtype in (bool, np.int8, np.int64, np.float64):
-        g = CellGraph(shape, 2, "mols", A.astype(dtype), built.labels)
+        g = CellGraph(shape, built.squares, "mols", A.astype(dtype), built.labels)
         assert g.adjacency.dtype == np.uint8 and np.array_equal(g.adjacency, A)
         assert commute_check(g) and srg_check(g) == (16, 12, 8, 12)
 
@@ -356,19 +359,19 @@ def test_srg_check_reads_every_pair():
     c = np.concatenate([np.arange(4), np.repeat([4, 5, 6, 7], 3)])
     labels = [(1, a), (-1, c)]
     assert np.array_equal(label_adjacency(labels), A)
-    assert srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", A, labels)) is None
+    assert srg_check(CellGraph(SudokuShape(2, 2), (), "mols", A, labels)) is None
     assert _srg_reference(A) is None
     # four copies of K4 are strongly regular: one label
     cliques = np.kron(np.eye(4, dtype=np.uint8), np.ones((4, 4), dtype=np.uint8))
     np.fill_diagonal(cliques, 0)
-    params = srg_check(CellGraph(SudokuShape(2, 2), 0, "mols", cliques, [(1, np.arange(16) // 4)]))
+    params = srg_check(CellGraph(SudokuShape(2, 2), (), "mols", cliques, [(1, np.arange(16) // 4)]))
     assert params == _srg_reference(cliques) == (16, 3, 2, 0)
 
 
 def test_srg_check_needs_labels_that_give_the_adjacency():
     g = build_mols_graph(FOUR_FAMILY)
     with pytest.raises(ValueError, match="has none"):
-        srg_check(CellGraph(g.shape, 2, "mols", g.adjacency))
+        srg_check(CellGraph(g.shape, g.squares, "mols", g.adjacency))
     # a square left out, a square counted twice, a sign turned, a loop the
     # labels cannot give: none gets a verdict, not even None
     rows, cols, first, second = (label for _, label in g.labels)
@@ -382,15 +385,15 @@ def test_srg_check_needs_labels_that_give_the_adjacency():
     ]:
         assert not np.array_equal(label_adjacency(labels), adjacency)
         with pytest.raises(ValueError, match="do not give its adjacency"):
-            srg_check(CellGraph(g.shape, 2, "mols", adjacency, labels))
+            srg_check(CellGraph(g.shape, g.squares, "mols", adjacency, labels))
     # the path 1-2-3-4 is not regular, and the labels give only 1-2 and 3-4
     path = np.zeros((4, 4), dtype=np.uint8)
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         path[u, v] = path[v, u] = 1
     with pytest.raises(ValueError, match="do not give its adjacency"):
-        srg_check(CellGraph(SudokuShape(1, 2), 0, "mols", path, [(1, np.array([0, 0, 1, 1]))]))
+        srg_check(CellGraph(SudokuShape(1, 2), (), "mols", path, [(1, np.array([0, 0, 1, 1]))]))
     path_labels = [(1, np.array([0, 0, 1, 1])), (1, np.array([0, 1, 1, 2]))]
-    assert srg_check(CellGraph(SudokuShape(1, 2), 0, "mols", path, path_labels)) is None
+    assert srg_check(CellGraph(SudokuShape(1, 2), (), "mols", path, path_labels)) is None
 
 
 def test_cell_graph_and_srg_check_refuse_malformed_labels():
@@ -398,14 +401,14 @@ def test_cell_graph_and_srg_check_refuse_malformed_labels():
     shape = SudokuShape(2, 2)
     for sign, label in [(2, np.zeros(16)), (0, np.zeros(16)), (1, np.zeros(15)), (1, np.zeros((4, 4)))]:
         with pytest.raises(ValueError, match="a label is a sign of 1 or -1 and 16 cell values"):
-            CellGraph(shape, 0, "mols", A, [(sign, label)])
+            CellGraph(shape, (), "mols", A, [(sign, label)])
     # one class of 16 cells adds up to 15 to a count, so 2185 such labels
     # could reach 32775, whatever their signs
     one_class = np.zeros(16, dtype=np.int64)
     labels = [(1, one_class), (-1, one_class)] * 1092 + [(1, one_class)]
     with pytest.raises(ValueError, match="reach 32775 in a count, beyond int16"):
-        srg_check(CellGraph(shape, 0, "mols", A, labels))
-    assert srg_check(CellGraph(shape, 0, "mols", A, labels[:2])) == (16, 0, 0, 0)
+        srg_check(CellGraph(shape, (), "mols", A, labels))
+    assert srg_check(CellGraph(shape, (), "mols", A, labels[:2])) == (16, 0, 0, 0)
 
 
 def test_label_product_on_column_slabs_matches_int64_products():
@@ -459,10 +462,10 @@ def test_srg_check_counts_joint_classes_of_many_ids():
     labels = [(1, cells // 4), (-1, cells // 2)]
     A = label_adjacency(labels).astype(np.uint8)
     assert set(np.unique(A)) == {0, 1} and (A.sum(axis=1) == 2).all()
-    g = CellGraph(SudokuShape(3, 4), 0, "mols", A, labels)
+    g = CellGraph(SudokuShape(3, 4), (), "mols", A, labels)
     assert srg_check(g) is None and _srg_reference(A) is None
     with pytest.raises(ValueError, match="do not give its adjacency"):
-        srg_check(CellGraph(SudokuShape(3, 4), 0, "mols", A, [(1, cells // 4), (-1, cells // 3)]))
+        srg_check(CellGraph(SudokuShape(3, 4), (), "mols", A, [(1, cells // 4), (-1, cells // 3)]))
 
 
 def test_label_product_reach_bound():
@@ -615,7 +618,7 @@ def test_cell_graph_refuses_entries_outside_0_1():
         A = np.zeros((16, 16), dtype=dtype)
         A[0, 5] = A[5, 0] = bad
         with pytest.raises(ValueError, match="^adjacency entries must be 0 or 1$"):
-            CellGraph(shape, 0, "mols", A)
+            CellGraph(shape, (), "mols", A)
 
 
 def test_vertex_cap_refuses_before_allocating():
@@ -633,7 +636,7 @@ def test_vertex_cap_refuses_before_allocating():
             commute_check(fam)
         # a graph refuses its shape before it reads the adjacency
         with pytest.raises(ValueError, match="dense graph cap"):
-            CellGraph(fam.shape, 0, "mols", np.zeros((1, 1), dtype=np.int64))
+            CellGraph(fam.shape, (), "mols", np.zeros((1, 1), dtype=np.int64))
 
     _, peak = peak_traced(refuse_all)
     # one dense 4096 x 4096 int64 array would take 134 MB
