@@ -12,6 +12,16 @@ order-27 square.  A changed digest means some byte of the command's
 output or its exit code changed.  `spectrum --verify-closed-form` above
 150 vertices also prints LAPACK's numbers, which differ between builds,
 so only its other lines are digested; order 49 runs with --full-sweep.
+
+The failure-path cases digest exit 1, exit 2 and INAPPLICABLE outputs:
+`check` of a family that holds one square twice and of a truncated file,
+the vertex cap, a bad `--subset`, `--verify-closed-form` on a family that
+is not orthogonal, on a square that is not block-permutational and on a
+MOLS graph, `switch` of such a square, an invalid band switch, a flat
+square and a two-square file, `compare` across shapes and of a
+two-square file, and a `construct --count` beyond the family.  Two kinds
+of error are left out: argparse usage errors, whose line wrapping follows
+the terminal width, and missing-file errors, whose message holds a path.
 """
 
 import hashlib
@@ -20,7 +30,7 @@ import json
 import numpy as np
 import pytest
 
-from fixtures import NINE, NINE_SWITCHED, single
+from fixtures import NINE, NINE_SWITCHED, cyclic_square, single
 from mosls import cli, designs, spectra, switching
 
 # name: (factors p:m:n, order cap or None for the default)
@@ -313,3 +323,87 @@ def test_spectrum_exact_order49(tmp_path, capsys, request):
     assert cli.main(argv + ["--out", str(path)]) == 0
     capsys.readouterr()
     assert _digest(["spectrum", "--in", str(path), "--exact"], capsys) == ORDER49_DIGEST
+
+
+# failure and refusal paths: exit 1, exit 2 and INAPPLICABLE verdicts.
+# name: argv with {input} placeholders; "{out}" marks an --out file, whose
+# bytes are digested when the command writes one
+FAILURE_CASES = {
+    "check doubled": ["check", "--in", "{doubled}"],
+    "check truncated": ["check", "--in", "{truncated}"],
+    "spectrum o64 vertex cap": ["spectrum", "--in", "{o64}"],
+    "spectrum nine --subset 0": ["spectrum", "--in", "{nine}", "--subset", "0"],
+    "graph-export nine --subset 9": ["graph-export", "--in", "{nine}", "--subset", "9"],
+    "spectrum doubled --verify-closed-form": ["spectrum", "--in", "{doubled}", "--verify-closed-form"],
+    "spectrum nine-switched --verify-closed-form": ["spectrum", "--in", "{nine-switched}", "--verify-closed-form"],
+    "spectrum nine --mols-only --verify-closed-form": [
+        "spectrum", "--in", "{nine}", "--mols-only", "--verify-closed-form",
+    ],
+    "switch nine-switched": [
+        "switch", "--in", "{nine-switched}", "--row-block", "1", "--symbols", "3,4", "--out", "{out}",
+    ],
+    "switch nine invalid band": ["switch", "--in", "{nine}", "--row-block", "1", "--symbols", "1,2", "--out", "{out}"],
+    "switch flat5 --col-block 1": ["switch", "--in", "{flat5}", "--col-block", "1", "--symbols", "1,2", "--out", "{out}"],
+    "switch doubled": ["switch", "--in", "{doubled}", "--row-block", "1", "--symbols", "1,2"],
+    "compare nine flat4": ["compare", "--a", "{nine}", "--b", "{flat4}"],
+    "compare doubled": ["compare", "--a", "{doubled}", "--b", "{nine}"],
+    "construct --count 9": ["construct", "--p", "2", "--m", "1", "--n", "1", "--count", "9"],
+}
+
+FAILURE_DIGESTS = {
+    "check doubled": "849fcab34ae8048334223c29d28a1a1b26b9420b9116bddb3646659494c0af81",
+    "check truncated": "61253b0b0264d052015a800523a60c3605d8cfbbfa83ae37730e6e0dddc20ae1",
+    "compare doubled": "c419cd7d6035bb4a3282ff4fa58380e56deb64b2781564a682982c96b07d1f67",
+    "compare nine flat4": "cab0a55f982bbf3479391a9d84224721a91149dc76a9bac0b6a4a2d4339e433c",
+    "construct --count 9": "5ea0977d3b32119a68ced84f51b4f527e134cbf17bf34dfe6b4c9e4cb7fc0330",
+    "graph-export nine --subset 9": "743c9676ec0512a3e8d0a580c011a5ebd198bebbca71a17907380cfa4b7d5597",
+    "spectrum doubled --verify-closed-form": "944577f8a8ee7fb8fa9f52b6c8af2c3df937d591fe212cc98f17b0170357fcf2",
+    "spectrum nine --mols-only --verify-closed-form": "6a9294e7ac7567ed599447713acd64d964a2554b69178bdf8041845a7b585bc6",
+    "spectrum nine --subset 0": "c71ada4c93090198efbb52773baaeb7d780c84dc2515c6241f61516c2253521c",
+    "spectrum nine-switched --verify-closed-form": "10b25e7fdf791503f6d4592f2f42257afef0ebb91772dc88f016f32a5d4063f4",
+    "spectrum o64 vertex cap": "dcb2ce2c34809cd01af0b07b13a6292457fb57b333b3c526a14dd8254768bcf0",
+    "switch doubled": "c099b9eb5bdcc97a5d934b98ad4d2d5068c23ce240582a745258389209af83c1",
+    "switch flat5 --col-block 1": "1893f7ff093f72b43cc38ab098a1a6f9b7d6f901699153cc3876bacbb216ff2c",
+    "switch nine invalid band": "d46fb7e9a14a848b4278860f224a10520e42aaa4c2dd9905f8a252dccb9dc590",
+    "switch nine-switched": "987811179c671321de28869729448a9914bdf2340809e99be3ffe44187b606a8",
+}
+
+
+@pytest.fixture(scope="module")
+def failure_inputs(tmp_path_factory):
+    """Input family files by placeholder name: the order-9 square, its
+    switch, that square twice (not orthogonal), its file cut in half,
+    flat cyclic squares of orders 4 and 5, and the first order-64 field
+    square (4096 vertices, above the dense graph cap)."""
+    work = tmp_path_factory.mktemp("failure")
+    families = {
+        "nine": single(NINE),
+        "nine-switched": single(NINE_SWITCHED),
+        "doubled": designs.MoslsFamily(NINE.shape, (NINE, NINE)),
+        "flat4": single(cyclic_square(4)),
+        "flat5": single(cyclic_square(5)),
+    }
+    paths = {}
+    for name, fam in families.items():
+        paths[name] = work / f"{name}.txt"
+        designs.save_family(fam, paths[name])
+    text = paths["nine"].read_text()
+    paths["truncated"] = work / "truncated.txt"
+    paths["truncated"].write_text(text[: len(text) // 2])
+    paths["o64"] = work / "o64.txt"
+    argv = ["construct", "--p", "2", "--m", "3", "--n", "3", "--count", "1", "--order-cap", "64"]
+    assert cli.main(argv + ["--out", str(paths["o64"])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_CASES))
+def test_failure_path_output(name, failure_inputs, tmp_path, capsys):
+    capsys.readouterr()
+    out_path = tmp_path / "out.txt"
+    names = {"out": out_path, **failure_inputs}
+    argv = [tok.format_map({k: str(v) for k, v in names.items()}) for tok in FAILURE_CASES[name]]
+    code = cli.main(argv)
+    record = [code, *capsys.readouterr()]
+    if out_path.exists():
+        record.append(out_path.read_text())
+    assert _sha(record) == FAILURE_DIGESTS[name]
