@@ -202,29 +202,32 @@ def cmd_spectrum(args) -> int:
 
 def _closed_form_verdict(g, report) -> str:
     """Compare the closed form with the exact charpoly, or, under --numeric,
-    which computes none, certify the closed form on the graph itself.  The
-    graph's squares tell whether the MOSLS layers commute
-    (designs.is_block_permutational), the graph when four or more fail."""
-    from . import graph, spectra
+    which computes none, certify it on the graph itself.  The MOLS form holds
+    for every family that builds, the MOSLS one when its layers commute."""
+    from . import spectra
 
     n, f = g.order, len(g.squares)
     if g.flavor == "mols":
-        try:
-            closed = spectra.srg_spectrum(
-                n * n, (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2)
-            )
-        except spectra.SrgParameterError as exc:
-            return f"INAPPLICABLE ({exc})"
-    else:
-        failing = sum(not designs.is_block_permutational(sq) for sq in g.squares)
-        if failing and (failing <= 3 or not graph.commute_check(g)):
-            return "INAPPLICABLE (adjacency layers do not commute)"
+        closed = spectra.srg_spectrum(n * n, (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2))
+    elif _layers_commute(g.squares, g):
         closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
+    else:
+        return "INAPPLICABLE (adjacency layers do not commute)"
     if report.charpoly is None:
         match = spectra.certify_charpoly(g.adjacency, closed)
     else:
         match = spectra.poly_product(closed).coeffs == report.charpoly.coeffs
     return "MATCH" if match else "MISMATCH"
+
+
+def _layers_commute(squares, g=None) -> bool:
+    """Whether the Latin and block layers of the cell graph g on these
+    squares commute: iff every square is block-permutational, while at most
+    three are not (proof at designs.is_block_permutational)."""
+    from . import graph  # loaded already: each caller has built a cell graph
+
+    failing = sum(not designs.is_block_permutational(sq) for sq in squares)
+    return graph.commute_check(g) if failing > 3 else not failing
 
 
 def cmd_graph_export(args) -> int:
@@ -276,9 +279,8 @@ def cmd_switch(args) -> int:
 def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
     from . import switching
 
-    # the layers commute iff the square is: designs.is_block_permutational;
-    # a flat square is, and the theorem refuses it (needs q, r >= 2)
-    if not designs.is_block_permutational(square):
+    # a flat square's layers commute, and the theorem refuses it (needs q, r >= 2)
+    if not _layers_commute([square]):
         return "INAPPLICABLE (square is not block-permutational)"
     try:
         expected = switching.switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r)

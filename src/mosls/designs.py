@@ -263,7 +263,7 @@ def is_block_permutational(L: LatinSquare) -> bool:
     With four or more squares that are not, zero row sums leave room for
     e != 0, and N_kl need not be constant: on an orthogonal pair of order
     8 that the tests hold, N_12 takes the values 1 and 5.  There the claim
-    is open, and the CLI asks graph.commute_check.
+    is open, and the CLI asks graph.commute_check (cli._layers_commute).
     """
     if not is_sudoku(L):
         raise ValueError("is_block_permutational requires a Sudoku square")

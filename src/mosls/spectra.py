@@ -90,17 +90,16 @@ def _linear_guess(values: np.ndarray) -> list[tuple[IntPolynomial, int]]:
     )
 
 
-def _power_sums(poly: IntPolynomial, count: int) -> list[int]:
-    """p_k, the sum of the k-th powers of the roots of the monic poly, for
-    k < count, by Newton's identities in Python ints."""
-    d = poly.degree
-    c = poly.coeffs
-    sums = [d]
-    for k in range(1, count):
-        acc = k * c[d - k] if k <= d else 0
-        for i in range(1, min(k, d + 1)):
-            acc += c[d - i] * sums[k - i]
-        sums.append(-acc)
+def _power_sums(factors, count: int) -> list[int]:
+    """p_k, the sum of the k-th powers of the roots of prod F**m over the
+    (F, m) pairs of monic F, for k < count, by Newton's identities."""
+    sums = [0] * count
+    for poly, mult in factors:
+        d, c, own = poly.degree, poly.coeffs, [poly.degree]
+        for k in range(1, count):
+            acc = k * c[d - k] if k <= d else 0
+            own.append(-acc - sum(c[d - i] * own[k - i] for i in range(1, min(k, d + 1))))
+        sums = [s + mult * p for s, p in zip(sums, own)]
     return sums
 
 
@@ -196,31 +195,30 @@ def _exact_traces(A: np.ndarray, d: int) -> list[int]:
     return [x - prod if 2 * x > prod else x for x in values]
 
 
-def _power_sum_quotient(A: np.ndarray, linear) -> IntPolynomial:
-    """det(tI - A) / prod (t - v)**m over the (t - v, m) pairs in linear,
-    when they divide it: t**d + a_1 t**(d-1) + ... + a_d, d = n - sum m,
+def _power_sum_quotient(A: np.ndarray, known) -> IntPolynomial:
+    """det(tI - A) / prod F**m over the (F, m) pairs of monic F in known,
+    when they divide it: t**d + a_1 t**(d-1) + ... + a_d, d = n - sum m deg F,
     by Newton's identities k a_k = -(a_(k-1) p_1 + ... + a_0 p_k), a_0 = 1,
-    on the exact power sums p_k = tr(A**k) - sum m v**k.
+    on the exact power sums p_k = tr(A**k) - p_k(prod F**m).
 
     Every division by k is exact: these are the identities of the power
-    series f(x) = det(I - xA) / prod (1 - v x)**m, whose logarithmic
-    derivative -x f'/f is sum p_k x**k, and f has integer coefficients.
-    When the linear factors divide the charpoly, f is the reversed
-    quotient; when not, the result is f cut at degree d, which the
-    certificate rejects.  ValueError, before any product, when
-    d * n > EXACT_SIZE_CAP**2 (d = 50, n = 729 took 9.4 s on 2 CPUs)."""
+    series f(x) = det(I - xA) / prod F~(x)**m, F~ the reversed F, whose
+    logarithmic derivative -x f'/f is sum p_k x**k; f has integer
+    coefficients, as each F~ has constant term 1.  When the known factors
+    divide the charpoly, f is the reversed quotient; when not, the result
+    is f cut at degree d, which the certificate rejects.  ValueError,
+    before any product, when d * n > EXACT_SIZE_CAP**2 (d = 50, n = 729
+    took 9.4 s on 2 CPUs)."""
     n = A.shape[0]
-    d = n - sum(mult for _, mult in linear)
+    d = n - sum(mult * poly.degree for poly, mult in known)
     if d * n > EXACT_SIZE_CAP**2:
         raise ValueError(
             f"exact charpoly refused: {d} of {n} eigenvalues uncertified, "
             f"{d} * {n} > {EXACT_SIZE_CAP**2}; spectrum --numeric needs no charpoly"
         )
-    sums = _exact_traces(A, d)
-    for poly, mult in linear:
-        sums = [s - mult * (-poly.coeffs[0]) ** k for k, s in enumerate(sums, 1)]
+    sums = [t - s for t, s in zip(_exact_traces(A, d), _power_sums(known, d + 1)[1:])]
     a = [1]
-    for k in range(1, len(sums) + 1):
+    for k in range(1, d + 1):
         quot, rem = divmod(-sum(a[k - i] * sums[i - 1] for i in range(1, k + 1)), k)
         assert rem == 0, "inexact division in Newton's identities"
         a.append(quot)
@@ -266,10 +264,7 @@ def certify_charpoly(M, factors) -> bool:
         return False  # tr(M**0) = n = p_0
     R = poly_product((poly, 1) for poly, _ in factors)
     r, D = R.coeffs, R.degree
-    sums = [0] * D
-    for poly, mult in factors:
-        for k, s in enumerate(_power_sums(poly, D)):
-            sums[k] += mult * s
+    sums = _power_sums(factors, D)
     expected = [sum(r[D - j + i] * sums[i] for i in range(j + 1)) for j in range(1, D)]
     bound = _certificate_bound(n, _abs_row_sum(A), R, sums)
     for m, traces, Y in _chain(A, [r[D - j] for j in range(1, D + 1)], bound):
@@ -334,10 +329,12 @@ def charpoly_exact(M) -> IntPolynomial:
 
 
 def _charpoly(A: np.ndarray, values=None) -> IntPolynomial:
-    """charpoly_exact of the int matrix A, given its descending eigvalsh values if known."""
-    symmetric = np.array_equal(A, A.T)
-    values = np.linalg.eigvalsh(A.astype(np.float64))[::-1] if symmetric and values is None else values
-    if symmetric and (linear := _linear_guess(values)):
+    """charpoly_exact of the int matrix A, given its descending eigvalsh
+    values if known: numeric_spectrum passes them only once _symmetric_float
+    has found A symmetric, and the certificate is a proof for any square A."""
+    if values is None and np.array_equal(A, A.T):
+        values = np.linalg.eigvalsh(A.astype(np.float64))[::-1]
+    if values is not None and (linear := _linear_guess(values)):
         rest = _power_sum_quotient(A, linear)
         factors = linear + [(rest, 1)] if rest.degree else linear
         if certify_charpoly(A, factors):

@@ -395,10 +395,10 @@ def _nine_switched():
 
 def test_power_sums_newton_identities():
     # t^2 - t - 1: the power sums of the golden ratio and its conjugate are
-    # the Lucas numbers
-    assert _power_sums(IntPolynomial((-1, -1, 1)), 8) == [2, 1, 3, 4, 7, 11, 18, 29]
-    assert _power_sums(IntPolynomial((-3, 1)), 4) == [1, 3, 9, 27]
-    assert _power_sums(roots_poly([2, -1, 5]), 5) == [3, 6, 30, 132, 642]
+    # the Lucas numbers; a one-factor list is that factor's own power sums
+    assert _power_sums([(IntPolynomial((-1, -1, 1)), 1)], 8) == [2, 1, 3, 4, 7, 11, 18, 29]
+    assert _power_sums([(IntPolynomial((-3, 1)), 1)], 4) == [1, 3, 9, 27]
+    assert _power_sums([(roots_poly([2, -1, 5]), 1)], 5) == [3, 6, 30, 132, 642]
 
 
 def test_power_sum_quotient_inverts_newton_identities():
@@ -413,7 +413,9 @@ def test_power_sum_quotient_inverts_newton_identities():
     linear = [(IntPolynomial((-2, 1)), 2), (IntPolynomial((-3, 1)), 1)]
     assert _power_sum_quotient(M, linear) == cubic
     assert _power_sum_quotient(M, []) == poly_product(linear + [(cubic, 1)])
-    assert _power_sums(cubic, 4)[1:] == _exact_traces(M[3:, 3:], 3)
+    assert _power_sums([(cubic, 1)], 4)[1:] == _exact_traces(M[3:, 3:], 3)
+    # known factors of any degree: the cubic and t - 3 leave (t - 2)^2
+    assert _power_sum_quotient(M, [(cubic, 1), (IntPolynomial((-3, 1)), 1)]) == IntPolynomial((4, -4, 1))
 
 
 def test_exact_traces_match_integer_powers():
@@ -834,6 +836,19 @@ def test_srg_spectrum_conference():
     assert poly_product(got).coeffs == poly_product(
         [(IntPolynomial((-2, 1)), 1), (IntPolynomial((-1, 1, 1)), 1), (IntPolynomial((-1, 1, 1)), 1)]
     ).coeffs
+
+
+def test_srg_spectrum_of_every_mols_graph_that_builds():
+    # the MOLS cell graph of f squares of order n: a family that builds has
+    # f <= n - 1, or any f at n = 1, and for each the closed form is k once,
+    # n - f - 2 and -f - 2, a multiplicity of 0 dropped; so the MOLS
+    # verdict of spectrum --verify-closed-form is never refused
+    cases = [(n, f) for n in range(2, 50) for f in range(n)] + [(1, f) for f in range(51)]
+    for n, f in cases:
+        k = (f + 2) * (n - 1)
+        lines = [(k, 1), (n - f - 2, (f + 2) * (n - 1)), (-f - 2, (n - 1) * (n - f - 1))]
+        expected = [(IntPolynomial((-root, 1)), mult) for root, mult in lines if mult]
+        assert srg_spectrum(n * n, k, n - 2 + f * (f + 1), (f + 1) * (f + 2)) == expected, (n, f)
 
 
 def test_srg_spectrum_rejects_bad_parameters():
