@@ -144,6 +144,10 @@ def _abs_row_sum(A: np.ndarray) -> int:
     return max(np.abs(A).view(np.uint64).sum(axis=1, dtype=object))
 
 
+# OpenBLAS runs a dgemm of at most this many multiply-adds on the calling thread
+_SERIAL_MACS = 10**6
+
+
 def _chain(A: np.ndarray, c, bound: int):
     """Residues of Y_0 = I, Y_j = A @ Y_(j-1) + c_j I for j = 1..len(c)
     (the powers A**j when every c_j = 0; R(A) by Horner when the c_j are
@@ -151,7 +155,7 @@ def _chain(A: np.ndarray, c, bound: int):
     m, [tr(Y_j) mod m for each j] and the last Y_j for each of the
     pairwise coprime moduli m, until their product exceeds bound.
 
-    Each step is one float64 BLAS product, reduced as T - m * rint(T / m),
+    Each step is a float64 BLAS product, reduced as T - m * rint(T / m),
     whose rounded quotient is within 1/2 + 2/m of T / m, so |residue| < m
     for m >= 5.  A is reduced to residues in [0, m) when max|a_ij| >= m,
     so its entries are at most a = min(max|a_ij|, m - 1), and every value
@@ -159,9 +163,15 @@ def _chain(A: np.ndarray, c, bound: int):
     to _modulus_limit(n, max|a_ij|), and for any entries up to
     isqrt(2**52 // n), as then (n (m - 1) + 1)(m - 1) + m <= n m**2 + m,
     with n m**2 <= 2**52.
+
+    While n**3 <= 4 * _SERIAL_MACS (n <= 158) a product runs in row panels
+    of at most _SERIAL_MACS multiply-adds, on the calling thread, so no
+    worker can stall it.  Each entry is the same dot product, its partial
+    sums integers below 2**53 in any order: the residues are unchanged.
     """
     n, amax = A.shape[0], _max_abs(A)
     limit = max(_modulus_limit(n, amax), math.isqrt(2**52 // max(n, 1)))
+    h = max(1, _SERIAL_MACS // max(n * n, 1)) if n**3 <= 4 * _SERIAL_MACS else n
     Af = A.astype(np.float64)
     T, Y = np.empty_like(Af), np.empty_like(Af)
     for m in _coprime_moduli(limit, bound):
@@ -169,7 +179,8 @@ def _chain(A: np.ndarray, c, bound: int):
         traces = []
         for j, cj in enumerate(c):
             if j:
-                np.matmul(B, Y, out=T)
+                for i in range(0, n, h):
+                    np.matmul(B[i : i + h], Y, out=T[i : i + h])
             else:
                 np.copyto(T, B)  # A @ Y_0
             T.reshape(-1)[:: n + 1] += cj % m
@@ -386,6 +397,25 @@ def _group_values(values: np.ndarray, group_tol: float) -> list[tuple[float, int
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
+def _nearest_ratio(x: float, max_den: int) -> tuple[int, int]:
+    """Fraction(x).limit_denominator(max_den) as (numerator, denominator):
+    of the last convergent p1/q1 of x = n/d with q1 <= max_den and the next
+    semiconvergent p/q, the nearer to x, a tie to p1/q1 as in CPython.
+    They lie 1/(q1 q) apart, and p1/q1 lies den/(q1 d) from x."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while q0 + (a := num // den) * q1 <= max_den:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        num, den = den, num - a * den
+    k = (max_den - q0) // q1
+    if 2 * den * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _relative_residual(poly: IntPolynomial, points) -> float:
     """max |p(x)| / sum |c_k x^k| over the points, each taken as the exact
     rational a/b nearest to it with b <= 10**15.
@@ -393,15 +423,10 @@ def _relative_residual(poly: IntPolynomial, points) -> float:
     Both sums are scaled by b**n and evaluated by integer Horner; int / int
     true division is correctly rounded, so the quotient is the float of the
     exact rational ratio."""
-    # imported here: fractions pulls in decimal, which costs every process
-    # that never computes a residual start-up time and resident memory
-    from fractions import Fraction
-
     worst = 0.0
     coeffs = poly.coeffs[::-1]  # descending
     for x in points:
-        fx = Fraction(x).limit_denominator(10**15)
-        a, b = fx.numerator, fx.denominator
+        a, b = _nearest_ratio(x, 10**15)
         num = den = 0
         bpow = 1
         for c in coeffs:

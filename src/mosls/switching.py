@@ -228,7 +228,7 @@ def nonisomorphism_certificate(a: LatinSquare, b: LatinSquare) -> Certificate:
     squares); equal charpolys are inconclusive.
     """
     if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"shape mismatch: type {(a.shape.q, a.shape.r)} vs type {(b.shape.q, b.shape.r)}")
     pa = charpoly_exact(build_mosls_graph(MoslsFamily(a.shape, (a,))).adjacency)
     pb = charpoly_exact(build_mosls_graph(MoslsFamily(b.shape, (b,))).adjacency)
     diff = None

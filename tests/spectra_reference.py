@@ -1,21 +1,39 @@
 """Test-side references for the spectra layer: a pure-Python cyclic
 Jacobi eigensolver, which the LAPACK path of mosls.spectra.numeric_spectrum
-is checked against; long division of integer polynomials by a monic
-divisor, which checks the synthetic division in
-mosls.switching.switched_charpoly_expected; and the switching theorem's
-joining quartic as expanded coefficients in q and r, which checks the
-structured form of mosls.switching.switched_quartic.
+is checked against; the modular chain of mosls.spectra._chain with each
+product one n x n call, which checks its row panels; long division of
+integer polynomials by a monic divisor, which checks the synthetic
+division in mosls.switching.switched_charpoly_expected; and the switching
+theorem's joining quartic as expanded coefficients in q and r, which
+checks the structured form of mosls.switching.switched_quartic.
 """
 
 import math
 
 import numpy as np
 
-from mosls.spectra import IntPolynomial, _symmetric_float
+from mosls.designs import _max_abs
+from mosls.spectra import IntPolynomial, _coprime_moduli, _modulus_limit, _symmetric_float
 
 
 class ConvergenceError(ArithmeticError):
     """An iterative eigensolver ran out of sweeps above its tolerance."""
+
+
+def one_call_chain(A: np.ndarray, c, bound: int):
+    """mosls.spectra._chain on the same moduli, each product B @ Y one
+    call and each reduction written out: yields m, the traces mod m and
+    the last Y."""
+    n, amax = A.shape[0], _max_abs(A)
+    limit = max(_modulus_limit(n, amax), math.isqrt(2**52 // max(n, 1)))
+    for m in _coprime_moduli(limit, bound):
+        B = A.astype(np.float64) if amax < m else np.mod(A, m).astype(np.float64)
+        Y, traces = np.eye(n), []
+        for cj in c:
+            T = B @ Y + (cj % m) * np.eye(n)
+            Y = T - m * np.rint(T * (1.0 / m))
+            traces.append(int(Y.trace()) % m)
+        yield m, traces, Y
 
 
 def poly_divmod(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:

@@ -354,7 +354,7 @@ FAILURE_DIGESTS = {
     "check doubled": "849fcab34ae8048334223c29d28a1a1b26b9420b9116bddb3646659494c0af81",
     "check truncated": "61253b0b0264d052015a800523a60c3605d8cfbbfa83ae37730e6e0dddc20ae1",
     "compare doubled": "c419cd7d6035bb4a3282ff4fa58380e56deb64b2781564a682982c96b07d1f67",
-    "compare nine flat4": "cab0a55f982bbf3479391a9d84224721a91149dc76a9bac0b6a4a2d4339e433c",
+    "compare nine flat4": "a1a1be5bd7dec8284b92605523da8c06b25eb47d60ecfdd78b16b0928f800209",
     "construct --count 9": "5ea0977d3b32119a68ced84f51b4f527e134cbf17bf34dfe6b4c9e4cb7fc0330",
     "graph-export nine --subset 9": "743c9676ec0512a3e8d0a580c011a5ebd198bebbca71a17907380cfa4b7d5597",
     "spectrum doubled --verify-closed-form": "944577f8a8ee7fb8fa9f52b6c8af2c3df937d591fe212cc98f17b0170357fcf2",
@@ -407,3 +407,11 @@ def test_failure_path_output(name, failure_inputs, tmp_path, capsys):
     if out_path.exists():
         record.append(out_path.read_text())
     assert _sha(record) == FAILURE_DIGESTS[name]
+
+
+def test_compare_shape_mismatch_names_both_types(failure_inputs, capsys):
+    # the text behind the "compare nine flat4" digest, in the form the
+    # family parser uses for a type
+    argv = ["compare", "--a", str(failure_inputs["nine"]), "--b", str(failure_inputs["flat4"])]
+    code = cli.main(argv)
+    assert [code, *capsys.readouterr()] == [2, "", "error: shape mismatch: type (3, 3) vs type (1, 4)\n"]

@@ -113,6 +113,14 @@ def test_graph_export_loads_no_spectra_or_switching(family_file):
     assert not loaded & {"mosls.spectra", "mosls.switching"}
 
 
+def test_spectrum_residual_loads_no_fractions_or_decimal(family_file):
+    # the residual's rationals come from spectra._nearest_ratio; fractions
+    # would pull in decimal and _decimal, about 0.3 MiB and 3 ms per process
+    loaded = _fresh_modules(RUN_CLI, "spectrum", "--in", family_file, "--verify-closed-form")
+    assert "mosls.spectra" in loaded
+    assert not loaded & {"fractions", "decimal", "_decimal"}
+
+
 def test_bare_import_loads_no_layer():
     code = (
         "import sys, mosls\n"

@@ -1,8 +1,12 @@
 import math
+import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mosls import (
     ClosedFormRangeError,
@@ -33,6 +37,7 @@ from mosls.spectra import (
     _exact_traces,
     _linear_guess,
     _modulus_limit,
+    _nearest_ratio,
     _power_sum_quotient,
     _power_sums,
     _relative_residual,
@@ -61,7 +66,13 @@ from hessenberg_reference import (
     _primes_between,
     reference_charpoly,
 )
-from spectra_reference import ConvergenceError, jacobi_eigenvalues, poly_divexact, poly_divmod
+from spectra_reference import (
+    ConvergenceError,
+    jacobi_eigenvalues,
+    one_call_chain,
+    poly_divexact,
+    poly_divmod,
+)
 
 
 def spectrum_dict(factors) -> dict:
@@ -567,6 +578,103 @@ def test_reduced_chain_at_its_edge(n):
     assert (n * (m - 1) + 1) * (m - 1) + m < 2**53
     # charpoly_exact's claim up to graph.MAX_VERTICES = 2401
     assert m > 2**20
+
+
+def _random_symmetric(n: int, kind: str, seed: int, classes: int | None = None) -> np.ndarray:
+    """A random symmetric 0/1 or small-integer (-3..3) matrix; given
+    classes, vertex i copies vertex i % classes of a random matrix on that
+    many, so the rank is at most classes and 0 is an integer eigenvalue of
+    multiplicity at least n - classes."""
+    rng = np.random.default_rng(seed)
+    k = n if classes is None else min(n, classes)
+    low, high = (0, 2) if kind == "01" else (-3, 4)
+    base = np.triu(rng.integers(low, high, size=(k, k)))
+    base = base + np.triu(base, 1).T
+    idx = np.arange(n) % max(k, 1)
+    return base[np.ix_(idx, idx)]
+
+
+def _chain_products(monkeypatch, n: int, steps: int) -> list[list[tuple[int, int, int, int]]]:
+    """(first row, rows, inner, columns) of every np.matmul call that
+    _chain makes on one modulus of a random n x n 0/1 matrix over `steps`
+    products, one list per product."""
+    calls = []
+    matmul = np.matmul
+
+    def record(a, b, out):
+        whole = out if out.base is None else out.base
+        calls.append(((out.ctypes.data - whole.ctypes.data) // out.strides[0], *a.shape, b.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", record)
+    next(spectra._chain(_random_symmetric(n, "01", n), [0] * (steps + 1), 1))
+    products = []
+    for call in calls:
+        if call[0] == 0:
+            products.append([])
+        products[-1].append(call)
+    return products
+
+
+@pytest.mark.parametrize("n", [100, 120, 144, 150, 158])
+def test_chain_products_below_159_vertices_run_in_serial_panels(n, monkeypatch):
+    # every call is at most _SERIAL_MACS = 10**6 multiply-adds, the largest
+    # dgemm that OpenBLAS keeps on the calling thread, and the panels of a
+    # product cover its n rows in order
+    products = _chain_products(monkeypatch, n, 3)
+    assert len(products) == 3
+    for panels in products:
+        assert all(rows * inner * cols <= 10**6 for _, rows, inner, cols in panels)
+        assert all((inner, cols) == (n, n) for _, _, inner, cols in panels)
+        ends = list(accumulate(rows for _, rows, _, _ in panels))
+        assert [first for first, *_ in panels] == [0, *ends[:-1]] and ends[-1] == n
+    if n == 150:
+        assert [rows for _, rows, _, _ in products[0]] == [44, 44, 44, 18]
+
+
+@pytest.mark.parametrize("n", [159, 200])
+def test_chain_products_above_158_vertices_are_one_call(n, monkeypatch):
+    assert _chain_products(monkeypatch, n, 3) == [[(0, n, n, n)]] * 3
+
+
+@pytest.mark.parametrize("kind", ["01", "small"])
+@pytest.mark.parametrize("n", [0, 1, 120, 150, 158])
+def test_panel_chain_is_exact(n, kind):
+    # _chain gives the traces and last residues of the one-call chain on
+    # every modulus, for the powers and for a Horner chain; charpoly_exact
+    # of a rank-deficient matrix (a certified guess, d <= 40) runs the
+    # panels and matches the Hessenberg reference
+    A = _random_symmetric(n, kind, n)
+    rng = np.random.default_rng(n + 1)
+    for c in ([0] * 6, [int(x) for x in rng.integers(-(10**12), 10**12, 6)]):
+        moduli = []
+        # _chain reuses its Y, so each pair is compared as it is yielded
+        for (m, traces, Y), (m_ref, traces_ref, Y_ref) in zip(
+            spectra._chain(A, c, 2**200), one_call_chain(A, c, 2**200), strict=True
+        ):
+            assert (m, traces) == (m_ref, traces_ref)
+            assert np.array_equal(Y, Y_ref)
+            moduli.append(m)
+        assert len(moduli) >= 4
+    low_rank = _random_symmetric(n, kind, n, classes=40)
+    assert charpoly_exact(low_rank) == reference_charpoly(low_rank)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-(2.0**-1022), max_value=2.0**-1022),  # subnormals and +-0.0
+        st.integers(-(10**6), 10**6).flatmap(lambda k: st.floats(k - 1e-6, k + 1e-6)),
+        st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.5, 5e-324, sys.float_info.max, -sys.float_info.max]),
+    ),
+    max_den=st.sampled_from([1, 2, 7, 10**15]),
+)
+def test_nearest_ratio_is_limit_denominator(x, max_den):
+    # max_den = 1 reaches the tie between the convergent and the
+    # semiconvergent (0.5 lies halfway between 0/1 and 1/1)
+    f = Fraction(x).limit_denominator(max_den)
+    assert _nearest_ratio(x, max_den) == (f.numerator, f.denominator)
 
 
 def test_moduli_up_to_2_20_outweigh_every_charpoly_bound():
