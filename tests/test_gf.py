@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -185,3 +186,33 @@ def test_tables_are_read_only():
     ctx = gf.make_field(2, 2)
     with pytest.raises(ValueError):
         ctx.mul[1, 1] = 0
+
+
+# sha256 of the modulus and the add, neg and mul table bytes of make_field(p, d),
+# over the fields of each group in order; the modulus search runs _tables on
+# every candidate, so the digests also pin is_irreducible's verdicts
+FIELD_TABLE_DIGESTS = {
+    "p**d <= 256": "5519f25590e72779eb2a819cb4f08788a0b4c486456af43d5aed59c88ab73b6c",
+    "3**6": "a53972b43f74279767b88fbb9521bfe97a2e17f55d4ccd04b3bee5ad83ff84c9",
+    "1021": "dd7b2f902c1d5f81dde4e7e4baccfcf87a8ac08229b9eb8ad55d2e897e9e7f1a",
+    "2**10": "61cc792b195939c6da4c133015e8423d1fa3868f7b93fe172b66f197de89d439",
+}
+
+FIELD_GROUPS = {
+    "p**d <= 256": [(p, d) for p in range(2, 257) if gf.is_prime(p) for d in range(1, 9) if p**d <= 256],
+    "3**6": [(3, 6)],
+    "1021": [(1021, 1)],
+    "2**10": [(2, 10)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(FIELD_TABLE_DIGESTS))
+def test_field_tables_digest(group):
+    h = hashlib.sha256()
+    for p, d in FIELD_GROUPS[group]:
+        ctx = gf.make_field(p, d)
+        h.update(repr((p, d, ctx.modulus)).encode())
+        for table in (ctx.add, ctx.neg, ctx.mul):
+            assert table.dtype == np.int64
+            h.update(table.astype("<i8").tobytes())
+    assert h.hexdigest() == FIELD_TABLE_DIGESTS[group]

@@ -13,6 +13,9 @@ output or its exit code changed.  `spectrum --verify-closed-form` above
 150 vertices also prints LAPACK's numbers, which differ between builds,
 so only its other lines are digested; order 49 runs with --full-sweep.
 
+The help cases digest `mosls --help`, `mosls construct --help` and
+`mosls table --help` at a fixed width of 80 columns.
+
 The failure-path cases digest exit 1, exit 2 and INAPPLICABLE outputs:
 `check` of a family that holds one square twice and of a truncated file,
 the vertex cap, a bad `--subset`, `--verify-closed-form` on a family that
@@ -150,6 +153,22 @@ def test_table_output(flags, capsys):
     key = " ".join(["table"] + flags)
     assert _digest(["table"] + flags, capsys) == TABLE_DIGESTS[key]
 
+
+
+# argv: sha256 of [exit code, stdout, stderr] of a help request
+HELP_DIGESTS = {
+    "--help": "19d4800dfa039d241aebcb84e0c4f6674251994af7a9787078566c0976c406c9",
+    "construct --help": "c6d35b2b1b78157182d8e60d17a2b254305d309ed54e9026ba22db734d9d5235",
+    "table --help": "88073bf206e0b388933a420172b1e8e756eebe50fb05161ea332f36e9cd30d3d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_output(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    with pytest.raises(SystemExit) as exit:
+        cli.main(argv.split())
+    assert _sha([exit.value.code, *capsys.readouterr()]) == HELP_DIGESTS[argv]
 
 # single-square inputs, the first square of each family:
 # name -> (construct factors, switch that is valid on it)
