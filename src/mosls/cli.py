@@ -6,9 +6,9 @@ mathematical check or precondition fails (invalid square, verification
 mismatch, invalid switch), 2 for usage, flag, or input format errors.
 All outputs are deterministic for fixed inputs and flags.
 
-Each command imports the layers it calls when it runs, so `construct`,
-`check` and `table` never load graph, spectra or switching, and json is
-loaded only for --json output.
+Each command imports the layers it calls when it runs: designs always,
+construct and gf for `construct` and `table` only, graph, spectra and
+switching never for `construct`, `check` or `table`, json for --json only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 _OPENBLAS_THREAD_TIMEOUT = "4"
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
 
-from . import construct, designs  # noqa: E402  (loads numpy)
+from . import designs  # noqa: E402  (loads numpy)
 
 
 def _print_json(obj, file=None) -> None:
@@ -66,6 +66,11 @@ def _write_family(fam: designs.MoslsFamily, out):
         return sys.stdout
     designs.write_family(fam, sys.stdout)
     return sys.stderr
+
+
+def _composite(factors, order_cap):
+    from . import construct  # with gf, loaded only by the commands that build families
+    return construct.composite_mosls(factors, construct.DEFAULT_ORDER_CAP if order_cap is None else order_cap)
 
 
 def _family_checks(fam: designs.MoslsFamily) -> dict:
@@ -119,7 +124,7 @@ def cmd_construct(args) -> int:
         if args.p is None or args.m is None or args.n is None:
             raise ValueError("--p, --m and --n are required without --factor")
         factors = [(args.p, args.m, args.n)]
-    fam = construct.composite_mosls(factors, order_cap=args.order_cap)
+    fam = _composite(factors, args.order_cap)
     if args.count is not None:
         if not 1 <= args.count <= len(fam):
             raise ValueError(f"--count {args.count} outside 1..{len(fam)}")
@@ -329,7 +334,7 @@ _TABLE_ROWS = [
 ]
 
 
-def verified_table_rows(max_order: int, order_cap: int):
+def verified_table_rows(max_order: int, order_cap: int | None):
     """Build and validate each constructible family; yield result rows."""
     for order, q, r, factors, count in _TABLE_ROWS:
         if order > max_order:
@@ -342,7 +347,7 @@ def verified_table_rows(max_order: int, order_cap: int):
                 "status": "SKIPPED (external construction)",
             }
             continue
-        fam = construct.composite_mosls(factors, order_cap=order_cap)
+        fam = _composite(factors, order_cap)
         report = _family_checks(fam)
         ok = (
             report["pass"]
@@ -396,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable p:m:n factor for composite orders",
     )
     p.add_argument("--count", type=int, help="keep only the first COUNT squares")
-    p.add_argument("--order-cap", type=int, default=construct.DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=int)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_construct)
 
@@ -446,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="verify the constructible family sizes")
     p.add_argument("--max-order", type=int, default=12)
-    p.add_argument("--order-cap", type=int, default=construct.DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 

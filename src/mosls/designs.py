@@ -288,11 +288,13 @@ def write_family(fam: MoslsFamily, out) -> None:
     """Write the family to the text stream out, one square at a time."""
     q, r = fam.shape.q, fam.shape.r
     out.write(f"mosls v1\norder {q * r} type {q} {r} count {len(fam)}\n")
+    symbols = [str(v) for v in range(q * r + 1)]  # a square built in code may hold others
     for k, sq in enumerate(fam.squares):
         if k:
             out.write("\n")
+        known = 0 <= sq.entries.min(initial=0) and sq.entries.max(initial=0) <= q * r
         for row in sq.entries.tolist():
-            out.write(" ".join(map(str, row)) + "\n")
+            out.write(" ".join([symbols[v] for v in row] if known else map(str, row)) + "\n")
 
 
 def format_family(fam: MoslsFamily) -> str:

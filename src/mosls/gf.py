@@ -21,7 +21,7 @@ class FieldError(ValueError):
 
 
 # The add and mul tables and the work arrays of a multiplication table take
-# about 32*size**2 bytes, 32 MB for the 1024 elements of GF(2**10).
+# about 20*size**2 bytes, 20 MB for the 1024 elements of GF(2**10).
 MAX_FIELD_SIZE = 1024
 
 
@@ -83,24 +83,27 @@ def _digits(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _tables(p: int, modulus) -> tuple[np.ndarray, np.ndarray]:
     """Addition and multiplication tables of Z_p[t]/(modulus) on canonical
     indices, for a monic modulus of degree d >= 1 given by ascending
-    coefficients mod p.  Addition is digitwise mod p; a*b is the sum over i
-    of b_i * (a*t**i)."""
+    coefficients mod p.  Both grow a leading digit at a time: an index below
+    p*w is c*w + x for a constant c and x below w, (c*w + x) + (e*w + y) is
+    (c + e mod p)*w + (x + y), and a*(c*w + x) is c*(a*t**i) + a*x, w = p**i."""
     d = len(modulus) - 1
     size = p ** d
     digits, weights = _digits(p, d)
-    add = np.zeros((size, size), dtype=np.int64)
-    for i in range(d):
-        add += (digits[:, None, i] + digits[None, :, i]) % p * weights[i]
+    sums = (np.arange(p)[:, None] + np.arange(p)) % p  # c + e for constants c, e
+    add = np.zeros((1, 1), dtype=np.int64)
+    for w in weights:
+        add = ((sums * w)[:, None, :, None] + add[None, :, None, :]).reshape(p * w, -1)
     # scale[c, x] is c*x for a constant c
-    scale = (np.arange(p)[:, None, None] * digits) % p @ weights
+    scale = ((np.arange(p)[:, None, None] * digits) % p * weights).sum(axis=-1)
     # x*t: coefficients move up one place and t**d is replaced by the rest
     # of the modulus, negated
-    shifted = np.pad(digits[:, :-1], ((0, 0), (1, 0))) - digits[:, -1:] * np.asarray(modulus[:d])
-    times_t = shifted % p @ weights
-    mul = np.zeros_like(add)
+    shifted = np.zeros_like(digits)
+    shifted[:, 1:] = digits[:, :-1]
+    times_t = ((shifted - digits[:, -1:] * np.asarray(modulus[:d])) % p * weights).sum(axis=-1)
+    mul = np.zeros((size, 1), dtype=np.int64)
     a_times_ti = np.arange(size)
-    for i in range(d):
-        mul = add[mul, scale[digits[None, :, i], a_times_ti[:, None]]]
+    for _ in range(d):
+        mul = add[mul[:, None, :], scale[:, a_times_ti].T[:, :, None]].reshape(size, -1)
         a_times_ti = times_t[a_times_ti]
     return add, mul
 
@@ -135,7 +138,7 @@ def make_field(p: int, d: int) -> FieldCtx:
         modulus = (*(int(c) for c in low), 1)
         add, mul = _tables(p, modulus)
         if _no_zero_divisors(mul):
-            neg = (-digits) % p @ weights
+            neg = ((-digits) % p * weights).sum(axis=-1)
             for table in (add, neg, mul):
                 table.setflags(write=False)
             return FieldCtx(p, d, modulus, add, neg, mul)

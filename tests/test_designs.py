@@ -271,6 +271,17 @@ def test_format_roundtrip():
     assert parse_family(text) == FOUR_FAMILY
 
 
+def test_format_writes_values_outside_the_symbols():
+    # a square built in code may hold 0, values above n or negative ones;
+    # they are written as str() writes them, and the family text is kept
+    entries = [[0, 5, 70000, 2], [-3, 4, 1, 2], [1, 2, 3, 4], [255, 256, 3, 1]]
+    text = format_family(single(LatinSquare(entries, SudokuShape(2, 2))))
+    rows = [" ".join(map(str, row)) for row in entries]
+    assert text.splitlines() == ["mosls v1", "order 4 type 2 2 count 1", *rows]
+    for high in (5, 300):  # uint8 and uint16 entries
+        sq = LatinSquare([[1, 2, 3, 4]] * 3 + [[1, 2, 3, high]], SudokuShape(2, 2))
+        assert format_family(single(sq)).endswith(f"\n1 2 3 {high}\n")
+
 def _parsed(text: str, tmp_path):
     """parse_family(text), or the text of the FormatError it raises;
     load_family must give the same on a file holding the text."""

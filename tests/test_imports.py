@@ -30,6 +30,22 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print("\\n".join(sys.modules))
 """
 
+# RUN_CLI, which then prints on its last line the modules in the order their
+# imports started: sys.modules moves a module to its end when it has loaded
+RUN_CLI_IMPORT_ORDER = """
+import sys
+started = []
+
+class _Recorder:
+    def find_spec(self, name, path=None, target=None):
+        started.append(name)
+        return None
+
+sys.meta_path.insert(0, _Recorder())
+""" + RUN_CLI + """
+print(*started)
+"""
+
 PUBLIC = {
     "CellGraph", "Certificate", "CheckFailed", "ClosedFormRangeError",
     "DEFAULT_ORDER_CAP", "EquitabilityError", "FamilyStructureError",
@@ -82,6 +98,41 @@ def family_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("imports") / "f4.txt"
     mosls.save_family(mosls.composite_mosls([(2, 1, 1)]), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def square_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "s4.txt"
+    fam = mosls.composite_mosls([(2, 1, 1)])
+    mosls.save_family(mosls.MoslsFamily(fam.shape, fam.squares[:1]), path)
+    return str(path)
+
+
+# command: argv, with {family} a two-square file and {square} a one-square one
+COMMANDS = {
+    "construct": ["construct", "--factor", "2:1:1"],
+    "table": ["table"],
+    "check": ["check", "--in", "{family}"],
+    "--help": ["--help"],
+    "spectrum": ["spectrum", "--in", "{family}"],
+    "graph-export": ["graph-export", "--in", "{family}"],
+    "switch": ["switch", "--in", "{square}", "--row-block", "1", "--symbols", "1,2"],
+    "compare": ["compare", "--a", "{square}", "--b", "{square}"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_construct_and_gf_load_for_construct_and_table_only(command, family_file, square_file):
+    argv = [tok.format(family=family_file, square=square_file) for tok in COMMANDS[command]]
+    *loaded, started = _fresh_stdout(RUN_CLI_IMPORT_ORDER, *argv).splitlines()
+    building = {"mosls.construct", "mosls.gf"}
+    if command in ("construct", "table"):
+        assert building <= set(loaded)
+    else:
+        assert not building & set(loaded)
+    # designs starts loading before numpy, which it imports; --help loads numpy too
+    started = started.split()
+    assert started.index("mosls.designs") < started.index("numpy")
 
 
 @pytest.mark.parametrize(
