@@ -396,6 +396,22 @@ def test_srg_check_needs_labels_that_give_the_adjacency():
     assert srg_check(CellGraph(SudokuShape(1, 2), (), "mols", path, path_labels)) is None
 
 
+def test_srg_check_compares_the_last_slab_with_the_adjacency():
+    # the order-12 MOLS graph, three slabs of _CHUNK columns, and one more
+    # +1 label that joins only cells 130 and 140, a non-adjacent pair of
+    # the last slab: the labels give one edge more than the adjacency
+    g = build_mols_graph(composite_mosls([(2, 1, 1), (3, 0, 1)]))
+    assert g.num_vertices == 144 and -(-144 // _CHUNK) >= 3 and 130 // _CHUNK == 140 // _CHUNK == 2
+    joined = np.arange(144)
+    joined[140] = 130
+    labels = [*g.labels, (1, joined)]
+    extra = label_adjacency(labels) - g.adjacency
+    assert g.adjacency[130, 140] == 0 and set(map(tuple, np.argwhere(extra).tolist())) == {(130, 140), (140, 130)}
+    with pytest.raises(ValueError, match="do not give its adjacency"):
+        srg_check(CellGraph(g.shape, g.squares, "mols", g.adjacency, labels))
+    assert srg_check(g) == (144, 44, 16, 12)
+
+
 def test_cell_graph_and_srg_check_refuse_malformed_labels():
     A = np.zeros((16, 16), dtype=np.uint8)
     shape = SudokuShape(2, 2)
