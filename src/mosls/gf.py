@@ -135,6 +135,8 @@ def make_field(p: int, d: int) -> FieldCtx:
         raise FieldError("degree must be at least 1")
     digits, weights = _digits(p, d)
     for low in digits:
+        if d > 1 and not low[0]:
+            continue  # t divides the candidate, so it is reducible
         modulus = (*(int(c) for c in low), 1)
         add, mul = _tables(p, modulus)
         if _no_zero_divisors(mul):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -253,7 +252,9 @@ def srg_check(graph: CellGraph):
     A parameter with no pair to read it from is 0.  ValueError for a graph
     without labels, and for one whose labels do not give its adjacency.
     The counts A @ A come from _label_product, as A = sum_l s_l (E_l - I),
-    a slab of _CHUNK columns at a time.
+    a slab of _CHUNK columns at a time.  The slab then holds that sum on
+    its columns, added from each label's agreement mask, and must equal A's
+    columns: O(L N**2) work for L labels and N vertices.
     """
     if graph.labels is None:
         raise ValueError("srg_check counts common neighbours from the graph's labels; it has none")
@@ -277,30 +278,15 @@ def srg_check(graph: CellGraph):
         np.subtract(common, lam - mu, out=common, where=A[:, cols].view(bool))
         np.fill_diagonal(common[cols], 0)
         fits = fits and not common.any()
-    if not _labels_give_adjacency(A, classes, int(degrees.sum())):
-        raise ValueError("the graph's labels do not give its adjacency")
+        # the slab again, as the labels' sum on these columns: off the
+        # diagonal within _label_product's reach, which int16 holds
+        common[...] = 0
+        for sign, label in graph.labels:
+            (np.add if sign == 1 else np.subtract)(common, label[:, None] == label[cols], out=common)
+        np.fill_diagonal(common[cols], 0)
+        if not np.array_equal(common, A[:, cols]):
+            raise ValueError("the graph's labels do not give its adjacency")
     return (nv, k, lam, mu) if fits and degrees.min() == degrees.max() else None
-
-
-def _labels_give_adjacency(A: np.ndarray, classes, inner: int) -> bool:
-    """True iff M = sum_l s_l (E_l - I) is the 0/1 matrix A, given the
-    _classes of the labels and inner, the trace of M @ A.
-
-    M and A are integer, so M = A iff sum (M - A)**2 = sum M**2 - 2 <M, A>
-    + sum A**2 is 0.  sum M**2 sums s_l s_m over the ordered pairs u != v
-    that agree on both l and m: the squared sizes of their joint classes,
-    less nv.  <M, A> is the trace of M @ A, M being symmetric, and sum A**2
-    counts the ones of the 0/1 A.  Python ints hold it all.
-    """
-    nv = A.shape[0]
-    squares = 0
-    for i, j in combinations_with_replacement(range(len(classes)), 2):
-        (s, _, a), (t, _, b) = classes[i], classes[j]
-        key = a * (int(b.max()) + 1) + b
-        # a bin per pair of ids, or per joint class where that is fewer
-        joint = np.bincount(key if key.max() < 16 * nv else next(_classes([(1, key)]))[2])
-        squares += (1 if i == j else 2) * s * t * (int(joint @ joint) - nv)
-    return squares - 2 * inner + int(np.count_nonzero(A)) == 0
 
 
 @dataclass
