@@ -22,7 +22,8 @@ the vertex cap, a bad `--subset`, `--verify-closed-form` on a family that
 is not orthogonal, on a square that is not block-permutational and on a
 MOLS graph, `switch` of such a square, an invalid band switch, a flat
 square and a two-square file, `compare` across shapes and of a
-two-square file, and a `construct --count` beyond the family.  Two kinds
+two-square file, `spectrum` of a square that is not Sudoku, and a
+`construct --count` beyond the family.  Two kinds
 of error are left out: argparse usage errors, whose line wrapping follows
 the terminal width, and missing-file errors, whose message holds a path.
 """
@@ -366,6 +367,7 @@ FAILURE_CASES = {
     "switch doubled": ["switch", "--in", "{doubled}", "--row-block", "1", "--symbols", "1,2"],
     "compare nine flat4": ["compare", "--a", "{nine}", "--b", "{flat4}"],
     "compare doubled": ["compare", "--a", "{doubled}", "--b", "{nine}"],
+    "spectrum clash16": ["spectrum", "--in", "{clash16}"],
     "construct --count 9": ["construct", "--p", "2", "--m", "1", "--n", "1", "--count", "9"],
 }
 
@@ -376,6 +378,7 @@ FAILURE_DIGESTS = {
     "compare nine flat4": "a1a1be5bd7dec8284b92605523da8c06b25eb47d60ecfdd78b16b0928f800209",
     "construct --count 9": "5ea0977d3b32119a68ced84f51b4f527e134cbf17bf34dfe6b4c9e4cb7fc0330",
     "graph-export nine --subset 9": "743c9676ec0512a3e8d0a580c011a5ebd198bebbca71a17907380cfa4b7d5597",
+    "spectrum clash16": "ee9395050a963c31342ea50854ef1051f2e6a33cfac8af8a80f01fbcb537fb38",
     "spectrum doubled --verify-closed-form": "944577f8a8ee7fb8fa9f52b6c8af2c3df937d591fe212cc98f17b0170357fcf2",
     "spectrum nine --mols-only --verify-closed-form": "6a9294e7ac7567ed599447713acd64d964a2554b69178bdf8041845a7b585bc6",
     "spectrum nine --subset 0": "c71ada4c93090198efbb52773baaeb7d780c84dc2515c6241f61516c2253521c",
@@ -392,15 +395,22 @@ FAILURE_DIGESTS = {
 def failure_inputs(tmp_path_factory):
     """Input family files by placeholder name: the order-9 square, its
     switch, that square twice (not orthogonal), its file cut in half,
-    flat cyclic squares of orders 4 and 5, and the first order-64 field
-    square (4096 vertices, above the dense graph cap)."""
+    flat cyclic squares of orders 4 and 5, an order-16 Latin square of
+    type (4, 4) that is not Sudoku, whose first block clash lies past the
+    first 64 rows, and the first order-64 field square (4096 vertices,
+    above the dense graph cap)."""
     work = tmp_path_factory.mktemp("failure")
+    # a Sudoku square of type (4, 4) with rows 5 and 9 swapped
+    i, j = np.indices((16, 16))
+    clash16 = (4 * (i % 4) + i // 4 + j) % 16 + 1
+    clash16[[5, 9]] = clash16[[9, 5]]
     families = {
         "nine": single(NINE),
         "nine-switched": single(NINE_SWITCHED),
         "doubled": designs.MoslsFamily(NINE.shape, (NINE, NINE)),
         "flat4": single(cyclic_square(4)),
         "flat5": single(cyclic_square(5)),
+        "clash16": single(designs.LatinSquare(clash16, designs.SudokuShape(4, 4))),
     }
     paths = {}
     for name, fam in families.items():

@@ -131,6 +131,19 @@ def test_mols_graph_rejects_non_latin():
         build_mols_graph(many)
 
 
+def test_mols_graph_rejects_a_clash_past_the_int16_wrap():
+    # 2**16 copies of the order-2 square, 65538 labels: cells (1, 1) and
+    # (2, 2) agree 65536 times, a count that an int16 total would wrap
+    square = composite_mosls([(2, 0, 1)]).squares[0]
+    many = MoslsFamily(square.shape, (square,) * 2**16)
+    with pytest.raises(FamilyStructureError) as exc:
+        build_mols_graph(many)
+    assert str(exc.value) == (
+        "cells (1, 1) and (2, 2) agree in symbol in square 1 and symbol in square 2; "
+        "the family is not a valid MOLS family"
+    )
+
+
 def test_mols_graph_rejects_non_orthogonal_pair():
     a = cyclic_square(3)
     b = cyclic_square(3)
