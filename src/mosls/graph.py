@@ -6,13 +6,13 @@ In the MOLS flavor two cells are adjacent when they share a row, share a
 column, or share a symbol in one of the selected squares; for a valid
 family these events are mutually exclusive.  The MOSLS flavor adds the
 block layer: cells of the same block that share neither a row nor a
-column.  Every layer is held as signed labels (see CellGraph); the block
-layer's come from _block_labels alone.  Builds scatter the labels'
-classes into the uint8 adjacency, and _label_product counts from them a
-slab at a time for commute_check and srg_check.  A CellGraph is a checked
-0/1 matrix on at most MAX_VERTICES vertices, so no check here states a
-bound of its own but _label_product, whose int16 counts also bound the
-classes of the labels it counts from.
+column.  Every layer is held as signed labels (see CellGraph), the block
+layer's from _block_labels alone.  Builds and srg_check's label check add
+rows of the labels' sum from agreement masks (_label_rows); _label_product
+counts from their classes for commute_check and srg_check.  A CellGraph is
+a checked 0/1 matrix on at most MAX_VERTICES vertices, so no check here
+states a bound of its own but _label_product, whose int16 counts also
+bound the classes of the labels it counts from.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .designs import CheckFailed, LatinSquare, MoslsFamily, SudokuShape, _block_
 # Largest vertex count a CellGraph accepts: order 49, whose dense uint8
 # (n**2) x (n**2) adjacency takes 2401**2 bytes, about 5.8 MB (16.8 MB at
 # order 64).  No other array of a graph call is n**4-sized: traced, a call
-# adds at most 1.2 n**4 bytes at 729 vertices and 0.5 at 2401, mostly the
+# adds at most 1.1 n**4 bytes at 729 vertices and 0.5 at 2401, mostly the
 # labels' classes and slabs of _CHUNK rows or columns.  Every
 # common-neighbour or block count is then at most 2401, exact in int16.
 MAX_VERTICES = 49 ** 2
@@ -121,9 +121,9 @@ def _dense_size(shape: SudokuShape) -> int:
 
 
 def _cells(shape: SudokuShape) -> tuple[np.ndarray, np.ndarray]:
-    """0-based row and column of every cell; refuses more than
+    """0-based row and column of every cell, uint16; refuses more than
     MAX_VERTICES cells first."""
-    return np.divmod(np.arange(_dense_size(shape)), shape.order)
+    return np.divmod(np.arange(_dense_size(shape), dtype=np.uint16), shape.order)
 
 
 def _block_labels(shape: SudokuShape) -> list[tuple[int, np.ndarray]]:
@@ -132,7 +132,7 @@ def _block_labels(shape: SudokuShape) -> list[tuple[int, np.ndarray]]:
     (block and column) with -1.  Refuses more than MAX_VERTICES cells."""
     rows, cols = _cells(shape)
     n = shape.order
-    block = np.empty(n * n, dtype=np.intp)
+    block = np.empty(n * n, dtype=np.uint16)
     block[_block_cells(shape)] = np.arange(n)[:, None]
     return [(1, block), (-1, block * n + rows), (-1, block * n + cols)]
 
@@ -157,31 +157,33 @@ def _classes(labels):
         yield sign, [group.reshape(-1, c).T for group, c in zip(groups, widths)], ids
 
 
-def _add_agreements(counts: np.ndarray, labels) -> tuple[int, int] | None:
-    """Adds sign * E of each (sign, label) to the uint8 counts in place,
-    E[u, v] = 1 where label[u] == label[v], clears the diagonal, and
-    returns the first pair (u, v), row-major, counted above 1, or None.
+def _label_rows(labels, rows: slice, out: np.ndarray) -> None:
+    """Adds rows `rows` of sum_l s_l (E_l - I) to the int16 slab out, E_l
+    the agreement mask label[rows, None] == label; clears the diagonal."""
+    for sign, label in labels:
+        (np.add if sign == 1 else np.subtract)(out, label[rows, None] == label, out=out)
+    np.fill_diagonal(out[:, rows], 0)
 
-    Each class's pairs are scattered in for _CHUNK of its cells at a time,
-    and the counts scanned _CHUNK rows at a time.  Only 0, 1 and "2 or
-    more" matter, so clamping the counts at 2 every 253 labels keeps them
-    below uint8's wrap at 256; only a MOLS family, all +1, has that many.
-    A -1 label comes after the +1 labels that cover its pairs, so no
-    off-diagonal count drops below 0."""
-    for i, (sign, members, _) in enumerate(_classes(labels), start=1):
-        add = np.add if sign == 1 else np.subtract
-        for group in members:
-            for first in range(0, len(group), _CHUNK):
-                pairs = group[first:first + _CHUNK, None], group[None]
-                counts[pairs] = add(counts[pairs], 1)
-        if i % 253 == 0:
-            np.minimum(counts, 2, out=counts)
-    np.fill_diagonal(counts, 0)
-    for start in range(0, len(counts), _CHUNK):
-        over = counts[start:start + _CHUNK] > 1
-        if over.any():
-            return divmod(start * len(counts) + int(over.argmax()), len(counts))
-    return None
+
+def _add_agreements(counts: np.ndarray, labels) -> tuple[int, int] | None:
+    """Adds sum_l s_l (E_l - I) to the uint8 counts (0, 1 or 2) in place,
+    stores any count above 1 as 2, and returns the first pair (u, v),
+    row-major, above 1, or None.  _label_rows sums _CHUNK rows in int16,
+    clamped at 2 after each 2**15 - 3 labels, below int16's wrap; the block
+    layer's -1 labels cut pairs of its +1 label alone, so none ends below 0."""
+    nv = len(counts)
+    slab, clash = np.empty((min(_CHUNK, nv), nv), dtype=np.int16), None
+    for start in range(0, nv, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        part = slab[:len(counts[rows])]
+        part[...] = counts[rows]
+        for first in range(0, len(labels), 2**15 - 3):
+            _label_rows(labels[first:first + 2**15 - 3], rows, part)
+            np.minimum(part, 2, out=part)
+        counts[rows] = part
+        if clash is None and part.max() > 1:
+            clash = divmod(start * nv + int((part > 1).argmax()), nv)
+    return clash
 
 
 def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
@@ -252,9 +254,9 @@ def srg_check(graph: CellGraph):
     A parameter with no pair to read it from is 0.  ValueError for a graph
     without labels, and for one whose labels do not give its adjacency.
     The counts A @ A come from _label_product, as A = sum_l s_l (E_l - I),
-    a slab of _CHUNK columns at a time.  The slab then holds that sum on
-    its columns, added from each label's agreement mask, and must equal A's
-    columns: O(L N**2) work for L labels and N vertices.
+    a slab of _CHUNK columns at a time.  The slab's memory then holds that
+    sum on the same rows, from _label_rows, and must equal A's rows:
+    O(L N**2) work for L labels and N vertices.
     """
     if graph.labels is None:
         raise ValueError("srg_check counts common neighbours from the graph's labels; it has none")
@@ -278,13 +280,11 @@ def srg_check(graph: CellGraph):
         np.subtract(common, lam - mu, out=common, where=A[:, cols].view(bool))
         np.fill_diagonal(common[cols], 0)
         fits = fits and not common.any()
-        # the slab again, as the labels' sum on these columns: off the
-        # diagonal within _label_product's reach, which int16 holds
+        # the slab's memory again, as the labels' sum on these rows: off
+        # the diagonal within _label_product's reach, which int16 holds
         common[...] = 0
-        for sign, label in graph.labels:
-            (np.add if sign == 1 else np.subtract)(common, label[:, None] == label[cols], out=common)
-        np.fill_diagonal(common[cols], 0)
-        if not np.array_equal(common, A[:, cols]):
+        _label_rows(graph.labels, cols, common.reshape(-1, nv))
+        if not np.array_equal(common.reshape(-1, nv), A[cols]):
             raise ValueError("the graph's labels do not give its adjacency")
     return (nv, k, lam, mu) if fits and degrees.min() == degrees.max() else None
 
