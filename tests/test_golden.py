@@ -23,9 +23,9 @@ is not orthogonal, on a square that is not block-permutational and on a
 MOLS graph, `switch` of such a square, an invalid band switch, a flat
 square and a two-square file, `compare` across shapes and of a
 two-square file, `spectrum` of a square that is not Sudoku, and a
-`construct --count` beyond the family.  Two kinds
-of error are left out: argparse usage errors, whose line wrapping follows
-the terminal width, and missing-file errors, whose message holds a path.
+`construct --count` beyond the family.  Two kinds of error are left out:
+argparse usage errors, whose line wrapping follows the terminal width,
+and missing-file errors, whose message holds a path.
 """
 
 import hashlib

@@ -467,9 +467,9 @@ def test_label_product_on_column_slabs_matches_int64_products():
 
 
 def test_agreement_counts_over_classes_wider_than_a_part():
-    # a class of every cell, and classes of 70 cells: wider than the parts
-    # of graph._CHUNK cells the build scatters in; the counts, clamped at 2,
-    # and the first pair counted twice against the dense reference
+    # a class of every cell, and classes of 70 cells: wider than the slabs
+    # of graph._CHUNK rows the build sums in; the counts, clamped at 2, and
+    # the first pair counted twice against the dense reference
     nv = 2 * _CHUNK + 17
     assert nv - 70 > _CHUNK
     for labels in ([(1, np.zeros(nv, dtype=np.int64))],
