@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,28 @@ def test_mols_graph_rejects_non_orthogonal_pair():
         build_mols_graph(MoslsFamily(SudokuShape(1, 3), (a, b)))
     msg = str(exc.value)
     assert "symbol in square 1" in msg and "symbol in square 2" in msg
+
+
+@pytest.mark.parametrize("shift", [70000, -5])
+def test_builds_on_uniformly_shifted_symbols(shift):
+    # symbols shifted past uint16 or below 0, both stored as int64: a
+    # graph joins cells by equal symbols, whatever their values
+    def shifted(square):
+        moved = LatinSquare(square.entries.astype(np.int64) + shift, square.shape)
+        assert moved.entries.dtype == np.int64
+        return moved
+
+    fam = composite_mosls([(3, 1, 1)])
+    for build in (build_mols_graph, build_mosls_graph):
+        for square in fam.squares[:2]:
+            assert np.array_equal(build(single(shifted(square))).adjacency, build(single(square)).adjacency)
+        moved = MoslsFamily(fam.shape, tuple(map(shifted, fam.squares)))
+        assert np.array_equal(build(moved).adjacency, build(fam).adjacency)
+    pair = (cyclic_square(3), cyclic_square(3))
+    with pytest.raises(FamilyStructureError) as exc:
+        build_mols_graph(MoslsFamily(SudokuShape(1, 3), pair))
+    with pytest.raises(FamilyStructureError, match=f"^{re.escape(str(exc.value))}$"):
+        build_mols_graph(MoslsFamily(SudokuShape(1, 3), tuple(map(shifted, pair))))
 
 
 def test_mosls_graph_rejects_non_sudoku():
