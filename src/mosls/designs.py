@@ -196,9 +196,18 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
         raise ValueError(f"order mismatch: {n} vs {b.order}")
     if min(a.entries.min(), b.entries.min()) < 1 or max(a.entries.max(), b.entries.max()) > n:
         return False
-    # intp: the codes reach n**2 - 1, beyond the entries' uint8 at n = 17
-    codes = (a.entries.astype(np.intp) - 1) * n + (b.entries - 1)
-    return bool((np.bincount(codes.ravel(), minlength=n * n) == 1).all())
+    return _repeat_free([a.entries, b.entries], n)
+
+
+def _repeat_free(labels, n: int, first_only: bool = False) -> bool:
+    """True when no two cells agree in two of the labels (the first and
+    another, if first_only), non-negative integer arrays of one shape that
+    span under n values each: no intp joint code a * n + b repeats."""
+    for i, label in enumerate(labels[:1] if first_only else labels):
+        scaled = label.astype(np.intp).ravel() * n
+        if any(np.bincount(scaled + other.ravel()).max() > 1 for other in labels[i + 1:]):
+            return False
+    return True
 
 
 def is_block_permutational(L: LatinSquare) -> bool:

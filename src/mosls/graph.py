@@ -7,12 +7,12 @@ column, or share a symbol in one of the selected squares; for a valid
 family these events are mutually exclusive.  The MOSLS flavor adds the
 block layer: cells of the same block that share neither a row nor a
 column.  Every layer is held as signed labels (see CellGraph), the block
-layer's from _block_labels alone.  Builds and srg_check's label check add
-rows of the labels' sum from agreement masks (_label_rows); _label_product
-counts from their classes for commute_check and srg_check.  A CellGraph is
-a checked 0/1 matrix on at most MAX_VERTICES vertices, so no check here
-states a bound of its own but _label_product, whose int16 counts also
-bound the classes of the labels it counts from.
+layer's from _block_labels alone.  Builds check the family by the joint
+counts of label pairs, then add agreement masks (_label_rows) into the
+adjacency; _label_product counts from the labels' classes.  A CellGraph
+is a checked 0/1 matrix on at most MAX_VERTICES vertices, so no check
+here states a bound of its own but _label_product, whose int16 counts
+also bound the classes of the labels it counts from.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CheckFailed, LatinSquare, MoslsFamily, SudokuShape, _block_cells
+from .designs import CheckFailed, LatinSquare, MoslsFamily, SudokuShape, _block_cells, _repeat_free
 
 # Largest vertex count a CellGraph accepts: order 49, whose dense uint8
 # (n**2) x (n**2) adjacency takes 2401**2 bytes, about 5.8 MB (16.8 MB at
 # order 64).  No other array of a graph call is n**4-sized: traced, a call
 # adds at most 1.1 n**4 bytes at 729 vertices and 0.5 at 2401, mostly the
-# labels' classes and slabs of _CHUNK rows or columns.  Every
+# labels' classes or codes and slabs of _CHUNK rows or columns.  Every
 # common-neighbour or block count is then at most 2401, exact in int16.
 MAX_VERTICES = 49 ** 2
 _CHUNK = 64  # rows or columns per slab of the dense kernels
@@ -158,47 +158,47 @@ def _classes(labels):
 
 
 def _label_rows(labels, rows: slice, out: np.ndarray) -> None:
-    """Adds rows `rows` of sum_l s_l (E_l - I) to the int16 slab out, E_l
+    """Adds rows `rows` of sum_l s_l (E_l - I) to the integer slab out, E_l
     the agreement mask label[rows, None] == label; clears the diagonal."""
     for sign, label in labels:
         (np.add if sign == 1 else np.subtract)(out, label[rows, None] == label, out=out)
     np.fill_diagonal(out[:, rows], 0)
 
 
-def _add_agreements(counts: np.ndarray, labels) -> tuple[int, int] | None:
-    """Adds sum_l s_l (E_l - I) to the uint8 counts (0, 1 or 2) in place,
-    stores any count above 1 as 2, and returns the first pair (u, v),
-    row-major, above 1, or None.  _label_rows sums _CHUNK rows in int16,
-    clamped at 2 after each 2**15 - 3 labels, below int16's wrap; the block
-    layer's -1 labels cut pairs of its +1 label alone, so none ends below 0."""
-    nv = len(counts)
-    slab, clash = np.empty((min(_CHUNK, nv), nv), dtype=np.int16), None
+def _add_labels(adjacency: np.ndarray, labels, keys, n: int, first_only=False) -> tuple[int, int] | None:
+    """Adds sum_l s_l (E_l - I) to the 0/1 uint8 adjacency, _CHUNK rows at a
+    time via _label_rows: straight in if designs._repeat_free finds no
+    repeat in the keys less their least values (uint8 - bool stays uint8; a
+    diagonal wrap is cleared), else in int32 (exact below 2**31 labels) and
+    returns the first pair (u, v), row-major, above 1.  Only that scan
+    decides past the OA bound of n + 1 keys (Bose 1938) or n values in one."""
+    nv = len(adjacency)
+    checked = len(keys) <= n + 1 and all(int(key.max()) - int(key.min()) < n for key in keys)
+    checked = checked and _repeat_free([key - key.min() for key in keys], n, first_only)
     for start in range(0, nv, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        part = slab[:len(counts[rows])]
-        part[...] = counts[rows]
-        for first in range(0, len(labels), 2**15 - 3):
-            _label_rows(labels[first:first + 2**15 - 3], rows, part)
-            np.minimum(part, 2, out=part)
-        counts[rows] = part
-        if clash is None and part.max() > 1:
-            clash = divmod(start * nv + int((part > 1).argmax()), nv)
-    return clash
+        part = adjacency[rows] if checked else adjacency[rows].astype(np.int32)
+        _label_rows(labels, rows, part)
+        if not checked:
+            if part.max() > 1:
+                return divmod(start * nv + int((part > 1).argmax()), nv)
+            adjacency[rows] = part
+    return None
 
 
 def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     """Adjacency for shared row, column, or symbol in a selected square.
 
-    Every distinct cell pair may agree in at most one coordinate; a pair
-    agreeing twice names the violation (non-Latin square or non-orthogonal
-    pair) in the raised error.
+    Every distinct cell pair may agree in at most one coordinate (so at
+    most n - 1 squares for n > 1); the first pair agreeing twice names the
+    violation (non-Latin square or non-orthogonal pair) in the raised error.
     """
     rows, cols = _cells(fam.shape)
     picked = _resolve_subset(fam, subset)
     labels = [(1, rows), (1, cols), *((1, fam.squares[k - 1].entries.ravel()) for k in picked)]
     names = ["row", "column", *(f"symbol in square {k}" for k in picked)]
     agree = np.zeros((rows.size, rows.size), dtype=np.uint8)
-    clash = _add_agreements(agree, labels)
+    clash = _add_labels(agree, labels, [label for _, label in labels], fam.shape.order)
     if clash is not None:
         u, v = clash
         both = [name for name, (_, label) in zip(names, labels) if label[u] == label[v]]
@@ -211,14 +211,15 @@ def build_mols_graph(fam: MoslsFamily, subset=None) -> CellGraph:
 
 def build_mosls_graph(fam: MoslsFamily, subset=None) -> CellGraph:
     """MOLS adjacency plus the block layer: cells of one block in different
-    rows and different columns.  Requires Sudoku-valid squares, so that no
-    such pair already shares a symbol; the first pair that does, in
-    row-major order, is named in the raised error."""
+    rows and columns.  Requires Sudoku-valid squares: in a valid MOLS family
+    cells sharing a symbol share no row or column, so a clash is a repeat of
+    (block, symbol); the first, row-major, is named in the raised error."""
     mols = build_mols_graph(fam, subset)
-    blocks = _block_labels(fam.shape)
-    clash = _add_agreements(mols.adjacency, blocks)
+    blocks, n = _block_labels(fam.shape), fam.shape.order
+    keys = [blocks[0][1], *(label for _, label in mols.labels[2:])]  # block, then symbols
+    clash = _add_labels(mols.adjacency, blocks, keys, n, first_only=True)
     if clash is not None:
-        (u, v), n = clash, fam.shape.order
+        u, v = clash
         raise FamilyStructureError(
             f"cells ({u // n + 1}, {u % n + 1}) and ({v // n + 1}, {v % n + 1}) "
             "share a block and a symbol; some selected square is not Sudoku"

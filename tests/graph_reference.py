@@ -3,7 +3,9 @@ shape, compared cell pair by cell pair, which mosls.graph holds as the
 signed labels of _block_labels; the Sudoku clash that
 mosls.graph.build_mosls_graph reports, read off that dense layer; and
 the edge pairs that mosls.graph.edge_lines writes; and the text an
-export writes, read back.
+export writes, read back.  Also _add_agreements, which sums the labels'
+agreement counts and finds the first pair above 1 in one pass, and the
+adjacency or error message that the builders give by it (one_pass_build).
 """
 
 import io
@@ -11,7 +13,7 @@ import io
 import numpy as np
 
 from mosls.designs import SudokuShape
-from mosls.graph import _cells
+from mosls.graph import _CHUNK, _block_labels, _cells, _label_rows
 
 
 def block_adjacency(shape: SudokuShape) -> np.ndarray:
@@ -60,3 +62,50 @@ def written(export, graph) -> str:
     out = io.StringIO()
     export(graph, out)
     return out.getvalue()
+
+
+def _add_agreements(counts: np.ndarray, labels) -> tuple[int, int] | None:
+    """Adds sum_l s_l (E_l - I) to the uint8 counts (0, 1 or 2) in place,
+    stores any count above 1 as 2, and returns the first pair (u, v),
+    row-major, above 1, or None.  _label_rows sums _CHUNK rows in int16,
+    clamped at 2 after each 2**15 - 3 labels, below int16's wrap; the block
+    layer's -1 labels cut pairs of its +1 label alone, so none ends below 0."""
+    nv = len(counts)
+    slab, clash = np.empty((min(_CHUNK, nv), nv), dtype=np.int16), None
+    for start in range(0, nv, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        part = slab[:len(counts[rows])]
+        part[...] = counts[rows]
+        for first in range(0, len(labels), 2**15 - 3):
+            _label_rows(labels[first:first + 2**15 - 3], rows, part)
+            np.minimum(part, 2, out=part)
+        counts[rows] = part
+        if clash is None and part.max() > 1:
+            clash = divmod(start * nv + int((part > 1).argmax()), nv)
+    return clash
+
+
+def one_pass_build(fam, picked: list[int], flavor: str) -> tuple[np.ndarray | None, str | None]:
+    """(adjacency, None) for the graph of flavor "mols" or "mosls" on the
+    1-based squares picked, or (None, the FamilyStructureError message), by
+    _add_agreements on the row, column and square labels, then the block
+    layer's."""
+    rows, cols = _cells(fam.shape)
+    labels = [(1, rows), (1, cols), *((1, fam.squares[k - 1].entries.ravel()) for k in picked)]
+    counts = np.zeros((rows.size, rows.size), dtype=np.uint8)
+    clash = _add_agreements(counts, labels)
+    if clash is not None:
+        u, v = clash
+        names = ["row", "column", *(f"symbol in square {k}" for k in picked)]
+        both = [name for name, (_, label) in zip(names, labels) if label[u] == label[v]]
+        return None, (
+            f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
+            f"agree in {both[0]} and {both[1]}; the family is not a valid MOLS family"
+        )
+    if flavor == "mosls" and (clash := _add_agreements(counts, _block_labels(fam.shape))) is not None:
+        u, v = clash
+        return None, (
+            f"cells ({rows[u] + 1}, {cols[u] + 1}) and ({rows[v] + 1}, {cols[v] + 1}) "
+            "share a block and a symbol; some selected square is not Sudoku"
+        )
+    return counts, None

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from mosls.designs import are_orthogonal, is_block_permutational, is_sudoku, tra
 from mosls.graph import (
     _CHUNK,
     MAX_VERTICES,
-    _add_agreements,
     _block_labels,
     _classes,
     _label_product,
@@ -44,11 +44,13 @@ from fixtures import (
     single,
 )
 from graph_reference import (
+    _add_agreements,
     block_adjacency,
     edge_list,
     first_sudoku_clash,
     label_adjacency,
     matrix_text,
+    one_pass_build,
     written,
 )
 
@@ -506,6 +508,60 @@ def test_agreement_counts_over_classes_wider_than_a_part():
         assert clash == (tuple(map(int, over[0])) if len(over) else None)
 
 
+def _corrupted(rng, fam, picked):
+    """The family's entries, int64, after one to three seeded corruptions
+    of the 1-based squares picked: two cells of one square swapped, the
+    rows of one square permuted, the columns of every square permuted
+    alike, one square's symbols shifted uniformly (past uint16 or below 0),
+    or relabelled to span more than n values."""
+    n = fam.shape.order
+    entries = np.array([sq.entries for sq in fam.squares], dtype=np.int64)
+    for kind in rng.integers(0, 5, size=rng.integers(1, 4)):
+        k = rng.choice(picked) - 1
+        if kind == 0:
+            (i, j), (a, b) = rng.integers(n, size=(2, 2))
+            entries[k, i, j], entries[k, a, b] = entries[k, a, b], entries[k, i, j]
+        elif kind == 1:
+            entries[k] = entries[k][rng.permutation(n)]
+        elif kind == 2:
+            entries = entries[:, :, rng.permutation(n)]
+        elif kind == 3:
+            entries[k] += rng.choice([70000, -5, -70000])
+        else:
+            entries[k] *= n + 1
+    return MoslsFamily(fam.shape, tuple(LatinSquare(e, fam.shape) for e in entries))
+
+
+@pytest.mark.parametrize("flavor", ["mols", "mosls"])
+def test_builds_match_the_one_pass_reference(flavor):
+    # seeded families of orders 4 to 27, corrupted or not, on all their
+    # squares or a few: the same adjacency as the counts summed in one
+    # pass, or the same error, which names the first pair counted twice
+    factors = [[(2, 1, 1)], [(2, 1, 0), (3, 0, 1)], [(2, 2, 1)], [(3, 1, 1)], [(2, 0, 1), (5, 1, 0)],
+               [(2, 1, 1), (3, 1, 0)], [(3, 1, 0), (5, 0, 1)], [(2, 2, 2)], [(2, 1, 0), (3, 1, 1)],
+               [(2, 1, 1), (5, 0, 1)], [(5, 1, 1)], [(3, 1, 2)]]
+    families = [composite_mosls(f, order_cap=27) for f in factors]
+    assert sorted({fam.shape.order for fam in families}) == [4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 25, 27]
+    build = build_mols_graph if flavor == "mols" else build_mosls_graph
+    rng = np.random.default_rng(36 if flavor == "mols" else 37)
+    outcomes = []
+    for _ in range(150):
+        fam = families[rng.integers(len(families))]
+        size = len(fam) if rng.random() < 0.2 else rng.integers(1, min(len(fam), 3) + 1)
+        picked = sorted(rng.choice(len(fam), size=size, replace=False) + 1)
+        if rng.random() < 0.8:
+            fam = _corrupted(rng, fam, picked)
+        adjacency, message = one_pass_build(fam, picked, flavor)
+        if message is None:
+            assert np.array_equal(build(fam, picked).adjacency, adjacency)
+        else:
+            with pytest.raises(FamilyStructureError) as exc:
+                build(fam, picked)
+            assert str(exc.value) == message
+        outcomes.append(message.split("; ")[1] if message else "built")
+    assert min(Counter(outcomes).values()) >= 20 and len(set(outcomes)) == (2 if flavor == "mols" else 3)
+
+
 def test_srg_check_counts_joint_classes_of_many_ids():
     # disjoint 4-cycles on 144 cells: a label of quarters less one of
     # halves, compared with the adjacency over three slabs of columns, as
@@ -704,8 +760,8 @@ def _dense_peaks_within_pins(fam, subset, srg_params):
     first square alone) and both exports, pinning each traced peak in
     units of n**4 bytes, one byte per cell pair: the uint8 adjacency takes
     1 and an int64 array 8.  The adjacency is the only n**4-sized array: a
-    build holds it and one part of a label's class pairs (8 bytes per
-    pair), the checks and exports slabs of mosls.graph._CHUNK rows or
+    build holds it, one bool agreement mask of mosls.graph._CHUNK rows and
+    the labels' joint codes, the checks and exports slabs of _CHUNK rows or
     columns, or of one block, and the labels' classes (16 bytes per cell
     and label), commute_check(family) also the adjacency it builds, and
     quotient_matrix one part's columns and the int64 counts (8 bytes per
