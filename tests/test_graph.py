@@ -509,8 +509,8 @@ def test_agreement_counts_over_classes_wider_than_a_part():
 
 
 def _corrupted(rng, fam, picked):
-    """The family's entries, int64, after one to three seeded corruptions
-    of the 1-based squares picked: two cells of one square swapped, the
+    """The family after one to three seeded corruptions of the 1-based
+    squares picked, made in int64: two cells of one square swapped, the
     rows of one square permuted, the columns of every square permuted
     alike, one square's symbols shifted uniformly (past uint16 or below 0),
     or relabelled to span more than n values."""
