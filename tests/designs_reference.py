@@ -80,3 +80,14 @@ def block_map_factorization(M: Block, M2: Block):
 def family_pairwise_orthogonal(fam: MoslsFamily) -> bool:
     """True iff every two squares of the family are orthogonal."""
     return all(are_orthogonal(a, b) for a, b in combinations(fam.squares, 2))
+
+
+def block_permutational_reference(L: LatinSquare) -> bool:
+    """True iff every block is a row/column permutation of the first, by
+    block_map_factorization; L must be Sudoku."""
+    base = block(L, 1, 1)
+    return all(
+        block_map_factorization(base, block(L, i, j)) is not None
+        for i in range(1, L.shape.r + 1)
+        for j in range(1, L.shape.q + 1)
+    )

@@ -20,6 +20,7 @@ from fixtures import (
     switch_chain,
     switches_of,
 )
+from designs_reference import block, block_permutational_reference
 from graph_reference import edge_list, matrix_text
 
 
@@ -180,6 +181,53 @@ def test_check_fail_not_orthogonal(tmp_path, capsys):
     code, stdout, _ = run(capsys, "check", "--in", str(path))
     assert code == 1
     assert "squares 1,2: orthogonal no" in stdout
+
+
+def test_check_json_matches_references(tmp_path, capsys):
+    # a field square, a copy with two cells of a row swapped (not Latin), a
+    # row permutation across bands (Latin, not Sudoku, and not orthogonal
+    # to the first) and a second field square
+    field = composite_mosls([(3, 1, 1)])
+    a = field.squares[0]
+    swapped = a.entries.copy()
+    swapped[0, [0, 1]] = swapped[0, [1, 0]]
+    squares = [
+        a,
+        designs.LatinSquare(swapped, a.shape),
+        designs.LatinSquare(a.entries[[4, 1, 2, 3, 0, 5, 6, 7, 8]], a.shape),
+        field.squares[1],
+    ]
+    path = tmp_path / "mixed.txt"
+    designs.save_family(designs.MoslsFamily(a.shape, tuple(squares)), path)
+    code, stdout, _ = run(capsys, "check", "--in", str(path), "--json")
+
+    def each_once(groups):
+        return all(np.unique(g).size == 9 for g in groups)
+
+    expected = []
+    for sq in squares:
+        latin = each_once(sq.entries) and each_once(sq.entries.T)
+        blocks = [block(sq, i, j).cells for i in range(1, 4) for j in range(1, 4)]
+        sudoku = latin and each_once(blocks)
+        bp = sudoku and block_permutational_reference(sq)
+        expected.append({"latin": latin, "sudoku": sudoku, "block_permutational": bp})
+    orthogonal = [
+        [i + 1, j + 1, np.unique(squares[i].entries * 10 + squares[j].entries).size == 81]
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    assert [s["latin"] for s in expected] == [True, False, True, True]
+    assert [s["sudoku"] for s in expected] == [True, False, False, True]
+    assert [o[2] for o in orthogonal] == [False, False, True, False, False, False]
+    assert code == 1
+    assert json.loads(stdout) == {
+        "order": 9,
+        "type": [3, 3],
+        "count": 4,
+        "squares": expected,
+        "orthogonal": orthogonal,
+        "pass": False,
+    }
 
 
 def test_check_corrupted_file(tmp_path, capsys):

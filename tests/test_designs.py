@@ -25,7 +25,7 @@ from mosls import (
     write_family,
 )
 from mosls.cli import _TABLE_ROWS
-from designs_reference import Block, block, block_map_factorization
+from designs_reference import Block, block, block_map_factorization, block_permutational_reference
 from fixtures import FOUR_A, FOUR_B, FOUR_FAMILY, NINE, REMARK4, Discard, cyclic_square, peak_traced, single
 
 
@@ -194,15 +194,6 @@ def test_is_block_permutational():
         is_block_permutational(REMARK4)  # not Sudoku
 
 
-def _block_permutational_reference(L):
-    base = block(L, 1, 1)
-    return all(
-        block_map_factorization(base, block(L, i, j)) is not None
-        for i in range(1, L.shape.r + 1)
-        for j in range(1, L.shape.q + 1)
-    )
-
-
 def test_is_block_permutational_matches_block_map_reference():
     # the squares of every constructible table row of order <= 12 and all
     # of their valid symbol switches
@@ -220,7 +211,7 @@ def test_is_block_permutational_matches_block_map_reference():
                         except SwitchValidityError:
                             pass
     verdicts = [is_block_permutational(sq) for sq in squares]
-    assert verdicts == [_block_permutational_reference(sq) for sq in squares]
+    assert verdicts == [block_permutational_reference(sq) for sq in squares]
     assert len(squares) == 2282 and verdicts.count(False) == 982
 
 
