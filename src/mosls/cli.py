@@ -14,21 +14,19 @@ switching never for `construct`, `check` or `table`, json for --json only.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
 # numpy's bundled OpenBLAS starts one worker per extra CPU when it loads,
 # and an idle worker busy-polls for 2**28 cycles (about 0.1 s) after the
-# load and after every threaded product.  A command runs for about 0.2 s,
-# so that spin was 37-39% of the CPU time of the spectrum, construct and
-# switch benchmark jobs (2-CPU host, numpy 2.4.6).  4 is OpenBLAS's
-# minimum, 2**4 cycles: an idle worker sleeps at once and the next
-# threaded product wakes it, so the thread count and the split of every
-# product stay as they are (OPENBLAS_NUM_THREADS=1 saves the same CPU but
-# made order-49 `spectrum` 60% slower).  It must be set before numpy
-# loads; a value the user set wins, and other BLAS builds ignore it.  Set
-# here, not in the library, which leaves its host's environment alone.
+# load and after every threaded product: 37-39% of the CPU time of the
+# spectrum, construct and switch benchmark jobs, each about 0.2 s (2-CPU
+# host, numpy 2.4.6).  4 is OpenBLAS's minimum, 2**4 cycles: an idle worker
+# sleeps at once and the next threaded product wakes it, so the thread
+# count and the split of every product stay (OPENBLAS_NUM_THREADS=1 saves
+# the same CPU but made order-49 `spectrum` 60% slower).  It must be set
+# before numpy loads; a value the user set wins, and other BLAS builds
+# ignore it.  Set here, not in the library: that leaves its host alone.
 _OPENBLAS_THREAD_TIMEOUT = "4"
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
 
@@ -80,20 +78,16 @@ def _family_checks(fam: designs.MoslsFamily) -> dict:
         sudoku = designs.is_sudoku(sq) if latin else False
         bp = designs.is_block_permutational(sq) if sudoku else False
         squares.append({"latin": latin, "sudoku": sudoku, "block_permutational": bp})
-    orthogonal = [
-        [i + 1, j + 1, designs.are_orthogonal(a, b)]
-        for (i, a), (j, b) in itertools.combinations(enumerate(fam.squares), 2)
-    ]
-    ok = all(s["latin"] and s["sudoku"] for s in squares) and all(
-        o[2] for o in orthogonal
-    )
+    # one pass: load_family and the constructors give symbols in 1..n, as _repeats needs
+    pairs = designs._repeats([sq.entries for sq in fam.squares], fam.shape.order)
+    orthogonal = [[i + 1, j + 1, not repeated] for i, j, repeated in pairs]
     return {
         "order": fam.shape.order,
         "type": [fam.shape.q, fam.shape.r],
         "count": len(fam),
         "squares": squares,
         "orthogonal": orthogonal,
-        "pass": ok,
+        "pass": all(s["latin"] and s["sudoku"] for s in squares) and all(o[2] for o in orthogonal),
     }
 
 

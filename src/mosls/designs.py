@@ -151,16 +151,12 @@ def _check_symbol_range(L: LatinSquare) -> None:
         )
 
 
-def _rows_hold_each_once(rows: np.ndarray) -> bool:
-    """True iff every row of the n-column array holds 1..n once."""
-    # the graph layer's stable sort: numpy's quicksort maps 0.3 MiB more code
-    return bool((np.sort(rows, axis=1, kind="stable") == np.arange(1, rows.shape[1] + 1)).all())
-
-
 def is_latin(L: LatinSquare) -> bool:
-    """True iff every row and every column is a permutation of 1..n."""
+    """True iff every row and every column is a permutation of 1..n: with
+    symbols in 1..n, iff no symbol repeats on a line, the line labels
+    0..n-1 broadcast against the entries as a column (rows) and a row."""
     _check_symbol_range(L)
-    return _rows_hold_each_once(L.entries) and _rows_hold_each_once(L.entries.T)
+    return _repeat_free([L.entries, *np.ogrid[:L.order, :L.order]], L.order, first_only=True)
 
 
 def _block_cells(shape: SudokuShape) -> np.ndarray:
@@ -182,10 +178,11 @@ def _blocks(L: LatinSquare) -> np.ndarray:
 
 
 def is_sudoku(L: LatinSquare) -> bool:
-    """True iff Latin and every q-by-r block contains each symbol once."""
+    """True iff Latin and every q-by-r block contains each symbol once: no
+    symbol repeats in a row of the block map, labels 0..n-1 as a column."""
     if not is_latin(L):
         raise ValueError("is_sudoku requires a Latin square")
-    return _rows_hold_each_once(_blocks(L))
+    return _repeat_free([_blocks(L), np.arange(L.order)[:, None]], L.order)
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
@@ -200,14 +197,23 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
 
 
 def _repeat_free(labels, n: int, first_only: bool = False) -> bool:
-    """True when no two cells agree in two of the labels (the first and
-    another, if first_only), non-negative integer arrays of one shape that
-    span under n values each: no intp joint code a * n + b repeats."""
+    """True when _repeats finds no two cells that agree in two of the
+    broadcast labels, each after the first spanning fewer than n values."""
+    return not any(repeated for _, _, repeated in _repeats(labels, n, first_only))
+
+
+def _repeats(labels, n: int, first_only: bool = False):
+    """Yields (i, j, repeated) for each pair i < j of the labels, i = 0 only
+    if first_only: whether two cells agree in both, by a bincount of the
+    intp joint codes a * n + b.  Labels are non-negative integer arrays that
+    broadcast to the cells' shape; each after the first spans fewer than n
+    values (max - min < n), as line labels 0..n-1 and symbols 1..n do."""
+    codes = np.empty(np.broadcast_shapes(*(np.shape(label) for label in labels)), np.intp)
     for i, label in enumerate(labels[:1] if first_only else labels):
-        scaled = label.astype(np.intp).ravel() * n
-        if any(np.bincount(scaled + other.ravel()).max() > 1 for other in labels[i + 1:]):
-            return False
-    return True
+        scaled = label.astype(np.intp) * n
+        for j in range(i + 1, len(labels)):
+            np.add(scaled, labels[j], out=codes)
+            yield i, j, bool(np.bincount(codes.ravel()).max() > 1)
 
 
 def is_block_permutational(L: LatinSquare) -> bool:

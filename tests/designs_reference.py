@@ -1,7 +1,8 @@
-"""Test-side references for the designs layer: blocks of a square and
-the row/column permutations between two blocks, the independent check of
-mosls.designs.is_block_permutational, and pairwise orthogonality of a
-whole family, which the command line reports pair by pair.
+"""Test-side references for the designs layer: the sort-based Latin
+check, blocks of a square and the row/column permutations between two
+blocks, the independent check of mosls.designs.is_block_permutational,
+and pairwise orthogonality of a whole family, which the command line
+reports pair by pair.
 """
 
 from dataclasses import dataclass
@@ -10,6 +11,12 @@ from itertools import combinations
 import numpy as np
 
 from mosls.designs import LatinSquare, MoslsFamily, are_orthogonal
+
+
+def latin_reference(L: LatinSquare) -> bool:
+    """True iff every row and every column, sorted, reads 1..n."""
+    ones = np.arange(1, L.order + 1)
+    return all(bool((np.sort(lines, axis=1) == ones).all()) for lines in (L.entries, L.entries.T))
 
 
 @dataclass(frozen=True)

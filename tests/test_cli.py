@@ -230,6 +230,20 @@ def test_check_json_matches_references(tmp_path, capsys):
     }
 
 
+def test_check_passes_without_are_orthogonal(tmp_path, capsys, monkeypatch):
+    # `check` decides every pair in one pass over the family, not pair by pair
+    path = tmp_path / "field9.txt"
+    designs.save_family(composite_mosls([(3, 1, 1)]), path)
+
+    def refuse(a, b):
+        raise AssertionError("are_orthogonal called")
+
+    monkeypatch.setattr(designs, "are_orthogonal", refuse)
+    code, stdout, _ = run(capsys, "check", "--in", str(path))
+    assert code == 0 and stdout.endswith("verdict: PASS\n")
+    assert stdout.count("orthogonal yes") == 15
+
+
 def test_check_corrupted_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("mosls v1\norder 4 type 2 2 count 1\n1 2 3 4\n1 2 3\n")

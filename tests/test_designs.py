@@ -25,7 +25,7 @@ from mosls import (
     write_family,
 )
 from mosls.cli import _TABLE_ROWS
-from designs_reference import Block, block, block_map_factorization, block_permutational_reference
+from designs_reference import Block, block, block_map_factorization, block_permutational_reference, latin_reference
 from fixtures import FOUR_A, FOUR_B, FOUR_FAMILY, NINE, REMARK4, Discard, cyclic_square, peak_traced, single
 
 
@@ -227,6 +227,7 @@ def test_is_sudoku_and_are_orthogonal_match_references():
         for sq in fam:
             for rows in [np.arange(order)] + [rng.permutation(order) for _ in range(3)]:
                 L = LatinSquare(sq.entries[rows], sq.shape)
+                assert is_latin(L) and latin_reference(L)
                 blocks_full = all(
                     np.unique(block(L, i, j).cells).size == order
                     for i in range(1, r + 1)
@@ -237,6 +238,22 @@ def test_is_sudoku_and_are_orthogonal_match_references():
                 codes = (fam.squares[0].entries - 1) * order + (L.entries - 1)
                 orthogonal.append(are_orthogonal(fam.squares[0], L))
                 assert orthogonal[-1] == (np.unique(codes).size == order * order)
+            # seeded edits: a cell changed and two cells of a row swapped
+            # (not Latin), the symbols cycled by a constant (Latin), and
+            # shifted by one out of 1..n, which is_latin refuses
+            i, j, k = rng.integers(order), *rng.choice(order, 2, replace=False)
+            changed, swapped = sq.entries.astype(np.int64), sq.entries.astype(np.int64)
+            changed[i, j] = changed[i, j] % order + 1
+            swapped[i, [j, k]] = swapped[i, [k, j]]
+            cycled = (sq.entries.astype(np.int64) + j) % order + 1
+            for entries in (changed, swapped, cycled):
+                L = LatinSquare(entries, sq.shape)
+                assert is_latin(L) == latin_reference(L) == (entries is cycled)
+            for shift in (-1, 1):
+                L = LatinSquare(sq.entries.astype(np.int64) + shift, sq.shape)
+                assert not latin_reference(L)
+                with pytest.raises(ValueError, match="outside"):
+                    is_latin(L)
     assert set(sudoku) == {True, False} and set(orthogonal) == {True, False}
 
 
