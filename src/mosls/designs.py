@@ -210,7 +210,7 @@ def _repeats(labels, n: int, first_only: bool = False):
     values (max - min < n), as line labels 0..n-1 and symbols 1..n do."""
     codes = np.empty(np.broadcast_shapes(*(np.shape(label) for label in labels)), np.intp)
     for i, label in enumerate(labels[:1] if first_only else labels):
-        scaled = label.astype(np.intp) * n
+        scaled = np.multiply(label, n, dtype=np.intp)
         for j in range(i + 1, len(labels)):
             np.add(scaled, labels[j], out=codes)
             yield i, j, bool(np.bincount(codes.ravel()).max() > 1)
