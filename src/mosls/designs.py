@@ -153,8 +153,8 @@ def _check_symbol_range(L: LatinSquare) -> None:
 
 def is_latin(L: LatinSquare) -> bool:
     """True iff every row and every column is a permutation of 1..n: with
-    symbols in 1..n, iff no symbol repeats on a line, the line labels
-    0..n-1 broadcast against the entries as a column (rows) and a row."""
+    symbols in 1..n, iff no symbol repeats with a line label 0..n-1,
+    broadcast against the entries as a column (row) and a row (column)."""
     _check_symbol_range(L)
     return _repeat_free([L.entries, *np.ogrid[:L.order, :L.order]], L.order, first_only=True)
 
@@ -179,7 +179,7 @@ def _blocks(L: LatinSquare) -> np.ndarray:
 
 def is_sudoku(L: LatinSquare) -> bool:
     """True iff Latin and every q-by-r block contains each symbol once: no
-    symbol repeats in a row of the block map, labels 0..n-1 as a column."""
+    symbol repeats in a row of the block map, with its block label 0..n-1."""
     if not is_latin(L):
         raise ValueError("is_sudoku requires a Latin square")
     return _repeat_free([_blocks(L), np.arange(L.order)[:, None]], L.order)
@@ -197,8 +197,7 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
 
 
 def _repeat_free(labels, n: int, first_only: bool = False) -> bool:
-    """True when _repeats finds no two cells that agree in two of the
-    broadcast labels, each after the first spanning fewer than n values."""
+    """True when _repeats finds no pair of broadcast labels in which two cells agree."""
     return not any(repeated for _, _, repeated in _repeats(labels, n, first_only))
 
 

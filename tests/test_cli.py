@@ -212,7 +212,7 @@ def test_check_json_matches_references(tmp_path, capsys):
         bp = sudoku and block_permutational_reference(sq)
         expected.append({"latin": latin, "sudoku": sudoku, "block_permutational": bp})
     orthogonal = [
-        [i + 1, j + 1, np.unique(squares[i].entries * 10 + squares[j].entries).size == 81]
+        [i + 1, j + 1, np.unique(squares[i].entries.astype(int) * 10 + squares[j].entries).size == 81]
         for i in range(4)
         for j in range(i + 1, 4)
     ]

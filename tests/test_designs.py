@@ -218,7 +218,7 @@ def test_is_block_permutational_matches_block_map_reference():
 def test_is_sudoku_and_are_orthogonal_match_references():
     # row-shuffled squares of the constructible table rows of order <= 12:
     # still Latin, mostly neither Sudoku nor orthogonal to the original
-    rng = np.random.default_rng(5)
+    rng, edits = np.random.default_rng(5), np.random.default_rng(6)
     sudoku, orthogonal = [], []
     for order, q, r, factors, _ in _TABLE_ROWS:
         if not factors or order > 12:
@@ -241,7 +241,7 @@ def test_is_sudoku_and_are_orthogonal_match_references():
             # seeded edits: a cell changed and two cells of a row swapped
             # (not Latin), the symbols cycled by a constant (Latin), and
             # shifted by one out of 1..n, which is_latin refuses
-            i, j, k = rng.integers(order), *rng.choice(order, 2, replace=False)
+            i, j, k = edits.integers(order), *edits.choice(order, 2, replace=False)
             changed, swapped = sq.entries.astype(np.int64), sq.entries.astype(np.int64)
             changed[i, j] = changed[i, j] % order + 1
             swapped[i, [j, k]] = swapped[i, [k, j]]
