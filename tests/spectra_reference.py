@@ -3,9 +3,11 @@ Jacobi eigensolver, which the LAPACK path of mosls.spectra.numeric_spectrum
 is checked against; the modular chain of mosls.spectra._chain with each
 product one n x n call, which checks its row panels; long division of
 integer polynomials by a monic divisor, which checks the synthetic
-division in mosls.switching.switched_charpoly_expected; and the switching
+division in mosls.switching.switched_charpoly_expected; the switching
 theorem's joining quartic as expanded coefficients in q and r, which
-checks the structured form of mosls.switching.switched_quartic.
+checks the structured form of mosls.switching.switched_quartic; and the
+row cycles of mosls.switching.row_cycle_decompose walked through a
+symbol-to-symbol map, which checks its walk over the columns.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 
 from mosls.designs import _max_abs
 from mosls.spectra import IntPolynomial, _coprime_moduli, _modulus_limit, _symmetric_float
+from mosls.switching import RowCycle, SwitchError, _check_lines
 
 
 class ConvergenceError(ArithmeticError):
@@ -92,6 +95,35 @@ def switched_quartic_expanded(q: int, r: int) -> IntPolynomial:
         + 16
     )
     return IntPolynomial((c0, c1, c2, c3, 1))
+
+
+def row_cycles_by_symbol(L, row_a: int, row_b: int) -> list[RowCycle]:
+    """mosls.switching.row_cycle_decompose with two maps, symbol to column
+    and symbol to symbol, walking the symbols of row_a."""
+    n = L.order
+    if row_a == row_b:
+        raise SwitchError("rows must differ")
+    _check_lines("row", (row_a, row_b), n)
+    top = L.entries[row_a - 1]
+    bot = L.entries[row_b - 1]
+    col_of = {int(s): c for c, s in enumerate(top)}
+    succ = {int(top[c]): int(bot[c]) for c in range(n)}
+    if len(col_of) != n or set(succ.values()) != col_of.keys():
+        raise SwitchError(f"rows {row_a} and {row_b} do not hold the same {n} distinct symbols")
+    cycles = []
+    visited = set()
+    for c in range(n):
+        start = int(top[c])
+        if start in visited:
+            continue
+        cols = []
+        cur = start
+        while cur not in visited:
+            visited.add(cur)
+            cols.append(col_of[cur] + 1)
+            cur = succ[cur]
+        cycles.append(RowCycle(row_a, row_b, tuple(cols)))
+    return cycles
 
 
 def jacobi_eigenvalues(M, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:

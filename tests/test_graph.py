@@ -400,6 +400,22 @@ def test_srg_check_reads_every_pair():
     assert np.array_equal(label_adjacency(labels), A)
     assert srg_check(CellGraph(SudokuShape(2, 2), (), "mols", A, labels)) is None
     assert _srg_reference(A) is None
+    # the friendship graph: four triangles share the centre, cell 8.  Every
+    # distinct pair, adjacent or not, has one common neighbour, so lam =
+    # mu = 1 holds on every pair and only the degrees, 2 and 8, refuse it
+    W = np.zeros((9, 9), dtype=np.uint8)
+    W[8, :8] = W[:8, 8] = 1
+    for leaf in range(0, 8, 2):
+        W[leaf, leaf + 1] = W[leaf + 1, leaf] = 1
+    off = ~np.eye(9, dtype=bool)
+    assert (W.astype(np.int64) @ W)[off].tolist() == [1] * 72
+    # K9, less the pairs of leaves, plus the pairs inside a triangle
+    leaves = (np.arange(9) < 8).astype(np.int64)
+    triangles = np.arange(9) // 2
+    friendship = [(1, np.zeros(9, dtype=np.int64)), (-1, leaves), (1, triangles)]
+    assert np.array_equal(label_adjacency(friendship), W)
+    assert srg_check(CellGraph(SudokuShape(1, 3), (), "mols", W, friendship)) is None
+    assert _srg_reference(W) is None
     # four copies of K4 are strongly regular: one label
     cliques = np.kron(np.eye(4, dtype=np.uint8), np.ones((4, 4), dtype=np.uint8))
     np.fill_diagonal(cliques, 0)

@@ -36,7 +36,7 @@ from mosls import (
 from mosls import composite_mosls
 from mosls.cli import _TABLE_ROWS
 from mosls.spectra import IntPolynomial, poly_product
-from spectra_reference import poly_divexact, poly_divmod, switched_quartic_expanded
+from spectra_reference import poly_divexact, poly_divmod, row_cycles_by_symbol, switched_quartic_expanded
 from fixtures import (
     FOUR_FAMILY,
     NINE,
@@ -90,6 +90,38 @@ def test_row_cycle_decompose_validation():
         row_cycle_decompose(SWITCH4_A, 2, 2)
     with pytest.raises(SwitchError, match="outside"):
         row_cycle_decompose(SWITCH4_A, 1, 5)
+
+
+def _row_pair_outcome(decompose, square, a, b):
+    try:
+        return decompose(square, a, b)
+    except SwitchError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("factors", [[(2, 1, 1)], [(2, 1, 0), (3, 0, 1)], [(3, 1, 1)], [(2, 1, 1), (3, 0, 1)]])
+def test_row_cycle_decompose_matches_the_symbol_walk(factors):
+    # the first square of the type (2, 2), (2, 3), (3, 3) or (2, 6) family,
+    # a copy with rows and columns shuffled, and a copy whose row 1 repeats
+    # a symbol: every ordered pair of distinct rows gives the same cycles,
+    # in the same column order, or the same error
+    square = composite_mosls(factors).squares[0]
+    n = square.order
+    rng = np.random.default_rng(7)
+    shuffled = square.entries[rng.permutation(n)][:, rng.permutation(n)]
+    repeated = square.entries.copy()
+    repeated[0, 0] = repeated[0, 1]
+    errors = 0
+    for entries in (square.entries, shuffled, repeated):
+        copy = LatinSquare(entries, square.shape)
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a != b:
+                    got = _row_pair_outcome(row_cycle_decompose, copy, a, b)
+                    assert got == _row_pair_outcome(row_cycles_by_symbol, copy, a, b)
+                    errors += isinstance(got, tuple)
+    # exactly the pairs with row 1 of the last copy are refused
+    assert errors == 2 * (n - 1)
 
 
 def test_row_cycle_switch_produces_known_square():
