@@ -11,8 +11,9 @@ layer's from _block_labels alone.  Builds check the family by the joint
 counts of label pairs, then add agreement masks (_label_rows) into the
 adjacency; _label_product counts from the labels' classes.  A CellGraph
 is a checked 0/1 matrix on at most MAX_VERTICES vertices, so no check
-here states a bound of its own but _label_product, whose int16 counts
-also bound the classes of the labels it counts from.
+here states a bound of its own but two: _add_labels's int32 scan, exact
+below 2**31 labels, and _label_product, whose int16 counts also bound
+the classes of the labels it counts from.
 """
 
 from __future__ import annotations
@@ -263,23 +264,22 @@ def srg_check(graph: CellGraph):
         raise ValueError("srg_check counts common neighbours from the graph's labels; it has none")
     classes = list(_classes(graph.labels))
     A, nv = graph.adjacency, graph.num_vertices
-    degrees = np.empty(nv, dtype=np.int64)
     fits = True
     for start in range(0, nv, _CHUNK):
         cols = slice(start, start + _CHUNK)
         common = _label_product(classes, A[:, cols])
         # A is symmetric with an empty diagonal, so the diagonal of A @ A
         # holds the degrees, and column 0 the first pair of each kind
-        degrees[cols] = common[cols].diagonal()
         if start == 0:
-            k = int(degrees[0])
+            k = int(common[0, 0])
             lam = int(common[A[0].argmax(), 0]) if k > 0 else 0
             mu = int(common[1 + A[0, 1:].argmin(), 0]) if k < nv - 1 else 0
-        # in place: 0 exactly where an adjacent pair counts lam and a
-        # non-adjacent pair mu
+        # in place: 0 exactly where A @ A = kI + lam A + mu (J - I - A),
+        # that is, where a vertex has degree k, an adjacent pair counts
+        # lam and a non-adjacent pair mu
         common -= mu
         np.subtract(common, lam - mu, out=common, where=A[:, cols].view(bool))
-        np.fill_diagonal(common[cols], 0)
+        np.fill_diagonal(common[cols], common[cols].diagonal() - (k - mu))
         fits = fits and not common.any()
         # the slab's memory again, as the labels' sum on these rows: off
         # the diagonal within _label_product's reach, which int16 holds
@@ -287,7 +287,7 @@ def srg_check(graph: CellGraph):
         _label_rows(graph.labels, cols, common.reshape(-1, nv))
         if not np.array_equal(common.reshape(-1, nv), A[cols]):
             raise ValueError("the graph's labels do not give its adjacency")
-    return (nv, k, lam, mu) if fits and degrees.min() == degrees.max() else None
+    return (nv, k, lam, mu) if fits else None
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku, transpose
+from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku
 from .graph import build_mosls_graph
 from .spectra import IntPolynomial, charpoly_exact
 
@@ -71,30 +71,26 @@ def _check_lines(kind: str, indices, n: int) -> None:
 
 
 def row_cycle_decompose(L: LatinSquare, row_a: int, row_b: int) -> list[RowCycle]:
-    """Cycles of the symbol permutation L[row_a, c] -> L[row_b, c]."""
+    """Cycles of the symbol permutation L[row_a, c] -> L[row_b, c], each
+    walked over the columns c -> the column of L[row_b, c] in row_a."""
     n = L.order
     if row_a == row_b:
         raise SwitchError("rows must differ")
     _check_lines("row", (row_a, row_b), n)
-    top = L.entries[row_a - 1]
-    bot = L.entries[row_b - 1]
-    col_of = {int(s): c for c, s in enumerate(top)}
-    succ = {int(top[c]): int(bot[c]) for c in range(n)}
-    if len(col_of) != n or set(succ.values()) != col_of.keys():
+    top, bot = L.entries[row_a - 1].tolist(), L.entries[row_b - 1].tolist()
+    col_of = {s: c for c, s in enumerate(top)}
+    if len(col_of) != n or col_of.keys() != set(bot):
         raise SwitchError(f"rows {row_a} and {row_b} do not hold the same {n} distinct symbols")
     cycles = []
-    visited = set()
+    seen = [False] * n
     for c in range(n):
-        start = int(top[c])
-        if start in visited:
-            continue
         cols = []
-        cur = start
-        while cur not in visited:
-            visited.add(cur)
-            cols.append(col_of[cur] + 1)
-            cur = succ[cur]
-        cycles.append(RowCycle(row_a, row_b, tuple(cols)))
+        while not seen[c]:
+            seen[c] = True
+            cols.append(c + 1)
+            c = col_of[bot[c]]
+        if cols:
+            cycles.append(RowCycle(row_a, row_b, tuple(cols)))
     return cycles
 
 
@@ -130,25 +126,24 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
     """
     if not (is_latin(L) and is_sudoku(L)):
         raise SwitchError("symbol switching requires a Sudoku square")
-    # a column-band switch is a row-band switch of the transpose
+    ent = L.entries.copy()
+    # one copy takes either edit: a column band is a row band of its
+    # transposed view
     if spec.kind == "row-block":
-        square, band_name, crossing = L, "block-row", "column"
+        lines, q, bands, band_name, crossing = ent, L.shape.q, L.shape.r, "block-row", "column"
     elif spec.kind == "col-block":
-        square, band_name, crossing = transpose(L), "block-column", "row"
+        lines, q, bands, band_name, crossing = ent.T, L.shape.r, L.shape.q, "block-column", "row"
     else:
         raise SwitchError(f"unknown band kind {spec.kind!r}")
-    q, bands = square.shape.q, square.shape.r
-    if not 1 <= spec.index <= bands:
-        raise SwitchError(f"{band_name} {spec.index} outside 1..{bands}")
+    _check_lines(band_name, (spec.index,), bands)
     k1, k2 = spec.symbols
     n = L.order
     if k1 == k2 or not (1 <= k1 <= n and 1 <= k2 <= n):
         raise SwitchError(f"symbols must be distinct values in 1..{n}, got {spec.symbols}")
 
-    ent = square.entries.copy()
-    band = ent[(spec.index - 1) * q : spec.index * q]  # a view of the band's rows
+    band = lines[(spec.index - 1) * q : spec.index * q]  # a view of the band's lines
     at1, at2 = band == k1, band == k2
-    # each crossing column holds each symbol once; find one that is split
+    # each crossing line holds each symbol once; find one that is split
     inside1 = at1.any(axis=0)
     split = np.flatnonzero(inside1 != at2.any(axis=0))
     if split.size:
@@ -159,9 +154,7 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
             f"but {outside} lies outside"
         )
     band[at1], band[at2] = k2, k1
-    out = LatinSquare(ent, square.shape)
-    if spec.kind == "col-block":
-        out = transpose(out)
+    out = LatinSquare(ent, L.shape)
     if not (is_latin(out) and is_sudoku(out)):
         raise RuntimeError("internal error: valid switch produced a non-Sudoku square")
     return out
