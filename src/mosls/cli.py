@@ -6,9 +6,10 @@ mathematical check or precondition fails (invalid square, verification
 mismatch, invalid switch), 2 for usage, flag, or input format errors.
 All outputs are deterministic for fixed inputs and flags.
 
-Each command imports the layers it calls when it runs: designs always,
-construct and gf for `construct` and `table` only, graph, spectra and
-switching never for `construct`, `check` or `table`, json for --json only.
+Each command imports the layers it calls once argparse has read argv, so
+--help and usage errors load no layer and no numpy: designs for every
+command, construct and gf for `construct` and `table` only, graph, spectra
+and switching never for `construct`, `check` or `table`, json for --json.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import sys
 # here, not in the library, which leaves its host's environment alone.
 _OPENBLAS_THREAD_TIMEOUT = "4"
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
-
-from . import designs  # noqa: E402  (loads numpy)
 
 
 def _print_json(obj, file=None) -> None:
@@ -331,6 +330,8 @@ _TABLE_ROWS = [
 
 def verified_table_rows(max_order: int, order_cap: int | None):
     """Build and validate each constructible family; yield result rows."""
+    global designs
+    from . import designs  # as main does, for callers that skip main
     for order, q, r, factors, count in _TABLE_ROWS:
         if order > max_order:
             continue
@@ -454,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global designs
+    args = build_parser().parse_args(argv)
+    from . import designs  # loads numpy; argparse has exited on help and usage errors
     try:
         return args.func(args)
     except designs.CheckFailed as exc:

@@ -200,10 +200,13 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
 class Certificate:
     """Cospectrality verdict for two single-square cell graphs."""
 
-    verdict: str  # "NOT-ISOMORPHIC" or "INCONCLUSIVE"
     charpoly_a: IntPolynomial
     charpoly_b: IntPolynomial
     differing_coefficient_index: int | None
+
+    @property
+    def verdict(self) -> str:  # distinct charpolys certify, equal ones do not
+        return "INCONCLUSIVE" if self.differing_coefficient_index is None else "NOT-ISOMORPHIC"
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,10 +227,5 @@ def nonisomorphism_certificate(a: LatinSquare, b: LatinSquare) -> Certificate:
         raise ValueError(f"shape mismatch: type {(a.shape.q, a.shape.r)} vs type {(b.shape.q, b.shape.r)}")
     pa = charpoly_exact(build_mosls_graph(MoslsFamily(a.shape, (a,))).adjacency)
     pb = charpoly_exact(build_mosls_graph(MoslsFamily(b.shape, (b,))).adjacency)
-    diff = None
-    for idx, (ca, cb) in enumerate(zip(pa.coeffs, pb.coeffs)):
-        if ca != cb:
-            diff = idx
-            break
-    verdict = "INCONCLUSIVE" if diff is None else "NOT-ISOMORPHIC"
-    return Certificate(verdict, pa, pb, diff)
+    diff = next((idx for idx, (ca, cb) in enumerate(zip(pa.coeffs, pb.coeffs)) if ca != cb), None)
+    return Certificate(pa, pb, diff)

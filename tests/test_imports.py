@@ -130,9 +130,13 @@ def test_construct_and_gf_load_for_construct_and_table_only(command, family_file
         assert building <= set(loaded)
     else:
         assert not building & set(loaded)
-    # designs starts loading before numpy, which it imports; --help loads numpy too
     started = started.split()
-    assert started.index("mosls.designs") < started.index("numpy")
+    if command == "--help":
+        # argparse prints the help and exits before main imports designs
+        assert not {"mosls.designs", "numpy"} & set(started)
+    else:
+        # designs starts loading before numpy, which it imports
+        assert started.index("mosls.designs") < started.index("numpy")
 
 
 @pytest.mark.parametrize(
@@ -146,7 +150,10 @@ def test_construct_and_gf_load_for_construct_and_table_only(command, family_file
 )
 def test_family_commands_load_no_graph_layer_and_no_json(argv, family_file):
     loaded = _fresh_modules(RUN_CLI, *[tok.format(family=family_file) for tok in argv])
-    assert "mosls.designs" in loaded
+    if argv == ["--help"]:
+        assert not loaded & {"mosls.designs", "numpy"}
+    else:
+        assert "mosls.designs" in loaded
     assert not loaded & LAYERS
     assert "json" not in loaded
 
@@ -156,6 +163,37 @@ def test_json_output_loads_json_only(argv, family_file):
     loaded = _fresh_modules(RUN_CLI, *[tok.format(family=family_file) for tok in argv])
     assert "json" in loaded
     assert not loaded & LAYERS
+
+
+# argv: exit code, and whether argparse writes to stdout (help) or stderr (usage)
+PARSE_ONLY = [
+    ([], 2, "stderr"),
+    (["--help"], 0, "stdout"),
+    (["spectrum", "--help"], 0, "stdout"),
+    (["spectrum"], 2, "stderr"),  # --in is required
+    (["spectrum", "--in", "x", "--exact", "--numeric"], 2, "stderr"),
+    (["construct", "--p", "x"], 2, "stderr"),
+    (["graph-export", "--in", "x", "--format", "svg"], 2, "stderr"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stream", PARSE_ONLY, ids=[" ".join(case[0]) or "bare" for case in PARSE_ONLY])
+def test_parse_stage_loads_no_layer_and_no_numpy(argv, code, stream):
+    res = subprocess.run(
+        [sys.executable, "-m", "mosls.cli", *argv], env=fresh_env(), capture_output=True, text=True
+    )
+    assert res.returncode == code
+    assert getattr(res, stream).startswith("usage: mosls")
+    assert not getattr(res, "stderr" if stream == "stdout" else "stdout")
+    loaded = _fresh_modules(RUN_CLI, *argv)
+    assert not loaded & {"numpy", "mosls.designs"}
+    assert {m for m in loaded if m.startswith("mosls.")} == {"mosls.cli"}
+
+
+def test_table_rows_build_without_main():
+    # main binds cli's designs after the parse; the public generator must not need that
+    code = "from mosls.cli import verified_table_rows\nprint(*(row['status'] for row in verified_table_rows(4, None)))"
+    assert _fresh_stdout(code) == "VERIFIED VERIFIED VERIFIED VERIFIED\n"
 
 
 def test_graph_export_loads_no_spectra_or_switching(family_file):
@@ -214,13 +252,14 @@ def numpy_probe(tmp_path_factory):
 
 @pytest.mark.parametrize("entry", [["-m", "mosls.cli"], ["-c", CONSOLE_SCRIPT]], ids=["module", "script"])
 @pytest.mark.parametrize("user,seen", [(None, "4"), ("30", "30")], ids=["default", "user-set"])
-def test_cli_sets_the_openblas_idle_spin_before_numpy_loads(entry, user, seen, numpy_probe):
+def test_cli_sets_the_openblas_idle_spin_before_numpy_loads(entry, user, seen, numpy_probe, family_file):
+    # check loads numpy (--help does not)
     overrides = {} if user is None else {"OPENBLAS_THREAD_TIMEOUT": user}
     res = subprocess.run(
-        [sys.executable, *entry, "--help"],
+        [sys.executable, *entry, "check", "--in", family_file],
         env=fresh_env(numpy_probe, **overrides), capture_output=True, text=True,
     )
-    assert res.returncode == 0 and res.stdout.startswith("usage: ")
+    assert res.returncode == 0 and res.stdout.startswith("order 4 type 2 2 count 2\n")
     assert res.stderr == f"at numpy import: {seen}\n"
 
 
@@ -234,16 +273,17 @@ def test_library_leaves_the_environment_alone():
     assert _fresh_stdout(code) == "True False\n"
 
 
-def test_help_keeps_at_most_one_cpu_busy():
+def test_help_keeps_at_most_one_cpu_busy(family_file):
     # an idle OpenBLAS worker that spins after numpy loads keeps a second
-    # CPU busy: the median (user + sys) / wall read up to about 1.5 on 2
+    # CPU busy: the median (user + sys) / wall of a command that loads numpy
+    # and does little else, such as this check, read up to about 1.5 on 2
     # CPUs; on 1 CPU this cannot fail
     ratios = []
     for _ in range(5):
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
         subprocess.run(
-            [sys.executable, "-m", "mosls.cli", "--help"],
+            [sys.executable, "-m", "mosls.cli", "check", "--in", family_file],
             env=fresh_env(), capture_output=True, check=True,
         )
         wall = time.perf_counter() - start

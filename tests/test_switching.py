@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -424,6 +425,21 @@ def test_certificate_inconclusive():
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.differing_coefficient_index is None
     assert isinstance(cert, Certificate)
+
+
+@pytest.mark.parametrize("b", [SWITCH4_B, SWITCH4_A], ids=["not-isomorphic", "inconclusive"])
+def test_certificate_verdict_follows_the_differing_index(b):
+    cert = nonisomorphism_certificate(SWITCH4_A, b)
+    differ = cert.charpoly_a.coeffs != cert.charpoly_b.coeffs
+    assert (cert.differing_coefficient_index is not None) == differ
+    assert cert.verdict == ("NOT-ISOMORPHIC" if differ else "INCONCLUSIVE")
+    assert cert.to_json_dict()["verdict"] == cert.verdict
+    # derived from the index, not stored beside it
+    assert "verdict" not in {f.name for f in dataclasses.fields(cert)}
+    flipped = dataclasses.replace(cert, differing_coefficient_index=None if differ else 0)
+    assert flipped.verdict == ("INCONCLUSIVE" if differ else "NOT-ISOMORPHIC")
+    with pytest.raises(AttributeError):
+        cert.verdict = "INCONCLUSIVE"
 
 
 def test_certificate_inconclusive_under_relabel():
