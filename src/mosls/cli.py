@@ -6,10 +6,11 @@ mathematical check or precondition fails (invalid square, verification
 mismatch, invalid switch), 2 for usage, flag, or input format errors.
 All outputs are deterministic for fixed inputs and flags.
 
-Each command imports the layers it calls once argparse has read argv, so
---help and usage errors load no layer and no numpy: designs for every
-command, construct and gf for `construct` and `table` only, graph, spectra
-and switching never for `construct`, `check` or `table`, json for --json.
+A layer loads on its first use as `mosls.<layer>`; main uses designs
+once argparse has read argv, so --help and usage errors load no layer and
+no numpy.  tests/test_imports.py pins what each command loads: designs
+always, construct and gf for `construct` and `table` only, never graph,
+spectra or switching for `construct`, `check` or `table`, json for --json.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import mosls
 
 # numpy's bundled OpenBLAS starts one worker per extra CPU when it loads,
 # and an idle worker busy-polls for 2**28 cycles (about 0.1 s) after the
@@ -46,40 +49,40 @@ def _int_fields(flag: str, text: str, form: str = "") -> tuple[int, ...]:
     sep = ":" if ":" in form else ","
     parts = text.split(sep)
     if form and len(parts) != len(form.split(sep)):
-        raise designs.FormatError(f"{flag} expects {form!r}, got {text!r}")
+        raise mosls.designs.FormatError(f"{flag} expects {form!r}, got {text!r}")
     try:
         values = tuple(int(tok) for tok in parts if form or tok)
     except ValueError:
-        raise designs.FormatError(f"{flag} expects integers, got {text!r}") from None
+        raise mosls.designs.FormatError(f"{flag} expects integers, got {text!r}") from None
     if not values:
-        raise designs.FormatError(f"{flag} selects no square: {text!r}")
+        raise mosls.designs.FormatError(f"{flag} selects no square: {text!r}")
     return values
 
 
-def _write_family(fam: designs.MoslsFamily, out):
+def _write_family(fam: mosls.designs.MoslsFamily, out):
     """Save fam to the file out, or write it to stdout without one; returns
     the stream for the summary, the one the family did not go to."""
     if out:
-        designs.save_family(fam, out)
+        mosls.designs.save_family(fam, out)
         return sys.stdout
-    designs.write_family(fam, sys.stdout)
+    mosls.designs.write_family(fam, sys.stdout)
     return sys.stderr
 
 
 def _composite(factors, order_cap):
-    from . import construct  # with gf, loaded only by the commands that build families
-    return construct.composite_mosls(factors, construct.DEFAULT_ORDER_CAP if order_cap is None else order_cap)
+    cap = mosls.construct.DEFAULT_ORDER_CAP if order_cap is None else order_cap
+    return mosls.construct.composite_mosls(factors, cap)
 
 
-def _family_checks(fam: designs.MoslsFamily) -> dict:
+def _family_checks(fam: mosls.designs.MoslsFamily) -> dict:
     squares = []
     for sq in fam.squares:
-        latin = designs.is_latin(sq)
-        sudoku = designs.is_sudoku(sq) if latin else False
-        bp = designs.is_block_permutational(sq) if sudoku else False
+        latin = mosls.designs.is_latin(sq)
+        sudoku = mosls.designs.is_sudoku(sq) if latin else False
+        bp = mosls.designs.is_block_permutational(sq) if sudoku else False
         squares.append({"latin": latin, "sudoku": sudoku, "block_permutational": bp})
     # one pass: load_family and the constructors give symbols in 1..n, as _repeats needs
-    pairs = designs._repeats([sq.entries for sq in fam.squares], fam.shape.order)
+    pairs = mosls.designs._repeats([sq.entries for sq in fam.squares], fam.shape.order)
     orthogonal = [[i + 1, j + 1, not repeated] for i, j, repeated in pairs]
     return {
         "order": fam.shape.order,
@@ -122,7 +125,7 @@ def cmd_construct(args) -> int:
     if args.count is not None:
         if not 1 <= args.count <= len(fam):
             raise ValueError(f"--count {args.count} outside 1..{len(fam)}")
-        fam = designs.MoslsFamily(fam.shape, fam.squares[: args.count])
+        fam = mosls.designs.MoslsFamily(fam.shape, fam.squares[: args.count])
     report = _family_checks(fam)
     dest = _write_family(fam, args.out)
     print(
@@ -135,7 +138,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fam = designs.load_family(args.input)
+    fam = mosls.designs.load_family(args.input)
     report = _family_checks(fam)
     if args.json:
         _print_json(report)
@@ -146,24 +149,20 @@ def cmd_check(args) -> int:
 
 def _build_graph(args):
     """The cell graph of the --in family over the --subset squares."""
-    from . import graph
-
-    fam = designs.load_family(args.input)
+    fam = mosls.designs.load_family(args.input)
     subset = None if args.subset is None else _int_fields("--subset", args.subset)
-    build = graph.build_mols_graph if args.mols_only else graph.build_mosls_graph
+    build = mosls.graph.build_mols_graph if args.mols_only else mosls.graph.build_mosls_graph
     return build(fam, subset)
 
 
 def cmd_spectrum(args) -> int:
-    from . import spectra
-
     g = _build_graph(args)
     if not args.exact:
-        report = spectra.numeric_spectrum(
+        report = mosls.spectra.numeric_spectrum(
             g.adjacency, group_tol=args.group_tol, with_charpoly=not args.numeric
         )
     else:
-        report = spectra.SpectrumReport(spectra.charpoly_exact(g.adjacency), [], 0.0)
+        report = mosls.spectra.SpectrumReport(mosls.spectra.charpoly_exact(g.adjacency), [], 0.0)
 
     verdict = None
     if args.verify_closed_form:
@@ -203,37 +202,32 @@ def _closed_form_verdict(g, report) -> str:
     """Compare the closed form with the exact charpoly, or, under --numeric,
     which computes none, certify it on the graph itself.  The MOLS form holds
     for every family that builds, the MOSLS one when its layers commute."""
-    from . import spectra
-
     n, f = g.order, len(g.squares)
     if g.flavor == "mols":
-        closed = spectra.srg_spectrum(n * n, (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2))
-    elif _layers_commute(g.squares, g):
-        closed = spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
+        k, lam, mu = (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2)
+        closed = mosls.spectra.srg_spectrum(n * n, k, lam, mu)
+    elif _layers_commute(g):
+        closed = mosls.spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
     else:
         return "INAPPLICABLE (adjacency layers do not commute)"
     if report.charpoly is None:
-        match = spectra.certify_charpoly(g.adjacency, closed)
+        match = mosls.spectra.certify_charpoly(g.adjacency, closed)
     else:
-        match = spectra.poly_product(closed).coeffs == report.charpoly.coeffs
+        match = mosls.spectra.poly_product(closed).coeffs == report.charpoly.coeffs
     return "MATCH" if match else "MISMATCH"
 
 
-def _layers_commute(squares, g=None) -> bool:
-    """Whether the Latin and block layers of the cell graph g on these
-    squares commute: iff every square is block-permutational, while at most
-    three are not (proof at designs.is_block_permutational)."""
-    from . import graph  # loaded already: each caller has built a cell graph
-
-    failing = sum(not designs.is_block_permutational(sq) for sq in squares)
-    return graph.commute_check(g) if failing > 3 else not failing
+def _layers_commute(g) -> bool:
+    """Whether the Latin and block layers of the cell graph g commute: iff
+    each of its squares is block-permutational, while at most three are not
+    (proof at designs.is_block_permutational)."""
+    failing = sum(not mosls.designs.is_block_permutational(sq) for sq in g.squares)
+    return mosls.graph.commute_check(g) if failing > 3 else not failing
 
 
 def cmd_graph_export(args) -> int:
-    from . import graph
-
     g = _build_graph(args)
-    write = graph.edge_lines if args.format == "edges" else graph.matrix_lines
+    write = mosls.graph.edge_lines if args.format == "edges" else mosls.graph.matrix_lines
     if args.out:
         with open(args.out, "w") as fh:
             write(g, fh)
@@ -243,24 +237,22 @@ def cmd_graph_export(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    from . import switching
-
-    fam = designs.load_family(args.input)
+    fam = mosls.designs.load_family(args.input)
     if len(fam) != 1:
         raise ValueError("switch expects a single-square family file")
     if (args.row_block is None) == (args.col_block is None):
         raise ValueError("exactly one of --row-block or --col-block is required")
     symbols = _int_fields("--symbols", args.symbols, "K1,K2")
     if args.row_block is not None:
-        spec = switching.SwitchSpec("row-block", args.row_block, symbols)
+        spec = mosls.switching.SwitchSpec("row-block", args.row_block, symbols)
     else:
-        spec = switching.SwitchSpec("col-block", args.col_block, symbols)
+        spec = mosls.switching.SwitchSpec("col-block", args.col_block, symbols)
 
     square = fam.squares[0]
-    switched = switching.sudoku_symbol_switch(square, spec)
+    switched = mosls.switching.sudoku_symbol_switch(square, spec)
     # certify before writing, so a square whose charpoly is refused writes nothing
-    cert = switching.nonisomorphism_certificate(square, switched)
-    dest = _write_family(designs.MoslsFamily(fam.shape, (switched,)), args.out)
+    cert = mosls.switching.nonisomorphism_certificate(square, switched)
+    dest = _write_family(mosls.designs.MoslsFamily(fam.shape, (switched,)), args.out)
     q, r = fam.shape.q, fam.shape.r
     # a column-band switch is a row-band switch of the transpose
     eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
@@ -276,26 +268,22 @@ def cmd_switch(args) -> int:
 
 
 def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
-    from . import switching
-
-    # a flat square's layers commute, and the theorem refuses it (needs q, r >= 2)
-    if not _layers_commute([square]):
+    # a flat square is block-permutational, and the theorem refuses it (needs q, r >= 2)
+    if not mosls.designs.is_block_permutational(square):
         return "INAPPLICABLE (square is not block-permutational)"
     try:
-        expected = switching.switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r)
-    except switching.TheoremPreconditionError as exc:
+        expected = mosls.switching.switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r)
+    except mosls.switching.TheoremPreconditionError as exc:
         return f"INAPPLICABLE ({exc})"
     return "MATCH" if expected.coeffs == cert.charpoly_b.coeffs else "MISMATCH"
 
 
 def cmd_compare(args) -> int:
-    from . import switching
-
-    fam_a = designs.load_family(args.a)
-    fam_b = designs.load_family(args.b)
+    fam_a = mosls.designs.load_family(args.a)
+    fam_b = mosls.designs.load_family(args.b)
     if len(fam_a) != 1 or len(fam_b) != 1:
         raise ValueError("compare expects single-square family files")
-    cert = switching.nonisomorphism_certificate(fam_a.squares[0], fam_b.squares[0])
+    cert = mosls.switching.nonisomorphism_certificate(fam_a.squares[0], fam_b.squares[0])
     if args.json:
         _print_json(cert.to_json_dict())
     else:
@@ -330,8 +318,6 @@ _TABLE_ROWS = [
 
 def verified_table_rows(max_order: int, order_cap: int | None):
     """Build and validate each constructible family; yield result rows."""
-    global designs
-    from . import designs  # as main does, for callers that skip main
     for order, q, r, factors, count in _TABLE_ROWS:
         if order > max_order:
             continue
@@ -455,12 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global designs
-    args = build_parser().parse_args(argv)
-    from . import designs  # loads numpy; argparse has exited on help and usage errors
+    args = build_parser().parse_args(argv)  # exits on help and usage errors, loading no layer
+    failed = mosls.designs.CheckFailed  # loads designs, then numpy
     try:
         return args.func(args)
-    except designs.CheckFailed as exc:
+    except failed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # FormatError is a ValueError

@@ -380,7 +380,7 @@ class SpectrumReport:
         if self.charpoly is not None:
             out["charpoly"] = self.charpoly.decimal_strings()
         out["numeric"] = [{"value": v, "mult": m} for v, m in self.numeric]
-        if self.charpoly is not None:
+        if self.charpoly is not None and self.numeric:  # a residual needs both
             out["residual"] = self.residual
         return out
 

@@ -331,6 +331,16 @@ def test_spectrum_exact_only_and_numeric_only(four_file, capsys):
     assert "charpoly:" not in stdout and "numeric:" in stdout
 
 
+def test_spectrum_exact_json_has_no_residual(four_file, capsys):
+    # --exact computes no numeric values, so there is no residual to report,
+    # in JSON as in text
+    code, stdout, _ = run(capsys, "spectrum", "--in", four_file, "--exact", "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["charpoly"][-1] == "1" and payload["numeric"] == []
+    assert "residual" not in payload
+
+
 @pytest.mark.parametrize("text", ["", ","])
 @pytest.mark.parametrize("command", ["spectrum", "graph-export"])
 def test_subset_selecting_no_square_exits_2(command, text, four_file, capsys):

@@ -5,6 +5,7 @@ lets numpy's idle OpenBLAS workers sleep, and the library leaves the
 environment alone."""
 
 import importlib
+import json
 import resource
 import statistics
 import subprocess
@@ -190,10 +191,37 @@ def test_parse_stage_loads_no_layer_and_no_numpy(argv, code, stream):
     assert {m for m in loaded if m.startswith("mosls.")} == {"mosls.cli"}
 
 
-def test_table_rows_build_without_main():
-    # main binds cli's designs after the parse; the public generator must not need that
+# in a fresh process, args.func(args) without main, then cli.main(argv):
+# the stdout and return code of each, as JSON
+RUN_HANDLER_THEN_MAIN = """
+import contextlib, io, json, sys
+from mosls import cli
+
+def handler(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+runs = []
+for call in (handler, cli.main):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = call(sys.argv[1:])
+    runs.append([out.getvalue(), code])
+print(json.dumps(runs))
+"""
+
+
+def test_table_rows_build_without_main(family_file, square_file):
+    # the layers load on first use, so neither the public generator nor a
+    # command handler needs main to have run first
     code = "from mosls.cli import verified_table_rows\nprint(*(row['status'] for row in verified_table_rows(4, None)))"
     assert _fresh_stdout(code) == "VERIFIED VERIFIED VERIFIED VERIFIED\n"
+    for command, argv in COMMANDS.items():
+        if command == "--help":
+            continue
+        argv = [tok.format(family=family_file, square=square_file) for tok in argv]
+        handler_run, main_run = json.loads(_fresh_stdout(RUN_HANDLER_THEN_MAIN, *argv))
+        assert handler_run[0] and handler_run == main_run, command
 
 
 def test_graph_export_loads_no_spectra_or_switching(family_file):
