@@ -162,11 +162,9 @@ def cmd_spectrum(args) -> int:
             g.adjacency, group_tol=args.group_tol, with_charpoly=not args.numeric
         )
     else:
-        report = mosls.spectra.SpectrumReport(mosls.spectra.charpoly_exact(g.adjacency), [], 0.0)
+        report = mosls.spectra.SpectrumReport([(mosls.spectra.charpoly_exact(g.adjacency), 1)], [], None)
 
-    verdict = None
-    if args.verify_closed_form:
-        verdict = _closed_form_verdict(g, report)
+    verdict = _closed_form_verdict(g, report) if args.verify_closed_form else None
 
     payload = report.to_json_dict()
     payload["flavor"] = g.flavor
@@ -189,7 +187,7 @@ def cmd_spectrum(args) -> int:
             print("numeric:")
             for value, mult in report.numeric:
                 print(f"  {value:.10g} x{mult}")
-        if report.charpoly is not None and report.numeric:
+        if report.residual is not None:
             print(f"residual: {report.residual:.3e}")
         if verdict is not None:
             print(f"closed form: {verdict}")
@@ -210,10 +208,10 @@ def _closed_form_verdict(g, report) -> str:
         closed = mosls.spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
     else:
         return "INAPPLICABLE (adjacency layers do not commute)"
-    if report.charpoly is None:
+    if report.factors is None:
         match = mosls.spectra.certify_charpoly(g.adjacency, closed)
     else:
-        match = mosls.spectra.poly_product(closed).coeffs == report.charpoly.coeffs
+        match = mosls.spectra._same_product(report.factors, closed)
     return "MATCH" if match else "MISMATCH"
 
 

@@ -12,13 +12,17 @@ tr(A**k) for k < deg R on the same modular chain.  Any other matrix, and a
 guess that the certificate rejects, takes d = n: Newton's identities on
 all n traces give the charpoly directly (proof at charpoly_exact), unless
 d * n > EXACT_SIZE_CAP**2 (_power_sum_quotient).  The same certificate
-checks a closed-form spectrum against a graph without a charpoly.
+checks a closed-form spectrum against a graph without a charpoly.  A
+spectrum is held as a factor list [(F, m), ...], as the closed forms are:
+SpectrumReport stores the certified one, expanding charpoly on first read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +72,19 @@ def poly_product(factors) -> IntPolynomial:
         for _ in range(mult):
             acc = np.convolve(acc, coeffs)
     return IntPolynomial(tuple(acc.tolist()))
+
+
+def _same_product(a, b) -> bool:
+    """Whether the (F, m) pairs of a and b have equal products.  Equal factors
+    cancel, as Z[t] has no zero divisors, and only the rest is expanded: none
+    when the lists differ only in order or in how a multiplicity is split."""
+    diff = Counter()
+    for sign, pairs in ((1, a), (-1, b)):
+        for poly, mult in pairs:
+            diff[poly] += sign * mult
+    left = [(poly, mult) for poly, mult in diff.items() if mult > 0]
+    right = [(poly, -mult) for poly, mult in diff.items() if mult < 0]
+    return not (left or right) or poly_product(left) == poly_product(right)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +353,22 @@ def charpoly_exact(M) -> IntPolynomial:
     det(tI - M) itself, as they hold for the eigenvalues of any square
     matrix.  A direct computation needs no certificate.
     """
-    return _charpoly(_int_matrix(M))
+    return poly_product(_charpoly(_int_matrix(M)))
 
 
-def _charpoly(A: np.ndarray, values=None) -> IntPolynomial:
-    """charpoly_exact of the int matrix A, given its descending eigvalsh
-    values if known: numeric_spectrum passes them only once _symmetric_float
-    has found A symmetric, and the certificate is a proof for any square A."""
+def _charpoly(A: np.ndarray, values=None) -> list[tuple[IntPolynomial, int]]:
+    """charpoly_exact of the int matrix A as the certified guess's factors,
+    or [(P, 1)] on the general path, given its descending eigvalsh values if
+    known: numeric_spectrum passes them only once _symmetric_float has found
+    A symmetric, and the certificate is a proof for any square A."""
     if values is None and np.array_equal(A, A.T):
         values = np.linalg.eigvalsh(A.astype(np.float64))[::-1]
     if values is not None and (linear := _linear_guess(values)):
         rest = _power_sum_quotient(A, linear)
         factors = linear + [(rest, 1)] if rest.degree else linear
         if certify_charpoly(A, factors):
-            return poly_product(factors)
-    return _power_sum_quotient(A, [])
+            return factors
+    return [(_power_sum_quotient(A, []), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +387,22 @@ def _symmetric_float(M) -> np.ndarray:
 
 @dataclass
 class SpectrumReport:
-    """Exact charpoly (when available) with grouped numeric eigenvalues."""
+    """Exact charpoly factors (when available) with grouped numeric eigenvalues."""
 
-    charpoly: IntPolynomial | None
+    factors: list[tuple[IntPolynomial, int]] | None
     numeric: list[tuple[float, int]]
-    residual: float
+    residual: float | None
+
+    @cached_property
+    def charpoly(self) -> IntPolynomial | None:  # expanded when first read
+        return None if self.factors is None else poly_product(self.factors)
 
     def to_json_dict(self) -> dict:
         out = {}
         if self.charpoly is not None:
             out["charpoly"] = self.charpoly.decimal_strings()
         out["numeric"] = [{"value": v, "mult": m} for v, m in self.numeric]
-        if self.charpoly is not None and self.numeric:  # a residual needs both
+        if self.residual is not None:
             out["residual"] = self.residual
         return out
 
@@ -459,17 +481,17 @@ def numeric_spectrum(
     values = np.linalg.eigvalsh(_symmetric_float(M))[::-1]
     numeric = _group_values(values, group_tol)
     if not with_charpoly:
-        return SpectrumReport(None, numeric, 0.0)
-    poly = _charpoly(_int_matrix(M), values)
+        return SpectrumReport(None, numeric, None)
+    report = SpectrumReport(_charpoly(_int_matrix(M), values), numeric, None)
     points = [v for v, _ in numeric]
-    if poly.coeffs[0] == 0:
+    if report.charpoly.coeffs[0] == 0:
         # the groups of the exact root 0: their float means, about 1e-15,
         # would read a relative residual of 1 against a zero constant term;
         # a width below _GUESS_TOL (0 included) leaves them in many groups
         near = max(group_tol, _GUESS_TOL)
         points = [0.0 if abs(v) <= near else v for v in points]
-    residual = _relative_residual(poly, points)
-    return SpectrumReport(poly, numeric, residual)
+    report.residual = _relative_residual(report.charpoly, points) if points else None
+    return report
 
 
 # ---------------------------------------------------------------------------

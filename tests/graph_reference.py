@@ -6,13 +6,15 @@ the edge pairs that mosls.graph.edge_lines writes; and the text an
 export writes, read back.  Also _add_agreements, which sums the labels'
 agreement counts and finds the first pair above 1 in one pass, and the
 adjacency or error message that the builders give by it (one_pass_build).
+And sudoku_equivalent, which moves a family to a Sudoku-equivalent one and
+gives the map of cells that carries one cell graph onto the other.
 """
 
 import io
 
 import numpy as np
 
-from mosls.designs import SudokuShape
+from mosls.designs import LatinSquare, MoslsFamily, SudokuShape
 from mosls.graph import _CHUNK, _block_labels, _cells, _label_rows
 
 
@@ -109,3 +111,43 @@ def one_pass_build(fam, picked: list[int], flavor: str) -> tuple[np.ndarray | No
             "share a block and a symbol; some selected square is not Sudoku"
         )
     return counts, None
+
+
+SUDOKU_MOVES = ("band", "row", "stack", "column", "symbols", "transpose")
+
+
+def sudoku_equivalent(fam: MoslsFamily, rng, moves) -> tuple[MoslsFamily, np.ndarray]:
+    """A family Sudoku-equivalent to fam by the named SUDOKU_MOVES, drawn
+    from rng, and the cell map: cell u (row-major, 0-based) of the result is
+    cell cells[u] of fam.  "band" permutes the r bands of q rows, "row" the
+    rows inside each band, "stack" the q stacks of r columns, "column" the
+    columns inside each stack, "symbols" relabels each square's symbols on
+    its own, and "transpose" transposes every square (q = r only).
+
+    The MOSLS cell graph of the result is fam's, A[np.ix_(cells, cells)].
+    Proof: the cell map sends each row of the grid onto a row and each
+    column onto a column (onto a column and a row under the transpose),
+    and each block onto a block, as the line permutations keep bands and
+    stacks whole, and the transpose of a q x q block grid is one.  It sends
+    each symbol class of a square onto a symbol class of its image, as a
+    relabelling is a bijection.  So two cells share a row, a column, a block
+    or a symbol of some square exactly when their images do, which decides
+    every layer of the adjacency (mosls.graph) and so the adjacency itself.
+    """
+    q, r, n = fam.shape.q, fam.shape.r, fam.shape.order
+
+    def lines(groups: int, size: int, outer: bool, inner: bool) -> np.ndarray:
+        order = rng.permutation(groups) if outer else range(groups)
+        return np.concatenate([g * size + (rng.permutation(size) if inner else np.arange(size)) for g in order])
+
+    rows = lines(r, q, "band" in moves, "row" in moves)
+    cols = lines(q, r, "stack" in moves, "column" in moves)
+    cells = rows[:, None] * n + cols[None, :]
+    entries = [sq.entries[np.ix_(rows, cols)].astype(np.intp) for sq in fam.squares]
+    if "symbols" in moves:
+        entries = [1 + rng.permutation(n)[ent - 1] for ent in entries]
+    if "transpose" in moves:
+        assert q == r, "a transpose keeps the type only when q = r"
+        entries, cells = [ent.T for ent in entries], cells.T
+    moved = tuple(LatinSquare(ent, fam.shape) for ent in entries)
+    return MoslsFamily(fam.shape, moved), cells.ravel()

@@ -485,6 +485,21 @@ def test_spectrum_certifies_the_closed_form_above_the_cap(field16_file, capsys):
     assert stdout.endswith("closed form: MATCH\n")
 
 
+def test_spectrum_expands_the_closed_form_nowhere(field16_file, capsys, monkeypatch):
+    # one (4, 4) square, 256 vertices: the certified factors match the
+    # closed form as lists, so the one degree-256 expansion is the printed
+    # charpoly (the degree-7 one is the certificate's product of roots)
+    degrees, real = [], spectra.poly_product
+    monkeypatch.setattr(spectra, "poly_product", lambda f: degrees.append((p := real(f)).degree) or p)
+    argv = ["spectrum", "--in", field16_file, "--subset", "1", "--verify-closed-form"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.endswith("closed form: MATCH\n")
+    assert degrees.count(256) == 1
+    for only in ("--exact", "--numeric"):
+        code, stdout, _ = run(capsys, *argv, only)
+        assert code == 0 and stdout.endswith("closed form: MATCH\n"), only
+
+
 def test_spectrum_wrong_closed_form_above_the_cap(field16_file, capsys, monkeypatch):
     right = spectra.mosls_graph_spectrum
 

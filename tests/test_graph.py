@@ -44,6 +44,7 @@ from fixtures import (
     single,
 )
 from graph_reference import (
+    SUDOKU_MOVES,
     _add_agreements,
     block_adjacency,
     edge_list,
@@ -51,6 +52,7 @@ from graph_reference import (
     label_adjacency,
     matrix_text,
     one_pass_build,
+    sudoku_equivalent,
     written,
 )
 
@@ -272,6 +274,26 @@ def test_quotient_matrix_custom_parts_and_errors():
         assert quo.parts == block_partition(shape)
         assert sorted(v for part in quo.parts for v in part) == list(range(nv))
         assert not quo.entries.any()
+
+
+# every field type (p**m, p**n) of order at most 25, flat types included
+FIELD_TYPES_TO_25 = [
+    (p, m, k - m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in (1, 2, 3, 4) if p**k <= 25 for m in range(k + 1)
+]
+
+
+@pytest.mark.parametrize("p, m, n", FIELD_TYPES_TO_25)
+def test_sudoku_equivalent_squares_give_isomorphic_cell_graphs(p, m, n):
+    # each move alone, then all of them at once, on the family's first two
+    # squares (a complete family of flat squares gives a complete graph)
+    full = composite_mosls([(p, m, n)], order_cap=25)
+    fam = MoslsFamily(full.shape, full.squares[:2])
+    adjacency = build_mosls_graph(fam).adjacency
+    every = [move for move in SUDOKU_MOVES if move != "transpose" or fam.shape.q == fam.shape.r]
+    rng = np.random.default_rng([p, m, n])
+    for moves in [[move] for move in every] + [every]:
+        moved, cells = sudoku_equivalent(fam, rng, moves)
+        assert np.array_equal(build_mosls_graph(moved).adjacency, adjacency[np.ix_(cells, cells)]), moves
 
 
 def test_commute_check():

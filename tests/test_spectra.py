@@ -913,6 +913,14 @@ def test_numeric_spectrum_without_charpoly():
     assert "charpoly" not in d and "residual" not in d
 
 
+def test_no_residual_where_none_is_computed():
+    assert numeric_spectrum([[2, 1], [1, 2]], with_charpoly=False).residual is None
+    empty = numeric_spectrum(np.zeros((0, 0)))
+    assert empty.numeric == [] and empty.residual is None
+    assert empty.charpoly.coeffs == (1,) and "residual" not in empty.to_json_dict()
+    assert numeric_spectrum([[2, 1], [1, 2]]).residual < 1e-12
+
+
 def test_numeric_spectrum_options_are_keyword_only():
     with pytest.raises(TypeError):
         numeric_spectrum([[2, 1], [1, 2]], 1e-10, 1e-6)
@@ -1002,6 +1010,28 @@ def test_mosls_graph_spectrum_rejects_out_of_range():
 def test_poly_product_of_linear_factors():
     factors = [(IntPolynomial((-1, 1)), 1), (IntPolynomial((1, 1)), 1)]
     assert poly_product(factors).coeffs == (-1, 0, 1)
+
+
+def _lin(*roots_and_mults):
+    return [(IntPolynomial((-root, 1)), mult) for root, mult in roots_and_mults]
+
+
+def test_same_product_cancels_equal_factors():
+    spectrum = _lin((6, 1), (2, 3), (-2, 5))
+    assert spectra._same_product(spectrum, spectrum[::-1])
+    assert spectra._same_product(spectrum, _lin((2, 1), (-2, 5), (6, 1), (2, 2)))
+    assert spectra._same_product([], [])
+    square = [(IntPolynomial((-1, 0, 1)), 1)]
+    assert spectra._same_product(square, _lin((1, 1), (-1, 1)))
+    assert spectra._same_product(_lin((-1, 1), (1, 1)), square)
+
+
+def test_same_product_tells_spectra_apart():
+    spectrum = _lin((6, 1), (2, 3), (-2, 5))
+    assert not spectra._same_product(spectrum, _lin((6, 1), (2, 4), (-2, 4)))  # one multiplicity moved
+    assert not spectra._same_product(spectrum, spectrum + _lin((0, 1)))
+    assert not spectra._same_product(_lin((0, 1)) + spectrum, spectrum)
+    assert not spectra._same_product([(IntPolynomial((-1, 0, 1)), 1)], _lin((1, 2)))
 
 
 def test_poly_product_of_a_squared_quadratic():
