@@ -217,8 +217,9 @@ def _closed_form_verdict(g, report) -> str:
 
 def _layers_commute(g) -> bool:
     """Whether the Latin and block layers of the cell graph g commute: iff
-    each of its squares is block-permutational, while at most three are not
-    (proof at designs.is_block_permutational)."""
+    each of its squares is block-permutational while at most three are not
+    (proof at designs.is_block_permutational); past three the graph alone
+    decides, as some squares that are not have commuting layers."""
     failing = sum(not mosls.designs.is_block_permutational(sq) for sq in g.squares)
     return mosls.graph.commute_check(g) if failing > 3 else not failing
 

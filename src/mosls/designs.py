@@ -228,7 +228,8 @@ def is_block_permutational(L: LatinSquare) -> bool:
     commute with its block adjacency B (same block, other row and column).
     Claim: for f mutually orthogonal Sudoku squares of type (q, r), L
     commutes with B if every square is block-permutational, and only if
-    every square is, provided at most three of them are not.
+    every square is, provided at most three of them are not; past three,
+    "only if" fails (below).
 
     Proof.  If q or r is 1, B = 0 and every square is block-permutational.
     Otherwise write n = q*r, b = (q-1)*(r-1), J for the all-ones matrix,
@@ -275,9 +276,15 @@ def is_block_permutational(L: LatinSquare) -> bool:
     every square is block-permutational.
 
     With four or more squares that are not, zero row sums leave room for
-    e != 0, and N_kl need not be constant: on an orthogonal pair of order
-    8 that the tests hold, N_12 takes the values 1 and 5.  There the claim
-    is open, and the CLI asks graph.commute_check (cli._layers_commute).
+    e != 0, and "only if" fails.  Whether L commutes with B is a property
+    of the cell graph, and the graph does not determine the squares: the
+    six squares of tests/fixtures.py NINE_REGROUPED_FAMILY, none of them
+    block-permutational, have the cell graph of the order-9 field family,
+    whose squares all are.  Each of their symbol classes is a 9-cell
+    clique of the field family's symbol layer (any two of its cells share
+    a symbol in some field square), and six orthogonal squares hold 6 * 9
+    * 36 symbol pairs, each once, as many as that layer has.  So past
+    three the CLI asks graph.commute_check (cli._layers_commute).
     """
     if not is_sudoku(L):
         raise ValueError("is_block_permutational requires a Sudoku square")

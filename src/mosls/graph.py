@@ -334,6 +334,12 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     any 0/1 A, P = B @ A.T is compared with P.T on the cells S of one block
     at a time: P[:, S] = B @ A[S].T, and as B joins no two blocks, P[S, :]
     = B[S, S] @ A[:, S].T, one B[S, S] for all blocks, which share a layout.
+
+    The CLI asks it once four or more selected squares are not
+    block-permutational, where that predicate no longer decides (see
+    designs.is_block_permutational).  The tests hold a second decision for
+    families, from counts over the symbols and with no n**4 array
+    (tests/graph_reference.py, layers_commute), and check the two agree.
     """
     if isinstance(graph, MoslsFamily):
         graph = build_mols_graph(graph)

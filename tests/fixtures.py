@@ -183,6 +183,24 @@ ORTHO8_B = LatinSquare(
 )
 ORTHO8_FAMILY = MoslsFamily(SudokuShape(2, 4), (ORTHO8_A, ORTHO8_B))
 
+# six mutually orthogonal Sudoku squares of order 9, type (3,3), none of
+# them block-permutational, whose MOLS and MOSLS cell graphs are those of
+# the order-9 field family composite_mosls([(3, 1, 1)]), whose squares all
+# are: each symbol class is a 9-cell clique of the field family's symbol
+# layer.  Square k lists the rows of NINE_REGROUPED_ROWS in the order k.
+# Found by the exact-cover search of tests/test_mate_search.py.
+NINE_REGROUPED_ROWS = (
+    "123456789", "789123456", "456789123", "231564897", "645978312",
+    "978312645", "312645978", "564897231", "897231564",
+)
+NINE_REGROUPED_FAMILY = MoslsFamily(
+    SudokuShape(3, 3),
+    tuple(
+        LatinSquare([[int(s) for s in NINE_REGROUPED_ROWS[int(i)]] for i in order], SudokuShape(3, 3))
+        for order in ("012345678", "057832416", "084713562", "021687354", "048526731", "075461823")
+    ),
+)
+
 # closed-form eigenvalue multisets of the MOSLS cell graphs
 SPECTRUM_FOUR_F2 = {13: 1, 1: 4, -1: 8, -3: 3}
 SPECTRUM_SIX_F1 = {17: 1, 5: 3, 4: 2, 2: 6, 1: 4, -1: 2, -2: 10, -4: 6, -5: 2}

@@ -7,14 +7,16 @@ export writes, read back.  Also _add_agreements, which sums the labels'
 agreement counts and finds the first pair above 1 in one pass, and the
 adjacency or error message that the builders give by it (one_pass_build).
 And sudoku_equivalent, which moves a family to a Sudoku-equivalent one and
-gives the map of cells that carries one cell graph onto the other.
+gives the map of cells that carries one cell graph onto the other.  And
+layers_commute, which decides from counts over the symbols, with no
+n^2 x n^2 array, what mosls.graph.commute_check decides on the graph.
 """
 
 import io
 
 import numpy as np
 
-from mosls.designs import LatinSquare, MoslsFamily, SudokuShape
+from mosls.designs import LatinSquare, MoslsFamily, SudokuShape, _blocks
 from mosls.graph import _CHUNK, _block_labels, _cells, _label_rows
 
 
@@ -151,3 +153,60 @@ def sudoku_equivalent(fam: MoslsFamily, rng, moves) -> tuple[MoslsFamily, np.nda
         entries, cells = [ent.T for ent in entries], cells.T
     moved = tuple(LatinSquare(ent, fam.shape) for ent in entries)
     return MoslsFamily(fam.shape, moved), cells.ravel()
+
+
+def layers_commute(fam: MoslsFamily) -> bool:
+    """Whether the Latin layer L of the cell graph of fam, a family of f
+    mutually orthogonal Sudoku squares of type (q, r), commutes with the
+    block layer B: exactly, in int64, from the counts R_lk(t, x) of the
+    blocks in which the cell holding t in square l and the cell holding x
+    in square k share a row, and C_lk(t, x) of those in which they share
+    a column.  True iff the sum over all pairs (l, k) of |R_lk - r J|^2 is
+    n^2 r^2 f (q - 1) and that of |C_lk - q J|^2 is n^2 q^2 f (r - 1); when
+    q = r, iff the sum of |R_lk + C_lk - 2 r J|^2 is 2 n^2 r^2 f (q - 1).
+
+    Proof.  If q or r is 1, B = 0.  Otherwise n = q*r, and as at
+    mosls.designs.is_block_permutational, L commutes with B iff B maps V'
+    (the sums of functions g(k(u)) with sum g = 0, one per square k) into
+    V' plus the constants.  Inside a block B is (J_q - I) (x) (J_r - I),
+    so its eigenspaces are the block constants, with (q-1)(r-1); the
+    row-segment functions with zero block sums, with -(r-1); the
+    column-segment ones, with -(q-1); and the rest, with 1.  B is symmetric,
+    so it keeps V' iff each spectral projector does.  Every block holds each
+    symbol once, so the block constants are orthogonal to V', and what is
+    left is the row-segment projector P_R and the column-segment one P_C,
+    or their sum when q = r merges their eigenvalues (q = r = 2 also merges
+    the first and the last, whose projector is I - P_R - P_C).  Let e_kx be
+    the indicator of the cells holding x in square k, less 1/n, over
+    sqrt(n).  Orthogonal Sudoku squares make <e_lt, e_kx> = [l = k]([t =
+    x] - 1/n), a projector Pi, and the e_kx span V', so with E their
+    columns E E^T projects onto V'.  P_R sends that indicator to its
+    row-segment means less 1/n, so <e_lt, P_R e_kx> = (R_lk(t, x) - r) /
+    (n r): these fn x fn entries are Q = E^T P_R E.  Q is a projector iff
+    E Q E^T, the compression of P_R to V', is one (E Pi = E), and that
+    holds iff P_R commutes with the projector onto V' (for projectors P
+    and R, PRP is a projector iff (I - P) R P = 0, iff RP = PRP = PR).
+    As 0 <= Q <= I, Q is a projector iff tr Q^2 = tr Q, and tr Q =
+    f n (n - r) / (n r) = f (q - 1), as R_kk(x, x) = n.  Columns swap q
+    and r; for q = r the sum P_R + P_C gives Q_R + Q_C, whose trace is
+    2 f (q - 1).
+    """
+    q, r, n, f = fam.shape.q, fam.shape.r, fam.shape.order, len(fam)
+    if q == 1 or r == 1:
+        return True
+    # the row and the column within each block of symbol t of square k, at
+    # [k * n + t - 1, block]; one-hot against (block, row or column), the
+    # counts are the products of the one-hot rows
+    where = np.stack([np.argsort(_blocks(sq), axis=1, kind="stable") for sq in fam.squares], axis=1)
+    row_of, col_of = np.divmod(where.reshape(n, f * n).T, r)
+    counts = []
+    for pos, size in ((row_of, q), (col_of, r)):
+        onehot = (pos[:, :, None] == np.arange(size)).reshape(f * n, n * size).astype(np.int64)
+        counts.append(onehot @ onehot.T)
+    R, C = counts
+    if q == r:
+        return int(((R + C - 2 * r) ** 2).sum()) == 2 * n * n * r * r * f * (q - 1)
+    return (
+        int(((R - r) ** 2).sum()) == n * n * r * r * f * (q - 1)
+        and int(((C - q) ** 2).sum()) == n * n * q * q * f * (r - 1)
+    )

@@ -10,6 +10,7 @@ from mosls.switching import SwitchSpec, sudoku_symbol_switch
 from fixtures import (
     FOUR_FAMILY,
     NINE,
+    NINE_REGROUPED_FAMILY,
     NINE_SWITCHED,
     REMARK4,
     SIX,
@@ -413,20 +414,22 @@ def test_spectrum_asks_the_graph_past_three_squares_that_are_not_permutational(
     tmp_path, capsys, monkeypatch
 ):
     # the claim at designs.is_block_permutational is proved while at most
-    # three selected squares are not block-permutational; past that the
-    # graph decides.  With the predicate made to refuse every square, the
-    # four squares of the order-8 field family, whose layers commute, ask
-    # the graph and match, and three of them read INAPPLICABLE unasked
-    path = tmp_path / "f8.txt"
-    designs.save_family(composite_mosls([(2, 1, 2)]), path)
+    # three selected squares are not block-permutational, and fails past
+    # that, so the graph decides there.  The six regrouped order-9 squares,
+    # none block-permutational, have the cell graph of the field family:
+    # all six ask the graph and match, four of them ask and read
+    # INAPPLICABLE, and three read INAPPLICABLE unasked
+    path = tmp_path / "regrouped9.txt"
+    designs.save_family(NINE_REGROUPED_FAMILY, path)
     calls = []
-    monkeypatch.setattr(designs, "is_block_permutational", lambda square: False)
     monkeypatch.setattr(graph, "commute_check", lambda g: calls.append(g) or commute_check(g))
+    inapplicable = "closed form: INAPPLICABLE (adjacency layers do not commute)\n"
     code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
     assert code == 0 and stdout.endswith("closed form: MATCH\n") and len(calls) == 1
+    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--subset", "1,2,3,4", "--verify-closed-form")
+    assert code == 0 and stdout.endswith(inapplicable) and len(calls) == 2
     code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--subset", "1,2,3", "--verify-closed-form")
-    assert code == 0 and len(calls) == 1
-    assert stdout.endswith("closed form: INAPPLICABLE (adjacency layers do not commute)\n")
+    assert code == 0 and stdout.endswith(inapplicable) and len(calls) == 2
 
 
 def test_spectrum_rejects_invalid_family(tmp_path, capsys):

@@ -37,6 +37,7 @@ from mosls import (
 from mosls import composite_mosls
 from mosls.cli import _TABLE_ROWS
 from mosls.spectra import IntPolynomial, poly_product
+from graph_reference import layers_commute
 from spectra_reference import poly_divexact, poly_divmod, row_cycles_by_symbol, switched_quartic_expanded
 from fixtures import (
     FOUR_FAMILY,
@@ -540,7 +541,9 @@ def test_commute_check_agrees_with_block_permutational(request):
     designs.is_block_permutational for at most three squares that are not:
     on every table family of order <= 12, the fixture families and squares,
     and seeded orthogonal pairs of switched squares, 30 per base family
-    (300 with --full-sweep), among them pairs of two squares that are not."""
+    (300 with --full-sweep), among them pairs of two squares that are not.
+    On each, the row and column counts of graph_reference.layers_commute
+    decide as commute_check does."""
     per_base = 300 if request.config.getoption("--full-sweep") else 30
     families = [composite_mosls(factors) for *_, factors in TABLE_ROWS]
     families += [FOUR_FAMILY, ORTHO8_FAMILY]
@@ -549,7 +552,8 @@ def test_commute_check_agrees_with_block_permutational(request):
     failing = Counter()
     for fam in families:
         permutational = [is_block_permutational(sq) for sq in fam.squares]
-        assert commute_check(build_mols_graph(fam)) == all(permutational)
+        commutes = commute_check(build_mols_graph(fam))
+        assert commutes == all(permutational) and layers_commute(fam) == commutes
         failing[permutational.count(False)] += 1
     assert failing[0] >= 16 and failing[1] >= per_base and failing[2] >= per_base
 
