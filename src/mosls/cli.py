@@ -199,12 +199,13 @@ def cmd_spectrum(args) -> int:
 def _closed_form_verdict(g, report) -> str:
     """Compare the closed form with the exact charpoly, or, under --numeric,
     which computes none, certify it on the graph itself.  The MOLS form holds
-    for every family that builds, the MOSLS one when its layers commute."""
+    for every family that builds, the MOSLS one when the graph's Latin and
+    block layers commute (graph.commute_check)."""
     n, f = g.order, len(g.squares)
     if g.flavor == "mols":
         k, lam, mu = (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2)
         closed = mosls.spectra.srg_spectrum(n * n, k, lam, mu)
-    elif _layers_commute(g):
+    elif mosls.graph.commute_check(g):
         closed = mosls.spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
     else:
         return "INAPPLICABLE (adjacency layers do not commute)"
@@ -213,15 +214,6 @@ def _closed_form_verdict(g, report) -> str:
     else:
         match = mosls.spectra._same_product(report.factors, closed)
     return "MATCH" if match else "MISMATCH"
-
-
-def _layers_commute(g) -> bool:
-    """Whether the Latin and block layers of the cell graph g commute: iff
-    each of its squares is block-permutational while at most three are not
-    (proof at designs.is_block_permutational); past three the graph alone
-    decides, as some squares that are not have commuting layers."""
-    failing = sum(not mosls.designs.is_block_permutational(sq) for sq in g.squares)
-    return mosls.graph.commute_check(g) if failing > 3 else not failing
 
 
 def cmd_graph_export(args) -> int:

@@ -83,6 +83,14 @@ def product(f1: MoslsFamily, f2: MoslsFamily) -> MoslsFamily:
     Rows of a product square are ordered by block-row pair (i1, i2)
     lexicographically, then by row offset pair; columns likewise with
     block-columns.  The symbol is the pairing 1 + (s1-1)*n2 + (s2-1).
+
+    A product of block-permutational Sudoku squares is block-permutational:
+    its block (i1, i2; j1, j2) pairs block (i1, j1) of the first factor with
+    block (i2, j2) of the second, offset pair by offset pair, so if those
+    are the factors' first blocks with rows permuted by s1, s2 and columns
+    by t1, t2, it is the product's first block, which pairs the first
+    blocks, with rows permuted by s1 x s2 and columns by t1 x t2.  Every
+    block of a flat factor is a whole line, a permutation of the first.
     """
     if len(f1) == 0 or len(f2) == 0:
         raise ValueError("product requires non-empty families")

@@ -283,8 +283,9 @@ def is_block_permutational(L: LatinSquare) -> bool:
     whose squares all are.  Each of their symbol classes is a 9-cell
     clique of the field family's symbol layer (any two of its cells share
     a symbol in some field square), and six orthogonal squares hold 6 * 9
-    * 36 symbol pairs, each once, as many as that layer has.  So past
-    three the CLI asks graph.commute_check (cli._layers_commute).
+    * 36 symbol pairs, each once, as many as that layer has.  So `spectrum`
+    asks graph.commute_check; `switch`, whose one square the claim covers
+    (f = 1), asks this predicate.
     """
     if not is_sudoku(L):
         raise ValueError("is_block_permutational requires a Sudoku square")

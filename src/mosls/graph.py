@@ -335,8 +335,9 @@ def commute_check(graph: CellGraph | MoslsFamily) -> bool:
     at a time: P[:, S] = B @ A[S].T, and as B joins no two blocks, P[S, :]
     = B[S, S] @ A[:, S].T, one B[S, S] for all blocks, which share a layout.
 
-    The CLI asks it once four or more selected squares are not
-    block-permutational, where that predicate no longer decides (see
+    `spectrum --verify-closed-form` asks it of every MOSLS graph: the
+    closed form needs the layers to commute, and block-permutational
+    squares decide that only while at most three are not (see
     designs.is_block_permutational).  The tests hold a second decision for
     families, from counts over the symbols and with no n**4 array
     (tests/graph_reference.py, layers_commute), and check the two agree.

@@ -567,9 +567,9 @@ def quotient_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]
 def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, int]]:
     """Closed-form spectrum of the MOSLS cell graph on f squares of type
     (q, r), as linear factors with multiplicities, valid when the Latin
-    adjacency commutes with the block adjacency, which block-permutational
-    squares ensure (proof, and where the converse fails, at
-    designs.is_block_permutational)."""
+    adjacency commutes with the block adjacency: graph.commute_check decides
+    that on the graph, and block-permutational squares ensure it (proof,
+    and where the converse fails, at designs.is_block_permutational)."""
     if f < 1:
         raise ValueError("need at least one square")
     lines = _quotient_lines(q, r, f) + [

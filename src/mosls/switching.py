@@ -13,9 +13,10 @@ block adjacency commute, a valid switch changes the cell-graph charpoly in
 a closed form.  Let a = r(q - 1) and w = (t + 2)(t + 2 - a).  The
 eigenvalues -2, -r-2, qr-2 and qr-r-2 leave the spectrum, and the product
 of t - v over them is w(w - qr^2); the roots of w(w - qr^2) + 4q^2(r - 1)^2
-join it.  So the new charpoly is the old plus 4q^2(r - 1)^2 times the old
-divided by w(w - qr^2), a positive constant times a nonzero polynomial: a
-valid switch of a block-permutational square always changes the charpoly.
+join it.  So the new charpoly is the old divided by w(w - qr^2), times
+w(w - qr^2) + 4q^2(r - 1)^2.  It exceeds the old by 4q^2(r - 1)^2 times
+that quotient, a positive constant times a nonzero polynomial: a valid
+switch of a block-permutational square always changes the charpoly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku
 from .graph import build_mosls_graph
-from .spectra import IntPolynomial, charpoly_exact
+from .spectra import IntPolynomial, charpoly_exact, poly_product
 
 
 class SwitchError(CheckFailed):
@@ -166,12 +167,8 @@ def switched_quartic(q: int, r: int) -> IntPolynomial:
     t - v over the four leaving eigenvalues."""
     a = r * (q - 1)
     w0, w1, s = 4 - 2 * a, 4 - a, q * r * r  # w = t^2 + w1 t + w0
-    c0 = w0 * (w0 - s) + _joining_constant(q, r)
+    c0 = w0 * (w0 - s) + 4 * q * q * (r - 1) ** 2
     return IntPolynomial((c0, w1 * (2 * w0 - s), w1 * w1 + 2 * w0 - s, 2 * w1, 1))
-
-
-def _joining_constant(q: int, r: int) -> int:
-    return 4 * q * q * (r - 1) ** 2
 
 
 def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolynomial:
@@ -191,9 +188,7 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
                 "base charpoly is not divisible by the removed eigenvalues; "
                 "the formula does not apply"
             )
-    # quotient * (leaving quartic + const) = base + const * quotient
-    const = _joining_constant(q, r)
-    return IntPolynomial(tuple(b + const * c for b, c in zip(base.coeffs, coeffs + [0] * 4)))
+    return poly_product([(IntPolynomial(tuple(coeffs)), 1), (switched_quartic(q, r), 1)])
 
 
 @dataclass

@@ -32,20 +32,3 @@ def no_general_path(monkeypatch):
         return exact_traces(A, d)
 
     monkeypatch.setattr(spectra, "_exact_traces", guarded)
-
-
-@pytest.fixture(autouse=True)
-def no_commute_check(request, monkeypatch):
-    """Make graph.commute_check raise in every CLI test, those of test_cli
-    and the golden digests of test_golden: no command needs it while at
-    most three selected squares are not block-permutational (proof at
-    designs.is_block_permutational), so every input gives its bytes
-    without it."""
-    if request.node.path.name not in ("test_cli.py", "test_golden.py"):
-        return
-    from mosls import graph
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("graph.commute_check was called")
-
-    monkeypatch.setattr(graph, "commute_check", refuse)

@@ -410,26 +410,30 @@ def test_subset_is_resolved_once(command, flags, four_file, capsys, monkeypatch)
     assert code == 0 and err == "" and len(calls) == 1
 
 
-def test_spectrum_asks_the_graph_past_three_squares_that_are_not_permutational(
-    tmp_path, capsys, monkeypatch
-):
-    # the claim at designs.is_block_permutational is proved while at most
-    # three selected squares are not block-permutational, and fails past
-    # that, so the graph decides there.  The six regrouped order-9 squares,
-    # none block-permutational, have the cell graph of the field family:
-    # all six ask the graph and match, four of them ask and read
-    # INAPPLICABLE, and three read INAPPLICABLE unasked
+def test_spectrum_asks_the_graph_whether_the_layers_commute(tmp_path, capsys, monkeypatch):
+    # the MOSLS closed form needs the Latin and block layers to commute, and
+    # block-permutational squares decide that only while at most three
+    # selected squares are not (designs.is_block_permutational), so the
+    # graph alone decides, once per MOSLS check.  The six regrouped order-9
+    # squares, none block-permutational, have the cell graph of the field
+    # family: all six match, four and three of them read INAPPLICABLE; the
+    # MOLS form and a spectrum without the check never ask
     path = tmp_path / "regrouped9.txt"
     designs.save_family(NINE_REGROUPED_FAMILY, path)
     calls = []
     monkeypatch.setattr(graph, "commute_check", lambda g: calls.append(g) or commute_check(g))
     inapplicable = "closed form: INAPPLICABLE (adjacency layers do not commute)\n"
-    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--verify-closed-form")
-    assert code == 0 and stdout.endswith("closed form: MATCH\n") and len(calls) == 1
-    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--subset", "1,2,3,4", "--verify-closed-form")
-    assert code == 0 and stdout.endswith(inapplicable) and len(calls) == 2
-    code, stdout, _ = run(capsys, "spectrum", "--in", str(path), "--subset", "1,2,3", "--verify-closed-form")
-    assert code == 0 and stdout.endswith(inapplicable) and len(calls) == 2
+    cases = [
+        (["--verify-closed-form"], "closed form: MATCH\n", 1),
+        (["--subset", "1,2,3,4", "--verify-closed-form"], inapplicable, 1),
+        (["--subset", "1,2,3", "--verify-closed-form"], inapplicable, 1),
+        (["--mols-only", "--verify-closed-form"], "closed form: MATCH\n", 0),
+        ([], "residual: ", 0),
+    ]
+    for flags, tail, asked in cases:
+        calls.clear()
+        code, stdout, _ = run(capsys, "spectrum", "--in", str(path), *flags)
+        assert code == 0 and stdout.splitlines(True)[-1].startswith(tail) and len(calls) == asked, flags
 
 
 def test_spectrum_rejects_invalid_family(tmp_path, capsys):

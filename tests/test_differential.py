@@ -1,19 +1,26 @@
 """Closed form, exact charpoly and both numeric solvers agree on the cell
 graphs of every constructible `table` row of order at most 12; the
 switching theorem holds on field squares of orders 16 to 27 (49 with
---full-sweep); and the spectral commands give the same bytes in process
-and in fresh processes under any OpenBLAS threading."""
+--full-sweep); the closed forms hold on the two-factor product families
+up to order 24 (48 with --full-sweep); and the spectral commands give the
+same bytes in process and in fresh processes under any OpenBLAS
+threading."""
 
+import itertools
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mosls import (
+    IntPolynomial,
     build_mols_graph,
     build_mosls_graph,
+    certify_charpoly,
     charpoly_exact,
+    commute_check,
     composite_mosls,
     designs,
     is_block_permutational,
@@ -23,8 +30,10 @@ from mosls import (
     poly_product,
     srg_spectrum,
     switched_charpoly_expected,
+    switched_quartic,
 )
 from mosls.cli import _TABLE_ROWS, main
+from mosls.gf import is_prime
 from fixtures import fresh_env, single, switches_of
 from spectra_reference import jacobi_eigenvalues
 
@@ -98,6 +107,61 @@ def test_switching_theorem_above_order_12(factor, request):
     assert cert.verdict == "NOT-ISOMORPHIC"
     assert cert.charpoly_a.coeffs == poly_product(mosls_graph_spectrum(q, r, 1)).coeffs
     assert cert.charpoly_b.coeffs == switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r).coeffs
+
+
+def _product_types(max_order: int):
+    """Every two-factor product type of order at most max_order with
+    q, r >= 2, as (order, q, r, factors): factors (p1, m1, n1) and
+    (p2, m2, n2) over primes p1 < p2, q = p1**m1 p2**m2, r = p1**n1 p2**n2."""
+    factors = [
+        (p, m, e - m)
+        for p in range(2, max_order // 2 + 1) if is_prime(p)
+        for e in range(1, max_order.bit_length()) if p**e <= max_order // 2
+        for m in range(e + 1)
+    ]
+    types = []
+    for (p1, m1, n1), (p2, m2, n2) in itertools.combinations(factors, 2):
+        q, r = p1**m1 * p2**m2, p1**n1 * p2**n2
+        if p1 < p2 and q * r <= max_order and min(q, r) >= 2:
+            types.append((q * r, q, r, [(p1, m1, n1), (p2, m2, n2)]))
+    return sorted(types)
+
+
+PRODUCT_TYPES = _product_types(48)
+assert len(PRODUCT_TYPES) == 77
+
+
+@pytest.mark.parametrize(
+    "order,q,r,factors", PRODUCT_TYPES, ids=[f"order{o}-type{q}x{r}" for o, q, r, _ in PRODUCT_TYPES]
+)
+def test_closed_forms_on_product_families(order, q, r, factors, request):
+    """Every square of a two-factor product family is block-permutational
+    (proof at construct.product), its layers commute, and the closed form
+    is the charpoly of the whole family's MOSLS graph, certified on it.  A
+    one-square family also obeys the switching theorem on its first valid
+    switch: the switched graph's charpoly, certified as the closed form
+    less the four leaving eigenvalues times the joining quartic, is
+    switched_charpoly_expected of the closed form.  Orders 26-48 (676-2304
+    vertices) run with --full-sweep only."""
+    if order > 24 and not request.config.getoption("--full-sweep"):
+        pytest.skip("orders above 24 run with --full-sweep")
+    fam = composite_mosls(factors, order_cap=order)
+    assert (fam.shape.q, fam.shape.r) == (q, r)
+    assert all(is_block_permutational(square) for square in fam.squares)
+    g = build_mosls_graph(fam)
+    assert commute_check(g)
+    closed = mosls_graph_spectrum(q, r, len(fam))
+    assert certify_charpoly(g.adjacency, closed)
+    if len(fam) > 1:
+        return
+    spec, switched = next(switches_of(fam.squares[0]))
+    eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
+    mults = Counter({-poly.coeffs[0]: mult for poly, mult in closed})
+    mults.subtract([-2, -(eff_r + 2), eff_q * eff_r - 2, eff_q * eff_r - eff_r - 2])
+    predicted = [(IntPolynomial((-v, 1)), m) for v, m in mults.items() if m]
+    predicted.append((switched_quartic(eff_q, eff_r), 1))
+    assert switched_charpoly_expected(poly_product(closed), eff_q, eff_r) == poly_product(predicted)
+    assert certify_charpoly(build_mosls_graph(single(switched)).adjacency, predicted)
 
 
 # the CLI's own setting, the OpenBLAS default spin and one thread
