@@ -234,21 +234,15 @@ def cmd_switch(args) -> int:
     if (args.row_block is None) == (args.col_block is None):
         raise ValueError("exactly one of --row-block or --col-block is required")
     symbols = _int_fields("--symbols", args.symbols, "K1,K2")
-    if args.row_block is not None:
-        spec = mosls.switching.SwitchSpec("row-block", args.row_block, symbols)
-    else:
-        spec = mosls.switching.SwitchSpec("col-block", args.col_block, symbols)
+    kind, index = ("row-block", args.row_block) if args.row_block is not None else ("col-block", args.col_block)
+    spec = mosls.switching.SwitchSpec(kind, index, symbols)
 
     square = fam.squares[0]
     switched = mosls.switching.sudoku_symbol_switch(square, spec)
     # certify before writing, so a square whose charpoly is refused writes nothing
     cert = mosls.switching.nonisomorphism_certificate(square, switched)
     dest = _write_family(mosls.designs.MoslsFamily(fam.shape, (switched,)), args.out)
-    q, r = fam.shape.q, fam.shape.r
-    # a column-band switch is a row-band switch of the transpose
-    eff_q, eff_r = (q, r) if spec.kind == "row-block" else (r, q)
-    theorem = _switch_theorem_verdict(square, cert, eff_q, eff_r)
-
+    theorem = mosls.switching._theorem_verdict(square, spec, cert)
     print(f"certificate: {cert.verdict}", file=dest)
     print(f"closed form: {theorem}", file=dest)
     if args.json:
@@ -256,17 +250,6 @@ def cmd_switch(args) -> int:
         payload["closed_form"] = theorem
         _print_json(payload, file=dest)
     return 1 if theorem.startswith("MISMATCH") else 0
-
-
-def _switch_theorem_verdict(square, cert, eff_q: int, eff_r: int) -> str:
-    # a flat square is block-permutational, and the theorem refuses it (needs q, r >= 2)
-    if not mosls.designs.is_block_permutational(square):
-        return "INAPPLICABLE (square is not block-permutational)"
-    try:
-        expected = mosls.switching.switched_charpoly_expected(cert.charpoly_a, eff_q, eff_r)
-    except mosls.switching.TheoremPreconditionError as exc:
-        return f"INAPPLICABLE ({exc})"
-    return "MATCH" if expected.coeffs == cert.charpoly_b.coeffs else "MISMATCH"
 
 
 def cmd_compare(args) -> int:

@@ -284,8 +284,9 @@ def is_block_permutational(L: LatinSquare) -> bool:
     clique of the field family's symbol layer (any two of its cells share
     a symbol in some field square), and six orthogonal squares hold 6 * 9
     * 36 symbol pairs, each once, as many as that layer has.  So `spectrum`
-    asks graph.commute_check; `switch`, whose one square the claim covers
-    (f = 1), asks this predicate.
+    asks graph.commute_check, and the switching theorem, whose one square
+    the claim covers (f = 1), asks this predicate in
+    switching._theorem_verdict, which alone decides it for `switch`.
     """
     if not is_sudoku(L):
         raise ValueError("is_block_permutational requires a Sudoku square")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import CheckFailed, LatinSquare, MoslsFamily, is_latin, is_sudoku
+from .designs import CheckFailed, LatinSquare, MoslsFamily, is_block_permutational, is_latin, is_sudoku
 from .graph import build_mosls_graph
 from .spectra import IntPolynomial, charpoly_exact, poly_product
 
@@ -123,7 +123,9 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
 
     Valid only when every line crossing the band has both symbol
     occurrences inside the band or both outside it; the offending line is
-    reported otherwise.  A valid switch preserves Latin and Sudoku.
+    reported otherwise.  A valid switch preserves Latin and Sudoku: the
+    band's lines and blocks lie wholly inside it, so the exchange relabels
+    them, and each crossing line has both symbols swapped or neither.
     """
     if not (is_latin(L) and is_sudoku(L)):
         raise SwitchError("symbol switching requires a Sudoku square")
@@ -155,20 +157,19 @@ def sudoku_symbol_switch(L: LatinSquare, spec: SwitchSpec) -> LatinSquare:
             f"but {outside} lies outside"
         )
     band[at1], band[at2] = k2, k1
-    out = LatinSquare(ent, L.shape)
-    if not (is_latin(out) and is_sudoku(out)):
-        raise RuntimeError("internal error: valid switch produced a non-Sudoku square")
-    return out
+    return LatinSquare(ent, L.shape)
+
+
+def _leaving(q: int, r: int) -> tuple[int, ...]:
+    """The four eigenvalues a type (q, r) switch removes (module docstring)."""
+    return (-2, -(r + 2), q * r - 2, q * r - r - 2)
 
 
 def switched_quartic(q: int, r: int) -> IntPolynomial:
-    """The joining quartic w^2 - qr^2 w + 4q^2(r - 1)^2 of a type (q, r)
-    switch (module docstring); without the constant it is the product of
-    t - v over the four leaving eigenvalues."""
-    a = r * (q - 1)
-    w0, w1, s = 4 - 2 * a, 4 - a, q * r * r  # w = t^2 + w1 t + w0
-    c0 = w0 * (w0 - s) + 4 * q * q * (r - 1) ** 2
-    return IntPolynomial((c0, w1 * (2 * w0 - s), w1 * w1 + 2 * w0 - s, 2 * w1, 1))
+    """The joining quartic of a type (q, r) switch (module docstring): the
+    product of t - v over the four leaving eigenvalues plus 4q^2(r - 1)^2."""
+    c0, *rest = poly_product([(IntPolynomial((-v, 1)), 1) for v in _leaving(q, r)]).coeffs
+    return IntPolynomial((c0 + 4 * q * q * (r - 1) ** 2, *rest))
 
 
 def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolynomial:
@@ -178,7 +179,7 @@ def switched_charpoly_expected(base: IntPolynomial, q: int, r: int) -> IntPolyno
     if q < 2 or r < 2:
         raise TheoremPreconditionError("needs q, r >= 2")
     coeffs = list(base.coeffs)
-    for root in (-2, -(r + 2), q * r - 2, q * r - r - 2):
+    for root in _leaving(q, r):
         # synthetic division by t - root: coeffs[k + 1] becomes the
         # quotient's coefficient of t**k and coeffs[0] the remainder
         for k in range(len(coeffs) - 2, -1, -1):
@@ -224,3 +225,18 @@ def nonisomorphism_certificate(a: LatinSquare, b: LatinSquare) -> Certificate:
     pb = charpoly_exact(build_mosls_graph(MoslsFamily(b.shape, (b,))).adjacency)
     diff = next((idx for idx, (ca, cb) in enumerate(zip(pa.coeffs, pb.coeffs)) if ca != cb), None)
     return Certificate(pa, pb, diff)
+
+
+def _theorem_verdict(square: LatinSquare, spec: SwitchSpec, cert: Certificate) -> str:
+    """`switch`'s `closed form:` verdict on cert, of square and its switch by spec."""
+    # a flat square is block-permutational, and the theorem refuses it (needs q, r >= 2)
+    if not is_block_permutational(square):
+        return "INAPPLICABLE (square is not block-permutational)"
+    q, r = square.shape.q, square.shape.r
+    if spec.kind == "col-block":  # a row-band switch of the transpose, of type (r, q)
+        q, r = r, q
+    try:
+        expected = switched_charpoly_expected(cert.charpoly_a, q, r)
+    except TheoremPreconditionError as exc:
+        return f"INAPPLICABLE ({exc})"
+    return "MATCH" if expected.coeffs == cert.charpoly_b.coeffs else "MISMATCH"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mosls.cli import main
-from mosls import composite_mosls, designs, graph, spectra
+from mosls import composite_mosls, designs, graph, spectra, switching
 from mosls.graph import commute_check
 from mosls.switching import SwitchSpec, sudoku_symbol_switch
 from fixtures import (
@@ -703,6 +703,25 @@ def test_switch_col_band_order9(nine_file, tmp_path, capsys):
     assert "closed form: MATCH" in stdout
     fam = designs.load_family(out)
     assert fam.squares[0] == NINE_SWITCHED
+
+
+def test_switch_wrong_prediction_exits_1(nine_file, tmp_path, capsys, monkeypatch):
+    right = switching.switched_quartic
+
+    def shifted(q, r):
+        c0, *rest = right(q, r).coeffs
+        return spectra.IntPolynomial((c0 + 1, *rest))
+
+    monkeypatch.setattr(switching, "switched_quartic", shifted)
+    out = tmp_path / "switched.txt"
+    code, stdout, err = run(
+        capsys,
+        "switch", "--in", nine_file,
+        "--col-block", "3", "--symbols", "1,2", "--out", str(out),
+    )
+    assert code == 1 and err == ""
+    assert stdout == "certificate: NOT-ISOMORPHIC\nclosed form: MISMATCH\n"
+    assert designs.load_family(out).squares[0] == NINE_SWITCHED
 
 
 def test_switch_row_band_order6(tmp_path, capsys):

@@ -181,6 +181,14 @@ def test_product_with_trivial_factor_is_identity():
     assert prod.squares[0] == fam.squares[0]
 
 
+def test_product_rejects_an_empty_family():
+    fam = composite_mosls([(2, 1, 1)])
+    empty = MoslsFamily(fam.shape, ())
+    for f1, f2 in ((fam, empty), (empty, fam)):
+        with pytest.raises(ValueError, match="product requires non-empty families"):
+            product(f1, f2)
+
+
 def test_product_order6():
     f2 = composite_mosls([(2, 1, 1)])  # type (2,2), 2 squares
     f3 = composite_mosls([(3, 0, 1)])  # type (1,3), 2 squares

@@ -308,6 +308,10 @@ def _parsed(text: str, tmp_path):
 def test_parse_rejects_bad_header(tmp_path):
     text = "nope\norder 2 type 1 2 count 1\n1 2\n2 1\n"
     assert _parsed(text, tmp_path) == "line 1: expected header 'mosls v1'"
+    text = "mosls v1\norder 2 type 1 2 count x\n1 2\n2 1\n"
+    assert _parsed(text, tmp_path) == "line 2: size header fields must be integers"
+    text = "mosls v1\norder 2 type 1 2 count 0\n"
+    assert _parsed(text, tmp_path) == "line 2: count must be positive, got 0"
 
 
 def test_parse_rejects_type_order_mismatch(tmp_path):

@@ -72,6 +72,11 @@ def test_is_irreducible_requires_monic():
         gf.is_irreducible(2, [1])  # constant
 
 
+def test_is_irreducible_requires_a_prime():
+    with pytest.raises(gf.FieldError, match="^4 is not prime$"):
+        gf.is_irreducible(4, [1, 1, 1])
+
+
 def test_enumeration_order():
     # index v is the element whose coefficients of 1, t, ... are the base-p
     # digits of v: 0, 1 are the constants of GF(2) and GF(4), 2 is t

@@ -972,6 +972,12 @@ def test_srg_spectrum_rejects_bad_parameters():
         srg_spectrum(16, 9, 4, 7)
     with pytest.raises(SrgParameterError):
         srg_spectrum(6, 3, 0, 1)
+    with pytest.raises(SrgParameterError, match="non-positive discriminant 0"):
+        srg_spectrum(1, 0, 0, 0)
+    with pytest.raises(SrgParameterError, match="multiplicities are not integers"):
+        srg_spectrum(1, 1, 0, 0)
+    with pytest.raises(SrgParameterError, match="negative multiplicities s=-1, t=1"):
+        srg_spectrum(1, 1, 0, 1)
 
 
 def test_quotient_spectrum_values():

@@ -486,9 +486,10 @@ def _sampled_switches(full: bool):
 def test_switch_sweep(request, no_general_path):
     """The switching theorem predicts the switched charpoly, and the two
     charpolys differ, on a seeded sample of the valid switches (all of them
-    with --full-sweep); every charpoly is a certified guess.  On every base
-    and switched square the Latin and block layers commute exactly when the
-    square is block-permutational."""
+    with --full-sweep); every charpoly is a certified guess.  Every switched
+    square is Latin and Sudoku, which sudoku_symbol_switch does not recheck.
+    On every base and switched square the Latin and block layers commute
+    exactly when the square is block-permutational."""
     switches = _sampled_switches(request.config.getoption("--full-sweep"))
 
     def poly_and_commute(square):
@@ -503,7 +504,9 @@ def test_switch_sweep(request, no_general_path):
         key = square.entries.tobytes()
         if key not in base:
             base[key] = poly_and_commute(square)
-        switched = poly_and_commute(sudoku_symbol_switch(square, spec))
+        switched_square = sudoku_symbol_switch(square, spec)
+        assert is_latin(switched_square) and is_sudoku(switched_square)
+        switched = poly_and_commute(switched_square)
         assert switched_charpoly_expected(base[key], eff_q, eff_r).coeffs == switched.coeffs
         assert base[key].coeffs != switched.coeffs
 
