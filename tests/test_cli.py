@@ -508,22 +508,26 @@ def test_spectrum_expands_the_closed_form_nowhere(field16_file, capsys, monkeypa
 
 
 def test_spectrum_wrong_closed_form_above_the_cap(field16_file, capsys, monkeypatch):
-    right = spectra.mosls_graph_spectrum
+    def moved(right):
+        def wrong(*params):
+            # one eigenvalue gives up a unit of multiplicity to the next
+            (f0, m0), (f1, m1), *rest = right(*params)
+            return [(f0, m0 - 1), (f1, m1 + 1), *rest]
 
-    def moved(q, r, f):
-        # one eigenvalue gives up a unit of multiplicity to the next
-        (f0, m0), (f1, m1), *rest = right(q, r, f)
-        return [(f0, m0 - 1), (f1, m1 + 1), *rest]
+        return wrong
 
-    monkeypatch.setattr(spectra, "mosls_graph_spectrum", moved)
-    # against the charpoly, and certified on the graph under --numeric
-    for extra in ([], ["--numeric"]):
-        code, stdout, err = run(
-            capsys, "spectrum", "--in", field16_file, *extra, "--verify-closed-form"
-        )
-        assert code == 1 and err == ""
-        assert ("charpoly: " in stdout) == (not extra)
-        assert stdout.endswith("closed form: MISMATCH\n")
+    # both flavours' closed forms: against the certified factors, against
+    # the one expanded factor of --exact, and certified on the graph under
+    # --numeric
+    for name, flavor in (("mosls_graph_spectrum", []), ("srg_spectrum", ["--mols-only"])):
+        monkeypatch.setattr(spectra, name, moved(getattr(spectra, name)))
+        for extra in ([], ["--numeric"], ["--exact"]):
+            code, stdout, err = run(
+                capsys, "spectrum", "--in", field16_file, *flavor, *extra, "--verify-closed-form"
+            )
+            assert code == 1 and err == "", (name, extra)
+            assert ("charpoly: " in stdout) == (extra != ["--numeric"])
+            assert stdout.endswith("closed form: MISMATCH\n"), (name, extra)
 
 
 # the field families above the old exact cap that the large-graph inputs
