@@ -157,6 +157,7 @@ def _build_graph(args):
 
 def cmd_spectrum(args) -> int:
     g = _build_graph(args)
+    mosls.spectra._check_group_tol(args.group_tol)  # in every mode, --exact too
     if not args.exact:
         report = mosls.spectra.numeric_spectrum(
             g.adjacency, group_tol=args.group_tol, with_charpoly=not args.numeric
@@ -164,7 +165,7 @@ def cmd_spectrum(args) -> int:
     else:
         report = mosls.spectra.SpectrumReport([(mosls.spectra.charpoly_exact(g.adjacency), 1)], [], None)
 
-    verdict = _closed_form_verdict(g, report) if args.verify_closed_form else None
+    verdict = mosls.spectra._closed_form_verdict(g, report.factors) if args.verify_closed_form else None
 
     payload = report.to_json_dict()
     payload["flavor"] = g.flavor
@@ -194,26 +195,6 @@ def cmd_spectrum(args) -> int:
     if verdict is not None and verdict.startswith("MISMATCH"):
         return 1
     return 0
-
-
-def _closed_form_verdict(g, report) -> str:
-    """Compare the closed form with the exact charpoly, or, under --numeric,
-    which computes none, certify it on the graph itself.  The MOLS form holds
-    for every family that builds, the MOSLS one when the graph's Latin and
-    block layers commute (graph.commute_check)."""
-    n, f = g.order, len(g.squares)
-    if g.flavor == "mols":
-        k, lam, mu = (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2)
-        closed = mosls.spectra.srg_spectrum(n * n, k, lam, mu)
-    elif mosls.graph.commute_check(g):
-        closed = mosls.spectra.mosls_graph_spectrum(g.shape.q, g.shape.r, f)
-    else:
-        return "INAPPLICABLE (adjacency layers do not commute)"
-    if report.factors is None:
-        match = mosls.spectra.certify_charpoly(g.adjacency, closed)
-    else:
-        match = mosls.spectra._same_product(report.factors, closed)
-    return "MATCH" if match else "MISMATCH"
 
 
 def cmd_graph_export(args) -> int:

@@ -178,8 +178,8 @@ def _blocks(L: LatinSquare) -> np.ndarray:
 
 
 def is_sudoku(L: LatinSquare) -> bool:
-    """True iff Latin and every q-by-r block contains each symbol once: no
-    symbol repeats in a row of the block map, with its block label 0..n-1."""
+    """True iff each q-by-r block holds each symbol once (no symbol repeats in a
+    row of the block map with its label 0..n-1); ValueError unless L is Latin."""
     if not is_latin(L):
         raise ValueError("is_sudoku requires a Latin square")
     return _repeat_free([_blocks(L), np.arange(L.order)[:, None]], L.order)

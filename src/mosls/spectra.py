@@ -15,6 +15,7 @@ d * n > EXACT_SIZE_CAP**2 (_power_sum_quotient).  The same certificate
 checks a closed-form spectrum against a graph without a charpoly.  A
 spectrum is held as a factor list [(F, m), ...], as the closed forms are:
 SpectrumReport stores the certified one, expanding charpoly on first read.
+_closed_form_verdict alone decides `spectrum --verify-closed-form`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import graph
 from .designs import CheckFailed, _int_matrix, _max_abs
 
 # the power sums give a degree d of an n x n charpoly while d * n <= this**2
@@ -407,6 +409,12 @@ class SpectrumReport:
         return out
 
 
+def _check_group_tol(group_tol: float) -> None:
+    """ValueError unless the width is finite and >= 0: negative or NaN groups none, inf all."""
+    if not 0 <= group_tol < math.inf:
+        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol!r}")
+
+
 def _group_values(values: np.ndarray, group_tol: float) -> list[tuple[float, int]]:
     groups: list[list[float]] = []
     for v in values:  # descending
@@ -473,11 +481,8 @@ def numeric_spectrum(
 
     The options are keyword-only: a positional call written for the old
     (M, tol, group_tol, with_charpoly) signature raises TypeError instead
-    of silently shifting its arguments.  ValueError unless group_tol is
-    finite and >= 0: a negative or NaN width groups nothing, and inf
-    groups every eigenvalue into one."""
-    if not 0 <= group_tol < math.inf:
-        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol!r}")
+    of silently shifting its arguments; _check_group_tol checks the width."""
+    _check_group_tol(group_tol)
     values = np.linalg.eigvalsh(_symmetric_float(M))[::-1]
     numeric = _group_values(values, group_tol)
     if not with_charpoly:
@@ -584,3 +589,17 @@ def mosls_graph_spectrum(q: int, r: int, f: int) -> list[tuple[IntPolynomial, in
     assert sum(mult for _, mult in factors) == (q * r) ** 2
     return factors
 
+
+def _closed_form_verdict(g, factors) -> str:
+    """`spectrum --verify-closed-form`: the closed form of the cell graph g
+    against its certified factors, or certified on g when factors is None
+    (--numeric), MOLS for any family, MOSLS once graph.commute_check(g)."""
+    n, f = g.order, len(g.squares)
+    if g.flavor == "mols":
+        closed = srg_spectrum(n * n, (f + 2) * (n - 1), n - 2 + f * (f + 1), (f + 1) * (f + 2))
+    elif graph.commute_check(g):
+        closed = mosls_graph_spectrum(g.shape.q, g.shape.r, f)
+    else:
+        return "INAPPLICABLE (adjacency layers do not commute)"
+    match = certify_charpoly(g.adjacency, closed) if factors is None else _same_product(factors, closed)
+    return "MATCH" if match else "MISMATCH"

@@ -265,13 +265,15 @@ def test_check_missing_file(capsys):
 
 def test_spectrum_refuses_a_group_tol_that_breaks_grouping(tmp_path, capsys):
     # the order-4 single-square graph has the eigenvalue 0 x6: a negative
-    # or NaN width read "residual: 1.000e+00", inf one group "x16"
+    # or NaN width read "residual: 1.000e+00", inf one group "x16"; --exact,
+    # which groups nothing, refuses the same widths
     path = tmp_path / "one.txt"
     designs.save_family(single(FOUR_FAMILY.squares[0]), path)
     for bad in ("-1e-6", "nan", "inf", "-inf"):
-        code, stdout, err = run(capsys, "spectrum", "--in", str(path), f"--group-tol={bad}")
-        assert code == 2 and stdout == ""
-        assert err == f"error: group_tol must be finite and >= 0, got {float(bad)!r}\n"
+        for mode in ([], ["--exact"]):
+            code, stdout, err = run(capsys, "spectrum", "--in", str(path), *mode, f"--group-tol={bad}")
+            assert code == 2 and stdout == "", mode
+            assert err == f"error: group_tol must be finite and >= 0, got {float(bad)!r}\n"
     # 0 is a valid width, and the default groups the six zeros
     code, stdout, err = run(capsys, "spectrum", "--in", str(path), "--group-tol", "0")
     assert code == 0 and err == ""

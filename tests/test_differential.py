@@ -84,6 +84,10 @@ LARGE_FIELDS = {
     "order25-type5x5": (5, 1, 1),
     "order27-type3x9": (3, 1, 2),
     "order27-type9x3": (3, 2, 1),
+    "order32-type2x16": (2, 1, 4),
+    "order32-type4x8": (2, 2, 3),
+    "order32-type8x4": (2, 3, 2),
+    "order32-type16x2": (2, 4, 1),
     "order49-type7x7": (7, 1, 1),
 }
 
@@ -93,11 +97,11 @@ def test_switching_theorem_above_order_12(factor, request):
     """The first field square and its first valid symbol switch: the
     certificate's charpolys, charpoly_exact of the two single-square
     graphs, are the closed form and the switching theorem's prediction
-    from it, and they differ.  Order 49 (2401 vertices, about 20 s) runs
-    with --full-sweep only."""
+    from it, and they differ.  Orders 32 (1024 vertices, about 2-3 s each)
+    and 49 (2401 vertices, about 20 s) run with --full-sweep only."""
     p, m, n = factor
     if p ** (m + n) > 27 and not request.config.getoption("--full-sweep"):
-        pytest.skip("order 49 runs with --full-sweep")
+        pytest.skip("orders 32 and 49 run with --full-sweep")
     square = composite_mosls([factor], order_cap=49).squares[0]
     assert is_block_permutational(square)
     spec, switched = next(switches_of(square))
