@@ -6,11 +6,17 @@ mathematical check or precondition fails (invalid square, verification
 mismatch, invalid switch), 2 for usage, flag, or input format errors.
 All outputs are deterministic for fixed inputs and flags.
 
-A layer loads on its first use as `mosls.<layer>`; main uses designs
-once argparse has read argv, so --help and usage errors load no layer and
-no numpy.  tests/test_imports.py pins what each command loads: designs
-always, construct and gf for `construct` and `table` only, never graph,
-spectra or switching for `construct`, `check` or `table`, json for --json.
+A layer loads on its first use as `mosls.<layer>`; once argparse has read
+argv, main loads the command's top layer (_TOP_LAYER), so --help and usage
+errors load no layer and no numpy.  Its imports load the other layers
+before designs imports numpy, whose import reuses their compile heap; run
+from source, compiles after numpy kept 1.1-1.3 MiB in the peak RSS of
+`spectrum`, `switch` and `compare`.  `check`, `construct` and `table` load
+designs first: construct imports numpy, so designs' compile (0.97 MiB)
+would follow it, not gf's (0.44).  tests/test_imports.py pins what each
+command loads: designs always, construct and gf for `construct` and
+`table` only, never graph, spectra or switching for `check`, `construct`
+or `table`, json for --json.
 """
 
 from __future__ import annotations
@@ -395,9 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TOP_LAYER = {"spectrum": "spectra", "graph-export": "graph", "switch": "switching", "compare": "switching"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)  # exits on help and usage errors, loading no layer
-    failed = mosls.designs.CheckFailed  # loads designs, then numpy
+    getattr(mosls, _TOP_LAYER.get(args.command, "designs"))  # its layers compile, then numpy loads
+    failed = mosls.designs.CheckFailed
     try:
         return args.func(args)
     except failed as exc:

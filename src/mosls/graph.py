@@ -21,9 +21,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
+# designs first: it compiles before numpy loads, whose import reuses that heap
 from .designs import CheckFailed, LatinSquare, MoslsFamily, SudokuShape, _block_cells, _repeat_free
+
+import numpy as np
 
 # Largest vertex count a CellGraph accepts: order 49, whose dense uint8
 # (n**2) x (n**2) adjacency takes 2401**2 bytes, about 5.8 MB (16.8 MB at

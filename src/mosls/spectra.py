@@ -25,10 +25,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+# graph, then designs: every layer compiles before designs imports numpy,
+# so numpy's import reuses the compiler's heap when no bytecode is cached
 from . import graph
 from .designs import CheckFailed, _int_matrix, _max_abs
+
+import numpy as np
 
 # the power sums give a degree d of an n x n charpoly while d * n <= this**2
 EXACT_SIZE_CAP = 150

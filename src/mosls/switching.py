@@ -23,11 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .designs import CheckFailed, LatinSquare, MoslsFamily, is_block_permutational, is_latin, is_sudoku
-from .graph import build_mosls_graph
+# spectra, graph, then designs: every layer compiles before designs imports
+# numpy, so numpy's import reuses the compiler's heap when no bytecode is cached
 from .spectra import IntPolynomial, charpoly_exact, poly_product
+from .graph import build_mosls_graph
+from .designs import CheckFailed, LatinSquare, MoslsFamily, is_block_permutational, is_latin, is_sudoku
+
+import numpy as np
 
 
 class SwitchError(CheckFailed):

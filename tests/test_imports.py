@@ -1,16 +1,20 @@
 """Which modules each command loads, seen in fresh processes, and the lazy
 package namespace: `import mosls` loads no layer, and every exported name
 is the object its layer module defines.  Also in fresh processes: the CLI
-lets numpy's idle OpenBLAS workers sleep, and the library leaves the
-environment alone."""
+lets numpy's idle OpenBLAS workers sleep, the library leaves the
+environment alone, and a command's peak resident set is the same run from
+source as from bytecode."""
 
+import compileall
 import importlib
 import json
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,14 @@ class _Recorder:
 
 sys.meta_path.insert(0, _Recorder())
 """ + RUN_CLI + """
+print(*started)
+"""
+
+# after RUN_CLI_IMPORT_ORDER, a library caller's import of the top layer:
+# prints on a further line the modules in the order their imports started
+IMPORT_SWITCHING = """
+started.clear()
+import mosls.switching
 print(*started)
 """
 
@@ -125,19 +137,65 @@ COMMANDS = {
 @pytest.mark.parametrize("command", COMMANDS)
 def test_construct_and_gf_load_for_construct_and_table_only(command, family_file, square_file):
     argv = [tok.format(family=family_file, square=square_file) for tok in COMMANDS[command]]
-    *loaded, started = _fresh_stdout(RUN_CLI_IMPORT_ORDER, *argv).splitlines()
+    # --help loads no layer, so its process then imports one as a library would
+    code = RUN_CLI_IMPORT_ORDER + (IMPORT_SWITCHING if command == "--help" else "")
+    *loaded, started = _fresh_stdout(code, *argv).splitlines()
+    if command == "--help":
+        # argparse prints the help and exits before main imports designs
+        *loaded, by_main = loaded
+        assert not {"mosls.designs", "numpy"} & set(by_main.split())
     building = {"mosls.construct", "mosls.gf"}
     if command in ("construct", "table"):
         assert building <= set(loaded)
     else:
         assert not building & set(loaded)
+    # every layer, construct and gf aside, starts loading before numpy,
+    # which designs imports, so it compiles before numpy loads
     started = started.split()
-    if command == "--help":
-        # argparse prints the help and exits before main imports designs
-        assert not {"mosls.designs", "numpy"} & set(started)
-    else:
-        # designs starts loading before numpy, which it imports
-        assert started.index("mosls.designs") < started.index("numpy")
+    layers = {m for m in started if m.startswith("mosls.")} - building
+    assert "mosls.designs" in layers
+    assert all(started.index(m) < started.index("numpy") for m in layers), started
+
+
+# run cli.main(argv) with its output discarded, then print its exit code,
+# the file cli loaded from and the peak resident set (VmHWM) in kB
+RUN_CLI_PEAK = """
+import contextlib, io, sys
+from mosls import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    status = fh.read().split()
+print(code, cli.__file__, status[status.index("VmHWM:") + 1])
+"""
+
+
+STATUS = Path("/proc/self/status")
+
+
+@pytest.mark.skipif(not (STATUS.exists() and "VmHWM:" in STATUS.read_text()), reason=f"{STATUS} has no VmHWM")
+def test_switch_peak_is_the_same_from_source_and_from_bytecode(tmp_path):
+    # every layer compiles before numpy loads, so numpy's import reuses the
+    # compiler's heap: run from source, `switch` keeps no compile heap in its
+    # peak (it kept about 1.3 MiB while graph, spectra and switching compiled
+    # after numpy).  The two copies' directory names have equal length, as
+    # the length of a path moves the heap's layout.
+    fam = mosls.composite_mosls([(3, 1, 0), (2, 0, 2)])  # order 12, type (3, 4)
+    square = tmp_path / "s12.txt"
+    mosls.save_family(mosls.MoslsFamily(fam.shape, fam.squares[:1]), square)
+    argv = ["switch", "--in", str(square), "--row-block", "1", "--symbols", "1,2"]
+    peaks = {}
+    for copy in ("source", "binary"):
+        root = tmp_path / copy
+        shutil.copytree(Path(mosls.__file__).parent, root / "mosls", ignore=shutil.ignore_patterns("__pycache__"))
+        if copy == "binary":
+            assert compileall.compile_dir(root, quiet=1)
+        env = fresh_env(str(root), PYTHONDONTWRITEBYTECODE="1")
+        res = subprocess.run([sys.executable, "-c", RUN_CLI_PEAK, *argv], env=env, capture_output=True, text=True, check=True)
+        code, where, peak = res.stdout.split()
+        assert code == "0" and where.startswith(str(root))
+        peaks[copy] = int(peak)
+    assert abs(peaks["source"] - peaks["binary"]) <= 512, peaks
 
 
 @pytest.mark.parametrize(
