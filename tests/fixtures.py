@@ -7,6 +7,8 @@ their cell graphs.  Everything here is frozen input data for tests.
 
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -260,6 +262,18 @@ def fresh_env(*paths: str, **overrides: str) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     env["PYTHONPATH"] = os.pathsep.join([*paths, src, os.environ.get("PYTHONPATH", "")])
     return {**env, **overrides}
+
+
+def fresh_cli_record(argv: list[str], out_path: Path) -> list:
+    """[exit code, stdout, stderr] of `python -m mosls.cli argv` in a new
+    interpreter, and the text of out_path if the command wrote it: the
+    record the golden tests digest."""
+    cmd = [sys.executable, "-m", "mosls.cli", *argv]
+    res = subprocess.run(cmd, env=fresh_env(), capture_output=True, text=True)
+    record = [res.returncode, res.stdout, res.stderr]
+    if out_path.exists():
+        record.append(out_path.read_text())
+    return record
 
 
 def peak_traced(fn):

@@ -26,6 +26,10 @@ two-square file, `spectrum` of a square that is not Sudoku, and a
 `construct --count` beyond the family.  Two kinds of error are left out:
 argparse usage errors, whose line wrapping follows the terminal width,
 and missing-file errors, whose message holds a path.
+
+Every case calls cli.main in-process; a `construct --out`, a `switch
+--out`, a `spectrum`, an exit-1 and an exit-2 case also run as `python -m
+mosls.cli` in fresh processes, against the same digests.
 """
 
 import hashlib
@@ -34,7 +38,7 @@ import json
 import numpy as np
 import pytest
 
-from fixtures import NINE, NINE_SWITCHED, cyclic_square, single
+from fixtures import NINE, NINE_SWITCHED, cyclic_square, fresh_cli_record, single
 from mosls import cli, designs, spectra, switching
 
 # name: (factors p:m:n, order cap or None for the default)
@@ -124,6 +128,11 @@ def _construct_argv(name: str) -> list[str]:
 
 def _sha(record) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def _format(argv, names) -> list[str]:
+    """argv with its {input} placeholders filled from names."""
+    return [tok.format_map({k: str(v) for k, v in names.items()}) for tok in argv]
 
 
 def _digest(argv, capsys, out_path=None) -> str:
@@ -267,8 +276,7 @@ def exact_inputs(tmp_path_factory):
 def test_exact_spectrum_output(name, exact_inputs, tmp_path, capsys):
     capsys.readouterr()
     out_path = tmp_path / "out.txt" if "{out}" in EXACT_CASES[name] else None
-    names = {"out": out_path, **exact_inputs}
-    argv = [tok.format_map({k: str(v) for k, v in names.items()}) for tok in EXACT_CASES[name]]
+    argv = _format(EXACT_CASES[name], {"out": out_path, **exact_inputs})
     assert _digest(argv, capsys, out_path) == EXACT_DIGESTS[name]
 
 
@@ -429,8 +437,7 @@ def failure_inputs(tmp_path_factory):
 def test_failure_path_output(name, failure_inputs, tmp_path, capsys):
     capsys.readouterr()
     out_path = tmp_path / "out.txt"
-    names = {"out": out_path, **failure_inputs}
-    argv = [tok.format_map({k: str(v) for k, v in names.items()}) for tok in FAILURE_CASES[name]]
+    argv = _format(FAILURE_CASES[name], {"out": out_path, **failure_inputs})
     code = cli.main(argv)
     record = [code, *capsys.readouterr()]
     if out_path.exists():
@@ -444,3 +451,38 @@ def test_compare_shape_mismatch_names_both_types(failure_inputs, capsys):
     argv = ["compare", "--a", str(failure_inputs["nine"]), "--b", str(failure_inputs["flat4"])]
     code = cli.main(argv)
     assert [code, *capsys.readouterr()] == [2, "", "error: shape mismatch: type (3, 3) vs type (1, 4)\n"]
+
+
+# The cases above call cli.main in-process, which never reaches the exit
+# path of a command: atexit callbacks, cli's exit-time gc.freeze among
+# them, the flushes of stdout and stderr and the teardown of modules.  A
+# few of them also run as `python -m mosls.cli` in a fresh process,
+# against the same digests.  kind: (cases, digests, input fixture)
+FRESH_KINDS = {
+    "exact": (EXACT_CASES, EXACT_DIGESTS, "exact_inputs"),
+    "failure": (FAILURE_CASES, FAILURE_DIGESTS, "failure_inputs"),
+}
+# (kind, case name)
+FRESH_CASES = [
+    ("exact", "switch nine"),  # --out
+    ("exact", "spectrum nine --verify-closed-form"),
+    ("failure", "check doubled"),  # exit 1
+    ("failure", "spectrum nine --subset 0"),  # exit 2
+]
+
+
+def test_construct_out_file_in_a_fresh_process(tmp_path):
+    # with --out the family goes to the file and the summary to stdout, so
+    # [code, file, stdout] is the [code, stdout, stderr] digested without it
+    out_path = tmp_path / "out.txt"
+    code, out, err, text = fresh_cli_record(_construct_argv("t9-3x3") + ["--out", str(out_path)], out_path)
+    assert err == ""
+    assert _sha([code, text, out]) == CONSTRUCT_DIGESTS["t9-3x3"]
+
+
+@pytest.mark.parametrize("kind,name", FRESH_CASES)
+def test_output_in_a_fresh_process(kind, name, request, tmp_path):
+    cases, digests, inputs = FRESH_KINDS[kind]
+    out_path = tmp_path / "out.txt"
+    argv = _format(cases[name], {"out": out_path, **request.getfixturevalue(inputs)})
+    assert _sha(fresh_cli_record(argv, out_path)) == digests[name]

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from fixtures import fresh_cli_record
 from mosls import cli
 
 FAMILIES = {"f16": "2:2:2", "f25": "5:1:1"}
@@ -32,6 +33,10 @@ DIGESTS = {
     "f25 matrix": "ddbcb342265825897ea05dfb659806393b9cc15bfc971a2c0d594c53b297cd36",
     "f25 matrix --subset 1,3": "3566d2bb038cc958656e40804cdf42d679dbf0552debf5bffb491ce2db98429c",
 }
+
+
+def _sha(record) -> str:
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -58,4 +63,12 @@ def test_graph_export_output(name, family_files, tmp_path, capsys):
     record = [code, out, err]
     if to_file:
         record.append(out_path.read_text())
-    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == DIGESTS[name]
+    assert _sha(record) == DIGESTS[name]
+
+
+def test_graph_export_out_file_in_a_fresh_process(family_files, tmp_path):
+    # the exit path of a command, which in-process calls of cli.main never
+    # reach, writes the same bytes
+    out_path = tmp_path / "graph.txt"
+    argv = ["graph-export", "--in", str(family_files["f16"]), "--format", "edges", "--out", str(out_path)]
+    assert _sha(fresh_cli_record(argv, out_path)) == DIGESTS["f16 edges"]

@@ -1,11 +1,13 @@
 """Which modules each command loads, seen in fresh processes, and the lazy
 package namespace: `import mosls` loads no layer, and every exported name
 is the object its layer module defines.  Also in fresh processes: the CLI
-lets numpy's idle OpenBLAS workers sleep, the library leaves the
-environment alone, and a command's peak resident set is the same run from
-source as from bytecode."""
+lets numpy's idle OpenBLAS workers sleep and freezes its heap at exit, the
+library leaves the environment and the collector alone, and a command's
+peak resident set is the same run from source as from bytecode."""
 
+import atexit
 import compileall
+import gc
 import importlib
 import json
 import resource
@@ -23,9 +25,17 @@ from fixtures import fresh_env
 
 LAYERS = {"mosls.graph", "mosls.spectra", "mosls.switching"}
 
-# run cli.main(argv) with its output discarded, then print sys.modules
-RUN_CLI = """
-import contextlib, io, sys
+# at exit, whether the collector was frozen by then; on stderr
+FROZEN_AT_EXIT = "frozen at exit: True\n"
+REPORT_FREEZE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+"""
+
+# run cli.main(argv) with its output discarded, then print sys.modules;
+# at exit, REPORT_FREEZE's line goes to stderr
+RUN_CLI = REPORT_FREEZE + """
+import contextlib, io
 from mosls import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -78,9 +88,10 @@ PUBLIC = {
 
 
 # installed as sitecustomize: reports on stderr the value of
-# OPENBLAS_THREAD_TIMEOUT when numpy, and with it OpenBLAS, is imported
-NUMPY_PROBE = """
-import os, sys
+# OPENBLAS_THREAD_TIMEOUT when numpy, and with it OpenBLAS, is imported,
+# and at exit whether the collector was frozen by then
+NUMPY_PROBE = REPORT_FREEZE + """
+import os
 
 class _Probe:
     def find_spec(self, name, path=None, target=None):
@@ -96,14 +107,23 @@ sys.meta_path.insert(0, _Probe())
 CONSOLE_SCRIPT = "import sys; from mosls.cli import main; sys.exit(main())"
 
 
-def _fresh_stdout(code: str, *args: str) -> str:
-    """stdout of `python -c code args` in a new interpreter."""
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c code args` run to completion in a new interpreter."""
     argv = [sys.executable, "-c", code, *args]
-    return subprocess.run(argv, env=fresh_env(), capture_output=True, text=True, check=True).stdout
+    return subprocess.run(argv, env=fresh_env(), capture_output=True, text=True, check=True)
 
 
-def _fresh_modules(code: str, *args: str) -> set[str]:
-    return set(_fresh_stdout(code, *args).split())
+def _fresh_cli_stdout(code: str, *args: str) -> str:
+    """stdout of a code that runs RUN_CLI, whose process must have frozen
+    the collector by exit."""
+    res = _fresh(code, *args)
+    assert res.stderr == FROZEN_AT_EXIT
+    return res.stdout
+
+
+def _fresh_modules(*args: str) -> set[str]:
+    """The modules loaded by RUN_CLI on args."""
+    return set(_fresh_cli_stdout(RUN_CLI, *args).split())
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +159,7 @@ def test_construct_and_gf_load_for_construct_and_table_only(command, family_file
     argv = [tok.format(family=family_file, square=square_file) for tok in COMMANDS[command]]
     # --help loads no layer, so its process then imports one as a library would
     code = RUN_CLI_IMPORT_ORDER + (IMPORT_SWITCHING if command == "--help" else "")
-    *loaded, started = _fresh_stdout(code, *argv).splitlines()
+    *loaded, started = _fresh_cli_stdout(code, *argv).splitlines()
     if command == "--help":
         # argparse prints the help and exits before main imports designs
         *loaded, by_main = loaded
@@ -208,7 +228,7 @@ def test_switch_peak_is_the_same_from_source_and_from_bytecode(tmp_path):
     ],
 )
 def test_family_commands_load_no_graph_layer_and_no_json(argv, family_file):
-    loaded = _fresh_modules(RUN_CLI, *[tok.format(family=family_file) for tok in argv])
+    loaded = _fresh_modules(*[tok.format(family=family_file) for tok in argv])
     if argv == ["--help"]:
         assert not loaded & {"mosls.designs", "numpy"}
     else:
@@ -219,32 +239,42 @@ def test_family_commands_load_no_graph_layer_and_no_json(argv, family_file):
 
 @pytest.mark.parametrize("argv", [["check", "--in", "{family}", "--json"], ["table", "--json"]])
 def test_json_output_loads_json_only(argv, family_file):
-    loaded = _fresh_modules(RUN_CLI, *[tok.format(family=family_file) for tok in argv])
+    loaded = _fresh_modules(*[tok.format(family=family_file) for tok in argv])
     assert "json" in loaded
     assert not loaded & LAYERS
 
 
-# argv: exit code, and whether argparse writes to stdout (help) or stderr (usage)
+ENTRIES = {"module": ["-m", "mosls.cli"], "script": ["-c", CONSOLE_SCRIPT]}
+
+# argv: exit code, whether argparse writes to stdout (help) or stderr
+# (usage), and the entry it runs through
 PARSE_ONLY = [
-    ([], 2, "stderr"),
-    (["--help"], 0, "stdout"),
-    (["spectrum", "--help"], 0, "stdout"),
-    (["spectrum"], 2, "stderr"),  # --in is required
-    (["spectrum", "--in", "x", "--exact", "--numeric"], 2, "stderr"),
-    (["construct", "--p", "x"], 2, "stderr"),
-    (["graph-export", "--in", "x", "--format", "svg"], 2, "stderr"),
+    ([], 2, "stderr", "module"),
+    (["--help"], 0, "stdout", "module"),
+    (["spectrum", "--help"], 0, "stdout", "script"),
+    (["spectrum"], 2, "stderr", "script"),  # --in is required
+    (["spectrum", "--in", "x", "--exact", "--numeric"], 2, "stderr", "module"),
+    (["construct", "--p", "x"], 2, "stderr", "script"),
+    (["graph-export", "--in", "x", "--format", "svg"], 2, "stderr", "module"),
 ]
 
 
-@pytest.mark.parametrize("argv,code,stream", PARSE_ONLY, ids=[" ".join(case[0]) or "bare" for case in PARSE_ONLY])
-def test_parse_stage_loads_no_layer_and_no_numpy(argv, code, stream):
+@pytest.mark.parametrize(
+    "argv,code,stream,entry", PARSE_ONLY, ids=[" ".join(case[0]) or "bare" for case in PARSE_ONLY]
+)
+def test_parse_stage_loads_no_layer_and_no_numpy(argv, code, stream, entry, numpy_probe):
     res = subprocess.run(
-        [sys.executable, "-m", "mosls.cli", *argv], env=fresh_env(), capture_output=True, text=True
+        [sys.executable, *ENTRIES[entry], *argv], env=fresh_env(numpy_probe), capture_output=True, text=True
     )
     assert res.returncode == code
     assert getattr(res, stream).startswith("usage: mosls")
-    assert not getattr(res, "stderr" if stream == "stdout" else "stdout")
-    loaded = _fresh_modules(RUN_CLI, *argv)
+    # the probe's exit hook, registered before cli loaded, runs after
+    # cli's freeze and writes the last line of stderr
+    if stream == "stdout":
+        assert res.stderr == FROZEN_AT_EXIT
+    else:
+        assert not res.stdout and res.stderr.endswith("\n" + FROZEN_AT_EXIT)
+    loaded = _fresh_modules(*argv)
     assert not loaded & {"numpy", "mosls.designs"}
     assert {m for m in loaded if m.startswith("mosls.")} == {"mosls.cli"}
 
@@ -273,17 +303,17 @@ def test_table_rows_build_without_main(family_file, square_file):
     # the layers load on first use, so neither the public generator nor a
     # command handler needs main to have run first
     code = "from mosls.cli import verified_table_rows\nprint(*(row['status'] for row in verified_table_rows(4, None)))"
-    assert _fresh_stdout(code) == "VERIFIED VERIFIED VERIFIED VERIFIED\n"
+    assert _fresh(code).stdout == "VERIFIED VERIFIED VERIFIED VERIFIED\n"
     for command, argv in COMMANDS.items():
         if command == "--help":
             continue
         argv = [tok.format(family=family_file, square=square_file) for tok in argv]
-        handler_run, main_run = json.loads(_fresh_stdout(RUN_HANDLER_THEN_MAIN, *argv))
+        handler_run, main_run = json.loads(_fresh(RUN_HANDLER_THEN_MAIN, *argv).stdout)
         assert handler_run[0] and handler_run == main_run, command
 
 
 def test_graph_export_loads_no_spectra_or_switching(family_file):
-    loaded = _fresh_modules(RUN_CLI, "graph-export", "--in", family_file)
+    loaded = _fresh_modules("graph-export", "--in", family_file)
     assert "mosls.graph" in loaded
     assert not loaded & {"mosls.spectra", "mosls.switching"}
 
@@ -291,7 +321,7 @@ def test_graph_export_loads_no_spectra_or_switching(family_file):
 def test_spectrum_residual_loads_no_fractions_or_decimal(family_file):
     # the residual's rationals come from spectra._nearest_ratio; fractions
     # would pull in decimal and _decimal, about 0.3 MiB and 3 ms per process
-    loaded = _fresh_modules(RUN_CLI, "spectrum", "--in", family_file, "--verify-closed-form")
+    loaded = _fresh_modules("spectrum", "--in", family_file, "--verify-closed-form")
     assert "mosls.spectra" in loaded
     assert not loaded & {"fractions", "decimal", "_decimal"}
 
@@ -302,7 +332,7 @@ def test_bare_import_loads_no_layer():
         "print(*sorted(m for m in sys.modules if m.startswith('mosls')))\n"
         "print(mosls.graph.__name__, *sorted(m for m in sys.modules if m.startswith('mosls')))\n"
     )
-    bare, after_graph = _fresh_stdout(code).splitlines()
+    bare, after_graph = _fresh(code).stdout.splitlines()
     assert bare == "mosls"
     # a subpackage still resolves as an attribute, loading only what it imports
     assert after_graph == "mosls.graph mosls mosls.designs mosls.graph"
@@ -336,27 +366,41 @@ def numpy_probe(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("entry", [["-m", "mosls.cli"], ["-c", CONSOLE_SCRIPT]], ids=["module", "script"])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
 @pytest.mark.parametrize("user,seen", [(None, "4"), ("30", "30")], ids=["default", "user-set"])
 def test_cli_sets_the_openblas_idle_spin_before_numpy_loads(entry, user, seen, numpy_probe, family_file):
-    # check loads numpy (--help does not)
+    # check loads numpy (--help does not); the process froze its heap by
+    # the time the probe's exit hook, registered before cli loaded, ran
     overrides = {} if user is None else {"OPENBLAS_THREAD_TIMEOUT": user}
     res = subprocess.run(
-        [sys.executable, *entry, "check", "--in", family_file],
+        [sys.executable, *ENTRIES[entry], "check", "--in", family_file],
         env=fresh_env(numpy_probe, **overrides), capture_output=True, text=True,
     )
     assert res.returncode == 0 and res.stdout.startswith("order 4 type 2 2 count 2\n")
-    assert res.stderr == f"at numpy import: {seen}\n"
+    assert res.stderr == f"at numpy import: {seen}\n" + FROZEN_AT_EXIT
 
 
 def test_library_leaves_the_environment_alone():
-    code = (
+    code = REPORT_FREEZE + (
         "import os\n"
         "before = dict(os.environ)\n"
         "import mosls, mosls.gf, mosls.designs, mosls.construct, mosls.graph, mosls.spectra, mosls.switching\n"
         "print(dict(os.environ) == before, 'OPENBLAS_THREAD_TIMEOUT' in os.environ)\n"
     )
-    assert _fresh_stdout(code) == "True False\n"
+    res = _fresh(code)
+    assert (res.stdout, res.stderr) == ("True False\n", "frozen at exit: False\n")
+
+
+def test_main_neither_freezes_nor_registers_per_call(family_file, capsys):
+    # cli registered its exit-time freeze once, when it loaded
+    from mosls import cli
+
+    callbacks = atexit._ncallbacks()
+    for _ in range(2):
+        assert cli.main(["check", "--in", family_file]) == 0
+    assert capsys.readouterr().out.startswith("order 4 type 2 2 count 2\n")
+    assert gc.get_freeze_count() == 0
+    assert atexit._ncallbacks() == callbacks
 
 
 def test_help_keeps_at_most_one_cpu_busy(family_file):
